@@ -9,6 +9,7 @@ import numpy as np
 
 from ssrs.augment import (AugmentSpec, apply_augment, shannon_entropy,
                           weak_strong_pair)
+from ssrs.config import RunConfig
 from ssrs.core import TrajectoryMatrix
 
 rng = np.random.default_rng(7)
@@ -42,7 +43,8 @@ twice = apply_augment(AugmentSpec("flip"),
 print(f"\nflip o flip identical to input: "
       f"{np.array_equal(twice.states, traj.states)}")
 
-# the named weak/strong pairing used during training
-weak, strong = weak_strong_pair("ssrs_s", traj, np.random.default_rng(0))
+# the default weak/strong pairing (ssrs_s) used during training
+weak, strong = weak_strong_pair(RunConfig().augment_pair(), traj,
+                                np.random.default_rng(0))
 print(f"weak view (gaussian) moved  {np.abs(weak.states - traj.states).mean():.3f}")
 print(f"strong view (double entropy) nonnegative: {bool(np.all(strong.states >= 0))}")

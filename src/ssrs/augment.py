@@ -204,18 +204,11 @@ def weak_strong_pair(pairing, traj: TrajectoryMatrix,
                      rng: np.random.Generator):
     """Produce (weak view, strong view) of a trajectory.
 
-    ``pairing`` is either a key of :data:`PAIRINGS` or a pair of
-    :class:`AugmentSpec`.  The two views draw from independent child
-    generators spawned from ``rng``, so each is reproducible from one seed.
+    ``pairing`` is a (weak, strong) pair of :class:`AugmentSpec`, as built by
+    ``RunConfig.augment_pair`` from a :data:`PAIRINGS` name.  The two views
+    draw from independent child generators spawned from ``rng``, so each is
+    reproducible from one seed.
     """
-    if isinstance(pairing, str):
-        try:
-            weak_kind, strong_kind = PAIRINGS[pairing]
-        except KeyError:
-            raise ValueError(f"unknown pairing {pairing!r}; "
-                             f"choose from {sorted(PAIRINGS)}") from None
-        weak, strong = AugmentSpec(weak_kind), AugmentSpec(strong_kind)
-    else:
-        weak, strong = pairing
+    weak, strong = pairing
     rng_w, rng_s = rng.spawn(2)
     return apply_augment(weak, traj, rng_w), apply_augment(strong, traj, rng_s)

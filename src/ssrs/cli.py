@@ -318,8 +318,8 @@ def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
     }
     report = {}
     for name, (value_fn, grad_fn) in checks.items():
-        g_bp = grad_fn(params).flat
-        g_fd = finite_diff_gradient(value_fn, params, step=step).flat
+        g_bp = grad_fn(params)
+        g_fd = finite_diff_gradient(value_fn, params, step=step)
         rel = np.abs(g_bp - g_fd) / (np.abs(g_fd) + 1e-8)
         report[name] = float(rel.max())
     return report

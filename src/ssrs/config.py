@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from .augment import AugmentSpec
+from .augment import PAIRINGS, AugmentSpec
 from .envs import EnvSpec
 
 __all__ = [
@@ -117,18 +117,15 @@ class RunConfig:
     def augment_pair(self):
         """(weak, strong) transform specs for the configured pairing."""
         a = self.augment
-        weak = AugmentSpec("gaussian", {"sigma": a.gaussian_sigma})
-        strong_kind = {
-            "ssrs_s": "double_entropy",
-            "ssrs_m": "smooth",
-            "ssrs_c": "cutout",
-        }[a.pairing]
-        strong_params = {
+        params = {
+            "gaussian": {"sigma": a.gaussian_sigma},
             "double_entropy": {"n": a.partitions},
             "smooth": {"n": a.smooth_n},
             "cutout": {"n": a.cutout_n},
-        }[strong_kind]
-        return weak, AugmentSpec(strong_kind, strong_params)
+        }
+        weak_kind, strong_kind = PAIRINGS[a.pairing]
+        return (AugmentSpec(weak_kind, params[weak_kind]),
+                AugmentSpec(strong_kind, params[strong_kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ _FIELDS = {
     "eval_interval": (None, "eval_interval", _parse_int(lo=1)),
     "eval_episodes": (None, "eval_episodes", _parse_int(lo=1)),
     "checkpoint_interval": (None, "checkpoint_interval", _parse_int(lo=0)),
-    "augment.pairing": ("augment", "pairing", _parse_choice("ssrs_s", "ssrs_m", "ssrs_c")),
+    "augment.pairing": ("augment", "pairing", _parse_choice(*PAIRINGS)),
     "augment.gaussian_sigma": ("augment", "gaussian_sigma", _parse_float(lo=0, lo_open=True)),
     "augment.cutout_n": ("augment", "cutout_n", _parse_int(lo=0)),
     "augment.smooth_n": ("augment", "smooth_n", _parse_int(lo=1)),

@@ -112,15 +112,6 @@ class TrajectoryMatrix:
             rewards=np.array([t.reward for t in transitions], dtype=np.float64),
         )
 
-    @classmethod
-    def single(cls, transition: Transition) -> "TrajectoryMatrix":
-        """One-row trajectory holding a single transition's (s, a, r)."""
-        return cls(
-            states=transition.state[None, :],
-            actions=transition.action[None, :],
-            rewards=np.array([transition.reward], dtype=np.float64),
-        )
-
 
 # ---------------------------------------------------------------------------
 # reward candidate set
@@ -197,7 +188,9 @@ class ReplayBuffer:
     ``shaped[i] == False`` always implies ``rewards[i] == originals[i]``.
 
     Slots are physical ring positions; they are returned by :meth:`push` and
-    :meth:`sample` and stay valid until the slot is overwritten by eviction.
+    :meth:`sample_slots` and stay valid until the slot is overwritten by
+    eviction.  Occupied slots are always ``[0, len(buffer))``: the ring fills
+    from slot 0 and never shrinks.
     """
 
     def __init__(self, capacity: int):
@@ -276,17 +269,20 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
         return slot
 
-    def set_reward(self, slot: int, value: float, shaped: bool):
-        """Overwrite the stored reward of a slot (shaping write-back).
+    def set_reward(self, slots, values, shaped):
+        """Overwrite the stored rewards of distinct slots (shaping write-back).
 
-        An unshaped entry must carry its original reward; callers reverting a
-        shaped entry pass the original value with ``shaped=False``.
+        ``slots``, ``values`` and ``shaped`` are scalars or equal-length
+        arrays.  An unshaped entry must carry its original reward; callers
+        reverting a shaped entry pass the original value with
+        ``shaped=False``.  Nothing is written when any entry breaks that.
         """
-        value = float(value)
-        if not shaped and value != self._originals[slot]:
+        values = np.asarray(values, dtype=np.float64)
+        shaped = np.asarray(shaped, dtype=bool)
+        if np.any(~shaped & (values != self._originals[slots])):
             raise ValueError("unshaped entries must keep their original reward")
-        self._rewards[slot] = value
-        self._shaped[slot] = shaped
+        self._rewards[slots] = values
+        self._shaped[slots] = shaped
 
     # -- reading ------------------------------------------------------------
 
@@ -297,8 +293,7 @@ class ReplayBuffer:
 
     def zero_reward_slots(self) -> np.ndarray:
         """Slots whose original reward is zero, in ascending slot order."""
-        occupied = np.sort(self.slots())
-        return occupied[self._originals[occupied] == 0.0]
+        return np.flatnonzero(self._originals[:self._size] == 0.0)
 
     def transition_at(self, slot: int) -> Transition:
         return Transition(
@@ -344,10 +339,62 @@ class ReplayBuffer:
         start = (self._next - self._size) % self.capacity
         return (start + logical) % self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform-with-replacement batch as (slot, Transition) pairs."""
-        slots = self.sample_slots(batch_size, rng)
-        return [(int(s), self.transition_at(s)) for s in slots]
+    # -- checkpoint rows ----------------------------------------------------
+
+    def to_rows(self) -> np.ndarray:
+        """Stored entries as checkpoint rows, oldest first (layout at
+        :func:`save_buffer`); an empty buffer gives no rows."""
+        if self._m1 is None:
+            return np.zeros((0, 0))
+        order = self.slots()
+        return np.hstack([
+            self._states[order],
+            self._actions[order],
+            self._rewards[order, None],
+            self._next_states[order],
+            self._terminals[order, None].astype(np.float64),
+            self._originals[order, None],
+            self._shaped[order, None].astype(np.float64),
+        ])
+
+    @classmethod
+    def from_rows(cls, capacity: int, m1: int, m2: int, rows) -> "ReplayBuffer":
+        """Inverse of :meth:`to_rows`: a buffer holding the rows' entries,
+        oldest first, in slots ``[0, len(rows))``.
+
+        Rejects more rows than the capacity, flags other than exactly 0.0 or
+        1.0, and unshaped entries whose reward differs from the original.
+        """
+        buffer = cls(capacity)
+        rows = np.asarray(rows, dtype=np.float64)
+        count = rows.shape[0]
+        if count == 0:
+            return buffer
+        if count > buffer.capacity:
+            raise ValueError(f"{count} entries exceed the capacity {capacity}")
+        if m1 < 1 or m2 < 1:
+            raise ValueError(f"state width {m1} and action width {m2} must "
+                             "be positive")
+        bounds = np.cumsum([m1, m2, 1, m1, 1, 1])
+        (states, actions, rewards, next_states, terminals, originals,
+         shaped) = np.split(rows, bounds, axis=1)
+        flags = np.hstack([terminals, shaped])
+        if not np.all((flags == 0.0) | (flags == 1.0)):
+            raise ValueError("terminal and shaped flags must be 0.0 or 1.0")
+        if np.any((shaped == 0.0) & (rewards != originals)):
+            raise ValueError("unshaped entries must keep their original reward")
+        buffer._allocate(m1, m2)
+        buffer._states[:count] = states
+        buffer._actions[:count] = actions
+        buffer._rewards[:count] = rewards[:, 0]
+        buffer._next_states[:count] = next_states
+        buffer._terminals[:count] = terminals[:, 0] == 1.0
+        buffer._originals[:count] = originals[:, 0]
+        buffer._shaped[:count] = shaped[:, 0] == 1.0
+        buffer._size = count
+        buffer._next = count % buffer.capacity
+        buffer._nonzero = int(np.count_nonzero(originals != 0.0))
+        return buffer
 
 
 # ---------------------------------------------------------------------------
@@ -364,31 +411,20 @@ class ReplayBuffer:
 
 def save_buffer(buffer: ReplayBuffer, path):
     """Write a replay buffer checkpoint (see module comment for the layout)."""
-    if buffer.state_width is None:
-        m1 = m2 = 0
-        payload = np.zeros(0)
-    else:
-        m1, m2 = buffer.state_width, buffer.action_width
-        order = buffer.slots()
-        payload = np.hstack([
-            buffer._states[order],
-            buffer._actions[order],
-            buffer._rewards[order, None],
-            buffer._next_states[order],
-            buffer._terminals[order, None].astype(np.float64),
-            buffer._originals[order, None],
-            buffer._shaped[order, None].astype(np.float64),
-        ])
     header = _HEADER.pack(
-        BUFFER_FORMAT_VERSION, m1, m2, buffer.capacity, len(buffer)
+        BUFFER_FORMAT_VERSION, buffer.state_width or 0,
+        buffer.action_width or 0, buffer.capacity, len(buffer)
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.astype("<f8").tobytes())
+        fh.write(buffer.to_rows().astype("<f8").tobytes())
 
 
 def load_buffer(path) -> ReplayBuffer:
-    """Read a checkpoint written by :func:`save_buffer` (bit-exact round trip)."""
+    """Read a checkpoint written by :func:`save_buffer` (bit-exact round trip).
+
+    Malformed input raises ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -396,9 +432,6 @@ def load_buffer(path) -> ReplayBuffer:
     version, m1, m2, capacity, count = _HEADER.unpack_from(raw)
     if version != BUFFER_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported buffer format version {version}")
-    buffer = ReplayBuffer(capacity)
-    if count == 0:
-        return buffer
     row_width = 2 * m1 + m2 + 4
     expected = _HEADER.size + 8 * row_width * count
     if len(raw) != expected:
@@ -406,23 +439,12 @@ def load_buffer(path) -> ReplayBuffer:
             f"{path}: payload size mismatch (expected {expected} bytes, "
             f"got {len(raw)})"
         )
-    rows = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(count, row_width)
-    buffer._allocate(m1, m2)
-    for i in range(count):
-        row = rows[i]
-        slot = buffer._next
-        buffer._states[slot] = row[:m1]
-        buffer._actions[slot] = row[m1:m1 + m2]
-        buffer._rewards[slot] = row[m1 + m2]
-        buffer._next_states[slot] = row[m1 + m2 + 1:2 * m1 + m2 + 1]
-        buffer._terminals[slot] = bool(row[2 * m1 + m2 + 1])
-        buffer._originals[slot] = row[2 * m1 + m2 + 2]
-        buffer._shaped[slot] = bool(row[2 * m1 + m2 + 3])
-        if buffer._originals[slot] != 0.0:
-            buffer._nonzero += 1
-        buffer._next = (buffer._next + 1) % buffer.capacity
-        buffer._size = min(buffer._size + 1, buffer.capacity)
-    return buffer
+    rows = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    try:
+        return ReplayBuffer.from_rows(capacity, m1, m2,
+                                      rows.reshape(count, row_width))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

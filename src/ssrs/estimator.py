@@ -5,6 +5,12 @@ action vector), the other scores states alone (fed the successor state when
 building confidence vectors).  Both heads emit a probability vector over the
 reward candidate grid; the confidence vector is their convex combination.
 
+This module holds the single, row-batched definition of each estimator
+formula: the two-head forward (``forward_heads``), the confidence mix
+(``mix_heads``, ``confidence_batch``), hard selection (``select``), its soft
+surrogate (``soft_select``) and the confidence-gated pseudo-label
+(``pseudo_label``).  Buffer shaping and the losses both build on them.
+
 The networks are plain numpy with hand-written backward passes so gradients
 can be audited against finite differences.
 """
@@ -20,7 +26,8 @@ from .core import ReplayBuffer, RewardSet
 __all__ = [
     "MlpNet",
     "EstimatorParams",
-    "confidence",
+    "forward_heads",
+    "mix_heads",
     "confidence_batch",
     "select",
     "soft_select",
@@ -143,12 +150,18 @@ class MlpNet:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
+    @staticmethod
+    def pack(weights, biases) -> np.ndarray:
+        """Concatenate per-layer arrays in flattening order, (W, b) per layer.
+
+        Packs the parameters themselves or the (weight grads, bias grads)
+        that :meth:`backward` returns.
+        """
+        return np.concatenate([part.ravel() for layer in zip(weights, biases)
+                               for part in layer])
+
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.pack(self.weights, self.biases)
 
     def load_flat(self, flat: np.ndarray):
         flat = np.asarray(flat, dtype=np.float64)
@@ -211,68 +224,73 @@ class EstimatorParams:
 
 
 # ---------------------------------------------------------------------------
-# confidence and selection
+# confidence and selection (row-batched: q is (n, n_candidates))
 # ---------------------------------------------------------------------------
 
+def forward_heads(params: EstimatorParams, state_views, actions, v_states,
+                  dropout_rng=None):
+    """Forward of the state-action head on each state view, then of the state
+    head on ``v_states``; every view shares the same action rows.
+
+    Eval mode unless a dropout generator is supplied, in which case the heads
+    draw live dropout masks in that order.  Returns ([(out, cache) per
+    view], (v_out, v_cache)).
+    """
+    train = dropout_rng is not None
+    q_heads = [
+        params.q_net.forward(np.concatenate([states, actions], axis=1),
+                             train=train, rng=dropout_rng)
+        for states in state_views
+    ]
+    return q_heads, params.v_net.forward(v_states, train=train, rng=dropout_rng)
+
+
+def mix_heads(q_out, v_out, mix: float):
+    """Confidence vectors from head outputs: mix * Q + (1 - mix) * V."""
+    return mix * q_out + (1.0 - mix) * v_out
+
+
 def confidence_batch(params: EstimatorParams, states, actions, next_states,
-                     mix: float):
+                     mix: float, dropout_rng=None):
     """Confidence vectors for a batch, plus head outputs and caches.
 
     mix is the convex weight on the state-action head:
-    q = mix * Q(s, a) + (1 - mix) * V(s').  Eval mode, no dropout.
-    Returns (q, q_head_out, v_head_out, q_cache, v_cache).
+    q = mix * Q(s, a) + (1 - mix) * V(s').  Eval mode unless a dropout
+    generator is supplied.  Returns (q, q_head_out, v_head_out, q_cache,
+    v_cache).
     """
-    x_q = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-    q_out, q_cache = params.q_net.forward(x_q)
-    v_out, v_cache = params.v_net.forward(np.atleast_2d(next_states))
-    q = mix * q_out + (1.0 - mix) * v_out
-    return q, q_out, v_out, q_cache, v_cache
+    [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
+        params, [states], actions, next_states, dropout_rng)
+    return mix_heads(q_out, v_out, mix), q_out, v_out, q_cache, v_cache
 
 
-def confidence(params: EstimatorParams, state, action, next_state,
-               mix: float) -> np.ndarray:
-    """Confidence vector of a single transition (a probability vector)."""
-    q, _, _, _, _ = confidence_batch(params, state, action, next_state, mix)
-    return q[0]
+def select(q, zset: RewardSet, threshold: float) -> np.ndarray:
+    """Hard reward selection per row: the candidate at the confidence peak
+    when the peak strictly exceeds the threshold, else 0 (ties pick the
+    lowest index)."""
+    return np.where(q.max(axis=1) > threshold, zset.values[q.argmax(axis=1)],
+                    0.0)
 
 
-def select(q, zset: RewardSet, threshold: float) -> float:
-    """Hard reward selection: the candidate at argmax confidence when the
-    peak strictly exceeds the threshold, else 0 (ties pick the lowest index).
+def soft_select(q, zset: RewardSet, temperature: float):
+    """Differentiable surrogate for :func:`select`, per row.
+
+    Returns (sum_i w_i z_i, w) with w = softmax(q / temperature); the value
+    approaches the argmax candidate as the temperature shrinks.  The gate is
+    not applied here; the smoothed losses carry it as a sigmoid factor.
     """
-    q = np.asarray(q, dtype=np.float64)
-    peak = q.max()
-    if peak > threshold:
-        return float(zset.values[int(np.argmax(q))])
-    return 0.0
-
-
-def soft_select(q, zset: RewardSet, threshold: float, temperature: float) -> float:
-    """Differentiable surrogate for :func:`select`.
-
-    Returns sum_i w_i z_i with w = softmax(q / temperature); approaches the
-    argmax candidate as the temperature shrinks.  The threshold is accepted
-    for signature symmetry with :func:`select`; the gate lives in the
-    smoothed loss factor, not here.
-    """
-    del threshold
-    q = np.asarray(q, dtype=np.float64)
-    w = _softmax_rows(q[None, :] / float(temperature))[0]
-    return float(w @ zset.values)
+    w = _softmax_rows(q / temperature)
+    return w @ zset.values, w
 
 
 def pseudo_label(q, threshold: float):
-    """One-hot label at the confidence peak, or None below the threshold.
+    """Confidence-gated pseudo-labels, per row: (index of the confidence
+    peak, whether the peak reaches the threshold).
 
-    The gate here is inclusive (peak >= threshold), matching the indicator
-    used by the consistency loss.
+    The gate is inclusive (peak >= threshold), unlike the strict gate of
+    :func:`select`.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.max() >= threshold:
-        label = np.zeros_like(q)
-        label[int(np.argmax(q))] = 1.0
-        return label
-    return None
+    return q.argmax(axis=1), q.max(axis=1) >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +316,10 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     q, _, _, _, _ = confidence_batch(
         params, batch["states"], batch["actions"], batch["next_states"], mix
     )
-    shaped = 0
-    for slot, row in zip(chosen, q):
-        value = select(row, zset, threshold)
-        buffer.set_reward(int(slot), value, shaped=value != 0.0)
-        if value != 0.0:
-            shaped += 1
-    return shaped
+    values = select(q, zset, threshold)
+    shaped = values != 0.0
+    buffer.set_reward(chosen, values, shaped)
+    return int(np.count_nonzero(shaped))
 
 
 # ---------------------------------------------------------------------------
@@ -345,47 +360,60 @@ def save_params(params: EstimatorParams, path):
 
 
 def load_params(path) -> EstimatorParams:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a checkpoint written by :func:`save_params`.
+
+    Truncated or malformed input raises ValueError naming the file and the
+    line where parsing stopped.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a parameter checkpoint") from None
     if not lines or not lines[0].startswith("reward-estimator-params v"):
         raise ValueError(f"{path}: not a parameter checkpoint")
-    version = int(lines[0].rsplit("v", 1)[1])
-    if version != PARAMS_FORMAT_VERSION:
+    version = lines[0].rsplit("v", 1)[1]
+    if version != str(PARAMS_FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported parameter format version {version}")
     pos = 1
     nets = {}
-    while pos < len(lines) and lines[pos]:
-        head = lines[pos].split()
-        if head[0] != "net":
-            raise ValueError(f"{path}: expected net header at line {pos + 1}")
-        name = head[1]
-        input_scale = float(head[3])
-        dropout = float(head[5])
-        n_layers = int(head[7])
-        pos += 1
-        weights, biases = [], []
-        for _ in range(n_layers):
-            tag, out_n, in_n = lines[pos].split()
-            if tag != "layer":
-                raise ValueError(f"{path}: expected layer header at line {pos + 1}")
-            out_n, in_n = int(out_n), int(in_n)
+    try:
+        while pos < len(lines) and lines[pos]:
+            tag, name, _, input_scale, _, dropout, _, n_layers = lines[pos].split()
+            if tag != "net" or int(n_layers) < 1:
+                raise ValueError("expected a net header with at least one layer")
             pos += 1
-            w = np.array(
-                [[float(v) for v in lines[pos + r].split()] for r in range(out_n)]
-            ).reshape(out_n, in_n)
-            pos += out_n
-            if lines[pos] != "bias":
-                raise ValueError(f"{path}: expected bias marker at line {pos + 1}")
-            pos += 1
-            b = np.array([float(v) for v in lines[pos].split()])
-            pos += 1
-            weights.append(w)
-            biases.append(b)
-        sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-        net = MlpNet(sizes, dropout=dropout, input_scale=input_scale)
-        net.weights = weights
-        net.biases = biases
-        nets[name] = net
+            weights, biases = [], []
+            for _ in range(int(n_layers)):
+                tag, out_n, in_n = lines[pos].split()
+                if tag != "layer":
+                    raise ValueError("expected a layer header")
+                out_n, in_n = int(out_n), int(in_n)
+                if weights and in_n != weights[-1].shape[0]:
+                    raise ValueError("layer width does not chain to the previous layer")
+                pos += 1
+                w = np.array(
+                    [[float(v) for v in lines[pos + r].split()] for r in range(out_n)]
+                ).reshape(out_n, in_n)
+                pos += out_n
+                if lines[pos] != "bias":
+                    raise ValueError("expected a bias marker")
+                pos += 1
+                b = np.array([float(v) for v in lines[pos].split()])
+                if b.shape != (out_n,):
+                    raise ValueError(f"expected {out_n} bias values")
+                pos += 1
+                weights.append(w)
+                biases.append(b)
+            sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+            net = MlpNet(sizes, dropout=float(dropout), input_scale=float(input_scale))
+            net.weights = weights
+            net.biases = biases
+            nets[name] = net
+    except IndexError:
+        raise ValueError(f"{path}: truncated in the block at line {pos + 1}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {pos + 1}: {exc}") from None
     if set(nets) != {"q", "v"}:
         raise ValueError(f"{path}: checkpoint must contain exactly nets 'q' and 'v'")
     return EstimatorParams(q_net=nets["q"], v_net=nets["v"])

@@ -14,6 +14,12 @@ selection) and is what gets logged.  Smooth mode replaces indicators with
 sigmoids and the argmax selection with a softmax-weighted average so the
 gradient exists everywhere; those gradients are the ones used for training
 and are checked against central finite differences in the test suite.
+
+Each loss is one function returning (value, gradient, gate count).  The
+gradient is a flat ndarray in ``params.flatten()`` order (``None`` in hard
+mode); the confidence mix, hard and soft selection and the confidence-gated
+pseudo-label come from :mod:`ssrs.estimator`, so shaping and training share
+one definition of each.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ import numpy as np
 
 from .augment import weak_strong_pair
 from .core import RewardSet, TrajectoryMatrix
-from .estimator import EstimatorParams, _softmax_rows
+from .estimator import (EstimatorParams, MlpNet, confidence_batch,
+                        forward_heads, mix_heads, pseudo_label, select,
+                        soft_select)
 
 __all__ = [
-    "Gradient",
     "LossBatch",
     "LossBreakdown",
     "loss_r",
@@ -38,20 +45,6 @@ __all__ = [
     "sgd_step",
     "finite_diff_gradient",
 ]
-
-
-@dataclass
-class Gradient:
-    """Flat parameter gradient (same length and order as ``params.flatten()``)."""
-
-    flat: np.ndarray
-
-    def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat))
 
 
 class LossBatch(NamedTuple):
@@ -104,11 +97,6 @@ class LossBreakdown:
     total: float
     gate_pass: dict
 
-    def combination_weight_check(self, weight: float) -> float:
-        """|total - (l_qv + weight*l_s + (1-weight)*l_r)|, should be ~0."""
-        return abs(self.total - (self.l_qv + weight * self.l_s
-                                 + (1.0 - weight) * self.l_r))
-
 
 def _sigmoid(x):
     out = np.empty_like(x)
@@ -117,18 +105,6 @@ def _sigmoid(x):
     ez = np.exp(x[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def _zero_grad(params: EstimatorParams) -> np.ndarray:
-    return np.zeros(params.n_params)
-
-
-def _net_grad_flat(net, grads_w, grads_b) -> np.ndarray:
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)
 
 
 def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
@@ -140,58 +116,45 @@ def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
     """
     q_flat = np.zeros(params.q_net.n_params)
     for cache, grad_out in q_pieces:
-        gw, gb = params.q_net.backward(cache, grad_out)
-        q_flat += _net_grad_flat(params.q_net, gw, gb)
+        q_flat += MlpNet.pack(*params.q_net.backward(cache, grad_out))
     v_flat = np.zeros(params.v_net.n_params)
     for cache, grad_out in v_pieces:
-        gw, gb = params.v_net.backward(cache, grad_out)
-        v_flat += _net_grad_flat(params.v_net, gw, gb)
+        v_flat += MlpNet.pack(*params.v_net.backward(cache, grad_out))
     return np.concatenate([q_flat, v_flat])
-
-
-def _heads(params: EstimatorParams, states, actions, inputs_v,
-           dropout_rng=None):
-    """Forward of both heads; returns outputs and caches.
-
-    Eval mode (deterministic) unless a dropout generator is supplied, in
-    which case the heads run with live dropout masks.
-    """
-    train = dropout_rng is not None
-    x_q = np.concatenate([states, actions], axis=1)
-    q_out, q_cache = params.q_net.forward(x_q, train=train, rng=dropout_rng)
-    v_out, v_cache = params.v_net.forward(inputs_v, train=train, rng=dropout_rng)
-    return q_out, q_cache, v_out, v_cache
 
 
 # ---------------------------------------------------------------------------
 # supervised reward fit
 # ---------------------------------------------------------------------------
 
-def _loss_r_impl(params, batch: LossBatch, zset: RewardSet, threshold, mix,
-                 sharpness, temperature, mode, dropout_rng=None):
+def loss_r(params: EstimatorParams, batch: LossBatch, zset: RewardSet,
+           threshold: float, mix: float, sharpness: float = 1.0,
+           temperature: float = 0.1, mode: str = "hard", dropout_rng=None):
+    """Supervised reward loss over nonzero-reward transitions.
+
+    mean over the batch of gate * (r - selected)^2, where the gate passes
+    when the confidence peak reaches the threshold.  Returns (value,
+    gradient, gate count); the gradient is None in hard mode.
+    """
+    if np.any(batch.originals == 0.0):
+        raise ValueError("supervised batch must contain only nonzero-reward transitions")
     n = len(batch)
     if n == 0:
-        return {"value": 0.0, "grad": _zero_grad(params), "gate_count": 0}
-    q_out, q_cache, v_out, v_cache = _heads(
-        params, batch.states, batch.actions, batch.next_states, dropout_rng
+        return 0.0, np.zeros(params.n_params), 0
+    q, _, _, q_cache, v_cache = confidence_batch(
+        params, batch.states, batch.actions, batch.next_states, mix, dropout_rng
     )
-    q = mix * q_out + (1.0 - mix) * v_out
-    z = zset.values
-    peak = q.max(axis=1)
-    arg = q.argmax(axis=1)
-    rows = np.arange(n)
+    arg, gate_on = pseudo_label(q, threshold)
     r = batch.originals
-    gate_count = int(np.count_nonzero(peak >= threshold))
+    gate_count = int(np.count_nonzero(gate_on))
 
     if mode == "hard":
         # Indicator gate is inclusive; the selection threshold is strict.
-        sel = np.where(peak > threshold, z[arg], 0.0)
-        value = float(np.mean((peak >= threshold) * (r - sel) ** 2))
-        return {"value": value, "grad": None, "gate_count": gate_count}
+        value = float(np.mean(gate_on * (r - select(q, zset, threshold)) ** 2))
+        return value, None, gate_count
 
-    gate = _sigmoid(sharpness * (peak - threshold))
-    w = _softmax_rows(q / temperature)
-    soft_sel = w @ z
+    gate = _sigmoid(sharpness * (q.max(axis=1) - threshold))
+    soft_sel, w = soft_select(q, zset, temperature)
     err = r - soft_sel
     value = float(np.mean(gate * err ** 2))
 
@@ -200,50 +163,16 @@ def _loss_r_impl(params, batch: LossBatch, zset: RewardSet, threshold, mix,
     #   through the error: gate * 2 err * (-d soft_sel / d q)
     # with d soft_sel / d q_j = w_j (z_j - soft_sel) / temperature.
     dq = np.zeros_like(q)
-    dq[rows, arg] += gate * (1.0 - gate) * sharpness * err ** 2 / n
+    dq[np.arange(n), arg] += gate * (1.0 - gate) * sharpness * err ** 2 / n
     dq += ((2.0 * gate * err / n)[:, None]
-           * (-(1.0 / temperature) * w * (z[None, :] - soft_sel[:, None])))
+           * (-(1.0 / temperature) * w * (zset.values[None, :] - soft_sel[:, None])))
     grad = _assemble(params, [(q_cache, mix * dq)], [(v_cache, (1.0 - mix) * dq)])
-    return {"value": value, "grad": grad, "gate_count": gate_count}
-
-
-def loss_r(params: EstimatorParams, batch: LossBatch, zset: RewardSet,
-           threshold: float, mix: float, sharpness: float = 1.0,
-           temperature: float = 0.1, mode: str = "hard", dropout_rng=None):
-    """Supervised reward loss over nonzero-reward transitions.
-
-    mean over the batch of gate * (r - selected)^2, where the gate passes
-    when the confidence peak reaches the threshold.  Returns
-    (value, Gradient) in smooth mode and (value, None) in hard mode.
-    """
-    if np.any(batch.originals == 0.0):
-        raise ValueError("supervised batch must contain only nonzero-reward transitions")
-    out = _loss_r_impl(params, batch, zset, threshold, mix, sharpness,
-                       temperature, mode, dropout_rng)
-    grad = Gradient(out["grad"]) if out["grad"] is not None else None
-    return out["value"], grad
+    return value, grad, gate_count
 
 
 # ---------------------------------------------------------------------------
 # head ordering hinge
 # ---------------------------------------------------------------------------
-
-def _loss_qv_impl(params, batch: LossBatch, dropout_rng=None):
-    n = len(batch)
-    if n == 0:
-        return {"value": 0.0, "grad": _zero_grad(params), "gate_count": 0}
-    # The ordering compares both heads on the *current* state.
-    q_out, q_cache, v_out, v_cache = _heads(
-        params, batch.states, batch.actions, batch.states, dropout_rng
-    )
-    delta = q_out - v_out
-    positive = np.maximum(delta, 0.0)
-    value = float((positive ** 2).sum() / n)
-    dq = 2.0 * positive / n
-    grad = _assemble(params, [(q_cache, dq)], [(v_cache, -dq)])
-    gate_count = int(np.count_nonzero((delta > 0.0).any(axis=1)))
-    return {"value": value, "grad": grad, "gate_count": gate_count}
-
 
 def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None):
     """Squared hinge penalizing state-action head components that exceed the
@@ -251,10 +180,23 @@ def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None):
 
     The hinge is already differentiable almost everywhere, so there is no
     separate smooth mode; samples with every component at or below zero
-    contribute no gradient.  Returns (value, Gradient).
+    contribute no gradient.  Returns (value, gradient, count of samples
+    with some positive component).
     """
-    out = _loss_qv_impl(params, batch, dropout_rng)
-    return out["value"], Gradient(out["grad"])
+    n = len(batch)
+    if n == 0:
+        return 0.0, np.zeros(params.n_params), 0
+    # The ordering compares both heads on the *current* state.
+    [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
+        params, [batch.states], batch.actions, batch.states, dropout_rng
+    )
+    delta = q_out - v_out
+    positive = np.maximum(delta, 0.0)
+    value = float((positive ** 2).sum() / n)
+    dq = 2.0 * positive / n
+    grad = _assemble(params, [(q_cache, dq)], [(v_cache, -dq)])
+    gate_count = int(np.count_nonzero((delta > 0.0).any(axis=1)))
+    return value, grad, gate_count
 
 
 # ---------------------------------------------------------------------------
@@ -285,43 +227,51 @@ def _make_views(batch: LossBatch, pairing, augment_seed: int):
     return weak, strong
 
 
-def _loss_s_impl(params, batch: LossBatch, pairing, zset, threshold, mix,
-                 sharpness, mode, augment_seed, dropout_rng=None):
+def loss_s(params: EstimatorParams, batch: LossBatch, pairing,
+           zset: RewardSet, threshold: float, mix: float,
+           sharpness: float = 1.0, mode: str = "hard",
+           augment_seed: int = 0, dropout_rng=None):
+    """Consistency loss over zero-reward transitions.
+
+    Each transition yields a weak and a strong view (``pairing`` is a
+    (weak, strong) pair of :class:`~ssrs.augment.AugmentSpec`); when both
+    views are confident, the strong view is pulled toward the weak view's
+    one-hot pseudo-label via cross-entropy.  Both views share one forward of
+    the state head.  Returns (value, gradient, gate count); the gradient is
+    None in hard mode.
+    """
+    if np.any(batch.originals != 0.0):
+        raise ValueError("consistency batch must contain only zero-reward transitions")
     n = len(batch)
     if n == 0:
-        return {"value": 0.0, "grad": _zero_grad(params), "gate_count": 0}
-    train = dropout_rng is not None
+        return 0.0, np.zeros(params.n_params), 0
     weak_states, strong_states = _make_views(batch, pairing, augment_seed)
-    x_w = np.concatenate([weak_states, batch.actions], axis=1)
-    x_s = np.concatenate([strong_states, batch.actions], axis=1)
-    qh_w, cache_w = params.q_net.forward(x_w, train=train, rng=dropout_rng)
-    qh_s, cache_s = params.q_net.forward(x_s, train=train, rng=dropout_rng)
-    vh, cache_v = params.v_net.forward(batch.next_states, train=train,
-                                       rng=dropout_rng)
+    [(qh_w, cache_w), (qh_s, cache_s)], (vh, cache_v) = forward_heads(
+        params, [weak_states, strong_states], batch.actions, batch.next_states,
+        dropout_rng,
+    )
     if qh_w.shape[1] != zset.size:
         raise ValueError(
             f"estimator emits {qh_w.shape[1]} candidates but the reward set "
             f"holds {zset.size}"
         )
-    q_w = mix * qh_w + (1.0 - mix) * vh
-    q_s = mix * qh_s + (1.0 - mix) * vh
+    q_w = mix_heads(qh_w, vh, mix)
+    q_s = mix_heads(qh_s, vh, mix)
 
     rows = np.arange(n)
-    label = q_w.argmax(axis=1)          # pseudo-label index from the weak view
-    peak_w = q_w[rows, label]
-    peak_s = q_s.max(axis=1)
-    arg_s = q_s.argmax(axis=1)
+    label, on_w = pseudo_label(q_w, threshold)   # pseudo-label from the weak view
+    arg_s, on_s = pseudo_label(q_s, threshold)
     p_label = q_s[rows, label]          # strong-view mass at the pseudo-label
     cross_ent = -np.log(p_label)
-    both_on = (peak_w >= threshold) & (peak_s >= threshold)
+    both_on = on_w & on_s
     gate_count = int(np.count_nonzero(both_on))
 
     if mode == "hard":
         value = float(np.mean(both_on * cross_ent))
-        return {"value": value, "grad": None, "gate_count": gate_count}
+        return value, None, gate_count
 
-    gate_w = _sigmoid(sharpness * (peak_w - threshold))
-    gate_s = _sigmoid(sharpness * (peak_s - threshold))
+    gate_w = _sigmoid(sharpness * (q_w.max(axis=1) - threshold))
+    gate_s = _sigmoid(sharpness * (q_s.max(axis=1) - threshold))
     value = float(np.mean(gate_w * gate_s * cross_ent))
 
     # Gradients w.r.t. the two confidence vectors.  The pseudo-label index is
@@ -338,26 +288,7 @@ def _loss_s_impl(params, batch: LossBatch, pairing, zset, threshold, mix,
         [(cache_w, mix * dq_w), (cache_s, mix * dq_s)],
         [(cache_v, (1.0 - mix) * (dq_w + dq_s))],
     )
-    return {"value": value, "grad": grad, "gate_count": gate_count}
-
-
-def loss_s(params: EstimatorParams, batch: LossBatch, pairing,
-           zset: RewardSet, threshold: float, mix: float,
-           sharpness: float = 1.0, mode: str = "hard",
-           augment_seed: int = 0, dropout_rng=None):
-    """Consistency loss over zero-reward transitions.
-
-    Each transition yields a weak and a strong view; when both views are
-    confident, the strong view is pulled toward the weak view's one-hot
-    pseudo-label via cross-entropy.  Returns (value, Gradient) in smooth
-    mode and (value, None) in hard mode.
-    """
-    if np.any(batch.originals != 0.0):
-        raise ValueError("consistency batch must contain only zero-reward transitions")
-    out = _loss_s_impl(params, batch, pairing, zset, threshold, mix,
-                       sharpness, mode, augment_seed, dropout_rng)
-    grad = Gradient(out["grad"]) if out["grad"] is not None else None
-    return out["value"], grad
+    return value, grad, gate_count
 
 
 # ---------------------------------------------------------------------------
@@ -366,57 +297,52 @@ def loss_s(params: EstimatorParams, batch: LossBatch, pairing,
 
 def total_loss(params: EstimatorParams, batch: LossBatch, weight: float,
                zset: RewardSet, threshold: float, mix: float,
-               sharpness: float = 1.0, temperature: float = 0.1,
-               pairing="ssrs_s", augment_seed: int = 0, mode: str = "hard",
+               sharpness: float = 1.0, temperature: float = 0.1, *,
+               pairing, augment_seed: int = 0, mode: str = "hard",
                dropout_rng=None):
     """Combined objective: l_qv + weight * l_s + (1 - weight) * l_r.
 
     The batch is partitioned by original reward: nonzero transitions feed
     the supervised and ordering terms, zero-reward transitions feed the
-    consistency term.  Returns (LossBreakdown, Gradient); the gradient is
+    consistency term.  Returns (LossBreakdown, gradient); the gradient is
     None in hard mode (the indicator gates have no useful derivative).
     """
     nonzero = batch.originals != 0.0
     batch_nz = batch.subset(nonzero)
     batch_z = batch.subset(~nonzero)
 
-    out_r = _loss_r_impl(params, batch_nz, zset, threshold, mix, sharpness,
-                         temperature, mode, dropout_rng)
-    out_qv = _loss_qv_impl(params, batch_nz, dropout_rng)
-    out_s = _loss_s_impl(params, batch_z, pairing, zset, threshold, mix,
-                         sharpness, mode, augment_seed, dropout_rng)
+    l_r, grad_r, gate_r = loss_r(params, batch_nz, zset, threshold, mix,
+                                 sharpness, temperature, mode, dropout_rng)
+    l_qv, grad_qv, gate_qv = loss_qv(params, batch_nz, dropout_rng)
+    l_s, grad_s, gate_s = loss_s(params, batch_z, pairing, zset, threshold,
+                                 mix, sharpness, mode, augment_seed,
+                                 dropout_rng)
 
-    total = out_qv["value"] + weight * out_s["value"] + (1.0 - weight) * out_r["value"]
     breakdown = LossBreakdown(
-        l_r=out_r["value"],
-        l_qv=out_qv["value"],
-        l_s=out_s["value"],
-        total=total,
-        gate_pass={"l_r": out_r["gate_count"], "l_qv": out_qv["gate_count"],
-                   "l_s": out_s["gate_count"]},
+        l_r=l_r, l_qv=l_qv, l_s=l_s,
+        total=l_qv + weight * l_s + (1.0 - weight) * l_r,
+        gate_pass={"l_r": gate_r, "l_qv": gate_qv, "l_s": gate_s},
     )
     if mode == "hard":
         return breakdown, None
-    flat = (out_qv["grad"] + weight * out_s["grad"]
-            + (1.0 - weight) * out_r["grad"])
-    return breakdown, Gradient(flat)
+    return breakdown, grad_qv + weight * grad_s + (1.0 - weight) * grad_r
 
 
-def sgd_step(params: EstimatorParams, grad: Gradient, lr: float) -> EstimatorParams:
+def sgd_step(params: EstimatorParams, grad: np.ndarray, lr: float) -> EstimatorParams:
     """In-place gradient descent step; rejects non-finite gradients."""
-    if not np.all(np.isfinite(grad.flat)):
+    if not np.all(np.isfinite(grad)):
         raise ValueError("gradient contains non-finite components")
-    if grad.flat.size != params.n_params:
+    if grad.size != params.n_params:
         raise ValueError(
-            f"gradient length {grad.flat.size} does not match "
+            f"gradient length {grad.size} does not match "
             f"{params.n_params} parameters"
         )
-    params.load_flat(params.flatten() - lr * grad.flat)
+    params.load_flat(params.flatten() - lr * grad)
     return params
 
 
 def finite_diff_gradient(loss_fn, params: EstimatorParams,
-                         step: float = 1e-5) -> Gradient:
+                         step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of ``loss_fn(params)`` over every
     parameter; restores the original parameters before returning."""
     base = params.flatten()
@@ -432,4 +358,4 @@ def finite_diff_gradient(loss_fn, params: EstimatorParams,
         probe[i] = base[i]
         grad[i] = (up - down) / (2.0 * step)
     params.load_flat(base)
-    return Gradient(grad)
+    return grad

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .config import RunConfig, config_hash, serialize_config
 from .core import ReplayBuffer, RewardSet, Transition, save_buffer, update_reward_set
 from .envs import make_env
 from .estimator import EstimatorParams, save_params, shape_buffer
-from .losses import Gradient, LossBatch, loss_qv, sgd_step, total_loss
+from .losses import LossBatch, loss_qv, sgd_step, total_loss
 from .schedules import ScheduleState, alpha_at, lambda_at, p_u_at
 
 __all__ = [
@@ -189,7 +188,6 @@ class RunRecord:
     gate_s: np.ndarray
     returns: np.ndarray
     lengths: np.ndarray
-    wall_time: np.ndarray
     first_success_episode: int | None
     final_success_rate: float
     total_transitions: int
@@ -213,7 +211,6 @@ class RunRecord:
             "final_success_rate": self.final_success_rate,
             "first_success_episode": self.first_success_episode,
             "total_transitions": self.total_transitions,
-            "wall_time_seconds": float(self.wall_time.sum()),
         }
 
 
@@ -241,7 +238,7 @@ def train(config: RunConfig, env=None, out_dir=None):
             streams["estimator_init"], hidden=config.estimator_hidden,
             dropout=config.estimator_dropout, input_scale=1.0 / 255.0,
         )
-    pairing = config.augment.pairing
+    pairing = config.augment_pair()
     horizon = config.episodes
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None and config.checkpoint_interval > 0:
@@ -249,7 +246,7 @@ def train(config: RunConfig, env=None, out_dir=None):
 
     columns = {name: [] for name in (
         "scores", "best", "l_r", "l_qv", "l_s", "lam", "alpha", "p_u",
-        "shaped", "gate_r", "gate_qv", "gate_s", "returns", "lengths", "wall",
+        "shaped", "gate_r", "gate_qv", "gate_s", "returns", "lengths",
     )}
     state = {"zset": zset, "shaped": 0}
     best_score = -np.inf
@@ -259,7 +256,6 @@ def train(config: RunConfig, env=None, out_dir=None):
     total_transitions = 0
 
     for ep in range(horizon):
-        tick = time.perf_counter()
         lam = lambda_at(ep, horizon)
         alpha = alpha_at(ep, horizon)
         if config.static_pu:
@@ -314,8 +310,8 @@ def train(config: RunConfig, env=None, out_dir=None):
                 )
                 if not config.monotonicity:
                     nz = batch.originals != 0.0
-                    _, g_qv = loss_qv(params, batch.subset(nz))
-                    grad = Gradient(grad.flat - g_qv.flat)
+                    _, g_qv, _ = loss_qv(params, batch.subset(nz))
+                    grad = grad - g_qv
                 sgd_step(params, grad, config.estimator_lr)
                 # Hard-mode values on the same batch for the logged curves.
                 breakdown, _ = total_loss(
@@ -344,7 +340,6 @@ def train(config: RunConfig, env=None, out_dir=None):
         columns["shaped"].append(state["shaped"])
         columns["returns"].append(ep_return)
         columns["lengths"].append(len(transitions))
-        columns["wall"].append(time.perf_counter() - tick)
 
         if (out_dir is not None and config.checkpoint_interval > 0
                 and (ep + 1) % config.checkpoint_interval == 0):
@@ -370,7 +365,6 @@ def train(config: RunConfig, env=None, out_dir=None):
         gate_s=np.array(columns["gate_s"], dtype=int),
         returns=np.array(columns["returns"]),
         lengths=np.array(columns["lengths"], dtype=int),
-        wall_time=np.array(columns["wall"]),
         first_success_episode=first_success,
         final_success_rate=final_success,
         total_transitions=total_transitions,

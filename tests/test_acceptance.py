@@ -27,6 +27,9 @@ from ssrs.losses import (LossBatch, loss_qv, loss_r, loss_s, sgd_step,
 from ssrs.schedules import alpha_at, lambda_at
 from ssrs.training import train
 
+# the default weak/strong pairing (ssrs_s) the consistency checks run on
+_PAIRING = RunConfig().augment_pair()
+
 
 def _report(index, name, ok, detail=""):
     line = f"[{index:2d}/12] {name}: {'PASS' if ok else 'FAIL'}"
@@ -86,7 +89,7 @@ def _gate_separated_batch(seed):
         aug_seed = 1000 * seed + attempt
         q, *_ = confidence_batch(params, batch.states, batch.actions,
                                  batch.next_states, 0.5)
-        weak, strong = _make_views(batch, "ssrs_s", aug_seed)
+        weak, strong = _make_views(batch, _PAIRING, aug_seed)
         q_w, *_ = confidence_batch(params, weak, batch.actions,
                                    batch.next_states, 0.5)
         q_s, *_ = confidence_batch(params, strong, batch.actions,
@@ -124,23 +127,24 @@ def test_acceptance_02_hard_smooth_consistency():
         params, zset, batch, aug_seed, lam, clear = _gate_separated_batch(seed)
         min_clear = min(min_clear, clear)
         nonzero = batch.originals != 0.0
-        hard, _ = loss_r(params, batch.subset(nonzero), zset, lam, 0.5,
-                         mode="hard")
-        smooth, _ = loss_r(params, batch.subset(nonzero), zset, lam, 0.5,
-                           mode="smooth", sharpness=_SHARPNESS,
-                           temperature=_SOFT_TEMP)
+        hard, _, _ = loss_r(params, batch.subset(nonzero), zset, lam, 0.5,
+                            mode="hard")
+        smooth, _, _ = loss_r(params, batch.subset(nonzero), zset, lam, 0.5,
+                              mode="smooth", sharpness=_SHARPNESS,
+                              temperature=_SOFT_TEMP)
         worst = max(worst, abs(hard - smooth))
-        hard, _ = loss_s(params, batch.subset(~nonzero), "ssrs_s", zset, lam,
-                         0.5, mode="hard", augment_seed=aug_seed)
-        smooth, _ = loss_s(params, batch.subset(~nonzero), "ssrs_s", zset,
-                           lam, 0.5, mode="smooth", sharpness=_SHARPNESS,
-                           augment_seed=aug_seed)
+        hard, _, _ = loss_s(params, batch.subset(~nonzero), _PAIRING, zset,
+                            lam, 0.5, mode="hard", augment_seed=aug_seed)
+        smooth, _, _ = loss_s(params, batch.subset(~nonzero), _PAIRING, zset,
+                              lam, 0.5, mode="smooth", sharpness=_SHARPNESS,
+                              augment_seed=aug_seed)
         worst = max(worst, abs(hard - smooth))
         hard_b, _ = total_loss(params, batch, 0.5, zset, lam, 0.5,
-                               mode="hard", augment_seed=aug_seed)
+                               pairing=_PAIRING, mode="hard",
+                               augment_seed=aug_seed)
         smooth_b, _ = total_loss(params, batch, 0.5, zset, lam, 0.5,
                                  mode="smooth", sharpness=_SHARPNESS,
-                                 temperature=_SOFT_TEMP,
+                                 temperature=_SOFT_TEMP, pairing=_PAIRING,
                                  augment_seed=aug_seed)
         worst = max(worst, abs(hard_b.total - smooth_b.total))
     _report(2, "hard/smooth consistency",
@@ -258,14 +262,14 @@ def _identifiability_accuracy(seed):
                                   rewards[nonzero], states[nonzero])
     for _ in range(5000):
         _, grad = total_loss(params, batch, 0.0, zset, 0.6, 0.5,
-                             temperature=0.3, mode="smooth")
+                             temperature=0.3, pairing=_PAIRING, mode="smooth")
         sgd_step(params, grad, 0.2)
     q_train, *_ = confidence_batch(params, states, actions, states, 0.5)
     peaks = q_train.max(axis=1)
     zero_rows = rewards == 0.0
     threshold = 0.5 * (peaks[zero_rows].max() + peaks[~zero_rows].min())
     q_held, *_ = confidence_batch(params, held_s, held_a, held_s, 0.5)
-    predicted = np.array([select(row, zset, threshold) for row in q_held])
+    predicted = select(q_held, zset, threshold)
     return float(np.mean(predicted == held_r))
 
 
@@ -295,12 +299,12 @@ def test_acceptance_07_head_ordering_descent():
     )
     reached = None
     for step in range(10000):
-        value, grad = loss_qv(params, batch)
+        value, grad, _ = loss_qv(params, batch)
         if value < 1e-6:
             reached = step
             break
         sgd_step(params, grad, 1.0)
-    final, _ = loss_qv(params, batch)
+    final, _, _ = loss_qv(params, batch)
     _report(7, "head-ordering descent", reached is not None and final < 1e-6,
             f"below 1e-6 at step {reached}")
 

@@ -236,7 +236,8 @@ def test_all_transforms_preserve_shapes_actions_rewards():
 def test_weak_strong_pair_named():
     rng = np.random.default_rng(10)
     traj = _random_traj(rng, m1=128)
-    weak, strong = weak_strong_pair("ssrs_c", traj, np.random.default_rng(0))
+    pair = tuple(AugmentSpec(kind) for kind in PAIRINGS["ssrs_c"])
+    weak, strong = weak_strong_pair(pair, traj, np.random.default_rng(0))
     # weak view: small additive noise; strong view: 16 zeroed columns
     assert np.all(np.abs(weak.states - traj.states) < 2.0)
     assert np.all(np.all(strong.states == 0.0, axis=0).sum() == 16)
@@ -251,9 +252,3 @@ def test_weak_strong_pair_deterministic():
     w2, s2 = weak_strong_pair(pair, traj, np.random.default_rng(42))
     np.testing.assert_array_equal(w1.states, w2.states)
     np.testing.assert_array_equal(s1.states, s2.states)
-
-
-def test_weak_strong_pair_unknown_name():
-    rng = np.random.default_rng(12)
-    with pytest.raises(ValueError):
-        weak_strong_pair("ssrs_x", _random_traj(rng), np.random.default_rng(0))

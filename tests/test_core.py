@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrs.core import (
     BUFFER_FORMAT_VERSION,
@@ -48,9 +50,6 @@ def test_trajectory_from_transitions_stacks_rows():
     assert traj.states.shape == (5, 2)
     assert traj.actions.shape == (5, 2)
     np.testing.assert_array_equal(traj.rewards, [0.0, 1.0, 0.0, 1.0, 0.0])
-    single = TrajectoryMatrix.single(steps[3])
-    assert len(single) == 1
-    np.testing.assert_array_equal(single.states[0], steps[3].state)
 
 
 def test_trajectory_rejects_negative_states_and_ragged_rows():
@@ -172,13 +171,25 @@ def test_set_reward_shaping_bookkeeping():
         buf.set_reward(slot, 9.0, shaped=False)
 
 
+def test_set_reward_batched_is_all_or_nothing():
+    buf = ReplayBuffer(4)
+    slots = [buf.push(_tr([float(i), 0.0])) for i in range(3)]
+    buf.set_reward(np.array(slots), np.array([1.5, 0.0, 2.0]),
+                   np.array([True, False, True]))
+    assert [buf.transition_at(s).reward for s in slots] == [1.5, 0.0, 2.0]
+    assert [buf.is_shaped(s) for s in slots] == [True, False, True]
+    with pytest.raises(ValueError):
+        buf.set_reward(np.array(slots), np.array([7.0, 3.0, 0.0]),
+                       np.array([True, False, False]))
+    assert [buf.transition_at(s).reward for s in slots] == [1.5, 0.0, 2.0]
+
+
 def test_sample_single_entry():
     buf = ReplayBuffer(3)
     slot = buf.push(_tr([5.0, 5.0]))
-    rng = np.random.default_rng(0)
-    pairs = buf.sample(1, rng)
-    assert pairs[0][0] == slot
-    np.testing.assert_array_equal(pairs[0][1].state, [5.0, 5.0])
+    slots = buf.sample_slots(3, np.random.default_rng(0))
+    np.testing.assert_array_equal(slots, [slot] * 3)
+    np.testing.assert_array_equal(buf.transition_at(slots[0]).state, [5.0, 5.0])
 
 
 def test_sample_bounds_and_determinism():
@@ -286,6 +297,103 @@ def test_empty_buffer_roundtrip(tmp_path):
     back = load_buffer(path)
     assert len(back) == 0
     assert back.capacity == 3
+
+
+def _checkpoint_bytes(rows, m1=1, m2=1, capacity=4):
+    rows = np.asarray(rows, dtype="<f8")
+    return (struct.pack("<5Q", BUFFER_FORMAT_VERSION, m1, m2, capacity,
+                        rows.shape[0]) + rows.tobytes())
+
+
+# one entry per row: [state | action | reward | next state | terminal |
+# original | shaped]
+_GOOD_ROW = [1.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+
+
+def test_load_buffer_rejects_count_above_capacity(tmp_path):
+    path = tmp_path / "over.bin"
+    path.write_bytes(_checkpoint_bytes([_GOOD_ROW] * 3, capacity=2))
+    with pytest.raises(ValueError, match="over.bin"):
+        load_buffer(path)
+
+
+@pytest.mark.parametrize("column, value", [(4, np.nan), (4, 0.5), (6, np.nan),
+                                           (6, 2.0)])
+def test_load_buffer_rejects_bad_flags(tmp_path, column, value):
+    row = list(_GOOD_ROW)
+    row[column] = value
+    path = tmp_path / "flags.bin"
+    path.write_bytes(_checkpoint_bytes([_GOOD_ROW, row]))
+    with pytest.raises(ValueError, match="flags.bin"):
+        load_buffer(path)
+
+
+def test_load_buffer_rejects_unshaped_reward_off_original(tmp_path):
+    row = list(_GOOD_ROW)
+    row[2] = 3.0  # stored reward 3, original 0, shaped flag 0
+    path = tmp_path / "unshaped.bin"
+    path.write_bytes(_checkpoint_bytes([row]))
+    with pytest.raises(ValueError, match="unshaped.bin"):
+        load_buffer(path)
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([0.0, 0.0, 1.0, -2.5]),
+                  st.booleans()),
+        st.tuples(st.just("shape"), st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from([0.0, 3.0, -1.0])),
+        st.tuples(st.just("reload"), st.none(), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def _sorted_zero_slots(buf):
+    """Reference definition: occupied slots, sorted, with original reward 0."""
+    occupied = np.sort(buf.slots())
+    return occupied[[buf.original_reward_at(s) == 0.0 for s in occupied]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 6), ops=_OPS)
+def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
+                                                   ops):
+    path = tmp_path_factory.mktemp("prop") / "buf.bin"
+    buf = ReplayBuffer(capacity)
+    step = 0
+    for op, a, b in ops:
+        if op == "push":
+            step += 1
+            buf.push(_tr([float(step), 1.0], reward=a, terminal=b))
+        elif op == "shape" and len(buf):
+            rng = np.random.default_rng(a)
+            slots = rng.permutation(buf.slots())[:rng.integers(1, len(buf) + 1)]
+            shaped = rng.random(slots.size) < 0.5
+            originals = np.array([buf.original_reward_at(s) for s in slots])
+            buf.set_reward(slots, np.where(shaped, b, originals), shaped)
+        elif op == "reload":
+            save_buffer(buf, path)
+            data = path.read_bytes()
+            back = load_buffer(path)
+            save_buffer(back, path)
+            assert path.read_bytes() == data
+            for sa, sb in zip(buf.slots(), back.slots()):
+                ta, tb = buf.transition_at(sa), back.transition_at(sb)
+                assert np.array_equal(ta.state, tb.state)
+                assert np.array_equal(ta.next_state, tb.next_state)
+                assert ta.reward == tb.reward and ta.terminal == tb.terminal
+                assert buf.is_shaped(sa) == back.is_shaped(sb)
+            buf = back
+        occupied = buf.slots()
+        originals = np.array([buf.original_reward_at(s) for s in occupied])
+        assert buf.nonzero_reward_count == int(np.count_nonzero(originals))
+        for s, original in zip(occupied, originals):
+            if not buf.is_shaped(s):
+                assert buf.transition_at(s).reward == original
+        if len(buf):
+            np.testing.assert_array_equal(buf.zero_reward_slots(),
+                                          _sorted_zero_slots(buf))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from ssrs.core import ReplayBuffer, RewardSet, Transition
 from ssrs.estimator import (
     EstimatorParams,
     MlpNet,
-    confidence,
     confidence_batch,
     load_params,
     pseudo_label,
@@ -160,19 +159,25 @@ class TestEstimatorParams:
 # confidence
 # ---------------------------------------------------------------------------
 
+def _confidence_row(params, state, action, next_state, mix):
+    q, *_ = confidence_batch(params, state[None, :], action[None, :],
+                             next_state[None, :], mix)
+    return q[0]
+
+
 class TestConfidence:
     def test_convex_combination_exact(self):
         params = _fixed_params()
-        q = confidence(params, np.ones(3), np.array([1.0, 0.0]), np.ones(3),
-                       mix=0.5)
+        q = _confidence_row(params, np.ones(3), np.array([1.0, 0.0]),
+                            np.ones(3), mix=0.5)
         np.testing.assert_allclose(q, np.array([5.0, 3.0, 4.0]) / 12, atol=1e-12)
 
     def test_mix_extremes(self):
         params = _fixed_params()
         s, a, ns = np.ones(3), np.array([0.0, 1.0]), np.zeros(3)
-        np.testing.assert_allclose(confidence(params, s, a, ns, mix=1.0),
+        np.testing.assert_allclose(_confidence_row(params, s, a, ns, mix=1.0),
                                    [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
-        np.testing.assert_allclose(confidence(params, s, a, ns, mix=0.0),
+        np.testing.assert_allclose(_confidence_row(params, s, a, ns, mix=0.0),
                                    [4 / 6, 1 / 6, 1 / 6], atol=1e-12)
 
     def test_batch_matches_single(self):
@@ -186,7 +191,8 @@ class TestConfidence:
         np.testing.assert_allclose(q, 0.3 * q_out + 0.7 * v_out, atol=1e-15)
         for i in range(5):
             np.testing.assert_allclose(
-                q[i], confidence(params, states[i], actions[i], nexts[i], 0.3),
+                q[i], _confidence_row(params, states[i], actions[i], nexts[i],
+                                      0.3),
                 atol=1e-15)
 
     def test_rows_sum_to_one(self):
@@ -208,41 +214,52 @@ class TestSelection:
     zset = RewardSet(values=np.array([1.0, 2.0, 4.0]), observed=(1.0, 4.0))
 
     def test_select_above_threshold(self):
-        assert select([0.2, 0.5, 0.3], self.zset, 0.4) == 2.0
+        np.testing.assert_array_equal(
+            select(np.array([[0.2, 0.5, 0.3]]), self.zset, 0.4), [2.0])
 
     def test_select_threshold_is_strict(self):
-        assert select([0.2, 0.5, 0.3], self.zset, 0.5) == 0.0
+        np.testing.assert_array_equal(
+            select(np.array([[0.2, 0.5, 0.3]]), self.zset, 0.5), [0.0])
 
     def test_select_tie_picks_lowest_index(self):
-        assert select([0.4, 0.4, 0.2], self.zset, 0.3) == 1.0
+        np.testing.assert_array_equal(
+            select(np.array([[0.4, 0.4, 0.2]]), self.zset, 0.3), [1.0])
+
+    def test_select_is_per_row(self):
+        q = np.array([[0.2, 0.5, 0.3], [0.1, 0.2, 0.7], [0.4, 0.3, 0.3]])
+        np.testing.assert_array_equal(select(q, self.zset, 0.45),
+                                      [2.0, 4.0, 0.0])
 
     def test_pseudo_label_threshold_is_inclusive(self):
-        label = pseudo_label([0.2, 0.5, 0.3], 0.5)
-        np.testing.assert_array_equal(label, [0.0, 1.0, 0.0])
-        assert pseudo_label([0.2, 0.5, 0.3], 0.5 + 1e-12) is None
+        label, confident = pseudo_label(np.array([[0.2, 0.5, 0.3]]), 0.5)
+        np.testing.assert_array_equal(label, [1])
+        np.testing.assert_array_equal(confident, [True])
+        _, confident = pseudo_label(np.array([[0.2, 0.5, 0.3]]), 0.5 + 1e-12)
+        np.testing.assert_array_equal(confident, [False])
 
     def test_boundary_contrast(self):
         # at peak == threshold the hard selection abstains but the label fires
-        q = [0.25, 0.45, 0.30]
-        assert select(q, self.zset, 0.45) == 0.0
-        assert pseudo_label(q, 0.45) is not None
+        q = np.array([[0.25, 0.45, 0.30]])
+        np.testing.assert_array_equal(select(q, self.zset, 0.45), [0.0])
+        np.testing.assert_array_equal(pseudo_label(q, 0.45)[1], [True])
 
     def test_soft_select_matches_manual_softmax(self):
         q = np.array([0.2, 0.5, 0.3])
         t = 0.1
         w = np.exp(q / t - (q / t).max())
         w /= w.sum()
-        assert soft_select(q, self.zset, 0.4, t) == pytest.approx(
-            float(w @ self.zset.values), abs=1e-12)
+        value, weights = soft_select(q[None, :], self.zset, t)
+        np.testing.assert_allclose(weights[0], w, atol=1e-12)
+        assert value[0] == pytest.approx(float(w @ self.zset.values), abs=1e-12)
 
     def test_soft_select_cold_limit_hits_argmax(self):
-        q = np.array([0.2, 0.5, 0.3])
-        assert soft_select(q, self.zset, 0.0, 1e-6) == pytest.approx(2.0,
-                                                                    abs=1e-9)
+        q = np.array([[0.2, 0.5, 0.3]])
+        assert soft_select(q, self.zset, 1e-6)[0][0] == pytest.approx(2.0,
+                                                                      abs=1e-9)
 
     def test_soft_select_hot_limit_is_mean(self):
-        q = np.array([0.2, 0.5, 0.3])
-        assert soft_select(q, self.zset, 0.0, 1e6) == pytest.approx(
+        q = np.array([[0.2, 0.5, 0.3]])
+        assert soft_select(q, self.zset, 1e6)[0][0] == pytest.approx(
             float(self.zset.values.mean()), abs=1e-5)
 
 
@@ -304,6 +321,32 @@ class TestShapeBuffer:
                 s for s in buf.slots() if buf.transition_at(s).reward != 0.0)))
         assert marks[0] == marks[1]
 
+    def test_matches_per_row_reference(self):
+        # the per-row loop shape_buffer replaced: select and write back one
+        # visited entry at a time, in draw order
+        params = EstimatorParams.create(3, 2, 3, np.random.default_rng(4),
+                                        hidden=(5,), dropout=0.0)
+        fast, slow = _seed_buffer(n_zero=12), _seed_buffer(n_zero=12)
+        shaped = shape_buffer(params, fast, self.zset, 0.36, 0.8,
+                              np.random.default_rng(5), mix=0.5)
+        candidates = slow.zero_reward_slots()
+        rng = np.random.default_rng(5)
+        k = int(0.8 * candidates.size)
+        chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
+        expected = 0
+        for slot in chosen:
+            t = slow.transition_at(slot)
+            q, *_ = confidence_batch(params, t.state[None, :],
+                                     t.action[None, :], t.next_state[None, :],
+                                     0.5)
+            value = float(select(q, self.zset, 0.36)[0])
+            slow.set_reward(int(slot), value, shaped=value != 0.0)
+            expected += value != 0.0
+        assert shaped == expected
+        for s in fast.slots():
+            assert fast.transition_at(s).reward == slow.transition_at(s).reward
+            assert fast.is_shaped(s) == slow.is_shaped(s)
+
     def test_nonzero_originals_untouched(self):
         params = _fixed_params()
         buf = _seed_buffer(n_zero=5, n_nonzero=3)
@@ -345,4 +388,35 @@ class TestParamsIo:
         text = path.read_text().replace("v1", "v9", 1)
         path.write_text(text)
         with pytest.raises(ValueError):
+            load_params(path)
+
+    def test_truncation_at_every_line_boundary_names_the_file(self, tmp_path):
+        params = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                        hidden=(3,))
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.txt"
+        for keep in range(len(lines)):
+            cut.write_text("".join(lines[:keep]))
+            with pytest.raises(ValueError, match="cut.txt"):
+                load_params(cut)
+        cut.write_text("".join(lines))
+        np.testing.assert_array_equal(load_params(cut).flatten(),
+                                      params.flatten())
+
+    @pytest.mark.parametrize("old, new", [
+        ("layer 3 2", "layer 3 x"),      # non-integer width
+        ("layer 3 2", "layer 3 5"),      # width disagrees with the rows
+        ("bias", "bias extra"),          # missing bias marker
+        ("layers 2", "layers 0"),        # empty net
+        ("v1", "vX"),                    # unparsable version
+    ])
+    def test_garbled_input_names_the_file(self, tmp_path, old, new):
+        params = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                        hidden=(3,))
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ValueError, match="params.txt"):
             load_params(path)

@@ -9,7 +9,6 @@ from ssrs.augment import AugmentSpec
 from ssrs.core import RewardSet
 from ssrs.estimator import EstimatorParams, confidence_batch
 from ssrs.losses import (
-    Gradient,
     LossBatch,
     finite_diff_gradient,
     loss_qv,
@@ -85,28 +84,28 @@ def _small_params(seed, m1=4, m2=2, n_z=3, hidden=(6,)):
 class TestLossR:
     def test_exact_fit_is_zero(self):
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, grad = loss_r(params, _batch([4.0]), ZSET, threshold=0.4,
-                             mix=1.0)
+        value, grad, _ = loss_r(params, _batch([4.0]), ZSET, threshold=0.4,
+                                mix=1.0)
         assert value == 0.0
         assert grad is None
 
     def test_squared_error_mean(self):
         # peak 0.5 at the last candidate selects z = 4 for every row
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, _ = loss_r(params, _batch([3.0, 1.0]), ZSET, threshold=0.4,
-                          mix=1.0)
+        value, _, _ = loss_r(params, _batch([3.0, 1.0]), ZSET, threshold=0.4,
+                             mix=1.0)
         assert value == pytest.approx((1.0 + 9.0) / 2, abs=1e-12)
 
     def test_selection_strict_but_gate_inclusive(self):
         # peak == threshold: no candidate is selected (strict), yet the
         # indicator still counts the sample (inclusive), so r is compared to 0
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.5, mix=1.0)
+        value, _, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.5, mix=1.0)
         assert value == pytest.approx(9.0, abs=1e-12)
 
     def test_gate_off_below_threshold(self):
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.6, mix=1.0)
+        value, _, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.6, mix=1.0)
         assert value == 0.0
 
     def test_rejects_zero_reward_rows(self):
@@ -118,7 +117,7 @@ class TestLossR:
         params = _small_params(1)
         batch = _batch([1.0, 2.0, 4.0, 2.0, 1.0], m1=4, seed=3)
         thr, mix = 0.36, 0.6
-        value, _ = loss_r(params, batch, ZSET, thr, mix)
+        value, _, _ = loss_r(params, batch, ZSET, thr, mix)
         q, *_ = confidence_batch(params, batch.states, batch.actions,
                                  batch.next_states, mix)
         acc = 0.0
@@ -129,15 +128,16 @@ class TestLossR:
 
     def test_smooth_value_scalar_recomputation(self):
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, grad = loss_r(params, _batch([3.0]), ZSET, threshold=0.4,
-                             mix=1.0, sharpness=2.0, temperature=0.5,
-                             mode="smooth")
+        value, grad, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.4,
+                                mix=1.0, sharpness=2.0, temperature=0.5,
+                                mode="smooth")
         gate = 1.0 / (1.0 + math.exp(-2.0 * (0.5 - 0.4)))
         e = [math.exp(v / 0.5) for v in (0.2, 0.3, 0.5)]
         w = [v / sum(e) for v in e]
         soft = sum(wi * zi for wi, zi in zip(w, (1.0, 2.0, 4.0)))
         assert value == pytest.approx(gate * (3.0 - soft) ** 2, abs=1e-12)
-        assert isinstance(grad, Gradient)
+        assert isinstance(grad, np.ndarray)
+        assert grad.shape == (params.n_params,)
 
     def test_smooth_gradient_matches_finite_differences(self):
         for seed in (0, 1, 2):
@@ -148,10 +148,10 @@ class TestLossR:
                 return loss_r(p, batch, ZSET, 0.34, 0.5, sharpness=3.0,
                               temperature=0.5, mode="smooth")[0]
 
-            _, grad = loss_r(params, batch, ZSET, 0.34, 0.5, sharpness=3.0,
-                             temperature=0.5, mode="smooth")
+            _, grad, _ = loss_r(params, batch, ZSET, 0.34, 0.5, sharpness=3.0,
+                                temperature=0.5, mode="smooth")
             fd = finite_diff_gradient(f, params)
-            rel = np.abs(grad.flat - fd.flat) / (np.abs(fd.flat) + 1e-8)
+            rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
             assert rel.max() < 1e-4
 
 
@@ -165,20 +165,21 @@ class TestLossQv:
         params = EstimatorParams(q_net=_FixedNet([[1.0], [0.0]]),
                                  v_net=_FixedNet([[0.0], [1.0]]))
         zero_grid = _batch([5.0, 5.0], m1=3)
-        value, grad = loss_qv(params, zero_grid)
+        value, grad, _ = loss_qv(params, zero_grid)
         assert value == pytest.approx(0.5, abs=1e-12)
-        assert isinstance(grad, Gradient)
+        assert isinstance(grad, np.ndarray)
+        assert grad.shape == (params.n_params,)
 
     def test_ordered_heads_cost_nothing(self):
         params = EstimatorParams(q_net=_FixedNet([[0.1, 0.2, 0.3]]),
                                  v_net=_FixedNet([[0.2, 0.3, 0.4]]))
-        value, _ = loss_qv(params, _batch([1.0, 2.0]))
+        value, _, _ = loss_qv(params, _batch([1.0, 2.0]))
         assert value == 0.0
 
     def test_compares_heads_on_current_state(self):
         params = _small_params(2)
         batch = _batch([1.0, 2.0, 4.0], m1=4, seed=5)
-        value, _ = loss_qv(params, batch)
+        value, _, _ = loss_qv(params, batch)
         q_out, _ = params.q_net.forward(
             np.concatenate([batch.states, batch.actions], axis=1))
         v_out, _ = params.v_net.forward(batch.states)
@@ -193,9 +194,9 @@ class TestLossQv:
             def f(p):
                 return loss_qv(p, batch)[0]
 
-            _, grad = loss_qv(params, batch)
+            _, grad, _ = loss_qv(params, batch)
             fd = finite_diff_gradient(f, params)
-            rel = np.abs(grad.flat - fd.flat) / (np.abs(fd.flat) + 1e-8)
+            rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
             assert rel.max() < 1e-4
 
 
@@ -207,24 +208,24 @@ class TestLossS:
     def test_cross_entropy_at_pseudo_label(self):
         # weak view calls the first scripted row, strong view the second
         params = _scripted([[0.7, 0.2, 0.1], [0.91, 0.05, 0.04]])
-        value, grad = loss_s(params, _batch([0.0]), PAIRING, ZSET,
-                             threshold=0.5, mix=1.0)
+        value, grad, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET,
+                                threshold=0.5, mix=1.0)
         assert value == pytest.approx(-math.log(0.91), abs=1e-12)
         assert grad is None
 
     def test_strong_gate_off(self):
         params = _scripted([[0.7, 0.2, 0.1], [0.45, 0.30, 0.25]])
-        value, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
+        value, _, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
         assert value == 0.0
 
     def test_weak_gate_off(self):
         params = _scripted([[0.45, 0.30, 0.25], [0.91, 0.05, 0.04]])
-        value, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
+        value, _, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
         assert value == 0.0
 
     def test_gates_inclusive_at_threshold(self):
         params = _scripted([[0.5, 0.3, 0.2], [0.5, 0.25, 0.25]])
-        value, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
+        value, _, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_rejects_nonzero_rows(self):
@@ -260,10 +261,10 @@ class TestLossS:
                 return loss_s(p, batch, PAIRING, ZSET, 0.34, 0.5,
                               sharpness=3.0, mode="smooth", augment_seed=1)[0]
 
-            _, grad = loss_s(params, batch, PAIRING, ZSET, 0.34, 0.5,
-                             sharpness=3.0, mode="smooth", augment_seed=1)
+            _, grad, _ = loss_s(params, batch, PAIRING, ZSET, 0.34, 0.5,
+                                sharpness=3.0, mode="smooth", augment_seed=1)
             fd = finite_diff_gradient(f, params)
-            rel = np.abs(grad.flat - fd.flat) / (np.abs(fd.flat) + 1e-8)
+            rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
             assert rel.max() < 1e-4
 
 
@@ -279,13 +280,14 @@ class TestTotalLoss:
         breakdown, grad = total_loss(params, batch, weight, ZSET, 0.34, 0.5,
                                      pairing=PAIRING, augment_seed=3)
         assert grad is None
-        assert breakdown.combination_weight_check(weight) < 1e-15
+        assert abs(breakdown.total - (breakdown.l_qv + weight * breakdown.l_s
+                                      + (1.0 - weight) * breakdown.l_r)) < 1e-15
 
         nz = batch.originals != 0.0
-        l_r, _ = loss_r(params, batch.subset(nz), ZSET, 0.34, 0.5)
-        l_qv, _ = loss_qv(params, batch.subset(nz))
-        l_s, _ = loss_s(params, batch.subset(~nz), PAIRING, ZSET, 0.34, 0.5,
-                        augment_seed=3)
+        l_r, _, _ = loss_r(params, batch.subset(nz), ZSET, 0.34, 0.5)
+        l_qv, _, _ = loss_qv(params, batch.subset(nz))
+        l_s, _, _ = loss_s(params, batch.subset(~nz), PAIRING, ZSET, 0.34, 0.5,
+                           augment_seed=3)
         assert breakdown.l_r == pytest.approx(l_r, abs=1e-12)
         assert breakdown.l_qv == pytest.approx(l_qv, abs=1e-12)
         assert breakdown.l_s == pytest.approx(l_s, abs=1e-12)
@@ -319,7 +321,7 @@ class TestTotalLoss:
                              sharpness=3.0, temperature=0.5, pairing=PAIRING,
                              augment_seed=2, mode="smooth")
         fd = finite_diff_gradient(f, params)
-        rel = np.abs(grad.flat - fd.flat) / (np.abs(fd.flat) + 1e-8)
+        rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
         assert rel.max() < 1e-4
 
     def test_dropout_evaluation_reproducible(self):
@@ -341,7 +343,7 @@ class TestSgdStep:
     def test_basic_arithmetic(self):
         params = _small_params(0, hidden=())
         params.load_flat(np.ones(params.n_params))
-        out = sgd_step(params, Gradient(2.0 * np.ones(params.n_params)), 0.1)
+        out = sgd_step(params, 2.0 * np.ones(params.n_params), 0.1)
         assert out is params
         np.testing.assert_allclose(params.flatten(),
                                    0.8 * np.ones(params.n_params), atol=1e-15)
@@ -350,8 +352,8 @@ class TestSgdStep:
         params = _small_params(1, hidden=())
         start = params.flatten().copy()
         g = np.arange(params.n_params, dtype=np.float64)
-        sgd_step(params, Gradient(g), 0.05)
-        sgd_step(params, Gradient(g), 0.05)
+        sgd_step(params, g, 0.05)
+        sgd_step(params, g, 0.05)
         np.testing.assert_allclose(params.flatten(), start - 0.1 * g,
                                    atol=1e-12)
 
@@ -360,9 +362,9 @@ class TestSgdStep:
         bad = np.zeros(params.n_params)
         bad[0] = np.nan
         with pytest.raises(ValueError):
-            sgd_step(params, Gradient(bad), 0.1)
+            sgd_step(params, bad, 0.1)
         with pytest.raises(ValueError):
-            sgd_step(params, Gradient(np.zeros(3)), 0.1)
+            sgd_step(params, np.zeros(3), 0.1)
 
 
 class TestFiniteDiff:
@@ -372,11 +374,11 @@ class TestFiniteDiff:
 
         grad = finite_diff_gradient(lambda p: float((p.flatten() ** 2).sum()),
                                     params)
-        np.testing.assert_allclose(grad.flat, 2.0 * theta, atol=1e-8)
+        np.testing.assert_allclose(grad, 2.0 * theta, atol=1e-8)
         # parameters restored afterward
         np.testing.assert_array_equal(params.flatten(), theta)
 
     def test_constant_loss_has_zero_gradient(self):
         params = _small_params(4, m1=2, m2=1, n_z=2, hidden=())
         grad = finite_diff_gradient(lambda p: 7.5, params)
-        np.testing.assert_array_equal(grad.flat, np.zeros(params.n_params))
+        np.testing.assert_array_equal(grad, np.zeros(params.n_params))

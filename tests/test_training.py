@@ -294,6 +294,16 @@ class TestTrain:
         record, *_ = train(_quick_config("static_pu=on", "p_u_base=0.25"))
         assert np.all(record.p_u == 0.25)
 
+    @pytest.mark.parametrize("override", ["augment.gaussian_sigma=0.5",
+                                          "augment.partitions=2"])
+    def test_augment_keys_change_consistency_views(self, override):
+        # the consistency term's smooth gradient depends on both views, so
+        # changing either transform's parameter moves the trained estimator
+        base = _quick_config("episodes=3")
+        _, _, params, _ = train(base)
+        _, _, changed, _ = train(_quick_config("episodes=3", override))
+        assert not np.array_equal(params.flatten(), changed.flatten())
+
 
 class TestRunOutputs:
     def test_files_and_roundtrip(self, tmp_path):
@@ -317,3 +327,11 @@ class TestRunOutputs:
         np.testing.assert_array_equal(loaded.flatten(), params.flatten())
         buf = load_buffer(tmp_path / "buffer_final.bin")
         assert len(buf) == len(buffer)
+
+    def test_run_json_is_byte_stable(self, tmp_path):
+        cfg = _quick_config("episodes=5")
+        for name in ("a", "b"):
+            record, *_ = train(cfg)
+            write_run_outputs(record, cfg, tmp_path / name)
+        assert ((tmp_path / "a" / "run.json").read_bytes()
+                == (tmp_path / "b" / "run.json").read_bytes())
