@@ -4,6 +4,8 @@ All transforms act on the state block of a :class:`~ssrs.core.TrajectoryMatrix`
 and leave actions and rewards bit-identical.  The strong view of the default
 pairing multiplies column partitions of the state block by their own Shannon
 entropy, so information-dense regions are amplified relative to flat ones.
+The consistency loss augments each replay transition as its own one-row
+trajectory; ``row_views`` does that for a whole batch of rows at once.
 """
 
 from __future__ import annotations
@@ -18,14 +20,17 @@ from .core import TrajectoryMatrix
 __all__ = [
     "AugmentSpec",
     "PAIRINGS",
+    "row_entropy",
     "shannon_entropy",
     "double_entropy",
     "apply_augment",
     "weak_strong_pair",
+    "row_views",
     "default_cutout_width",
 ]
 
 _KINDS = ("gaussian", "cutout", "smooth", "scale", "translate", "flip", "double_entropy")
+_DRAWING_KINDS = ("gaussian", "cutout", "scale", "translate")
 
 # Fixed draw ranges for the stochastic rescaling transforms.
 _SCALE_RANGE = (0.8, 1.2)
@@ -104,25 +109,74 @@ PAIRINGS = {
 # entropy
 # ---------------------------------------------------------------------------
 
-def shannon_entropy(matrix) -> float:
-    """Shannon entropy (natural log) of a nonnegative matrix.
+def row_entropy(matrix) -> np.ndarray:
+    """Shannon entropy (natural log) of each row of a nonnegative 2-D array.
 
-    Entries are normalized to a probability distribution p_k = a_k / sum(a);
-    zero entries contribute nothing (0 * ln 0 := 0) and an all-zero matrix
-    has entropy 0 by convention.
+    Each row is normalized to a probability distribution p_k = a_k / sum(a);
+    zero entries contribute nothing (0 * ln 0 := 0) and an all-zero row has
+    entropy 0 by convention.
+
+    :param matrix: 2-D array-like of nonnegative values.
+    :return: one entropy per row, in nats, each in [0, ln(#columns)].
+    """
+    # Contiguous rows, so each row's sums run in the same order as a 1-D sum.
+    a = np.ascontiguousarray(matrix, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"row entropy needs a 2-D array, got {a.ndim}-D")
+    if np.any(a < 0):
+        raise ValueError("entropy is only defined for nonnegative entries")
+    totals = a.sum(axis=1)
+    out = np.zeros(a.shape[0])
+    live = np.flatnonzero(totals != 0.0)
+    p = a[live] / totals[live, None]
+    positive = p > 0
+    counts = np.count_nonzero(positive, axis=1)
+    # Each row sums its p ln p terms over its positive entries only, in column
+    # order.  Rows with equally many positive entries are summed together, so
+    # every sum has the length and order of that row's own 1-D sum: numpy's
+    # pairwise summation rounds differently for different lengths.
+    for k in np.flatnonzero(np.bincount(counts)):
+        same = counts == k
+        terms = p[same][positive[same]].reshape(np.count_nonzero(same), k)
+        out[live[same]] = -(terms * np.log(terms)).sum(axis=1)
+    return out
+
+
+def shannon_entropy(matrix) -> float:
+    """Shannon entropy (natural log) of a nonnegative matrix, taken over all
+    of its entries as one distribution (see :func:`row_entropy`).
 
     :param matrix: array-like of nonnegative values.
     :return: entropy in nats, in [0, ln(#entries)].
     """
     a = np.asarray(matrix, dtype=np.float64)
-    if np.any(a < 0):
-        raise ValueError("entropy is only defined for nonnegative entries")
-    total = a.sum()
-    if total == 0.0:
-        return 0.0
-    p = a / total
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(row_entropy(a.reshape(1, -1))[0])
+
+
+def _double_entropy(blocks: np.ndarray, n: int) -> np.ndarray:
+    """Entropy-weight the column partitions of each trajectory in ``blocks``
+    (shape (G, T, m1)); see :func:`double_entropy`."""
+    n_traj, steps, m1 = blocks.shape
+    if n < 1:
+        raise ValueError("partition count must be at least 1")
+    if n > m1:
+        raise ValueError(f"cannot split {m1} state columns into {n} partitions")
+    width = m1 // n
+    out = np.empty_like(blocks)
+    # The n - 1 leading partitions share one width and are weighted in one
+    # pass, the last (possibly wider) one in another: one entropy per
+    # (trajectory, partition), over the partition's rows read row-major.
+    split = width * (n - 1)
+    for lo, hi, parts in ((0, split, n - 1), (split, m1, 1)):
+        if parts == 0:
+            continue
+        part_width = (hi - lo) // parts
+        group = blocks[:, :, lo:hi].reshape(n_traj, steps, parts, part_width)
+        flat = group.transpose(0, 2, 1, 3).reshape(n_traj * parts,
+                                                   steps * part_width)
+        weights = row_entropy(flat).reshape(n_traj, 1, parts, 1)
+        out[:, :, lo:hi] = (weights * group).reshape(n_traj, steps, hi - lo)
+    return out
 
 
 def double_entropy(traj: TrajectoryMatrix, n: int) -> TrajectoryMatrix:
@@ -133,25 +187,64 @@ def double_entropy(traj: TrajectoryMatrix, n: int) -> TrajectoryMatrix:
     partition.  Each partition is multiplied elementwise by its own Shannon
     entropy.  Actions and rewards pass through untouched.
     """
-    m1 = traj.states.shape[1]
-    if n < 1:
-        raise ValueError("partition count must be at least 1")
-    if n > m1:
-        raise ValueError(f"cannot split {m1} state columns into {n} partitions")
-    width = m1 // n
-    out = traj.states.copy()
-    for i in range(n):
-        lo = i * width
-        hi = (i + 1) * width if i < n - 1 else m1
-        block = traj.states[:, lo:hi]
-        out[:, lo:hi] = shannon_entropy(block) * block
-    return TrajectoryMatrix(states=out, actions=traj.actions.copy(),
+    return TrajectoryMatrix(states=_double_entropy(traj.states[None], n)[0],
+                            actions=traj.actions.copy(),
                             rewards=traj.rewards.copy())
 
 
 # ---------------------------------------------------------------------------
 # transform application
 # ---------------------------------------------------------------------------
+
+def _augment(spec: AugmentSpec, blocks: np.ndarray, rngs) -> np.ndarray:
+    """Apply one named transform to G equal-length trajectories at once.
+
+    ``blocks`` stacks their state blocks, shape (G, T, m1); trajectory g
+    draws from ``rngs[g]`` exactly as it would on its own.  Returns the
+    transformed blocks, same shape.
+    """
+    n_traj, _, m1 = blocks.shape
+    kind = spec.kind
+    p = spec.params
+    if n_traj == 0:
+        return blocks.copy()
+
+    if kind == "gaussian":
+        # Additive noise, clipped at zero to keep states in the valid range.
+        noise = np.stack([rng.normal(0.0, p["sigma"], size=blocks.shape[1:])
+                          for rng in rngs])
+        return np.maximum(blocks + noise, 0.0)
+    if kind == "cutout":
+        n = min(p["n"] or default_cutout_width(m1), m1)
+        cols = np.stack([rng.choice(m1, size=n, replace=False) for rng in rngs])
+        out = blocks.copy()
+        out[np.arange(n_traj)[:, None], :, cols] = 0.0
+        return out
+    if kind == "smooth":
+        # Each row becomes the mean of the window of rows ending at it; the
+        # window is shorter near the start of the trajectory, so a one-row
+        # trajectory is left as it is.
+        out = np.empty_like(blocks)
+        for t in range(blocks.shape[1]):
+            lo = max(0, t - p["n"] + 1)
+            out[:, t] = blocks[:, lo:t + 1].mean(axis=1)
+        return out
+    if kind == "scale":
+        factors = np.array([rng.uniform(p["low"], p["high"]) for rng in rngs])
+        return blocks * factors[:, None, None]
+    if kind == "translate":
+        # Roll each trajectory's columns right by its own shift.
+        shifts = np.array([int(rng.uniform(p["low"], p["high"]) * m1)
+                           for rng in rngs])
+        cols = (np.arange(m1) - shifts[:, None]) % m1
+        return np.take_along_axis(blocks, cols[:, None, :], axis=2)
+    if kind == "flip":
+        return blocks[:, :, ::-1].copy()
+    if kind == "double_entropy":
+        return _double_entropy(blocks, p["n"])
+    # AugmentSpec already validates the kind.
+    raise ValueError(f"unknown augmentation kind: {kind!r}")  # pragma: no cover
+
 
 def apply_augment(spec: AugmentSpec, traj: TrajectoryMatrix,
                   rng: np.random.Generator) -> TrajectoryMatrix:
@@ -160,43 +253,8 @@ def apply_augment(spec: AugmentSpec, traj: TrajectoryMatrix,
     Deterministic given the generator state.  The returned trajectory has the
     same shapes as the input; actions and rewards are copied bit-identically.
     """
-    s = traj.states
-    m1 = s.shape[1]
-    kind = spec.kind
-
-    if kind == "gaussian":
-        # Additive noise, clipped at zero to keep states in the valid range.
-        noisy = s + rng.normal(0.0, spec.params["sigma"], size=s.shape)
-        out = np.maximum(noisy, 0.0)
-    elif kind == "cutout":
-        n = spec.params["n"] or default_cutout_width(m1)
-        n = min(n, m1)
-        cols = rng.choice(m1, size=n, replace=False)
-        out = s.copy()
-        out[:, cols] = 0.0
-    elif kind == "smooth":
-        # Each row becomes the mean of the window of rows ending at it; the
-        # window is shorter near the start of the episode.
-        n = spec.params["n"]
-        out = np.empty_like(s)
-        for t in range(s.shape[0]):
-            lo = max(0, t - n + 1)
-            out[t] = s[lo:t + 1].mean(axis=0)
-    elif kind == "scale":
-        factor = rng.uniform(spec.params["low"], spec.params["high"])
-        out = s * factor
-    elif kind == "translate":
-        frac = rng.uniform(spec.params["low"], spec.params["high"])
-        shift = int(frac * m1)
-        out = np.roll(s, shift, axis=1)
-    elif kind == "flip":
-        out = s[:, ::-1].copy()
-    elif kind == "double_entropy":
-        return double_entropy(traj, spec.params["n"])
-    else:  # pragma: no cover - AugmentSpec already validates
-        raise ValueError(f"unknown augmentation kind: {kind!r}")
-
-    return TrajectoryMatrix(states=out, actions=traj.actions.copy(),
+    return TrajectoryMatrix(states=_augment(spec, traj.states[None], [rng])[0],
+                            actions=traj.actions.copy(),
                             rewards=traj.rewards.copy())
 
 
@@ -212,3 +270,32 @@ def weak_strong_pair(pairing, traj: TrajectoryMatrix,
     weak, strong = pairing
     rng_w, rng_s = rng.spawn(2)
     return apply_augment(weak, traj, rng_w), apply_augment(strong, traj, rng_s)
+
+
+def row_views(pairing, states, seed: int):
+    """(weak, strong) state views of every row of ``states``, each row
+    augmented as its own one-row trajectory.
+
+    Row i gets the views ``weak_strong_pair`` makes of that row alone from
+    a generator seeded with the i-th child of ``SeedSequence(seed)``, so the
+    views are reproducible from ``seed``; the transforms run on all rows at
+    once.  With one-row trajectories ``smooth`` leaves every row as it is.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2:
+        raise ValueError("states must be 2-D (one row per transition)")
+    if np.any(states < 0):
+        raise ValueError("state rows must be nonnegative")
+    n = len(states)
+    blocks = states[:, None, :]
+    views = []
+    for view, spec in enumerate(pairing):
+        # Row i's generator for this view is the child
+        # SeedSequence(seed).spawn(n)[i].spawn(2)[view], built straight from
+        # its spawn key; transforms that draw nothing need none.
+        rngs = ([np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(seed, spawn_key=(i, view))))
+                 for i in range(n)] if spec.kind in _DRAWING_KINDS
+                else [None] * n)
+        views.append(_augment(spec, blocks, rngs)[:, 0])
+    return tuple(views)

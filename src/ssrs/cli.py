@@ -41,7 +41,8 @@ from .core import (RewardSet, load_buffer, load_trajectory, save_trajectory,
                    TrajectoryMatrix)
 from .envs import make_env
 from .estimator import EstimatorParams
-from .losses import (LossBatch, finite_diff_gradient, loss_qv, loss_r, loss_s)
+from .losses import (LossBatch, consistency_views, finite_diff_gradient,
+                     loss_qv, loss_r, loss_s)
 from .training import BackboneQ, evaluate, train, write_run_outputs
 
 __all__ = ["main"]
@@ -243,7 +244,7 @@ def _cmd_eval(args) -> int:
     if table.shape != (env.n_states, env.n_actions):
         raise CliError(f"value table shape {table.shape} does not match "
                        f"environment ({env.n_states}, {env.n_actions})")
-    backbone = BackboneQ(table=table, encoder=env.state_id_of)
+    backbone = BackboneQ(table=table, encoder=env.state_ids_of)
     n = args.episodes if args.episodes is not None else config.eval_episodes
     mean_return, success = evaluate(env, backbone, n)
     print(f"episodes {n}")
@@ -296,7 +297,7 @@ def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
     pairing = (AugmentSpec("gaussian", {"sigma": 0.1}),
                AugmentSpec("double_entropy", {"n": 2}))
     threshold, mix = 0.5, 0.5
-    aug_seed = seed + 1
+    views = consistency_views(batch_z, pairing, seed + 1)
 
     checks = {
         "L_r": (
@@ -310,10 +311,10 @@ def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
             lambda p: loss_qv(p, batch_nz)[1],
         ),
         "L_s": (
-            lambda p: loss_s(p, batch_z, pairing, zset, threshold, mix,
-                             mode="smooth", augment_seed=aug_seed)[0],
-            lambda p: loss_s(p, batch_z, pairing, zset, threshold, mix,
-                             mode="smooth", augment_seed=aug_seed)[1],
+            lambda p: loss_s(p, batch_z, views, zset, threshold, mix,
+                             mode="smooth")[0],
+            lambda p: loss_s(p, batch_z, views, zset, threshold, mix,
+                             mode="smooth")[1],
         ),
     }
     report = {}

@@ -228,6 +228,10 @@ class ReplayBuffer:
             return 0.0
         return self._nonzero / self._size
 
+    def _require_entries(self, what: str):
+        if self._size == 0:
+            raise ValueError(f"the buffer is empty: {what}")
+
     def _allocate(self, m1: int, m2: int):
         self._m1, self._m2 = m1, m2
         cap = self.capacity
@@ -277,6 +281,7 @@ class ReplayBuffer:
         reverting a shaped entry pass the original value with
         ``shaped=False``.  Nothing is written when any entry breaks that.
         """
+        self._require_entries("no reward to set")
         values = np.asarray(values, dtype=np.float64)
         shaped = np.asarray(shaped, dtype=bool)
         if np.any(~shaped & (values != self._originals[slots])):
@@ -292,7 +297,10 @@ class ReplayBuffer:
         return (start + np.arange(self._size)) % self.capacity
 
     def zero_reward_slots(self) -> np.ndarray:
-        """Slots whose original reward is zero, in ascending slot order."""
+        """Slots whose original reward is zero, in ascending slot order
+        (none on an empty buffer)."""
+        if self._size == 0:
+            return np.zeros(0, dtype=np.intp)
         return np.flatnonzero(self._originals[:self._size] == 0.0)
 
     def transition_at(self, slot: int) -> Transition:
@@ -312,6 +320,7 @@ class ReplayBuffer:
 
     def batch_arrays(self, slots: np.ndarray) -> dict:
         """Gather entry fields for a slot array (views are copies)."""
+        self._require_entries("nothing to gather")
         slots = np.asarray(slots)
         return {
             "states": self._states[slots].copy(),
@@ -333,8 +342,7 @@ class ReplayBuffer:
         """
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty buffer")
+        self._require_entries("cannot sample")
         logical = rng.integers(0, self._size, size=batch_size)
         start = (self._next - self._size) % self.capacity
         return (start + logical) % self.capacity

@@ -3,7 +3,8 @@
 Observations are RAM-like: nonnegative integer-valued vectors scaled to
 [0, 255], padded so the state width is a multiple of the default
 augmentation partition count.  Both environments also expose a compact
-discrete state id for the tabular backbone.
+discrete state id for the tabular backbone, one observation at a time
+(``state_id_of``) or for a block of rows at once (``state_ids_of``).
 """
 
 from __future__ import annotations
@@ -75,8 +76,12 @@ class SparseChain:
     def state_id(self) -> int:
         return self._pos
 
+    def state_ids_of(self, rows) -> np.ndarray:
+        """State ids of a (rows, obs_width) block of observations."""
+        return np.argmax(np.asarray(rows)[:, : self.length], axis=1)
+
     def state_id_of(self, obs) -> int:
-        return int(np.argmax(np.asarray(obs)[: self.length]))
+        return int(self.state_ids_of(np.asarray(obs)[None])[0])
 
     def action_vector(self, action: int) -> np.ndarray:
         vec = np.zeros(self.n_actions)
@@ -157,12 +162,15 @@ class KeyDoorGrid:
     def state_id(self) -> int:
         return self._cell() * 2 + int(self._has_key)
 
-    def state_id_of(self, obs) -> int:
-        obs = np.asarray(obs)
+    def state_ids_of(self, rows) -> np.ndarray:
+        """State ids of a (rows, obs_width) block of observations: the cell
+        index doubled, plus one while the key flag is set."""
+        rows = np.asarray(rows)
         cells = self.width * self.height
-        cell = int(np.argmax(obs[:cells]))
-        has_key = obs[cells] > 0.0
-        return cell * 2 + int(has_key)
+        return np.argmax(rows[:, :cells], axis=1) * 2 + (rows[:, cells] > 0.0)
+
+    def state_id_of(self, obs) -> int:
+        return int(self.state_ids_of(np.asarray(obs)[None])[0])
 
     def action_vector(self, action: int) -> np.ndarray:
         vec = np.zeros(self.n_actions)

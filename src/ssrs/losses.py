@@ -16,10 +16,14 @@ gradient exists everywhere; those gradients are the ones used for training
 and are checked against central finite differences in the test suite.
 
 Each loss is one function returning (value, gradient, gate count).  The
-gradient is a flat ndarray in ``params.flatten()`` order (``None`` in hard
-mode); the confidence mix, hard and soft selection and the confidence-gated
-pseudo-label come from :mod:`ssrs.estimator`, so shaping and training share
-one definition of each.
+gradient is a flat ndarray in ``params.flatten()`` order; hard mode returns
+``None`` instead and runs no backward pass.  The confidence mix, hard and
+soft selection and the confidence-gated pseudo-label come from
+:mod:`ssrs.estimator`, so shaping and training share one definition of each.
+
+The consistency term takes its weak/strong state views ready-made
+(``consistency_views``), so one estimator step builds them once and its
+smooth (training) and hard (logging) evaluations see the same views.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augment import weak_strong_pair
-from .core import RewardSet, TrajectoryMatrix
+from .augment import row_views
+from .core import RewardSet
 from .estimator import (EstimatorParams, MlpNet, confidence_batch,
                         forward_heads, mix_heads, pseudo_label, select,
                         soft_select)
@@ -41,6 +45,7 @@ __all__ = [
     "loss_r",
     "loss_qv",
     "loss_s",
+    "consistency_views",
     "total_loss",
     "sgd_step",
     "finite_diff_gradient",
@@ -174,14 +179,16 @@ def loss_r(params: EstimatorParams, batch: LossBatch, zset: RewardSet,
 # head ordering hinge
 # ---------------------------------------------------------------------------
 
-def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None):
+def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None,
+            mode: str = "smooth"):
     """Squared hinge penalizing state-action head components that exceed the
     state head's, compared per candidate component.
 
-    The hinge is already differentiable almost everywhere, so there is no
-    separate smooth mode; samples with every component at or below zero
-    contribute no gradient.  Returns (value, gradient, count of samples
-    with some positive component).
+    The hinge is already differentiable almost everywhere, so its value is
+    the same in both modes; hard mode only skips the gradient.  Samples with
+    every component at or below zero contribute no gradient.  Returns
+    (value, gradient, count of samples with some positive component); the
+    gradient is None in hard mode.
     """
     n = len(batch)
     if n == 0:
@@ -193,9 +200,11 @@ def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None):
     delta = q_out - v_out
     positive = np.maximum(delta, 0.0)
     value = float((positive ** 2).sum() / n)
+    gate_count = int(np.count_nonzero((delta > 0.0).any(axis=1)))
+    if mode == "hard":
+        return value, None, gate_count
     dq = 2.0 * positive / n
     grad = _assemble(params, [(q_cache, dq)], [(v_cache, -dq)])
-    gate_count = int(np.count_nonzero((delta > 0.0).any(axis=1)))
     return value, grad, gate_count
 
 
@@ -203,49 +212,40 @@ def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None):
 # weak/strong consistency
 # ---------------------------------------------------------------------------
 
-def _make_views(batch: LossBatch, pairing, augment_seed: int):
-    """Per-transition weak/strong state views from one seed.
+def consistency_views(batch: LossBatch, pairing, augment_seed: int):
+    """(weak, strong) state views of the batch's zero-reward transitions, in
+    batch order: the views ``loss_s`` and ``total_loss`` consume.
 
-    Each transition is treated as a one-row trajectory; child generators are
-    derived per sample index so the views are reproducible from
-    ``augment_seed`` alone.
+    ``pairing`` is a (weak, strong) pair of :class:`~ssrs.augment.AugmentSpec`;
+    each transition is augmented as its own one-row trajectory, reproducibly
+    from ``augment_seed`` alone (see :func:`ssrs.augment.row_views`).
     """
-    n = len(batch)
-    children = np.random.SeedSequence(augment_seed).spawn(n)
-    weak = np.empty_like(batch.states)
-    strong = np.empty_like(batch.states)
-    for i in range(n):
-        traj = TrajectoryMatrix(
-            states=batch.states[i:i + 1],
-            actions=batch.actions[i:i + 1],
-            rewards=batch.rewards[i:i + 1],
-        )
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        view_w, view_s = weak_strong_pair(pairing, traj, rng)
-        weak[i] = view_w.states[0]
-        strong[i] = view_s.states[0]
-    return weak, strong
+    return row_views(pairing, batch.states[batch.originals == 0.0],
+                     augment_seed)
 
 
-def loss_s(params: EstimatorParams, batch: LossBatch, pairing,
+def loss_s(params: EstimatorParams, batch: LossBatch, views,
            zset: RewardSet, threshold: float, mix: float,
-           sharpness: float = 1.0, mode: str = "hard",
-           augment_seed: int = 0, dropout_rng=None):
+           sharpness: float = 1.0, mode: str = "hard", dropout_rng=None):
     """Consistency loss over zero-reward transitions.
 
-    Each transition yields a weak and a strong view (``pairing`` is a
-    (weak, strong) pair of :class:`~ssrs.augment.AugmentSpec`); when both
-    views are confident, the strong view is pulled toward the weak view's
-    one-hot pseudo-label via cross-entropy.  Both views share one forward of
-    the state head.  Returns (value, gradient, gate count); the gradient is
-    None in hard mode.
+    ``views`` holds a weak and a strong state view of every transition, as
+    ``consistency_views`` builds them; when both views are confident, the
+    strong view is pulled toward the weak view's one-hot pseudo-label via
+    cross-entropy.  Both views share one forward of the state head.  Returns
+    (value, gradient, gate count); the gradient is None in hard mode.
     """
     if np.any(batch.originals != 0.0):
         raise ValueError("consistency batch must contain only zero-reward transitions")
+    weak_states, strong_states = views
+    if {weak_states.shape, strong_states.shape} != {batch.states.shape}:
+        raise ValueError(
+            f"views of shapes {weak_states.shape} and {strong_states.shape} "
+            f"do not match the batch states {batch.states.shape}"
+        )
     n = len(batch)
     if n == 0:
         return 0.0, np.zeros(params.n_params), 0
-    weak_states, strong_states = _make_views(batch, pairing, augment_seed)
     [(qh_w, cache_w), (qh_s, cache_s)], (vh, cache_v) = forward_heads(
         params, [weak_states, strong_states], batch.actions, batch.next_states,
         dropout_rng,
@@ -298,14 +298,14 @@ def loss_s(params: EstimatorParams, batch: LossBatch, pairing,
 def total_loss(params: EstimatorParams, batch: LossBatch, weight: float,
                zset: RewardSet, threshold: float, mix: float,
                sharpness: float = 1.0, temperature: float = 0.1, *,
-               pairing, augment_seed: int = 0, mode: str = "hard",
-               dropout_rng=None):
+               views, mode: str = "hard", dropout_rng=None):
     """Combined objective: l_qv + weight * l_s + (1 - weight) * l_r.
 
     The batch is partitioned by original reward: nonzero transitions feed
     the supervised and ordering terms, zero-reward transitions feed the
-    consistency term.  Returns (LossBreakdown, gradient); the gradient is
-    None in hard mode (the indicator gates have no useful derivative).
+    consistency term, with ``views`` from ``consistency_views``.  Returns
+    (LossBreakdown, gradient); the gradient is None in hard mode (the
+    indicator gates have no useful derivative), which runs no backward pass.
     """
     nonzero = batch.originals != 0.0
     batch_nz = batch.subset(nonzero)
@@ -313,10 +313,9 @@ def total_loss(params: EstimatorParams, batch: LossBatch, weight: float,
 
     l_r, grad_r, gate_r = loss_r(params, batch_nz, zset, threshold, mix,
                                  sharpness, temperature, mode, dropout_rng)
-    l_qv, grad_qv, gate_qv = loss_qv(params, batch_nz, dropout_rng)
-    l_s, grad_s, gate_s = loss_s(params, batch_z, pairing, zset, threshold,
-                                 mix, sharpness, mode, augment_seed,
-                                 dropout_rng)
+    l_qv, grad_qv, gate_qv = loss_qv(params, batch_nz, dropout_rng, mode)
+    l_s, grad_s, gate_s = loss_s(params, batch_z, views, zset, threshold,
+                                 mix, sharpness, mode, dropout_rng)
 
     breakdown = LossBreakdown(
         l_r=l_r, l_qv=l_qv, l_s=l_s,

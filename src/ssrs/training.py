@@ -23,7 +23,8 @@ from .config import RunConfig, config_hash, serialize_config
 from .core import ReplayBuffer, RewardSet, Transition, save_buffer, update_reward_set
 from .envs import make_env
 from .estimator import EstimatorParams, save_params, shape_buffer
-from .losses import LossBatch, loss_qv, sgd_step, total_loss
+from .losses import (LossBatch, consistency_views, loss_qv, sgd_step,
+                     total_loss)
 from .schedules import ScheduleState, alpha_at, lambda_at, p_u_at
 
 __all__ = [
@@ -64,7 +65,11 @@ def spawn_streams(seed: int) -> dict:
 
 @dataclass
 class BackboneQ:
-    """Tabular action-value function plus an observation-to-id encoder."""
+    """Tabular action-value function plus an observation-to-id encoder.
+
+    ``encoder`` maps a (rows, obs_width) block of observations to an array
+    of state ids, e.g. an environment's ``state_ids_of``.
+    """
 
     table: np.ndarray
     encoder: object
@@ -78,7 +83,8 @@ class BackboneQ:
                    encoder=encoder)
 
     def greedy_action(self, obs) -> int:
-        return int(np.argmax(self.table[self.encoder(obs)]))
+        state = self.encoder(np.asarray(obs)[None])[0]
+        return int(np.argmax(self.table[state]))
 
 
 def backbone_update(backbone: BackboneQ, batch: dict, lr: float,
@@ -86,21 +92,24 @@ def backbone_update(backbone: BackboneQ, batch: dict, lr: float,
     """Per-entry temporal-difference update, applied sequentially in batch
     order (stored rewards, i.e. shaped where shaping has run).
 
-    Terminal entries use the reward alone as target.
+    Terminal entries use the reward alone as target.  Both state columns and
+    the action argmax are encoded once for the whole batch; the sequential
+    updates then run on Python floats, which is the same float64 arithmetic
+    as updating the array entry by entry, and the table is written back once.
     """
-    table = backbone.table
-    enc = backbone.encoder
-    for state, action, reward, next_state, terminal in zip(
-        batch["states"], batch["actions"], batch["rewards"],
-        batch["next_states"], batch["terminals"],
+    encode = backbone.encoder
+    rows = backbone.table.tolist()
+    for sid, aid, reward, next_id, terminal in zip(
+        encode(batch["states"]).tolist(),
+        np.argmax(batch["actions"], axis=1).tolist(),
+        batch["rewards"].tolist(),
+        encode(batch["next_states"]).tolist(),
+        batch["terminals"].tolist(),
     ):
-        sid = enc(state)
-        aid = int(np.argmax(action))
-        if terminal:
-            target = reward
-        else:
-            target = reward + discount * table[enc(next_state)].max()
-        table[sid, aid] += lr * (target - table[sid, aid])
+        row = rows[sid]
+        target = reward if terminal else reward + discount * max(rows[next_id])
+        row[aid] += lr * (target - row[aid])
+    backbone.table[...] = rows
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,7 @@ def train(config: RunConfig, env=None, out_dir=None):
     env = env if env is not None else make_env(config.env_spec())
     eval_env = make_env(config.env_spec())
     streams = spawn_streams(config.seed)
-    backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_id_of,
+    backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of,
                                 config.q_init)
     buffer = ReplayBuffer(config.buffer_capacity)
     zset = RewardSet.initial(config.n_z)
@@ -300,25 +309,26 @@ def train(config: RunConfig, env=None, out_dir=None):
                                             streams["estimator_batch"])
                 batch = LossBatch.from_buffer_arrays(buffer.batch_arrays(slots))
                 aug_seed = int(streams["augment"].integers(2 ** 63))
+                views = consistency_views(batch, pairing, aug_seed)
                 dropout_rng = streams["dropout"] if config.train_dropout else None
                 _, grad = total_loss(
                     params, batch, alpha, state["zset"], lam, config.beta,
                     sharpness=config.sigmoid_sharpness,
-                    temperature=config.soft_select_temp, pairing=pairing,
-                    augment_seed=aug_seed, mode="smooth",
-                    dropout_rng=dropout_rng,
+                    temperature=config.soft_select_temp, views=views,
+                    mode="smooth", dropout_rng=dropout_rng,
                 )
                 if not config.monotonicity:
                     nz = batch.originals != 0.0
                     _, g_qv, _ = loss_qv(params, batch.subset(nz))
                     grad = grad - g_qv
                 sgd_step(params, grad, config.estimator_lr)
-                # Hard-mode values on the same batch for the logged curves.
+                # Hard-mode values on the same batch and views for the
+                # logged curves.
                 breakdown, _ = total_loss(
                     params, batch, alpha, state["zset"], lam, config.beta,
                     sharpness=config.sigmoid_sharpness,
-                    temperature=config.soft_select_temp, pairing=pairing,
-                    augment_seed=aug_seed, mode="hard",
+                    temperature=config.soft_select_temp, views=views,
+                    mode="hard",
                 )
 
         if ep % config.eval_interval == 0 or ep == horizon - 1:

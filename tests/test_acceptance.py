@@ -22,8 +22,8 @@ from ssrs.core import (RewardSet, TrajectoryMatrix, load_buffer, save_buffer,
                        update_reward_set)
 from ssrs.estimator import (EstimatorParams, confidence_batch, load_params,
                             save_params, select)
-from ssrs.losses import (LossBatch, loss_qv, loss_r, loss_s, sgd_step,
-                         total_loss, _make_views)
+from ssrs.losses import (LossBatch, consistency_views, loss_qv, loss_r,
+                         loss_s, sgd_step, total_loss)
 from ssrs.schedules import alpha_at, lambda_at
 from ssrs.training import train
 
@@ -89,11 +89,12 @@ def _gate_separated_batch(seed):
         aug_seed = 1000 * seed + attempt
         q, *_ = confidence_batch(params, batch.states, batch.actions,
                                  batch.next_states, 0.5)
-        weak, strong = _make_views(batch, _PAIRING, aug_seed)
-        q_w, *_ = confidence_batch(params, weak, batch.actions,
-                                   batch.next_states, 0.5)
-        q_s, *_ = confidence_batch(params, strong, batch.actions,
-                                   batch.next_states, 0.5)
+        zero = batch.originals == 0.0
+        weak, strong = consistency_views(batch, _PAIRING, aug_seed)
+        q_w, *_ = confidence_batch(params, weak, batch.actions[zero],
+                                   batch.next_states[zero], 0.5)
+        q_s, *_ = confidence_batch(params, strong, batch.actions[zero],
+                                   batch.next_states[zero], 0.5)
         mats = (q, q_w, q_s)
         peaks = np.sort(np.concatenate([m.max(axis=1) for m in mats]))
         inside = peaks[(peaks > 0.45) & (peaks < 0.95)]
@@ -133,19 +134,17 @@ def test_acceptance_02_hard_smooth_consistency():
                               mode="smooth", sharpness=_SHARPNESS,
                               temperature=_SOFT_TEMP)
         worst = max(worst, abs(hard - smooth))
-        hard, _, _ = loss_s(params, batch.subset(~nonzero), _PAIRING, zset,
-                            lam, 0.5, mode="hard", augment_seed=aug_seed)
-        smooth, _, _ = loss_s(params, batch.subset(~nonzero), _PAIRING, zset,
-                              lam, 0.5, mode="smooth", sharpness=_SHARPNESS,
-                              augment_seed=aug_seed)
+        views = consistency_views(batch, _PAIRING, aug_seed)
+        hard, _, _ = loss_s(params, batch.subset(~nonzero), views, zset,
+                            lam, 0.5, mode="hard")
+        smooth, _, _ = loss_s(params, batch.subset(~nonzero), views, zset,
+                              lam, 0.5, mode="smooth", sharpness=_SHARPNESS)
         worst = max(worst, abs(hard - smooth))
         hard_b, _ = total_loss(params, batch, 0.5, zset, lam, 0.5,
-                               pairing=_PAIRING, mode="hard",
-                               augment_seed=aug_seed)
+                               views=views, mode="hard")
         smooth_b, _ = total_loss(params, batch, 0.5, zset, lam, 0.5,
                                  mode="smooth", sharpness=_SHARPNESS,
-                                 temperature=_SOFT_TEMP, pairing=_PAIRING,
-                                 augment_seed=aug_seed)
+                                 temperature=_SOFT_TEMP, views=views)
         worst = max(worst, abs(hard_b.total - smooth_b.total))
     _report(2, "hard/smooth consistency",
             worst <= 1e-2 and min_clear >= 1e-3,
@@ -260,9 +259,10 @@ def _identifiability_accuracy(seed):
     nonzero = rewards != 0.0
     batch = LossBatch.from_arrays(states[nonzero], actions[nonzero],
                                   rewards[nonzero], states[nonzero])
+    views = consistency_views(batch, _PAIRING, 0)  # no zero-reward rows
     for _ in range(5000):
         _, grad = total_loss(params, batch, 0.0, zset, 0.6, 0.5,
-                             temperature=0.3, pairing=_PAIRING, mode="smooth")
+                             temperature=0.3, views=views, mode="smooth")
         sgd_step(params, grad, 0.2)
     q_train, *_ = confidence_batch(params, states, actions, states, 0.5)
     peaks = q_train.max(axis=1)

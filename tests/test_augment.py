@@ -11,10 +11,14 @@ from ssrs.augment import (
     apply_augment,
     default_cutout_width,
     double_entropy,
+    row_entropy,
+    row_views,
     shannon_entropy,
     weak_strong_pair,
 )
+from ssrs.config import RunConfig, apply_overrides
 from ssrs.core import TrajectoryMatrix
+from ssrs.envs import SparseChain
 
 
 def _random_traj(rng, n=6, m1=8, m2=3):
@@ -252,3 +256,138 @@ def test_weak_strong_pair_deterministic():
     w2, s2 = weak_strong_pair(pair, traj, np.random.default_rng(42))
     np.testing.assert_array_equal(w1.states, w2.states)
     np.testing.assert_array_equal(s1.states, s2.states)
+
+
+# ---------------------------------------------------------------------------
+# row-batched entropy and views
+# ---------------------------------------------------------------------------
+
+def _sparse_rows(rng, n, m1):
+    """Nonnegative rows with a varying share of zeros, whole zero rows and
+    one-hot rows included."""
+    rows = rng.uniform(0.0, 255.0, size=(n, m1))
+    rows *= rng.random((n, m1)) < rng.random((n, 1))
+    rows[0] = 0.0
+    rows[1] = 0.0
+    rows[1, m1 // 2] = 255.0
+    return rows
+
+
+def _entropy_reference(matrix):
+    """Entropy of all entries as one 1-D sum over the positive
+    probabilities: the per-matrix formula the row-batched entropy replaced."""
+    a = np.asarray(matrix, dtype=np.float64)
+    total = a.sum()
+    if total == 0.0:
+        return 0.0
+    p = a / total
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_row_entropy_matches_shannon_entropy_bitwise():
+    rng = np.random.default_rng(12)
+    for m1 in (1, 2, 3, 7, 8, 9, 16, 24, 63, 128, 300):
+        rows = _sparse_rows(rng, 40, m1)
+        reference = [_entropy_reference(row) for row in rows]
+        # bitwise, so the sign of the zero entropy of a one-hot row counts
+        assert _bits(row_entropy(rows)) == _bits(reference), m1
+        assert _bits([shannon_entropy(row) for row in rows]) == _bits(reference)
+        # rows read out of a wider matrix (strided) give the same bits
+        wide = np.hstack([rows, rows])[:, :m1]
+        assert _bits(row_entropy(wide)) == _bits(reference), m1
+        block = rows[:8]
+        assert _bits(shannon_entropy(block)) == _bits(_entropy_reference(block))
+    with pytest.raises(ValueError):
+        row_entropy([[1.0, -1.0]])
+    with pytest.raises(ValueError):
+        row_entropy([1.0, 2.0])
+
+
+def test_double_entropy_matches_per_partition_reference():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        steps = int(rng.integers(1, 12))
+        m1 = int(rng.integers(1, 48))
+        n = int(rng.integers(1, m1 + 1))
+        states = _sparse_rows(rng, max(steps, 2), m1)[:steps]
+        traj = TrajectoryMatrix(states=states, actions=np.ones((steps, 1)),
+                                rewards=np.zeros(steps))
+        width = m1 // n
+        expected = states.copy()
+        for i in range(n):
+            lo, hi = i * width, (i + 1) * width if i < n - 1 else m1
+            block = states[:, lo:hi]
+            expected[:, lo:hi] = _entropy_reference(block) * block
+        assert double_entropy(traj, n).states.tobytes() == expected.tobytes()
+
+
+def _per_row_views(pairing, states, seed):
+    """Views of each row as its own one-row trajectory, one
+    ``weak_strong_pair`` call per row: the reference ``row_views`` batches."""
+    children = np.random.SeedSequence(seed).spawn(len(states))
+    weak, strong = [], []
+    for row, child in zip(states, children):
+        traj = TrajectoryMatrix(states=row[None], actions=np.ones((1, 2)),
+                                rewards=np.zeros(1))
+        view_w, view_s = weak_strong_pair(
+            pairing, traj, np.random.Generator(np.random.PCG64(child)))
+        weak.append(view_w.states[0])
+        strong.append(view_s.states[0])
+    return np.array(weak), np.array(strong)
+
+
+def _chain_rows(rng, n):
+    env = SparseChain(length=20, max_steps=100)
+    rows, obs = [], env.reset()
+    while len(rows) < n:
+        rows.append(obs)
+        obs, _, done = env.step(int(rng.integers(2)))
+        if done:
+            obs = env.reset()
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("pairing", ["ssrs_s", "ssrs_m", "ssrs_c"])
+@pytest.mark.parametrize("partitions", [1, 2, 3, 8])
+def test_row_views_match_per_row_pairs(pairing, partitions):
+    config = apply_overrides(RunConfig(), [
+        f"augment.pairing={pairing}", f"augment.partitions={partitions}",
+        "augment.gaussian_sigma=3.5", "augment.cutout_n=5",
+        "augment.smooth_n=4",
+    ])
+    pair = config.augment_pair()
+    rng = np.random.default_rng(partitions)
+    for states in (_chain_rows(rng, 32), _sparse_rows(rng, 32, 40),
+                   _sparse_rows(rng, 5, 24)):
+        seed = int(rng.integers(2 ** 63))
+        weak, strong = row_views(pair, states, seed)
+        ref_weak, ref_strong = _per_row_views(pair, states, seed)
+        assert weak.tobytes() == ref_weak.tobytes()
+        assert strong.tobytes() == ref_strong.tobytes()
+    if pairing == "ssrs_m":
+        # a one-row window is the row itself
+        np.testing.assert_array_equal(strong, states)
+
+
+@pytest.mark.parametrize("kind", ["scale", "translate", "flip", "smooth"])
+def test_row_views_match_per_row_for_other_kinds(kind):
+    rng = np.random.default_rng(5)
+    states = _sparse_rows(rng, 12, 16)
+    pair = (AugmentSpec(kind), AugmentSpec("cutout", {"n": 3}))
+    weak, strong = row_views(pair, states, 99)
+    ref_weak, ref_strong = _per_row_views(pair, states, 99)
+    assert weak.tobytes() == ref_weak.tobytes()
+    assert strong.tobytes() == ref_strong.tobytes()
+
+
+def test_row_views_of_no_rows():
+    pair = RunConfig().augment_pair()
+    weak, strong = row_views(pair, np.zeros((0, 24)), 3)
+    assert weak.shape == strong.shape == (0, 24)
+    with pytest.raises(ValueError):
+        row_views(pair, -np.ones((2, 24)), 3)

@@ -203,6 +203,20 @@ def test_sample_bounds_and_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+def test_empty_buffer_reads():
+    # The arrays are allocated on the first push; reads before it must not
+    # reach for them.
+    buf = ReplayBuffer(3)
+    slots = buf.zero_reward_slots()
+    assert slots.shape == (0,) and slots.dtype.kind == "i"
+    with pytest.raises(ValueError, match="empty"):
+        buf.batch_arrays(np.array([0]))
+    with pytest.raises(ValueError, match="empty"):
+        buf.set_reward(np.array([0]), np.array([1.0]), np.array([True]))
+    with pytest.raises(ValueError, match="empty"):
+        buf.sample_slots(2, np.random.default_rng(0))
+
+
 def test_sample_consumes_one_generator_call():
     # Training interleaves several consumers on named streams, so the
     # draw count per operation is part of the contract.
@@ -391,9 +405,8 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
         for s, original in zip(occupied, originals):
             if not buf.is_shaped(s):
                 assert buf.transition_at(s).reward == original
-        if len(buf):
-            np.testing.assert_array_equal(buf.zero_reward_slots(),
-                                          _sorted_zero_slots(buf))
+        np.testing.assert_array_equal(buf.zero_reward_slots(),
+                                      _sorted_zero_slots(buf))
 
 
 # ---------------------------------------------------------------------------

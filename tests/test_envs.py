@@ -197,3 +197,37 @@ class TestMakeEnv:
             env = make_env(EnvSpec("sparse_chain", {"length": length}))
             assert env.obs_width % 8 == 0
             assert env.obs_width >= length + 4
+
+
+def _random_walk(env, rng, episodes):
+    """Observations reached by uniform random actions, with the true state
+    id of each."""
+    observations, ids = [], []
+    for _ in range(episodes):
+        obs, done = env.reset(), False
+        while not done:
+            observations.append(obs)
+            ids.append(env.state_id)
+            obs, _, done = env.step(int(rng.integers(env.n_actions)))
+        observations.append(obs)
+        ids.append(env.state_id)
+    return np.stack(observations), np.array(ids)
+
+
+@pytest.mark.parametrize("env", [
+    SparseChain(length=6, max_steps=30),
+    SparseChain(length=20, max_steps=100),
+    KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2),
+                max_steps=40),
+    KeyDoorGrid(),
+], ids=["chain6", "chain20", "grid3", "grid5"])
+def test_batched_state_ids_match_per_observation(env):
+    rows, ids = _random_walk(env, np.random.default_rng(3), episodes=30)
+    if isinstance(env, KeyDoorGrid):
+        # both settings of the key flag are reached
+        assert len(set(ids % 2)) == 2
+    batched = env.state_ids_of(rows)
+    assert batched.dtype.kind == "i"
+    np.testing.assert_array_equal(batched, ids)
+    assert [env.state_id_of(obs) for obs in rows] == ids.tolist()
+    assert env.state_ids_of(rows[:0]).shape == (0,)

@@ -7,9 +7,10 @@ import pytest
 
 from ssrs.augment import AugmentSpec
 from ssrs.core import RewardSet
-from ssrs.estimator import EstimatorParams, confidence_batch
+from ssrs.estimator import EstimatorParams, MlpNet, confidence_batch
 from ssrs.losses import (
     LossBatch,
+    consistency_views,
     finite_diff_gradient,
     loss_qv,
     loss_r,
@@ -52,6 +53,12 @@ class _FixedNet:
 
     def load_flat(self, flat):
         pass
+
+
+def _loss_s(params, batch, *args, augment_seed=0, **kwargs):
+    """loss_s on the views ``consistency_views`` makes of the batch."""
+    return loss_s(params, batch, consistency_views(batch, PAIRING, augment_seed),
+                  *args, **kwargs)
 
 
 def _scripted(q_outputs, v_output=(1 / 3, 1 / 3, 1 / 3)):
@@ -186,6 +193,14 @@ class TestLossQv:
         manual = (np.maximum(q_out - v_out, 0.0) ** 2).sum() / len(batch)
         assert value == pytest.approx(manual, abs=1e-12)
 
+    def test_hard_mode_same_value_without_gradient(self):
+        params = _small_params(3)
+        batch = _batch([1.0, 2.0, 4.0], m1=4, seed=5)
+        smooth, grad, gates = loss_qv(params, batch)
+        hard, no_grad, hard_gates = loss_qv(params, batch, mode="hard")
+        assert grad is not None and no_grad is None
+        assert (hard, hard_gates) == (smooth, gates)
+
     def test_gradient_matches_finite_differences(self):
         for seed in (0, 3):
             params = _small_params(seed)
@@ -208,36 +223,43 @@ class TestLossS:
     def test_cross_entropy_at_pseudo_label(self):
         # weak view calls the first scripted row, strong view the second
         params = _scripted([[0.7, 0.2, 0.1], [0.91, 0.05, 0.04]])
-        value, grad, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET,
+        value, grad, _ = _loss_s(params, _batch([0.0]), ZSET,
                                 threshold=0.5, mix=1.0)
         assert value == pytest.approx(-math.log(0.91), abs=1e-12)
         assert grad is None
 
     def test_strong_gate_off(self):
         params = _scripted([[0.7, 0.2, 0.1], [0.45, 0.30, 0.25]])
-        value, _, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
+        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0)
         assert value == 0.0
 
     def test_weak_gate_off(self):
         params = _scripted([[0.45, 0.30, 0.25], [0.91, 0.05, 0.04]])
-        value, _, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
+        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0)
         assert value == 0.0
 
     def test_gates_inclusive_at_threshold(self):
         params = _scripted([[0.5, 0.3, 0.2], [0.5, 0.25, 0.25]])
-        value, _, _ = loss_s(params, _batch([0.0]), PAIRING, ZSET, 0.5, 1.0)
+        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_rejects_nonzero_rows(self):
         params = _small_params(0)
         with pytest.raises(ValueError):
-            loss_s(params, _batch([0.0, 1.0], m1=4), PAIRING, ZSET, 0.5, 0.5)
+            _loss_s(params, _batch([0.0, 1.0], m1=4), ZSET, 0.5, 0.5)
 
     def test_rejects_grid_size_mismatch(self):
         params = _small_params(0)  # 3 candidate outputs
         wrong = RewardSet(values=np.array([1.0, 2.0]), observed=(1.0, 2.0))
         with pytest.raises(ValueError):
-            loss_s(params, _batch([0.0], m1=4), PAIRING, wrong, 0.5, 0.5)
+            _loss_s(params, _batch([0.0], m1=4), wrong, 0.5, 0.5)
+
+    def test_rejects_views_of_another_batch(self):
+        params = _small_params(0)
+        batch = _batch([0.0, 0.0], m1=4)
+        views = consistency_views(_batch([0.0], m1=4), PAIRING, 0)
+        with pytest.raises(ValueError, match="views"):
+            loss_s(params, batch, views, ZSET, 0.5, 0.5)
 
     def test_view_seed_reproducible(self):
         # smooth mode: the weak-view gate varies continuously with the noise,
@@ -246,8 +268,8 @@ class TestLossS:
         batch = _batch([0.0, 0.0, 0.0], m1=4, seed=8)
 
         def run(seed):
-            return loss_s(params, batch, PAIRING, ZSET, 0.2, 0.5,
-                          mode="smooth", augment_seed=seed)[0]
+            return _loss_s(params, batch, ZSET, 0.2, 0.5, mode="smooth",
+                           augment_seed=seed)[0]
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -258,11 +280,11 @@ class TestLossS:
             batch = _batch([0.0, 0.0, 0.0, 0.0], m1=4, seed=seed + 20)
 
             def f(p):
-                return loss_s(p, batch, PAIRING, ZSET, 0.34, 0.5,
-                              sharpness=3.0, mode="smooth", augment_seed=1)[0]
+                return _loss_s(p, batch, ZSET, 0.34, 0.5, sharpness=3.0,
+                               mode="smooth", augment_seed=1)[0]
 
-            _, grad, _ = loss_s(params, batch, PAIRING, ZSET, 0.34, 0.5,
-                                sharpness=3.0, mode="smooth", augment_seed=1)
+            _, grad, _ = _loss_s(params, batch, ZSET, 0.34, 0.5, sharpness=3.0,
+                                 mode="smooth", augment_seed=1)
             fd = finite_diff_gradient(f, params)
             rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
             assert rel.max() < 1e-4
@@ -278,7 +300,7 @@ class TestTotalLoss:
         batch = _batch([2.0, 0.0, 4.0, 0.0, 0.0, 1.0], m1=4, seed=9)
         weight = 0.7
         breakdown, grad = total_loss(params, batch, weight, ZSET, 0.34, 0.5,
-                                     pairing=PAIRING, augment_seed=3)
+                                     views=consistency_views(batch, PAIRING, 3))
         assert grad is None
         assert abs(breakdown.total - (breakdown.l_qv + weight * breakdown.l_s
                                       + (1.0 - weight) * breakdown.l_r)) < 1e-15
@@ -286,8 +308,8 @@ class TestTotalLoss:
         nz = batch.originals != 0.0
         l_r, _, _ = loss_r(params, batch.subset(nz), ZSET, 0.34, 0.5)
         l_qv, _, _ = loss_qv(params, batch.subset(nz))
-        l_s, _, _ = loss_s(params, batch.subset(~nz), PAIRING, ZSET, 0.34, 0.5,
-                           augment_seed=3)
+        l_s, _, _ = _loss_s(params, batch.subset(~nz), ZSET, 0.34, 0.5,
+                            augment_seed=3)
         assert breakdown.l_r == pytest.approx(l_r, abs=1e-12)
         assert breakdown.l_qv == pytest.approx(l_qv, abs=1e-12)
         assert breakdown.l_s == pytest.approx(l_s, abs=1e-12)
@@ -296,40 +318,64 @@ class TestTotalLoss:
 
     def test_all_zero_batch_drops_supervised_terms(self):
         params = _small_params(6)
-        breakdown, _ = total_loss(params, _batch([0.0, 0.0], m1=4), 0.5, ZSET,
-                                  0.2, 0.5, pairing=PAIRING)
+        batch = _batch([0.0, 0.0], m1=4)
+        breakdown, _ = total_loss(params, batch, 0.5, ZSET, 0.2, 0.5,
+                                  views=consistency_views(batch, PAIRING, 0))
         assert breakdown.l_r == 0.0
         assert breakdown.l_qv == 0.0
 
     def test_all_nonzero_batch_drops_consistency(self):
         params = _small_params(6)
-        breakdown, _ = total_loss(params, _batch([1.0, 2.0], m1=4), 0.5, ZSET,
-                                  0.2, 0.5, pairing=PAIRING)
+        batch = _batch([1.0, 2.0], m1=4)
+        breakdown, _ = total_loss(params, batch, 0.5, ZSET, 0.2, 0.5,
+                                  views=consistency_views(batch, PAIRING, 0))
         assert breakdown.l_s == 0.0
         assert breakdown.gate_pass["l_s"] == 0
 
     def test_smooth_gradient_matches_finite_differences(self):
         params = _small_params(7)
         batch = _batch([2.0, 0.0, 1.0, 0.0], m1=4, seed=11)
+        views = consistency_views(batch, PAIRING, 2)
 
         def f(p):
             return total_loss(p, batch, 0.6, ZSET, 0.34, 0.5, sharpness=3.0,
-                              temperature=0.5, pairing=PAIRING,
-                              augment_seed=2, mode="smooth")[0].total
+                              temperature=0.5, views=views,
+                              mode="smooth")[0].total
 
         _, grad = total_loss(params, batch, 0.6, ZSET, 0.34, 0.5,
-                             sharpness=3.0, temperature=0.5, pairing=PAIRING,
-                             augment_seed=2, mode="smooth")
+                             sharpness=3.0, temperature=0.5, views=views,
+                             mode="smooth")
         fd = finite_diff_gradient(f, params)
         rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
         assert rel.max() < 1e-4
+
+    def test_hard_mode_runs_no_backward_pass(self, monkeypatch):
+        params = _small_params(5)
+        batch = _batch([2.0, 0.0, 4.0, 0.0, 0.0, 1.0], m1=4, seed=9)
+        views = consistency_views(batch, PAIRING, 3)
+        calls = []
+        backward = MlpNet.backward
+
+        def counting(net, cache, grad_out):
+            calls.append(len(cache["out"]))
+            return backward(net, cache, grad_out)
+
+        monkeypatch.setattr(MlpNet, "backward", counting)
+        breakdown, grad = total_loss(params, batch, 0.7, ZSET, 0.34, 0.5,
+                                     views=views, mode="hard")
+        assert grad is None and breakdown.gate_pass["l_qv"] >= 0
+        assert calls == []
+        total_loss(params, batch, 0.7, ZSET, 0.34, 0.5, views=views,
+                   mode="smooth")
+        assert calls  # the smooth pass still backpropagates
 
     def test_dropout_evaluation_reproducible(self):
         params = EstimatorParams.create(4, 2, 3, np.random.default_rng(8),
                                         hidden=(6,), dropout=0.3)
         batch = _batch([2.0, 0.0, 1.0], m1=4, seed=12)
         runs = [total_loss(params, batch, 0.5, ZSET, 0.2, 0.5,
-                           pairing=PAIRING, mode="smooth",
+                           views=consistency_views(batch, PAIRING, 0),
+                           mode="smooth",
                            dropout_rng=np.random.default_rng(9))[0].total
                 for _ in range(2)]
         assert runs[0] == runs[1]
