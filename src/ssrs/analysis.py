@@ -189,6 +189,8 @@ def trajectory_consensus(buffer: ReplayBuffer, k: int, runs: int = 100,
     co-assignment matrix is accumulated over trajectories.  Returns
     (matrix, trajectory count).
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
     features, traj_ids = buffer_features(buffer)
     n_traj = int(traj_ids.max()) + 1 if traj_ids.size else 0
     if n_traj < 1:

@@ -3,7 +3,7 @@ orchestration and output management.
 
 Subcommands
 -----------
-train          run training for one or more seeds (one OS process per seed)
+train          train one or more seeds, one after another in this process,
                and aggregate the best-score curves
 eval           greedy evaluation of a trained run directory
 gradcheck      verify analytic loss gradients against finite differences
@@ -23,22 +23,21 @@ the ``SSRS_OUT`` environment variable, else the working directory),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from .analysis import best_score_series, reward_distribution, trajectory_consensus
 from .augment import AugmentSpec, apply_augment, shannon_entropy
 from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
-                     parse_config, serialize_config)
-from .core import (RewardSet, load_buffer, load_trajectory, save_trajectory,
-                   TrajectoryMatrix)
+                     parse_config)
+from .core import (RewardSet, format_cell, load_buffer, load_trajectory,
+                   read_csv, save_trajectory, TrajectoryMatrix, write_csv,
+                   write_json)
 from .envs import make_env
 from .estimator import EstimatorParams
 from .losses import (LossBatch, consistency_views, finite_diff_gradient,
@@ -57,14 +56,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
@@ -110,45 +101,45 @@ def _guard_outputs(paths, force: bool):
                        + ", ".join(existing))
 
 
-def _write_csv(path, header, rows, force: bool):
-    _guard_outputs([path], force)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(_fmt(v) for v in row)
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags; argparse names the flag on error."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, "
+                                         f"got {text!r}")
+    return int(text)
 
 
-def _write_json(path, payload, force: bool):
-    _guard_outputs([path], force)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_curve(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise CliError(f"missing curve file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    columns = {name: np.array([float(r[i]) for r in rows])
-               for i, name in enumerate(header)}
-    return columns
+def _read_curve(path, columns) -> dict:
+    """The named columns of a numeric CSV table with at least one data row."""
+    try:
+        header, data = read_csv(path)
+    except ValueError as exc:
+        raise CliError(str(exc))
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise CliError(f"{path}: no column {', '.join(missing)}")
+    if not len(data):
+        raise CliError(f"{path}: no data rows")
+    return {name: data[:, header.index(name)] for name in columns}
 
 
 def _run_config_of(run_dir: Path) -> RunConfig:
     meta = Path(run_dir) / "run.json"
     if not meta.is_file():
         raise CliError(f"not a run directory (no run.json): {run_dir}")
-    payload = json.loads(meta.read_text())
-    if "error" in payload:
+    try:
+        payload = json.loads(meta.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CliError(f"{meta}: not valid JSON ({exc})")
+    if isinstance(payload, dict) and "error" in payload:
         raise CliError(f"run {run_dir} failed: {payload['error']}")
-    return parse_config(payload["config"])
+    text = payload.get("config") if isinstance(payload, dict) else None
+    if not isinstance(text, str):
+        raise CliError(f"{meta}: holds no serialized config")
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise CliError(f"{meta}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +148,6 @@ def _run_config_of(run_dir: Path) -> RunConfig:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    if args.worker:
-        return _train_worker(args, config)
     seeds = _seed_list(args, config.seed)
     if len(set(seeds)) != len(seeds):
         raise CliError("duplicate seeds in --seed list")
@@ -167,40 +156,21 @@ def _cmd_train(args) -> int:
     _guard_outputs([d / "curve.csv" for d in seed_dirs]
                    + [root / "aggregate.csv"], args.force)
 
-    child_base = [sys.executable, "-m", "ssrs", "train", "--worker"]
-    if args.config:
-        child_base += ["--config", args.config]
-    for item in (args.set or []):
-        child_base += ["--set", item]
+    results = {seed: _train_seed(replace(config, seed=seed), seed_dir)
+               for seed, seed_dir in zip(seeds, seed_dirs)}
+    failed = [seed for seed, record in results.items() if record is None]
+    records = [record for record in results.values() if record is not None]
 
-    failed = []
-    for seed, seed_dir in zip(seeds, seed_dirs):
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        cmd = child_base + ["--seed", str(seed), "--out", str(seed_dir),
-                            "--force"]
-        result = subprocess.run(cmd)
-        if result.returncode != 0:
-            failed.append(seed)
-        else:
-            print(f"seed {seed}: done -> {seed_dir}")
-
-    _write_json(root / "run.json", {
+    write_json(root / "run.json", {
         "config_hash": config_hash(config),
         "seeds": seeds,
         "failed": failed,
-    }, force=True)
-
-    finished = [d for s, d in zip(seeds, seed_dirs) if s not in failed]
-    if finished:
-        records = []
-        for d in finished:
-            curve = _read_curve(d / "curve.csv")
-            records.append(SimpleNamespace(episodes=curve["episode"],
-                                           best=curve["best"]))
+    })
+    if records:
         episodes, mean, std = best_score_series(records)
-        _write_csv(root / "aggregate.csv", ("episode", "mean_best", "std_best"),
-                   zip(episodes.astype(int), mean, std), force=True)
-        print(f"aggregate over {len(finished)} seed(s) -> "
+        write_csv(root / "aggregate.csv", ("episode", "mean_best", "std_best"),
+                  zip(episodes, mean, std))
+        print(f"aggregate over {len(records)} seed(s) -> "
               f"{root / 'aggregate.csv'}")
     if failed:
         print(f"failed seeds: {', '.join(map(str, failed))}", file=sys.stderr)
@@ -208,25 +178,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _train_worker(args, config: RunConfig) -> int:
-    seeds = _seed_list(args, config.seed)
-    if len(seeds) != 1:
-        raise CliError("worker mode trains exactly one seed")
-    config.seed = seeds[0]
-    out_dir = _out_root(args)
+def _train_seed(config: RunConfig, out_dir: Path):
+    """Train one seed into ``out_dir``; return its RunRecord, or None after
+    recording the error in its run.json.  Only the record outlives the call."""
     try:
         record, backbone, params, buffer = train(config, out_dir=out_dir)
         write_run_outputs(record, config, out_dir, backbone=backbone,
                           params=params, buffer=buffer)
-    except Exception as exc:  # recorded for the orchestrating parent
-        _write_json(out_dir / "run.json",
-                    {"seed": config.seed, "error": str(exc)}, force=True)
+    except Exception as exc:
+        write_json(out_dir / "run.json",
+                   {"seed": config.seed, "error": str(exc)})
         print(f"seed {config.seed}: {exc}", file=sys.stderr)
-        return 1
+        return None
     summary = record.summary()
     print(f"seed {config.seed}: best {summary['best_score']:.4f} "
-          f"final {summary['final_score']:.4f}")
-    return 0
+          f"final {summary['final_score']:.4f} -> {out_dir}")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +215,8 @@ def _cmd_eval(args) -> int:
     n = args.episodes if args.episodes is not None else config.eval_episodes
     mean_return, success = evaluate(env, backbone, n)
     print(f"episodes {n}")
-    print(f"mean_return {_fmt(mean_return)}")
-    print(f"success_rate {_fmt(success)}")
+    print(f"mean_return {format_cell(mean_return)}")
+    print(f"success_rate {format_cell(success)}")
     return 0
 
 
@@ -347,7 +314,10 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_augment_check(args) -> int:
-    traj = load_trajectory(args.traj)
+    try:
+        traj = load_trajectory(args.traj)
+    except (OSError, ValueError) as exc:
+        raise CliError(str(exc))
     params = {}
     if args.sigma is not None:
         params["sigma"] = args.sigma
@@ -380,9 +350,8 @@ def _cmd_augment_check(args) -> int:
     out_csv = root / "augmented.csv"
     out_json = root / "augment_report.json"
     _guard_outputs([out_csv, out_json], args.force)
-    root.mkdir(parents=True, exist_ok=True)
     save_trajectory(out, out_csv)
-    _write_json(out_json, {
+    write_json(out_json, {
         "kind": spec.kind,
         "params": spec.params,
         "entropy_per_partition": entropies,
@@ -391,7 +360,7 @@ def _cmd_augment_check(args) -> int:
             "actions": list(out.actions.shape),
             "rewards": list(out.rewards.shape),
         },
-    }, force=True)
+    })
     print(f"augmented trajectory -> {out_csv}")
     print(f"report -> {out_json}")
     return 0
@@ -421,9 +390,9 @@ def _cmd_rollout(args) -> int:
     root = _out_root(args)
     out_csv = root / "rollout.csv"
     _guard_outputs([out_csv], args.force)
-    root.mkdir(parents=True, exist_ok=True)
     save_trajectory(traj, out_csv)
-    print(f"{len(traj)} steps, return {_fmt(traj.rewards.sum())} -> {out_csv}")
+    print(f"{len(traj)} steps, return {format_cell(traj.rewards.sum())} "
+          f"-> {out_csv}")
     return 0
 
 
@@ -458,10 +427,11 @@ def _cmd_consensus(args) -> int:
     root = _out_root(args)
     grid_path = root / "consensus_matrix.csv"
     pairs_path = root / "consensus_pairs.csv"
-    _write_csv(grid_path, [f"t{j}" for j in range(n_traj)], matrix, args.force)
+    _guard_outputs([grid_path, pairs_path], args.force)
+    write_csv(grid_path, [f"t{j}" for j in range(n_traj)], matrix)
     pairs = ((i, j, matrix[i, j])
              for i in range(n_traj) for j in range(n_traj))
-    _write_csv(pairs_path, ("i", "j", "value"), pairs, args.force)
+    write_csv(pairs_path, ("i", "j", "value"), pairs)
     print(f"{n_traj} trajectories, {args.runs} clustering runs, k={k}")
     print(f"matrix -> {grid_path}")
     print(f"pairs  -> {pairs_path}")
@@ -492,8 +462,8 @@ def _cmd_dist(args) -> int:
     _, rows = reward_distribution(snapshots, bins=args.bins)
     root = _out_root(args)
     out_csv = root / "dist.csv"
-    _write_csv(out_csv, ("epoch", "bin_left", "bin_right", "probability"),
-               rows, args.force)
+    _guard_outputs([out_csv], args.force)
+    write_csv(out_csv, ("epoch", "bin_left", "bin_right", "probability"), rows)
     print(f"{len(epochs)} snapshot(s), {args.bins} bins -> {out_csv}")
     return 0
 
@@ -509,13 +479,14 @@ def _cmd_compare(args) -> int:
         agg = d / "aggregate.csv"
         if not agg.is_file():
             raise CliError(f"missing aggregate.csv in {d}")
-        curve = _read_curve(agg)
+        curve = _read_curve(agg, ("mean_best", "std_best"))
         rows.append((d.name, float(curve["mean_best"][-1]),
                      float(curve["std_best"][-1])))
 
     root = _out_root(args)
     out_csv = root / "compare.csv"
-    _write_csv(out_csv, ("variant", "mean_best", "std_best"), rows, args.force)
+    _guard_outputs([out_csv], args.force)
+    write_csv(out_csv, ("variant", "mean_best", "std_best"), rows)
 
     name_w = max(len("variant"), *(len(r[0]) for r in rows))
     print(f"{'variant':<{name_w}}  {'mean_best':>12}  {'std_best':>12}")
@@ -547,13 +518,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common],
                        help="train one run directory per seed")
-    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", parents=[common],
                        help="greedy evaluation of a trained run")
     p.add_argument("--run", required=True, help="run directory")
-    p.add_argument("--episodes", type=int, help="evaluation episode count")
+    p.add_argument("--episodes", type=_positive_int,
+                   help="evaluation episode count")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", parents=[common],
@@ -584,7 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buffer", help="buffer checkpoint file")
     p.add_argument("--k", type=int, help="mixture components "
                    "(default: the run's candidate count)")
-    p.add_argument("--runs", type=int, default=100, help="clustering repeats")
+    p.add_argument("--runs", type=_positive_int, default=100,
+                   help="clustering repeats")
     p.set_defaults(fn=_cmd_consensus)
 
     p = sub.add_parser("dist", parents=[common],
@@ -592,7 +564,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True, help="run directory")
     p.add_argument("--epochs", default="200,400,600,800,1000",
                    help="comma-separated checkpoint episodes")
-    p.add_argument("--bins", type=int, default=20, help="histogram bins")
+    p.add_argument("--bins", type=_positive_int, default=20,
+                   help="histogram bins")
     p.set_defaults(fn=_cmd_dist)
 
     p = sub.add_parser("compare", parents=[common],

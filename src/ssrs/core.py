@@ -7,8 +7,11 @@ and the shaped/unshaped populations can be told apart exactly.
 
 from __future__ import annotations
 
+import csv
+import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +25,10 @@ __all__ = [
     "load_buffer",
     "save_trajectory",
     "load_trajectory",
+    "format_cell",
+    "read_csv",
+    "write_csv",
+    "write_json",
     "BUFFER_FORMAT_VERSION",
 ]
 
@@ -456,42 +463,80 @@ def load_buffer(path) -> ReplayBuffer:
 
 
 # ---------------------------------------------------------------------------
-# trajectory files
+# text files: every CSV and JSON file the package writes, trajectory files
 # ---------------------------------------------------------------------------
-#
-# CSV with a header naming the blocks column by column
-# (s0..s{m1-1}, a0..a{m2-1}, r), one row per step, floats written with
-# 17 significant digits and "\n" line endings.
 
-def save_trajectory(traj: TrajectoryMatrix, path):
-    import csv
+def format_cell(value) -> str:
+    """Strings as is, integers as integers, else 17-significant-digit float."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
 
-    m1 = traj.states.shape[1]
-    m2 = traj.actions.shape[1]
-    header = [f"s{i}" for i in range(m1)] + [f"a{i}" for i in range(m2)] + ["r"]
+
+def write_csv(path, header, rows):
+    """RFC-4180 CSV with "\n" line endings; cells go through format_cell."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(traj)):
-            row = [*traj.states[i], *traj.actions[i], traj.rewards[i]]
-            writer.writerow(format(v, ".17g") for v in row)
+        writer.writerows(map(format_cell, row) for row in rows)
+
+
+def read_csv(path):
+    """(header, float rows) of a numeric CSV file; bad content raises a
+    ValueError naming the file (and the line)."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file")
+            rows = []
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"line {reader.line_num} has {len(row)} "
+                                     f"cells, the header names {len(header)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
+    return header, np.array(rows, dtype=np.float64).reshape(-1, len(header))
+
+
+def write_json(path, payload):
+    """Sorted, two-space-indented JSON with a trailing newline."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _trajectory_header(m1: int, m2: int) -> list:
+    """A trajectory file's header; one row per step follows it."""
+    return [f"s{i}" for i in range(m1)] + [f"a{i}" for i in range(m2)] + ["r"]
+
+
+def save_trajectory(traj: TrajectoryMatrix, path):
+    header = _trajectory_header(traj.states.shape[1], traj.actions.shape[1])
+    write_csv(path, header,
+              np.column_stack([traj.states, traj.actions, traj.rewards]))
 
 
 def load_trajectory(path) -> TrajectoryMatrix:
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trajectory file")
-        m1 = sum(1 for name in header if name.startswith("s"))
-        m2 = sum(1 for name in header if name.startswith("a"))
-        if m1 == 0 or header[-1] != "r" or m1 + m2 + 1 != len(header):
-            raise ValueError(f"{path}: malformed trajectory header")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+    header, data = read_csv(path)
+    m1 = sum(1 for name in header if name.startswith("s"))
+    m2 = sum(1 for name in header if name.startswith("a"))
+    if m1 == 0 or header != _trajectory_header(m1, m2):
+        raise ValueError(f"{path}: malformed trajectory header")
+    if not len(data):
         raise ValueError(f"{path}: trajectory holds no steps")
-    data = np.array(rows)
-    return TrajectoryMatrix(states=data[:, :m1], actions=data[:, m1:m1 + m2],
-                            rewards=data[:, -1])
+    try:
+        return TrajectoryMatrix(states=data[:, :m1],
+                                actions=data[:, m1:m1 + m2],
+                                rewards=data[:, -1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

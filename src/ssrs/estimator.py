@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReplayBuffer, RewardSet
+from .core import ReplayBuffer, RewardSet, format_cell
 
 __all__ = [
     "MlpNet",
@@ -338,23 +338,19 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
 #   <out floats>
 #   ... next layer / next net ...
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_params(params: EstimatorParams, path):
     lines = [f"reward-estimator-params v{PARAMS_FORMAT_VERSION}"]
     for name, net in (("q", params.q_net), ("v", params.v_net)):
         lines.append(
-            f"net {name} scale {_fmt(net.input_scale)} "
-            f"dropout {_fmt(net.dropout)} layers {len(net.weights)}"
+            f"net {name} scale {format_cell(net.input_scale)} "
+            f"dropout {format_cell(net.dropout)} layers {len(net.weights)}"
         )
         for w, b in zip(net.weights, net.biases):
             lines.append(f"layer {w.shape[0]} {w.shape[1]}")
             for row in w:
-                lines.append(" ".join(_fmt(v) for v in row))
+                lines.append(" ".join(format_cell(v) for v in row))
             lines.append("bias")
-            lines.append(" ".join(_fmt(v) for v in b))
+            lines.append(" ".join(format_cell(v) for v in b))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -12,15 +12,14 @@ nonzero reward has been observed.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_hash, serialize_config
-from .core import ReplayBuffer, RewardSet, Transition, save_buffer, update_reward_set
+from .core import (ReplayBuffer, RewardSet, Transition, save_buffer,
+                   update_reward_set, write_csv, write_json)
 from .envs import make_env
 from .estimator import EstimatorParams, save_params, shape_buffer
 from .losses import (LossBatch, consistency_views, loss_qv, sgd_step,
@@ -203,12 +202,8 @@ class RunRecord:
 
     def curve_rows(self):
         """Rows matching CURVE_COLUMNS, one per episode."""
-        for i in range(self.episodes.size):
-            yield (
-                int(self.episodes[i]), self.scores[i], self.best[i],
-                self.l_r[i], self.l_qv[i], self.l_s[i], self.lam[i],
-                self.alpha[i], self.p_u[i], int(self.shaped_count[i]),
-            )
+        return zip(self.episodes, self.scores, self.best, self.l_r, self.l_qv,
+                   self.l_s, self.lam, self.alpha, self.p_u, self.shaped_count)
 
     def summary(self) -> dict:
         return {
@@ -387,31 +382,17 @@ def train(config: RunConfig, env=None, out_dir=None):
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def write_run_outputs(record: RunRecord, config: RunConfig, out_dir,
                       backbone: BackboneQ = None,
                       params: EstimatorParams = None,
                       buffer: ReplayBuffer = None):
     """Write run.json, curve.csv and final checkpoints into a run directory."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVE_COLUMNS)
-        for row in record.curve_rows():
-            writer.writerow(_csv_cell(v) for v in row)
-    payload = {
+    write_csv(out_dir / "curve.csv", CURVE_COLUMNS, record.curve_rows())
+    write_json(out_dir / "run.json", {
         "config": serialize_config(config),
         "summary": record.summary(),
-    }
-    with open(out_dir / "run.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     if backbone is not None:
         np.save(out_dir / "backbone_q.npy", backbone.table)
     if params is not None:

@@ -153,6 +153,12 @@ class TestBufferFeatures:
         with pytest.raises(ValueError):
             trajectory_consensus(ReplayBuffer(capacity=8), k=2, runs=2)
 
+    def test_requires_runs(self):
+        buf = ReplayBuffer(capacity=16)
+        _push_episode(buf, anchor=0.0, length=3)
+        with pytest.raises(ValueError, match="at least one run"):
+            trajectory_consensus(buf, k=2, runs=0)
+
 
 class TestRewardDistribution:
     def test_probabilities_sum_to_one(self):

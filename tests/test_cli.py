@@ -1,10 +1,12 @@
 """Command-line entry points: orchestration, outputs, guards, plumbing."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import ssrs.cli
 from ssrs.cli import gradcheck_report, main
 from ssrs.core import load_buffer, load_trajectory
 
@@ -37,14 +39,18 @@ def trained_root(tmp_path_factory):
 
 @pytest.fixture()
 def worker_run(tmp_path):
-    """A single-seed in-process run with buffer checkpoints."""
+    """The run directory of a single-seed train with buffer checkpoints."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUICK)
     out = tmp_path / "run"
-    code = main(["train", "--worker", "--config", str(cfg), "--seed", "3",
+    code = main(["train", "--config", str(cfg), "--seed", "3",
                  "--out", str(out), "--set", "checkpoint_interval=6"])
     assert code == 0
-    return out
+    return out / "seed_3"
+
+
+RUN_FILES = ("curve.csv", "run.json", "backbone_q.npy", "params_final.txt",
+             "buffer_final.bin")
 
 
 class TestTrain:
@@ -52,8 +58,7 @@ class TestTrain:
         out = trained_root / "out"
         for seed in (0, 1):
             d = out / f"seed_{seed}"
-            for name in ("curve.csv", "run.json", "backbone_q.npy",
-                         "params_final.txt", "buffer_final.bin"):
+            for name in RUN_FILES:
                 assert (d / name).is_file(), name
             curve = (d / "curve.csv").read_text().splitlines()
             assert len(curve) == 1 + 12
@@ -107,11 +112,65 @@ class TestTrain:
         assert code == 1
         assert "beta" in capsys.readouterr().err
 
+    def test_seeds_in_one_process_match_separate_runs(self, trained_root,
+                                                      tmp_path):
+        # no state leaks from one seed into the next within one process
+        cfg = trained_root / "run.cfg"
+        for seed in (0, 1):
+            single = tmp_path / f"single_{seed}"
+            assert main(["train", "--config", str(cfg), "--seed", str(seed),
+                         "--out", str(single)]) == 0
+            for name in RUN_FILES:
+                joint = trained_root / "out" / f"seed_{seed}" / name
+                alone = single / f"seed_{seed}" / name
+                assert joint.read_bytes() == alone.read_bytes(), name
+
+    def test_seed_state_released_before_next_seed(self, tmp_path, monkeypatch):
+        train = ssrs.cli.train
+        refs, alive_at_start = [], []
+
+        def tracking_train(config, out_dir=None):
+            alive_at_start.append(sum(ref() is not None for ref in refs))
+            result = train(config, out_dir=out_dir)
+            refs.extend(weakref.ref(obj) for obj in result[1:])
+            return result
+
+        monkeypatch.setattr(ssrs.cli, "train", tracking_train)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(QUICK)
+        assert main(["train", "--config", str(cfg), "--seed", "0,1,2",
+                     "--out", str(tmp_path / "o")]) == 0
+        # backbone, estimator and buffer of every earlier seed are gone
+        assert alive_at_start == [0, 0, 0]
+        assert len(refs) == 9
+
+    def test_first_seed_failure_recorded(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(QUICK)
+        out = tmp_path / "o"
+        (out / "seed_0" / "curve.csv").mkdir(parents=True)
+        code = main(["train", "--config", str(cfg), "--seed", "0,1",
+                     "--out", str(out), "--force"])
+        assert code == 1
+        assert "failed seeds: 0" in capsys.readouterr().err
+        assert json.loads((out / "run.json").read_text())["failed"] == [0]
+        assert json.loads((out / "seed_0" / "run.json").read_text()) \
+            .keys() == {"seed", "error"}
+        # the second seed still trains, and aggregates alone
+        for name in RUN_FILES:
+            assert (out / "seed_1" / name).is_file(), name
+        best = [r.split(",")[2] for r in
+                (out / "seed_1" / "curve.csv").read_text().splitlines()[1:]]
+        agg = [r.split(",") for r in
+               (out / "aggregate.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in agg] == best
+        assert {r[2] for r in agg} == {"0"}
+
     def test_worker_failure_recorded(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(QUICK)
         out = tmp_path / "o"
-        # sabotage seed 1's curve target so its worker fails mid-write
+        # sabotage seed 1's curve target so that seed fails mid-write
         (out / "seed_1" / "curve.csv").mkdir(parents=True)
         code = main(["train", "--config", str(cfg), "--seed", "0,1",
                      "--out", str(out), "--force"])
@@ -143,6 +202,32 @@ class TestEval:
         code = main(["eval", "--run", str(tmp_path / "ghost")])
         assert code == 1
         assert "run.json" in capsys.readouterr().err
+
+    def test_zero_episodes_rejected(self, trained_root, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--run", str(trained_root / "out" / "seed_0"),
+                  "--episodes", "0"])
+        assert "--episodes" in capsys.readouterr().err
+
+
+BAD_RUN_JSON = {
+    "not_json": '{"config": "episodes = 3"',
+    "no_config": '{"summary": {}}\n',
+    "config_not_text": '{"config": 3}\n',
+    "not_an_object": '[1, 2]\n',
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "consensus", "dist"])
+@pytest.mark.parametrize("content", sorted(BAD_RUN_JSON))
+def test_bad_run_json_named(tmp_path, capsys, command, content):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_text(BAD_RUN_JSON[content])
+    code = main([command, "--run", str(run), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(run / "run.json") in err
 
 
 class TestGradcheck:
@@ -200,6 +285,18 @@ class TestRolloutAndAugmentCheck:
         assert main(["rollout", "--seed", "2"]) == 0
         assert (tmp_path / "envout" / "rollout.csv").is_file()
 
+    @pytest.mark.parametrize("text", ["s0,s1,a0,r\n1,2,0\n",
+                                      "s0,s1,a0,r\n1,2,0,x\n"])
+    def test_malformed_trajectory_reported(self, tmp_path, capsys, text):
+        traj = tmp_path / "t.csv"
+        traj.write_text(text)
+        code = main(["augment-check", "--traj", str(traj), "--kind", "flip",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(traj) in err
+        assert "line 2" in err
+
     def test_bad_transform_params(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["rollout", "--seed", "0", "--out", str(out)]) == 0
@@ -239,6 +336,13 @@ class TestConsensus:
         assert main(["consensus"]) == 1
         assert "--run" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runs", ["0", "-3", "x"])
+    def test_nonpositive_runs_rejected(self, tmp_path, capsys, runs):
+        with pytest.raises(SystemExit):
+            main(["consensus", "--buffer", str(tmp_path / "b.bin"),
+                  "--runs", runs])
+        assert "--runs" in capsys.readouterr().err
+
 
 class TestDist:
     def test_histograms(self, worker_run, tmp_path):
@@ -256,6 +360,13 @@ class TestDist:
         assert set(by_epoch) == {"6", "12"}
         for total in by_epoch.values():
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_bins_rejected(self, worker_run, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["dist", "--run", str(worker_run), "--epochs", "6",
+                  "--bins", "0", "--out", str(tmp_path / "d")])
+        assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_missing_checkpoint(self, worker_run, tmp_path, capsys):
         code = main(["dist", "--run", str(worker_run), "--epochs", "7",
@@ -288,6 +399,25 @@ class TestCompare:
     def test_needs_two_directories(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["compare", str(tmp_path)])
+
+    @pytest.mark.parametrize("text", [
+        "",                                        # empty file
+        "episode,mean_best,std_best\n",            # header only
+        "episode,mean_best,std_best\n1,0.5\n",     # short row
+        "episode,mean_best\n1,0.5\n",              # no std_best column
+        "episode,mean_best,std_best\n1,high,0\n",  # non-numeric cell
+    ])
+    def test_malformed_aggregate_named(self, tmp_path, capsys, text):
+        self._fake_aggregate(tmp_path / "good", [0.5])
+        (tmp_path / "bad").mkdir()
+        bad = tmp_path / "bad" / "aggregate.csv"
+        bad.write_text(text)
+        code = main(["compare", str(tmp_path / "good"), str(tmp_path / "bad"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not (tmp_path / "compare.csv").exists()
 
     def test_missing_aggregate(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()

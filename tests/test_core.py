@@ -438,3 +438,52 @@ def test_trajectory_file_rejects_malformed(tmp_path):
     path.write_text("s0,a0,r\n")
     with pytest.raises(ValueError):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("s0,s1,a0,r\n1,2,0,1\n1,2,0\n", "line 3"),      # short row
+    ("s0,s1,a0,r\n1,2,0,1,5\n", "line 2"),           # long row
+    ("s0,s1,a0,r\n1,two,0,1\n", "line 2"),           # non-numeric cell
+    ("s0,s1,a0,r\n1,-2,0,1\n", "nonnegative"),        # negative state
+    ("s0,a0,s1,r\n1,2,0,1\n", "header"),              # blocks out of order
+    ("s0,s1,a0,r\n", "no steps"),
+    ("", "empty"),
+])
+def test_trajectory_file_rejects_bad_rows(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=where) as info:
+        load_trajectory(path)
+    assert str(path) in str(info.value)
+
+
+def test_trajectory_file_corruption_named(tmp_path):
+    """Flipped bytes and truncations of a saved rollout either still parse
+    to a full trajectory or fail with a ValueError naming the file."""
+    rng = np.random.default_rng(11)
+    traj = TrajectoryMatrix(states=rng.integers(0, 256, size=(6, 4)) / 7.0,
+                            actions=np.eye(2)[rng.integers(0, 2, size=6)],
+                            rewards=np.where(rng.random(6) < 0.3, 1.0, 0.0))
+    good = tmp_path / "good.csv"
+    save_trajectory(traj, good)
+    data = good.read_bytes()
+    path = tmp_path / "corrupt.csv"
+    variants = [data[:cut] for cut in range(len(data))]
+    for _ in range(300):
+        flipped = bytearray(data)
+        for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+            flipped[pos] = int(rng.integers(0, 256))
+        variants.append(bytes(flipped))
+    rejected = 0
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            back = load_trajectory(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            rejected += 1
+            continue
+        # whatever parses has every column of the header in every row
+        assert back.states.shape[1] == 4 and back.actions.shape[1] == 2
+        assert len(back.rewards) == len(back.states)
+    assert rejected > len(data) // 2
