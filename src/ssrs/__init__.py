@@ -3,7 +3,8 @@
 The package is organized around a small set of numpy-based building blocks:
 
 - ``core``      shared containers: transitions, trajectory stacks, the reward
-                candidate set, and a ring replay buffer with binary checkpoints
+                candidate set, replay batches, and a ring replay buffer with
+                binary checkpoints
 - ``augment``   weak/strong trajectory transforms, including the
                 entropy-weighted state transform used as the strong view
 - ``estimator`` two softmax-headed MLPs producing a confidence vector over

@@ -166,17 +166,9 @@ def buffer_features(buffer: ReplayBuffer):
     in buffer storage order (oldest first)."""
     if len(buffer) == 0:
         raise ValueError("buffer holds no transitions")
-    order = buffer.slots()
-    arrays = buffer.batch_arrays(order)
-    features = np.hstack([
-        arrays["states"], arrays["actions"], arrays["rewards"][:, None],
-    ])
-    traj_ids = np.empty(order.size, dtype=int)
-    current = 0
-    for i in range(order.size):
-        traj_ids[i] = current
-        if arrays["terminals"][i]:
-            current += 1
+    batch = buffer.batch_arrays(buffer.slots())
+    features = np.hstack([batch.states, batch.actions, batch.rewards[:, None]])
+    traj_ids = np.cumsum(batch.terminals) - batch.terminals
     return features, traj_ids
 
 
@@ -233,8 +225,8 @@ def reward_distribution(snapshots: dict, bins: int = 20):
     for epoch, buffer in snapshots.items():
         if len(buffer) == 0:
             raise ValueError(f"snapshot {epoch!r} holds an empty buffer")
-        arrays = buffer.batch_arrays(buffer.slots())
-        transformed[epoch] = _signed_log(arrays["rewards"])
+        transformed[epoch] = _signed_log(
+            buffer.batch_arrays(buffer.slots()).rewards)
     merged = np.concatenate(list(transformed.values()))
     lo, hi = merged.min(), merged.max()
     if lo == hi:

@@ -35,13 +35,12 @@ from .analysis import best_score_series, reward_distribution, trajectory_consens
 from .augment import AugmentSpec, apply_augment, shannon_entropy
 from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
                      parse_config)
-from .core import (RewardSet, format_cell, load_buffer, load_trajectory,
+from .core import (Batch, RewardSet, format_cell, load_buffer, load_trajectory,
                    read_csv, save_trajectory, TrajectoryMatrix, write_csv,
                    write_json)
 from .envs import make_env
 from .estimator import EstimatorParams
-from .losses import (LossBatch, consistency_views, finite_diff_gradient,
-                     loss_qv, loss_r, loss_s)
+from .losses import consistency_views, finite_diff_gradient, loss_qv, loss_r, loss_s
 from .training import BackboneQ, evaluate, train, write_run_outputs
 
 __all__ = ["main"]
@@ -62,7 +61,10 @@ def _load_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
-        config = parse_config(path.read_text())
+        try:
+            config = parse_config(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, ConfigError) as exc:
+            raise CliError(f"{path}: {exc}") from None
     else:
         config = RunConfig()
     overrides = getattr(args, "set", None) or []
@@ -233,21 +235,21 @@ def _toy_estimator(rng: np.random.Generator):
     # central differences straddle the corner and disagree with the
     # (one-sided) analytic derivative regardless of step size.
     for net in (params.q_net, params.v_net):
-        for i, bias in enumerate(net.biases):
-            net.biases[i] = rng.normal(0.0, 0.1, size=bias.shape)
+        for bias in net.biases:
+            bias[...] = rng.normal(0.0, 0.1, size=bias.shape)
     zset = RewardSet(values=np.array([1.0, 2.0, 4.0]),
                      observed=(1.0, 2.0, 4.0))
     return params, zset, m1, m2
 
 
 def _toy_batch(rng: np.random.Generator, m1: int, m2: int, n: int,
-               nonzero: bool) -> LossBatch:
+               nonzero: bool) -> Batch:
     states = rng.uniform(0.0, 1.0, size=(n, m1))
     next_states = rng.uniform(0.0, 1.0, size=(n, m1))
     actions = np.zeros((n, m2))
     actions[np.arange(n), rng.integers(0, m2, size=n)] = 1.0
     rewards = rng.choice([1.0, 2.0, 4.0], size=n) if nonzero else np.zeros(n)
-    return LossBatch.from_arrays(states, actions, rewards, next_states)
+    return Batch.from_arrays(states, actions, rewards, next_states)
 
 
 def gradcheck_report(seed: int, step: float = 1e-5) -> dict:

@@ -2,13 +2,14 @@
 
 Config files are plain ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored.  Dotted keys address the nested sections
-(``env.…``, ``augment.…``).  Unknown keys, malformed values, and
-out-of-range values are rejected with the offending line number.
+(``env.…``, ``augment.…``).  Unknown keys, malformed values, non-finite
+numbers and out-of-range values are rejected with the offending line number.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 from .augment import PAIRINGS, AugmentSpec
@@ -152,6 +153,8 @@ def _parse_float(lo=None, hi=None, lo_open=False, hi_open=False):
             value = float(raw)
         except ValueError:
             raise ValueError(f"expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):
             bound = f"> {lo}" if lo_open else f">= {lo}"
             raise ValueError(f"value {value} must be {bound}")

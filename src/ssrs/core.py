@@ -1,8 +1,10 @@
-"""Shared domain containers: transitions, trajectory stacks, reward sets, replay.
+"""Shared domain containers: transitions, trajectory stacks, reward sets,
+replay batches, replay.
 
 The replay buffer keeps both the stored (possibly shaped) reward and the
 original environment reward for every entry, so shaping is always reversible
-and the shaped/unshaped populations can be told apart exactly.
+and the shaped/unshaped populations can be told apart exactly.  Every read of
+several entries at once (TD update, shaping, losses, analyses) is a ``Batch``.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Transition",
     "TrajectoryMatrix",
+    "Batch",
     "RewardSet",
     "update_reward_set",
     "ReplayBuffer",
@@ -118,6 +122,40 @@ class TrajectoryMatrix:
             actions=np.stack([t.action for t in transitions]),
             rewards=np.array([t.reward for t in transitions], dtype=np.float64),
         )
+
+
+class Batch(NamedTuple):
+    """Row-aligned arrays of a batch of transitions, one row per entry.
+
+    ``rewards`` are the stored (possibly shaped) rewards and ``originals``
+    the environment rewards before any shaping.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminals: np.ndarray
+    originals: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, states, actions, rewards, next_states,
+                    originals=None) -> "Batch":
+        """Synthetic non-terminal entries; originals default to rewards."""
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        rewards = np.asarray(rewards, dtype=np.float64).ravel()
+        next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
+        originals = (rewards if originals is None
+                     else np.asarray(originals, dtype=np.float64).ravel())
+        return cls(states, actions, rewards, next_states,
+                   np.zeros(states.shape[0], dtype=bool), originals)
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def subset(self, mask) -> "Batch":
+        return Batch(*(field[mask] for field in self))
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +363,13 @@ class ReplayBuffer:
     def is_shaped(self, slot: int) -> bool:
         return bool(self._shaped[slot])
 
-    def batch_arrays(self, slots: np.ndarray) -> dict:
-        """Gather entry fields for a slot array (views are copies)."""
+    def batch_arrays(self, slots: np.ndarray) -> Batch:
+        """The entries at an array of slots, as a Batch of copies."""
         self._require_entries("nothing to gather")
         slots = np.asarray(slots)
-        return {
-            "states": self._states[slots].copy(),
-            "actions": self._actions[slots].copy(),
-            "rewards": self._rewards[slots].copy(),
-            "next_states": self._next_states[slots].copy(),
-            "terminals": self._terminals[slots].copy(),
-            "originals": self._originals[slots].copy(),
-            "shaped": self._shaped[slots].copy(),
-        }
+        return Batch(self._states[slots], self._actions[slots],
+                     self._rewards[slots], self._next_states[slots],
+                     self._terminals[slots], self._originals[slots])
 
     # -- sampling -----------------------------------------------------------
 

@@ -12,12 +12,12 @@ surrogate (``soft_select``) and the confidence-gated pseudo-label
 (``pseudo_label``).  Buffer shaping and the losses both build on them.
 
 The networks are plain numpy with hand-written backward passes so gradients
-can be audited against finite differences.
+can be audited against finite differences.  All parameters live in one
+vector, ``EstimatorParams.flat``, which every layer array views (layout at
+:class:`MlpNet`), so an optimizer step is one in-place vector update.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,17 @@ class MlpNet:
     """Dense stack with ReLU activations, inverted dropout between layers,
     a ReLU on the final dense layer, and a softmax over the outputs.
 
+    The parameters live in one float64 vector ``flat`` (see
+    :meth:`layer_views`); ``weights`` and ``biases`` are read-only tuples of
+    views into it, so in-place writes to either side show in the other.
+
     ``forward`` returns the softmax output together with a cache that
     ``backward`` consumes; ``backward`` expects the gradient with respect to
     the softmax *output* and returns per-layer weight/bias gradients.
     """
 
-    def __init__(self, layer_sizes, dropout: float = 0.2, input_scale: float = 1.0):
+    def __init__(self, layer_sizes, dropout: float = 0.2, input_scale: float = 1.0,
+                 flat: np.ndarray | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
         if not 0.0 <= dropout < 1.0:
@@ -70,20 +75,31 @@ class MlpNet:
         self.layer_sizes = [int(n) for n in layer_sizes]
         self.dropout = float(dropout)
         self.input_scale = float(input_scale)
-        self.weights = [
-            np.zeros((self.layer_sizes[i + 1], self.layer_sizes[i]))
-            for i in range(len(self.layer_sizes) - 1)
-        ]
-        self.biases = [np.zeros(n) for n in self.layer_sizes[1:]]
+        sizes = self.layer_sizes
+        n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+        if flat is None:
+            flat = np.zeros(n_params)
+        elif flat.dtype != np.float64 or flat.shape != (n_params,):
+            raise ValueError(f"expected a float64 vector of {n_params} "
+                             f"parameters, got {flat.dtype} {flat.shape}")
+        self.flat = flat
+        self._weights, self._biases = self.layer_views(flat)
+
+    @property
+    def weights(self) -> tuple:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple:
+        return self._biases
 
     @classmethod
     def create(cls, layer_sizes, rng: np.random.Generator,
                dropout: float = 0.2, input_scale: float = 1.0) -> "MlpNet":
         """He-normal initialization suited to the ReLU stack."""
         net = cls(layer_sizes, dropout=dropout, input_scale=input_scale)
-        for i, w in enumerate(net.weights):
-            fan_in = w.shape[1]
-            net.weights[i] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+        for w in net.weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
         return net
 
     # -- forward / backward -------------------------------------------------
@@ -148,50 +164,45 @@ class MlpNet:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
-    @staticmethod
-    def pack(weights, biases) -> np.ndarray:
-        """Concatenate per-layer arrays in flattening order, (W, b) per layer.
+    def layer_views(self, vector: np.ndarray):
+        """(weights, biases): per-layer views into a vector laid out like
+        ``flat``, (W, b) per layer in layer order.  The one definition of
+        that layout; gradients are assembled through it too."""
+        weights, biases, pos = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            weights.append(vector[pos:pos + n_out * n_in].reshape(n_out, n_in))
+            pos += n_out * n_in
+            biases.append(vector[pos:pos + n_out])
+            pos += n_out
+        return tuple(weights), tuple(biases)
 
-        Packs the parameters themselves or the (weight grads, bias grads)
-        that :meth:`backward` returns.
-        """
-        return np.concatenate([part.ravel() for layer in zip(weights, biases)
-                               for part in layer])
-
-    def flatten(self) -> np.ndarray:
-        return self.pack(self.weights, self.biases)
-
-    def load_flat(self, flat: np.ndarray):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.size}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos:pos + b.size].copy()
-            pos += b.size
+    def backed_by(self, flat: np.ndarray) -> "MlpNet":
+        """A net of the same shape whose parameters are ``flat`` itself (a
+        float64 vector of ``n_params`` values, not copied)."""
+        return MlpNet(self.layer_sizes, dropout=self.dropout,
+                      input_scale=self.input_scale, flat=flat)
 
     def copy(self) -> "MlpNet":
-        dup = MlpNet(self.layer_sizes, dropout=self.dropout,
-                     input_scale=self.input_scale)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        return dup
+        return self.backed_by(self.flat.copy())
 
 
-@dataclass
 class EstimatorParams:
-    """The two estimator heads.
+    """The two estimator heads over one parameter vector.
 
     ``q_net`` consumes concat(state, action); ``v_net`` consumes a state.
-    Flattening order is q_net then v_net, each as (W, b) per layer.
+    ``flat`` holds q_net's parameters then v_net's, and each head is backed
+    by its slice, so an in-place update of ``flat`` (an SGD step) is an
+    update of both heads.  Construction copies the given heads' values into
+    a new ``flat``.
     """
 
-    q_net: MlpNet
-    v_net: MlpNet
+    def __init__(self, q_net: MlpNet, v_net: MlpNet):
+        self.flat = np.concatenate([q_net.flat, v_net.flat])
+        split = q_net.flat.size
+        self.q_net = q_net.backed_by(self.flat[:split])
+        self.v_net = v_net.backed_by(self.flat[split:])
 
     @classmethod
     def create(cls, state_width: int, action_width: int, n_candidates: int,
@@ -206,21 +217,11 @@ class EstimatorParams:
 
     @property
     def n_params(self) -> int:
-        return self.q_net.n_params + self.v_net.n_params
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.q_net.flatten(), self.v_net.flatten()])
-
-    def load_flat(self, flat: np.ndarray):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.size}")
-        split = self.q_net.n_params
-        self.q_net.load_flat(flat[:split])
-        self.v_net.load_flat(flat[split:])
+        return self.flat.size
 
     def copy(self) -> "EstimatorParams":
-        return EstimatorParams(q_net=self.q_net.copy(), v_net=self.v_net.copy())
+        """An independent copy (shares no memory with this one)."""
+        return EstimatorParams(q_net=self.q_net, v_net=self.v_net)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +314,8 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
         return 0
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
     batch = buffer.batch_arrays(chosen)
-    q, _, _, _, _ = confidence_batch(
-        params, batch["states"], batch["actions"], batch["next_states"], mix
-    )
+    q, _, _, _, _ = confidence_batch(params, batch.states, batch.actions,
+                                     batch.next_states, mix)
     values = select(q, zset, threshold)
     shaped = values != 0.0
     buffer.set_reward(chosen, values, shaped)
@@ -403,8 +403,8 @@ def load_params(path) -> EstimatorParams:
                 biases.append(b)
             sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
             net = MlpNet(sizes, dropout=float(dropout), input_scale=float(input_scale))
-            net.weights = weights
-            net.biases = biases
+            for dst, src in zip(net.weights + net.biases, weights + biases):
+                dst[...] = src
             nets[name] = net
     except IndexError:
         raise ValueError(f"{path}: truncated in the block at line {pos + 1}") from None

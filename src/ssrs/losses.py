@@ -15,9 +15,10 @@ sigmoids and the argmax selection with a softmax-weighted average so the
 gradient exists everywhere; those gradients are the ones used for training
 and are checked against central finite differences in the test suite.
 
-Each loss is one function returning (value, gradient, gate count).  The
-gradient is a flat ndarray in ``params.flatten()`` order; hard mode returns
-``None`` instead and runs no backward pass.  The confidence mix, hard and
+Each loss takes a :class:`~ssrs.core.Batch` and returns (value, gradient,
+gate count).  The gradient is a vector in ``params.flat`` order; hard mode
+returns ``None`` instead and runs no backward pass.  ``sgd_step`` subtracts
+it from ``params.flat`` in place.  The confidence mix, hard and
 soft selection and the confidence-gated pseudo-label come from
 :mod:`ssrs.estimator`, so shaping and training share one definition of each.
 
@@ -29,18 +30,15 @@ smooth (training) and hard (logging) evaluations see the same views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .augment import row_views
-from .core import RewardSet
-from .estimator import (EstimatorParams, MlpNet, confidence_batch,
-                        forward_heads, mix_heads, pseudo_label, select,
-                        soft_select)
+from .core import Batch, RewardSet
+from .estimator import (EstimatorParams, confidence_batch, forward_heads,
+                        mix_heads, pseudo_label, select, soft_select)
 
 __all__ = [
-    "LossBatch",
     "LossBreakdown",
     "loss_r",
     "loss_qv",
@@ -50,46 +48,6 @@ __all__ = [
     "sgd_step",
     "finite_diff_gradient",
 ]
-
-
-class LossBatch(NamedTuple):
-    """Arrays describing a batch of transitions for loss evaluation.
-
-    ``originals`` carries the environment rewards before any shaping; for
-    synthetic labeled data it equals ``rewards``.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-    originals: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, states, actions, rewards, next_states, originals=None):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        rewards = np.asarray(rewards, dtype=np.float64).ravel()
-        next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-        if originals is None:
-            originals = rewards
-        originals = np.asarray(originals, dtype=np.float64).ravel()
-        return cls(states, actions, rewards, next_states, originals)
-
-    @classmethod
-    def from_buffer_arrays(cls, arrays: dict) -> "LossBatch":
-        return cls.from_arrays(
-            arrays["states"], arrays["actions"], arrays["rewards"],
-            arrays["next_states"], arrays["originals"],
-        )
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def subset(self, mask) -> "LossBatch":
-        return LossBatch(self.states[mask], self.actions[mask],
-                         self.rewards[mask], self.next_states[mask],
-                         self.originals[mask])
 
 
 @dataclass
@@ -113,26 +71,29 @@ def _sigmoid(x):
 
 
 def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
-    """Sum per-head backward results into one flat vector.
+    """Sum per-head backward results into one ``params.flat``-ordered vector.
 
     q_pieces / v_pieces are lists of (cache, grad_out) pairs for the
     respective net; multiple pieces accumulate (the state-action head is
     evaluated once per view in the consistency loss).
     """
-    q_flat = np.zeros(params.q_net.n_params)
-    for cache, grad_out in q_pieces:
-        q_flat += MlpNet.pack(*params.q_net.backward(cache, grad_out))
-    v_flat = np.zeros(params.v_net.n_params)
-    for cache, grad_out in v_pieces:
-        v_flat += MlpNet.pack(*params.v_net.backward(cache, grad_out))
-    return np.concatenate([q_flat, v_flat])
+    grad = np.zeros(params.n_params)
+    split = params.q_net.n_params
+    for net, part, pieces in ((params.q_net, grad[:split], q_pieces),
+                              (params.v_net, grad[split:], v_pieces)):
+        acc_w, acc_b = net.layer_views(part)
+        for cache, grad_out in pieces:
+            grads_w, grads_b = net.backward(cache, grad_out)
+            for acc, g in zip(acc_w + acc_b, grads_w + grads_b):
+                acc += g
+    return grad
 
 
 # ---------------------------------------------------------------------------
 # supervised reward fit
 # ---------------------------------------------------------------------------
 
-def loss_r(params: EstimatorParams, batch: LossBatch, zset: RewardSet,
+def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
            threshold: float, mix: float, sharpness: float = 1.0,
            temperature: float = 0.1, mode: str = "hard", dropout_rng=None):
     """Supervised reward loss over nonzero-reward transitions.
@@ -179,7 +140,7 @@ def loss_r(params: EstimatorParams, batch: LossBatch, zset: RewardSet,
 # head ordering hinge
 # ---------------------------------------------------------------------------
 
-def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None,
+def loss_qv(params: EstimatorParams, batch: Batch, dropout_rng=None,
             mode: str = "smooth"):
     """Squared hinge penalizing state-action head components that exceed the
     state head's, compared per candidate component.
@@ -212,7 +173,7 @@ def loss_qv(params: EstimatorParams, batch: LossBatch, dropout_rng=None,
 # weak/strong consistency
 # ---------------------------------------------------------------------------
 
-def consistency_views(batch: LossBatch, pairing, augment_seed: int):
+def consistency_views(batch: Batch, pairing, augment_seed: int):
     """(weak, strong) state views of the batch's zero-reward transitions, in
     batch order: the views ``loss_s`` and ``total_loss`` consume.
 
@@ -224,7 +185,7 @@ def consistency_views(batch: LossBatch, pairing, augment_seed: int):
                      augment_seed)
 
 
-def loss_s(params: EstimatorParams, batch: LossBatch, views,
+def loss_s(params: EstimatorParams, batch: Batch, views,
            zset: RewardSet, threshold: float, mix: float,
            sharpness: float = 1.0, mode: str = "hard", dropout_rng=None):
     """Consistency loss over zero-reward transitions.
@@ -295,7 +256,7 @@ def loss_s(params: EstimatorParams, batch: LossBatch, views,
 # combination
 # ---------------------------------------------------------------------------
 
-def total_loss(params: EstimatorParams, batch: LossBatch, weight: float,
+def total_loss(params: EstimatorParams, batch: Batch, weight: float,
                zset: RewardSet, threshold: float, mix: float,
                sharpness: float = 1.0, temperature: float = 0.1, *,
                views, mode: str = "hard", dropout_rng=None):
@@ -306,6 +267,8 @@ def total_loss(params: EstimatorParams, batch: LossBatch, weight: float,
     consistency term, with ``views`` from ``consistency_views``.  Returns
     (LossBreakdown, gradient); the gradient is None in hard mode (the
     indicator gates have no useful derivative), which runs no backward pass.
+    A smooth-mode term whose gradient is not finite raises a ValueError
+    naming the term.
     """
     nonzero = batch.originals != 0.0
     batch_nz = batch.subset(nonzero)
@@ -324,7 +287,14 @@ def total_loss(params: EstimatorParams, batch: LossBatch, weight: float,
     )
     if mode == "hard":
         return breakdown, None
-    return breakdown, grad_qv + weight * grad_s + (1.0 - weight) * grad_r
+    grad = grad_qv + weight * grad_s + (1.0 - weight) * grad_r
+    if not np.isfinite(grad).all():
+        # Any non-finite term makes the sum non-finite.
+        bad = [name for name, g in zip(("l_r", "l_qv", "l_s"),
+                                       (grad_r, grad_qv, grad_s))
+               if not np.isfinite(g).all()]
+        raise ValueError(f"non-finite gradient in {', '.join(bad) or 'the sum'}")
+    return breakdown, grad
 
 
 def sgd_step(params: EstimatorParams, grad: np.ndarray, lr: float) -> EstimatorParams:
@@ -336,25 +306,22 @@ def sgd_step(params: EstimatorParams, grad: np.ndarray, lr: float) -> EstimatorP
             f"gradient length {grad.size} does not match "
             f"{params.n_params} parameters"
         )
-    params.load_flat(params.flatten() - lr * grad)
+    params.flat -= lr * grad
     return params
 
 
 def finite_diff_gradient(loss_fn, params: EstimatorParams,
                          step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of ``loss_fn(params)`` over every
-    parameter; restores the original parameters before returning."""
-    base = params.flatten()
-    grad = np.zeros_like(base)
-    probe = base.copy()
-    for i in range(base.size):
-        probe[i] = base[i] + step
-        params.load_flat(probe)
+    parameter; restores each parameter before moving to the next."""
+    flat = params.flat
+    grad = np.zeros(flat.size)
+    for i in range(flat.size):
+        base = flat[i]
+        flat[i] = base + step
         up = loss_fn(params)
-        probe[i] = base[i] - step
-        params.load_flat(probe)
+        flat[i] = base - step
         down = loss_fn(params)
-        probe[i] = base[i]
+        flat[i] = base
         grad[i] = (up - down) / (2.0 * step)
-    params.load_flat(base)
     return grad

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_hash, serialize_config
-from .core import (ReplayBuffer, RewardSet, Transition, save_buffer,
+from .core import (Batch, ReplayBuffer, RewardSet, Transition, save_buffer,
                    update_reward_set, write_csv, write_json)
 from .envs import make_env
 from .estimator import EstimatorParams, save_params, shape_buffer
-from .losses import (LossBatch, consistency_views, loss_qv, sgd_step,
-                     total_loss)
+from .losses import consistency_views, loss_qv, sgd_step, total_loss
 from .schedules import ScheduleState, alpha_at, lambda_at, p_u_at
 
 __all__ = [
@@ -86,7 +85,7 @@ class BackboneQ:
         return int(np.argmax(self.table[state]))
 
 
-def backbone_update(backbone: BackboneQ, batch: dict, lr: float,
+def backbone_update(backbone: BackboneQ, batch: Batch, lr: float,
                     discount: float):
     """Per-entry temporal-difference update, applied sequentially in batch
     order (stored rewards, i.e. shaped where shaping has run).
@@ -99,11 +98,11 @@ def backbone_update(backbone: BackboneQ, batch: dict, lr: float,
     encode = backbone.encoder
     rows = backbone.table.tolist()
     for sid, aid, reward, next_id, terminal in zip(
-        encode(batch["states"]).tolist(),
-        np.argmax(batch["actions"], axis=1).tolist(),
-        batch["rewards"].tolist(),
-        encode(batch["next_states"]).tolist(),
-        batch["terminals"].tolist(),
+        encode(batch.states).tolist(),
+        np.argmax(batch.actions, axis=1).tolist(),
+        batch.rewards.tolist(),
+        encode(batch.next_states).tolist(),
+        batch.terminals.tolist(),
     ):
         row = rows[sid]
         target = reward if terminal else reward + discount * max(rows[next_id])
@@ -302,7 +301,7 @@ def train(config: RunConfig, env=None, out_dir=None):
             for _ in range(config.estimator_steps):
                 slots = buffer.sample_slots(config.batch_size,
                                             streams["estimator_batch"])
-                batch = LossBatch.from_buffer_arrays(buffer.batch_arrays(slots))
+                batch = buffer.batch_arrays(slots)
                 aug_seed = int(streams["augment"].integers(2 ** 63))
                 views = consistency_views(batch, pairing, aug_seed)
                 dropout_rng = streams["dropout"] if config.train_dropout else None

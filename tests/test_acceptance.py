@@ -18,11 +18,11 @@ from ssrs.analysis import consensus, gmm_fit
 from ssrs.augment import AugmentSpec, apply_augment, shannon_entropy
 from ssrs.cli import gradcheck_report, main
 from ssrs.config import RunConfig, apply_overrides
-from ssrs.core import (RewardSet, TrajectoryMatrix, load_buffer, save_buffer,
-                       update_reward_set)
+from ssrs.core import (Batch, RewardSet, TrajectoryMatrix, load_buffer,
+                       save_buffer, update_reward_set)
 from ssrs.estimator import (EstimatorParams, confidence_batch, load_params,
                             save_params, select)
-from ssrs.losses import (LossBatch, consistency_views, loss_qv, loss_r,
+from ssrs.losses import (consistency_views, loss_qv, loss_r,
                          loss_s, sgd_step, total_loss)
 from ssrs.schedules import alpha_at, lambda_at
 from ssrs.training import train
@@ -84,7 +84,7 @@ def _gate_separated_batch(seed):
                            rng.choice(zset.values, size=n))
         if not (np.any(rewards != 0.0) and np.any(rewards == 0.0)):
             continue
-        batch = LossBatch.from_arrays(states, actions, rewards,
+        batch = Batch.from_arrays(states, actions, rewards,
                                       rng.uniform(0.0, 255.0, size=(n, 8)))
         aug_seed = 1000 * seed + attempt
         q, *_ = confidence_batch(params, batch.states, batch.actions,
@@ -257,7 +257,7 @@ def _identifiability_accuracy(seed):
     params = EstimatorParams.create(_N_BUCKETS, 1, 3, rng, hidden=(),
                                     dropout=0.0, input_scale=1.0 / 255.0)
     nonzero = rewards != 0.0
-    batch = LossBatch.from_arrays(states[nonzero], actions[nonzero],
+    batch = Batch.from_arrays(states[nonzero], actions[nonzero],
                                   rewards[nonzero], states[nonzero])
     views = consistency_views(batch, _PAIRING, 0)  # no zero-reward rows
     for _ in range(5000):
@@ -291,7 +291,7 @@ def test_acceptance_07_head_ordering_descent():
     params = EstimatorParams.create(6, 2, 4, np.random.default_rng(0),
                                     hidden=(16,), dropout=0.0)
     n = 16
-    batch = LossBatch.from_arrays(
+    batch = Batch.from_arrays(
         rng.uniform(0.0, 1.0, size=(n, 6)),
         np.eye(2)[rng.integers(0, 2, size=n)],
         rng.choice([1.0, 2.0], size=n),

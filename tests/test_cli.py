@@ -1,5 +1,6 @@
 """Command-line entry points: orchestration, outputs, guards, plumbing."""
 
+import argparse
 import json
 import weakref
 
@@ -8,6 +9,7 @@ import pytest
 
 import ssrs.cli
 from ssrs.cli import gradcheck_report, main
+from ssrs.config import ConfigError, RunConfig, serialize_config
 from ssrs.core import load_buffer, load_trajectory
 
 QUICK = """\
@@ -111,6 +113,57 @@ class TestTrain:
         code = main(["train", "--set", "beta=5", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["beta", "discount", "estimator_lr",
+                                     "q_init", "backbone_lr",
+                                     "sigmoid_sharpness"])
+    def test_non_finite_config_value_reported(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"episodes = 1\n{key} = nan\n")
+        code = main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "a")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: line 2: {key}: ")
+        assert "finite" in err
+        code = main(["train", "--set", "episodes=1", "--set", f"{key}=inf",
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: override 2: ") and key in err
+        assert "finite" in err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_non_utf8_config_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"episodes = 5\n\xff\xfe = 1\n")
+        code = main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_byte_flips_never_escape(self, tmp_path):
+        # Every single-bit flip of a serialized default config either loads
+        # or fails with a CliError/ConfigError; nothing here trains.
+        raw = serialize_config(RunConfig()).encode()
+        cfg = tmp_path / "run.cfg"
+        args = argparse.Namespace(config=str(cfg), set=None)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[i] ^= 1 << bit
+                cfg.write_bytes(bytes(flipped))
+                try:
+                    loaded = ssrs.cli._load_config(args)
+                except (ssrs.cli.CliError, ConfigError) as exc:
+                    assert str(exc)
+                    outcomes["rejected"] += 1
+                else:
+                    assert isinstance(loaded, RunConfig)
+                    outcomes["loaded"] += 1
+        assert outcomes["loaded"] and outcomes["rejected"]
 
     def test_seeds_in_one_process_match_separate_runs(self, trained_root,
                                                       tmp_path):

@@ -102,6 +102,36 @@ class TestParsing:
         assert parse_config("estimator_dropout = 0\n").estimator_dropout == 0.0
 
 
+# Keys whose range checks let nan (and inf, where there is no upper bound)
+# through before non-finite numbers were rejected.
+NON_FINITE_KEYS = ("beta", "discount", "estimator_lr", "q_init",
+                   "backbone_lr", "sigmoid_sharpness")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_file_value_rejected_with_key_and_line(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"episodes = 3\n{key} = {value}\n")
+        message = str(err.value)
+        assert err.value.line == 2 and "line 2" in message
+        assert key in message and "finite" in message
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_override_rejected_with_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(RunConfig(), ["episodes=3", f"{key}={value}"])
+        message = str(err.value)
+        assert "override 2" in message
+        assert key in message and "finite" in message
+
+    def test_large_finite_values_still_parse(self):
+        cfg = parse_config("q_init = -1e300\nbackbone_lr = 1e300\n")
+        assert (cfg.q_init, cfg.backbone_lr) == (-1e300, 1e300)
+
+
 class TestCrossChecks:
     def test_epsilon_ordering(self):
         with pytest.raises(ConfigError) as err:

@@ -231,13 +231,39 @@ def test_sample_consumes_one_generator_call():
 
 
 def test_batch_arrays_returns_copies():
-    buf = ReplayBuffer(4)
-    slot = buf.push(_tr([1.0, 2.0], reward=1.5))
-    arrays = buf.batch_arrays(np.array([slot]))
-    arrays["rewards"][0] = -100.0
-    arrays["states"][0, 0] = -100.0
-    assert buf.transition_at(slot).reward == 1.5
-    assert buf.transition_at(slot).state[0] == 1.0
+    # Bitwise equal to per-slot reads, on a wrapped ring with shaped entries
+    # and repeated slots, and sharing no memory with the buffer.
+    rng = np.random.default_rng(5)
+    buf = ReplayBuffer(6)
+    for i in range(9):
+        buf.push(_tr(rng.uniform(0.0, 9.0, size=3), reward=float(i % 3 == 0),
+                     action=np.eye(2)[i % 2], terminal=i % 4 == 3))
+    buf.set_reward(np.array([1, 4]), np.array([0.25, -1.5]),
+                   np.array([True, True]))
+    slots = np.array([4, 0, 4, 5, 1, 2, 3, 1])
+    batch = buf.batch_arrays(slots)
+    reads = [buf.transition_at(s) for s in slots]
+    expected = {
+        "states": np.array([t.state for t in reads]),
+        "actions": np.array([t.action for t in reads]),
+        "rewards": np.array([t.reward for t in reads]),
+        "next_states": np.array([t.next_state for t in reads]),
+        "terminals": np.array([t.terminal for t in reads]),
+        "originals": np.array([buf.original_reward_at(s) for s in slots]),
+    }
+    assert batch._fields == tuple(expected)
+    for name, want in expected.items():
+        got = getattr(batch, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    stored = [a for a in vars(buf).values() if isinstance(a, np.ndarray)]
+    assert stored
+    for field in batch:
+        assert not any(np.shares_memory(field, a) for a in stored)
+    batch.rewards[0] = -100.0
+    batch.states[0, 0] = -100.0
+    assert buf.transition_at(4).reward == -1.5
+    assert buf.transition_at(4).state[0] == expected["states"][0, 0]
 
 
 def test_push_rejects_width_change():

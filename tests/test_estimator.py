@@ -17,6 +17,7 @@ from ssrs.estimator import (
     shape_buffer,
     soft_select,
 )
+from ssrs.losses import sgd_step
 
 
 def _bias_net(in_width, probs):
@@ -24,7 +25,7 @@ def _bias_net(in_width, probs):
     probs = np.asarray(probs, dtype=np.float64)
     logits = np.log(probs / probs.min())  # nonneg, survives the output relu
     net = MlpNet([in_width, probs.size], dropout=0.0)
-    net.biases[0] = logits
+    net.biases[0][...] = logits
     return net
 
 
@@ -91,18 +92,20 @@ class TestMlpNet:
     def test_create_deterministic(self):
         a = MlpNet.create([4, 5, 2], np.random.default_rng(7))
         b = MlpNet.create([4, 5, 2], np.random.default_rng(7))
-        np.testing.assert_array_equal(a.flatten(), b.flatten())
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_flatten_roundtrip(self):
         rng = np.random.default_rng(4)
         net = MlpNet.create([3, 5, 2], rng)
         assert net.n_params == (5 * 3 + 5) + (2 * 5 + 2)
-        flat = net.flatten()
-        other = MlpNet([3, 5, 2])
-        other.load_flat(flat)
-        np.testing.assert_array_equal(other.flatten(), flat)
+        flat = net.flat.copy()
+        other = MlpNet([3, 5, 2], flat=flat)
+        assert other.flat is flat
+        np.testing.assert_array_equal(other.weights[1], net.weights[1])
         with pytest.raises(ValueError):
-            other.load_flat(flat[:-1])
+            MlpNet([3, 5, 2], flat=flat[:-1])
+        with pytest.raises(ValueError):
+            MlpNet([3, 5, 2], flat=flat.astype(np.float32))
 
     def test_copy_is_independent(self):
         net = MlpNet.create([3, 4, 2], np.random.default_rng(5))
@@ -118,19 +121,20 @@ class TestMlpNet:
         out, cache = net.forward(x)
         grads_w, grads_b = net.backward(cache, coef)
         analytic = MlpNet([4, 6, 3])
-        analytic.weights = grads_w
-        analytic.biases = grads_b
-        g_bp = analytic.flatten()
+        for dst, g in zip(analytic.weights + analytic.biases,
+                          grads_w + grads_b):
+            dst[...] = g
+        g_bp = analytic.flat
 
-        flat0 = net.flatten()
+        flat0 = net.flat.copy()
         h = 1e-6
         probe = net.copy()
         for k in rng.choice(flat0.size, size=12, replace=False):
             bump = np.zeros_like(flat0)
             bump[k] = h
-            probe.load_flat(flat0 + bump)
+            probe.flat[:] = flat0 + bump
             up = float((probe.forward(x)[0] * coef).sum())
-            probe.load_flat(flat0 - bump)
+            probe.flat[:] = flat0 - bump
             dn = float((probe.forward(x)[0] * coef).sum())
             fd = (up - dn) / (2 * h)
             assert abs(g_bp[k] - fd) / (abs(fd) + 1e-8) < 1e-4
@@ -146,13 +150,85 @@ class TestEstimatorParams:
     def test_flatten_order_and_roundtrip(self):
         params = EstimatorParams.create(3, 2, 4, np.random.default_rng(1),
                                         hidden=(6,))
-        flat = params.flatten()
-        np.testing.assert_array_equal(flat[:params.q_net.n_params],
-                                      params.q_net.flatten())
+        flat = params.flat.copy()
+        split = params.q_net.n_params
+        np.testing.assert_array_equal(flat[:split], params.q_net.flat)
+        np.testing.assert_array_equal(flat[split:], params.v_net.flat)
+        np.testing.assert_array_equal(params.q_net.weights[0].ravel(),
+                                      flat[:params.q_net.weights[0].size])
         dup = params.copy()
-        dup.load_flat(np.zeros(params.n_params))
-        assert np.all(dup.flatten() == 0.0)
-        np.testing.assert_array_equal(params.flatten(), flat)
+        dup.flat[:] = 0.0
+        assert np.all(dup.q_net.weights[0] == 0.0)
+        np.testing.assert_array_equal(params.flat, flat)
+
+
+class TestParameterVector:
+    """``EstimatorParams.flat`` is the only copy of the parameters: every
+    layer array is a view into it, (W, b) per layer, q head then v head."""
+
+    @staticmethod
+    def _layer_slices(params):
+        pos = 0
+        for net in (params.q_net, params.v_net):
+            sizes = net.layer_sizes
+            for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+                yield net.weights[i], params.flat[pos:pos + n_out * n_in]
+                pos += n_out * n_in
+                yield net.biases[i], params.flat[pos:pos + n_out]
+                pos += n_out
+        assert pos == params.flat.size
+
+    def test_layers_are_views_after_sgd_steps(self):
+        rng = np.random.default_rng(21)
+        params = EstimatorParams.create(5, 3, 4, rng, hidden=(7, 6))
+        assert params.flat.flags.c_contiguous
+        for _ in range(5):
+            sgd_step(params, rng.normal(size=params.n_params),
+                     float(rng.uniform(0.01, 1.0)))
+            for layer, part in self._layer_slices(params):
+                assert layer.tobytes() == part.tobytes()
+                assert np.shares_memory(layer, params.flat)
+        # and writes through a layer land in the vector
+        params.v_net.biases[-1][0] = 123.0
+        assert params.flat[-params.v_net.biases[-1].size] == 123.0
+
+    def test_copy_shares_no_memory(self):
+        params = EstimatorParams.create(3, 2, 4, np.random.default_rng(22),
+                                        hidden=(5,))
+        dup = params.copy()
+        assert dup.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(dup.flat, params.flat)
+        for net in (dup.q_net, dup.v_net):
+            for layer in net.weights + net.biases:
+                assert np.shares_memory(layer, dup.flat)
+                assert not np.shares_memory(layer, params.flat)
+        net_dup = params.q_net.copy()
+        assert not np.shares_memory(net_dup.flat, params.flat)
+
+    def test_rebinding_a_layer_raises(self):
+        params = EstimatorParams.create(3, 2, 4, np.random.default_rng(23),
+                                        hidden=(5,))
+        net = params.q_net
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros_like(net.weights[0])
+        with pytest.raises(TypeError):
+            net.biases[1] = np.zeros_like(net.biases[1])
+        with pytest.raises(AttributeError):
+            net.weights = [w.copy() for w in net.weights]
+        with pytest.raises(AttributeError):
+            net.biases = [b.copy() for b in net.biases]
+
+    def test_save_load_roundtrips_flat_bitwise(self, tmp_path):
+        rng = np.random.default_rng(24)
+        params = EstimatorParams.create(4, 2, 3, rng, hidden=(6, 5),
+                                        dropout=0.1, input_scale=1 / 255)
+        sgd_step(params, rng.normal(size=params.n_params), 0.3)
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        loaded = load_params(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        for layer, part in self._layer_slices(loaded):
+            assert layer.tobytes() == part.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +445,7 @@ class TestParamsIo:
         path = tmp_path / "params.txt"
         save_params(params, path)
         loaded = load_params(path)
-        np.testing.assert_array_equal(loaded.flatten(), params.flatten())
+        assert loaded.flat.tobytes() == params.flat.tobytes()
         assert loaded.q_net.layer_sizes == params.q_net.layer_sizes
         assert loaded.q_net.dropout == params.q_net.dropout
         assert loaded.q_net.input_scale == params.q_net.input_scale
@@ -402,8 +478,7 @@ class TestParamsIo:
             with pytest.raises(ValueError, match="cut.txt"):
                 load_params(cut)
         cut.write_text("".join(lines))
-        np.testing.assert_array_equal(load_params(cut).flatten(),
-                                      params.flatten())
+        np.testing.assert_array_equal(load_params(cut).flat, params.flat)
 
     @pytest.mark.parametrize("old, new", [
         ("layer 3 2", "layer 3 x"),      # non-integer width

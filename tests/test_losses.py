@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from ssrs.augment import AugmentSpec
-from ssrs.core import RewardSet
+from ssrs.core import Batch, RewardSet
 from ssrs.estimator import EstimatorParams, MlpNet, confidence_batch
 from ssrs.losses import (
-    LossBatch,
     consistency_views,
     finite_diff_gradient,
     loss_qv,
@@ -26,16 +25,22 @@ PAIRING = (AugmentSpec("gaussian", {"sigma": 0.1}),
 
 class _FixedNet:
     """Duck-typed head that replays pre-set output rows, one per forward call
-    (the last entry repeats).  Carries no parameters."""
+    (the last entry repeats).  Carries no parameters: an empty ``flat`` and
+    no layers, and backing it by a slice of a parameter vector keeps it."""
+
+    flat = np.zeros(0)
+    n_params = 0
+
+    def layer_views(self, vector):
+        return (), ()
 
     def __init__(self, *outputs):
         self._outputs = [np.atleast_2d(np.asarray(o, dtype=np.float64))
                          for o in outputs]
         self._calls = 0
 
-    @property
-    def n_params(self):
-        return 0
+    def backed_by(self, flat):
+        return self
 
     def forward(self, x, train=False, rng=None):
         out = self._outputs[min(self._calls, len(self._outputs) - 1)]
@@ -46,13 +51,7 @@ class _FixedNet:
         return out.copy(), {}
 
     def backward(self, cache, grad_out):
-        return [np.zeros(0)], [np.zeros(0)]
-
-    def flatten(self):
-        return np.zeros(0)
-
-    def load_flat(self, flat):
-        pass
+        return [], []
 
 
 def _loss_s(params, batch, *args, augment_seed=0, **kwargs):
@@ -70,7 +69,7 @@ def _batch(rewards, m1=3, m2=2, seed=0, originals=None):
     rewards = np.asarray(rewards, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = rewards.size
-    return LossBatch.from_arrays(
+    return Batch.from_arrays(
         rng.uniform(0.1, 1.0, size=(n, m1)),
         np.eye(m2)[rng.integers(0, m2, size=n)],
         rewards,
@@ -381,6 +380,40 @@ class TestTotalLoss:
         assert runs[0] == runs[1]
 
 
+class TestNonFiniteGradient:
+    """A smooth ``total_loss`` names each term whose gradient is not finite."""
+
+    @staticmethod
+    def _smooth_total(value, rewards):
+        params = _small_params(5)
+        params.flat[:] = value
+        batch = _batch(rewards, m1=4, seed=6)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return total_loss(params, batch, 0.5, ZSET, 0.34, 0.5,
+                              views=consistency_views(batch, PAIRING, 0),
+                              mode="smooth")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonzero_batch_names_l_r_and_l_qv(self, value):
+        with pytest.raises(ValueError) as err:
+            self._smooth_total(value, [1.0, 2.0, 4.0])
+        message = str(err.value)
+        assert "l_r" in message and "l_qv" in message
+        assert "l_s" not in message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_zero_batch_names_l_s(self, value):
+        with pytest.raises(ValueError) as err:
+            self._smooth_total(value, [0.0, 0.0, 0.0])
+        message = str(err.value)
+        assert "l_s" in message
+        assert "l_r" not in message and "l_qv" not in message
+
+    def test_finite_parameters_pass(self):
+        _, grad = self._smooth_total(0.01, [1.0, 0.0, 2.0])
+        assert np.all(np.isfinite(grad))
+
+
 # ---------------------------------------------------------------------------
 # optimization helpers
 # ---------------------------------------------------------------------------
@@ -388,19 +421,19 @@ class TestTotalLoss:
 class TestSgdStep:
     def test_basic_arithmetic(self):
         params = _small_params(0, hidden=())
-        params.load_flat(np.ones(params.n_params))
+        params.flat[:] = 1.0
         out = sgd_step(params, 2.0 * np.ones(params.n_params), 0.1)
         assert out is params
-        np.testing.assert_allclose(params.flatten(),
+        np.testing.assert_allclose(params.flat,
                                    0.8 * np.ones(params.n_params), atol=1e-15)
 
     def test_two_steps_compose_linearly(self):
         params = _small_params(1, hidden=())
-        start = params.flatten().copy()
+        start = params.flat.copy()
         g = np.arange(params.n_params, dtype=np.float64)
         sgd_step(params, g, 0.05)
         sgd_step(params, g, 0.05)
-        np.testing.assert_allclose(params.flatten(), start - 0.1 * g,
+        np.testing.assert_allclose(params.flat, start - 0.1 * g,
                                    atol=1e-12)
 
     def test_rejects_bad_gradients(self):
@@ -416,13 +449,13 @@ class TestSgdStep:
 class TestFiniteDiff:
     def test_quadratic_is_exact(self):
         params = _small_params(3, m1=2, m2=1, n_z=2, hidden=())
-        theta = params.flatten()
+        theta = params.flat.copy()
 
-        grad = finite_diff_gradient(lambda p: float((p.flatten() ** 2).sum()),
+        grad = finite_diff_gradient(lambda p: float((p.flat ** 2).sum()),
                                     params)
         np.testing.assert_allclose(grad, 2.0 * theta, atol=1e-8)
         # parameters restored afterward
-        np.testing.assert_array_equal(params.flatten(), theta)
+        np.testing.assert_array_equal(params.flat, theta)
 
     def test_constant_loss_has_zero_gradient(self):
         params = _small_params(4, m1=2, m2=1, n_z=2, hidden=())

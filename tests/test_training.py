@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssrs.config import RunConfig, apply_overrides, parse_config
-from ssrs.core import ReplayBuffer, load_buffer
+from ssrs.core import Batch, ReplayBuffer, load_buffer
 from ssrs.envs import KeyDoorGrid, SparseChain
 from ssrs.estimator import load_params
 from ssrs.training import (
@@ -43,6 +43,11 @@ def _quick_config(*overrides):
 def _first_column(rows):
     """Encoder reading the state id from the first observation column."""
     return np.asarray(rows)[:, 0].astype(int)
+
+
+def _td_batch(states, actions, rewards, next_states, terminals):
+    """A TD batch of unshaped entries."""
+    return Batch(states, actions, rewards, next_states, terminals, rewards)
 
 
 def _chain_backbone(env, bias_right=True, init=0.0):
@@ -84,33 +89,33 @@ class TestBackbone:
 
     def test_terminal_update(self):
         backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
-        batch = {
-            "states": np.array([[0.0]]), "actions": np.array([[1.0, 0.0]]),
-            "rewards": np.array([1.0]), "next_states": np.array([[1.0]]),
-            "terminals": np.array([True]),
-        }
+        batch = _td_batch(
+            states=np.array([[0.0]]), actions=np.array([[1.0, 0.0]]),
+            rewards=np.array([1.0]), next_states=np.array([[1.0]]),
+            terminals=np.array([True]),
+        )
         backbone_update(backbone, batch, lr=0.1, discount=0.99)
         assert backbone.table[0, 0] == pytest.approx(0.1, abs=1e-15)
         assert np.all(backbone.table.ravel()[1:] == 0.0)
 
     def test_zero_reward_update_is_noop_on_zero_table(self):
         backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
-        batch = {
-            "states": np.array([[0.0]]), "actions": np.array([[0.0, 1.0]]),
-            "rewards": np.array([0.0]), "next_states": np.array([[1.0]]),
-            "terminals": np.array([False]),
-        }
+        batch = _td_batch(
+            states=np.array([[0.0]]), actions=np.array([[0.0, 1.0]]),
+            rewards=np.array([0.0]), next_states=np.array([[1.0]]),
+            terminals=np.array([False]),
+        )
         backbone_update(backbone, batch, lr=0.1, discount=0.99)
         assert np.all(backbone.table == 0.0)
 
     def test_nonterminal_bootstraps_from_next_state(self):
         backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
         backbone.table[1] = [2.0, 0.5]
-        batch = {
-            "states": np.array([[0.0]]), "actions": np.array([[1.0, 0.0]]),
-            "rewards": np.array([1.0]), "next_states": np.array([[1.0]]),
-            "terminals": np.array([False]),
-        }
+        batch = _td_batch(
+            states=np.array([[0.0]]), actions=np.array([[1.0, 0.0]]),
+            rewards=np.array([1.0]), next_states=np.array([[1.0]]),
+            terminals=np.array([False]),
+        )
         backbone_update(backbone, batch, lr=0.5, discount=0.5)
         # target = 1 + 0.5 * max(2, 0.5) = 2
         assert backbone.table[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -118,23 +123,23 @@ class TestBackbone:
     def test_terminal_ignores_next_state_values(self):
         backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
         backbone.table[1] = [5.0, 5.0]
-        batch = {
-            "states": np.array([[0.0]]), "actions": np.array([[1.0, 0.0]]),
-            "rewards": np.array([1.0]), "next_states": np.array([[1.0]]),
-            "terminals": np.array([True]),
-        }
+        batch = _td_batch(
+            states=np.array([[0.0]]), actions=np.array([[1.0, 0.0]]),
+            rewards=np.array([1.0]), next_states=np.array([[1.0]]),
+            terminals=np.array([True]),
+        )
         backbone_update(backbone, batch, lr=1.0, discount=0.99)
         assert backbone.table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_updates_apply_sequentially(self):
         backbone = BackboneQ.create(2, 1, _first_column, init=0.0)
-        batch = {
-            "states": np.array([[0.0], [0.0]]),
-            "actions": np.array([[1.0], [1.0]]),
-            "rewards": np.array([1.0, 1.0]),
-            "next_states": np.array([[1.0], [1.0]]),
-            "terminals": np.array([True, True]),
-        }
+        batch = _td_batch(
+            states=np.array([[0.0], [0.0]]),
+            actions=np.array([[1.0], [1.0]]),
+            rewards=np.array([1.0, 1.0]),
+            next_states=np.array([[1.0], [1.0]]),
+            terminals=np.array([True, True]),
+        )
         backbone_update(backbone, batch, lr=0.5, discount=0.9)
         # 0 -> 0.5 -> 0.75; a batched (parallel) update would land on 0.5
         assert backbone.table[0, 0] == pytest.approx(0.75, abs=1e-15)
@@ -144,8 +149,8 @@ def _per_row_update(table, state_id_of, batch, lr, discount):
     """The per-row TD loop ``backbone_update`` replaced: the reference its
     batch-encoded version must match bit for bit."""
     for state, action, reward, next_state, terminal in zip(
-        batch["states"], batch["actions"], batch["rewards"],
-        batch["next_states"], batch["terminals"],
+        batch.states, batch.actions, batch.rewards, batch.next_states,
+        batch.terminals,
     ):
         sid = state_id_of(state)
         aid = int(np.argmax(action))
@@ -180,9 +185,9 @@ def test_backbone_update_matches_per_row_loop(env):
         # Small logical range: batches repeat (s, a) pairs and slots.
         batch = buffer.batch_arrays(rng.choice(slots[:40], size=32))
         pairs = {(env.state_id_of(s), int(np.argmax(a)))
-                 for s, a in zip(batch["states"], batch["actions"])}
+                 for s, a in zip(batch.states, batch.actions)}
         saw_repeat |= len(pairs) < 32
-        saw_terminal |= bool(batch["terminals"].any())
+        saw_terminal |= bool(batch.terminals.any())
         backbone_update(backbone, batch, lr=0.3, discount=0.97)
         _per_row_update(reference, env.state_id_of, batch, 0.3, 0.97)
     assert saw_repeat and saw_terminal
@@ -357,7 +362,7 @@ class TestTrain:
         base = _quick_config("episodes=3")
         _, _, params, _ = train(base)
         _, _, changed, _ = train(_quick_config("episodes=3", override))
-        assert not np.array_equal(params.flatten(), changed.flatten())
+        assert not np.array_equal(params.flat, changed.flat)
 
 
 class TestRunOutputs:
@@ -379,7 +384,7 @@ class TestRunOutputs:
         table = np.load(tmp_path / "backbone_q.npy")
         np.testing.assert_array_equal(table, backbone.table)
         loaded = load_params(tmp_path / "params_final.txt")
-        np.testing.assert_array_equal(loaded.flatten(), params.flatten())
+        np.testing.assert_array_equal(loaded.flat, params.flat)
         buf = load_buffer(tmp_path / "buffer_final.bin")
         assert len(buf) == len(buffer)
 
