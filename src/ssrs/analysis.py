@@ -176,8 +176,8 @@ def trajectory_consensus(buffer: ReplayBuffer, k: int, runs: int = 100,
                          seed: int = 0):
     """Consensus over the trajectories stored in a replay buffer.
 
-    Transitions are clustered per run; each trajectory takes the majority
-    component of its transitions (ties pick the lowest label), and the
+    Entries are clustered per run; each trajectory takes the majority
+    component of its entries (ties pick the lowest label), and the
     co-assignment matrix is accumulated over trajectories.  Returns
     (matrix, trajectory count).
     """

@@ -22,6 +22,7 @@ __all__ = [
     "PAIRINGS",
     "row_entropy",
     "shannon_entropy",
+    "partition_entropies",
     "double_entropy",
     "apply_augment",
     "weak_strong_pair",
@@ -153,30 +154,48 @@ def shannon_entropy(matrix) -> float:
     return float(row_entropy(a.reshape(1, -1))[0])
 
 
-def _double_entropy(blocks: np.ndarray, n: int) -> np.ndarray:
-    """Entropy-weight the column partitions of each trajectory in ``blocks``
-    (shape (G, T, m1)); see :func:`double_entropy`."""
-    n_traj, steps, m1 = blocks.shape
+def _partition_columns(m1: int, n: int) -> np.ndarray:
+    """Partition index of each of ``m1`` state columns split into ``n``
+    contiguous partitions of width floor(m1 / n), the last one taking the
+    remainder."""
     if n < 1:
         raise ValueError("partition count must be at least 1")
     if n > m1:
         raise ValueError(f"cannot split {m1} state columns into {n} partitions")
-    width = m1 // n
-    out = np.empty_like(blocks)
-    # The n - 1 leading partitions share one width and are weighted in one
-    # pass, the last (possibly wider) one in another: one entropy per
-    # (trajectory, partition), over the partition's rows read row-major.
-    split = width * (n - 1)
-    for lo, hi, parts in ((0, split, n - 1), (split, m1, 1)):
+    return np.minimum(np.arange(m1) // (m1 // n), n - 1)
+
+
+def partition_entropies(blocks, n: int) -> np.ndarray:
+    """Shannon entropy of each column partition (see
+    :func:`_partition_columns`) of each trajectory in ``blocks``, shape
+    (G, T, m1), taken over the partition's entries read row-major.
+
+    :return: (G, n) entropies in nats.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    n_traj, steps, m1 = blocks.shape
+    # first column of the last partition
+    split = int(np.searchsorted(_partition_columns(m1, n), n - 1))
+    out = np.empty((n_traj, n))
+    # The n - 1 leading partitions share one width and go through one
+    # row_entropy call, the last (possibly wider) one through another.
+    for lo, hi, first, parts in ((0, split, 0, n - 1), (split, m1, n - 1, 1)):
         if parts == 0:
             continue
         part_width = (hi - lo) // parts
-        group = blocks[:, :, lo:hi].reshape(n_traj, steps, parts, part_width)
-        flat = group.transpose(0, 2, 1, 3).reshape(n_traj * parts,
-                                                   steps * part_width)
-        weights = row_entropy(flat).reshape(n_traj, 1, parts, 1)
-        out[:, :, lo:hi] = (weights * group).reshape(n_traj, steps, hi - lo)
+        flat = (blocks[:, :, lo:hi]
+                .reshape(n_traj, steps, parts, part_width)
+                .transpose(0, 2, 1, 3)
+                .reshape(n_traj * parts, steps * part_width))
+        out[:, first:first + parts] = row_entropy(flat).reshape(n_traj, parts)
     return out
+
+
+def _double_entropy(blocks: np.ndarray, n: int) -> np.ndarray:
+    """Entropy-weight the column partitions of each trajectory in ``blocks``
+    (shape (G, T, m1)); see :func:`double_entropy`."""
+    columns = _partition_columns(blocks.shape[2], n)
+    return partition_entropies(blocks, n)[:, None, columns] * blocks
 
 
 def double_entropy(traj: TrajectoryMatrix, n: int) -> TrajectoryMatrix:
@@ -265,7 +284,9 @@ def weak_strong_pair(pairing, traj: TrajectoryMatrix,
     ``pairing`` is a (weak, strong) pair of :class:`AugmentSpec`, as built by
     ``RunConfig.augment_pair`` from a :data:`PAIRINGS` name.  The two views
     draw from independent child generators spawned from ``rng``, so each is
-    reproducible from one seed.
+    reproducible from one seed.  Training builds its views with
+    :func:`row_views`; this per-trajectory form is the reference it is
+    checked against.
     """
     weak, strong = pairing
     rng_w, rng_s = rng.spawn(2)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import best_score_series, reward_distribution, trajectory_consensus
-from .augment import AugmentSpec, apply_augment, shannon_entropy
+from .augment import AugmentSpec, apply_augment, partition_entropies
 from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
                      parse_config)
 from .core import (Batch, RewardSet, format_cell, load_buffer, load_trajectory,
@@ -342,11 +342,7 @@ def _cmd_augment_check(args) -> int:
 
     m1 = traj.states.shape[1]
     n_parts = args.n if (args.n and args.kind == "double_entropy") else min(8, m1)
-    width = m1 // n_parts
-    entropies = []
-    for i in range(n_parts):
-        hi = m1 if i == n_parts - 1 else (i + 1) * width
-        entropies.append(shannon_entropy(traj.states[:, i * width:hi]))
+    entropies = partition_entropies(traj.states[None], n_parts)[0].tolist()
 
     root = _out_root(args)
     out_csv = root / "augmented.csv"

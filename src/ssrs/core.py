@@ -1,9 +1,11 @@
-"""Shared domain containers: transitions, trajectory stacks, reward sets,
-replay batches, replay.
+"""Shared domain containers: trajectory stacks, reward sets, replay batches,
+replay.
 
 The replay buffer keeps both the stored (possibly shaped) reward and the
 original environment reward for every entry, so shaping is always reversible
-and the shaped/unshaped populations can be told apart exactly.  Every read of
+and the shaped/unshaped populations can be told apart exactly.  Environment
+steps enter it through ``ReplayBuffer.push`` and checkpoints through
+``ReplayBuffer.from_rows``; both apply one entry check.  Every read of
 several entries at once (TD update, shaping, losses, analyses) is a ``Batch``.
 """
 
@@ -19,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Transition",
     "TrajectoryMatrix",
     "Batch",
     "RewardSet",
@@ -45,43 +46,8 @@ _HEADER = struct.Struct("<5Q")
 
 
 # ---------------------------------------------------------------------------
-# transitions and trajectories
+# trajectories
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Transition:
-    """One environment step.
-
-    States are nonnegative vectors (RAM-like observations scaled to [0, 255]);
-    actions are vector-encoded (one-hot for discrete action spaces).
-    """
-
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-    def __post_init__(self):
-        self.state = np.asarray(self.state, dtype=np.float64)
-        self.action = np.asarray(self.action, dtype=np.float64)
-        self.next_state = np.asarray(self.next_state, dtype=np.float64)
-        if self.state.ndim != 1 or self.next_state.ndim != 1:
-            raise ValueError("states must be 1-D vectors")
-        if self.action.ndim != 1:
-            raise ValueError("action must be a 1-D vector")
-        if self.state.shape != self.next_state.shape:
-            raise ValueError(
-                f"state and next_state lengths differ: "
-                f"{self.state.shape[0]} vs {self.next_state.shape[0]}"
-            )
-        if self.state.size == 0 or self.action.size == 0:
-            raise ValueError("state and action must be non-empty")
-        if np.any(self.state < 0) or np.any(self.next_state < 0):
-            raise ValueError("state components must be nonnegative")
-        self.reward = float(self.reward)
-        self.terminal = bool(self.terminal)
-
 
 @dataclass
 class TrajectoryMatrix:
@@ -112,16 +78,6 @@ class TrajectoryMatrix:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    @classmethod
-    def from_transitions(cls, transitions) -> "TrajectoryMatrix":
-        if not transitions:
-            raise ValueError("cannot build a trajectory from zero transitions")
-        return cls(
-            states=np.stack([t.state for t in transitions]),
-            actions=np.stack([t.action for t in transitions]),
-            rewards=np.array([t.reward for t in transitions], dtype=np.float64),
-        )
 
 
 class Batch(NamedTuple):
@@ -225,6 +181,36 @@ def update_reward_set(zset: RewardSet, r_new: float) -> RewardSet:
 # replay buffer
 # ---------------------------------------------------------------------------
 
+def _check_entries(states, actions, next_states, m1, m2):
+    """Reject entries that no buffer may hold; the one check on the way in.
+
+    ``states``, ``actions`` and ``next_states`` hold one entry per row.  The
+    state and action widths must be ``m1`` and ``m2`` (any, when None) and
+    states nonnegative: observations are RAM-like values in [0, 255].
+    """
+    if states.ndim != 2 or next_states.ndim != 2:
+        raise ValueError("states must be 1-D vectors")
+    if actions.ndim != 2:
+        raise ValueError("action must be a 1-D vector")
+    if states.shape != next_states.shape:
+        raise ValueError(
+            f"state and next_state lengths differ: "
+            f"{states.shape[1]} vs {next_states.shape[1]}"
+        )
+    if states.shape[1] == 0 or actions.shape[1] == 0:
+        raise ValueError("state and action must be non-empty")
+    if m1 is not None and (states.shape[1], actions.shape[1]) != (m1, m2):
+        raise ValueError(
+            f"dimension mismatch: buffer holds ({m1}, {m2}) vectors, "
+            f"got ({states.shape[1]}, {actions.shape[1]})"
+        )
+    # Counting the entries >= 0 fails NaN too, and costs push less than a
+    # reduction such as all().
+    if (np.count_nonzero(states >= 0) != states.size
+            or np.count_nonzero(next_states >= 0) != next_states.size):
+        raise ValueError("state components must be nonnegative")
+
+
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with shaping bookkeeping.
 
@@ -266,53 +252,51 @@ class ReplayBuffer:
         """Number of stored entries whose *original* reward is nonzero."""
         return self._nonzero
 
-    @property
-    def nonzero_reward_fraction(self) -> float:
-        """Fraction of stored entries with nonzero original reward."""
-        if self._size == 0:
-            return 0.0
-        return self._nonzero / self._size
-
     def _require_entries(self, what: str):
         if self._size == 0:
             raise ValueError(f"the buffer is empty: {what}")
 
     def _allocate(self, m1: int, m2: int):
-        self._m1, self._m2 = m1, m2
         cap = self.capacity
-        self._states = np.zeros((cap, m1))
-        self._actions = np.zeros((cap, m2))
-        self._rewards = np.zeros(cap)
-        self._next_states = np.zeros((cap, m1))
-        self._terminals = np.zeros(cap, dtype=bool)
-        self._originals = np.zeros(cap)
-        self._shaped = np.zeros(cap, dtype=bool)
+        try:
+            self._states = np.zeros((cap, m1))
+            self._actions = np.zeros((cap, m2))
+            self._rewards = np.zeros(cap)
+            self._next_states = np.zeros((cap, m1))
+            self._terminals = np.zeros(cap, dtype=bool)
+            self._originals = np.zeros(cap)
+            self._shaped = np.zeros(cap, dtype=bool)
+        except (MemoryError, ValueError):  # numpy: "array is too big"
+            raise ValueError(f"cannot allocate a buffer of capacity {cap}"
+                             ) from None
+        self._m1, self._m2 = m1, m2
 
     # -- writing ------------------------------------------------------------
 
-    def push(self, transition: Transition) -> int:
-        """Append a transition, evicting the oldest entry when full.
+    def push(self, state, action, reward, next_state, terminal) -> int:
+        """Append one environment step, evicting the oldest entry when full.
 
-        Returns the physical slot the transition was written to.
+        ``action`` is vector-encoded (one-hot for discrete action spaces).
+        Returns the physical slot the step was written to.
         """
+        state = np.asarray(state, dtype=np.float64)
+        action = np.asarray(action, dtype=np.float64)
+        next_state = np.asarray(next_state, dtype=np.float64)
+        _check_entries(state[None], action[None], next_state[None],
+                       self._m1, self._m2)
         if self._m1 is None:
-            self._allocate(transition.state.size, transition.action.size)
-        if transition.state.size != self._m1 or transition.action.size != self._m2:
-            raise ValueError(
-                f"dimension mismatch: buffer holds ({self._m1}, {self._m2}) "
-                f"vectors, got ({transition.state.size}, {transition.action.size})"
-            )
+            self._allocate(state.size, action.size)
         slot = self._next
         if self._size == self.capacity and self._originals[slot] != 0.0:
             self._nonzero -= 1
-        self._states[slot] = transition.state
-        self._actions[slot] = transition.action
-        self._rewards[slot] = transition.reward
-        self._next_states[slot] = transition.next_state
-        self._terminals[slot] = transition.terminal
-        self._originals[slot] = transition.reward
+        self._states[slot] = state
+        self._actions[slot] = action
+        self._rewards[slot] = reward
+        self._next_states[slot] = next_state
+        self._terminals[slot] = terminal
+        self._originals[slot] = reward
         self._shaped[slot] = False
-        if transition.reward != 0.0:
+        if reward != 0.0:
             self._nonzero += 1
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
@@ -348,25 +332,12 @@ class ReplayBuffer:
             return np.zeros(0, dtype=np.intp)
         return np.flatnonzero(self._originals[:self._size] == 0.0)
 
-    def transition_at(self, slot: int) -> Transition:
-        return Transition(
-            state=self._states[slot].copy(),
-            action=self._actions[slot].copy(),
-            reward=float(self._rewards[slot]),
-            next_state=self._next_states[slot].copy(),
-            terminal=bool(self._terminals[slot]),
-        )
-
-    def original_reward_at(self, slot: int) -> float:
-        return float(self._originals[slot])
-
-    def is_shaped(self, slot: int) -> bool:
-        return bool(self._shaped[slot])
-
     def batch_arrays(self, slots: np.ndarray) -> Batch:
-        """The entries at an array of slots, as a Batch of copies."""
+        """The entries at a 1-D array of slots, as a Batch of copies."""
         self._require_entries("nothing to gather")
         slots = np.asarray(slots)
+        if slots.ndim != 1:
+            raise ValueError(f"slots must be a 1-D array, got {slots.ndim}-D")
         return Batch(self._states[slots], self._actions[slots],
                      self._rewards[slots], self._next_states[slots],
                      self._terminals[slots], self._originals[slots])
@@ -409,8 +380,9 @@ class ReplayBuffer:
         """Inverse of :meth:`to_rows`: a buffer holding the rows' entries,
         oldest first, in slots ``[0, len(rows))``.
 
-        Rejects more rows than the capacity, flags other than exactly 0.0 or
-        1.0, and unshaped entries whose reward differs from the original.
+        Rejects more rows than the capacity, entries that :meth:`push` would
+        reject, flags other than exactly 0.0 or 1.0, and unshaped entries whose
+        reward differs from the original.
         """
         buffer = cls(capacity)
         rows = np.asarray(rows, dtype=np.float64)
@@ -419,12 +391,10 @@ class ReplayBuffer:
             return buffer
         if count > buffer.capacity:
             raise ValueError(f"{count} entries exceed the capacity {capacity}")
-        if m1 < 1 or m2 < 1:
-            raise ValueError(f"state width {m1} and action width {m2} must "
-                             "be positive")
         bounds = np.cumsum([m1, m2, 1, m1, 1, 1])
         (states, actions, rewards, next_states, terminals, originals,
          shaped) = np.split(rows, bounds, axis=1)
+        _check_entries(states, actions, next_states, m1, m2)
         flags = np.hstack([terminals, shaped])
         if not np.all((flags == 0.0) | (flags == 1.0)):
             raise ValueError("terminal and shaped flags must be 0.0 or 1.0")

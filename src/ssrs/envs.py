@@ -74,6 +74,8 @@ class SparseChain:
 
     @property
     def state_id(self) -> int:
+        """Id of the current state, read from the walker's position rather
+        than decoded; the independent reference for ``state_ids_of``."""
         return self._pos
 
     def state_ids_of(self, rows) -> np.ndarray:
@@ -160,6 +162,8 @@ class KeyDoorGrid:
 
     @property
     def state_id(self) -> int:
+        """Id of the current state, read from the walker's cell and key flag
+        rather than decoded; the independent reference for ``state_ids_of``."""
         return self._cell() * 2 + int(self._has_key)
 
     def state_ids_of(self, rows) -> np.ndarray:

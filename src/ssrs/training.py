@@ -8,6 +8,11 @@ stream (one call per training step).  Estimator work draws exclusively from
 its own streams, so disabling shaping never shifts the backbone's draws and
 a shaped run's trajectory is bit-identical to vanilla until the first
 nonzero reward has been observed.
+
+``run_episode`` only acts; ``train`` hands it a step hook that, per
+environment step and in this order, pushes the step into the replay buffer,
+folds a new nonzero reward into the candidate set, runs a shaping pass and
+applies one TD batch.  Greedy evaluation passes no hook and stores nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_hash, serialize_config
-from .core import (Batch, ReplayBuffer, RewardSet, Transition, save_buffer,
+from .core import (Batch, ReplayBuffer, RewardSet, save_buffer,
                    update_reward_set, write_csv, write_json)
 from .envs import make_env
 from .estimator import EstimatorParams, save_params, shape_buffer
@@ -115,20 +120,19 @@ def backbone_update(backbone: BackboneQ, batch: Batch, lr: float,
 # ---------------------------------------------------------------------------
 
 def run_episode(env, backbone: BackboneQ, epsilon: float,
-                rng: np.random.Generator | None, buffer: ReplayBuffer = None,
-                on_step=None):
+                rng: np.random.Generator | None, on_step=None):
     """Act one episode with epsilon-greedy exploration.
 
     While epsilon > 0, each step consumes one uniform draw (plus one integer
     draw when exploring); greedy runs (epsilon == 0) consume nothing.
-    Transitions are pushed to the buffer when one is given; ``on_step(slot,
-    transition)`` fires after each push (slot is None without a buffer).
-    Returns (transitions, episode return).
+    ``on_step(state, action_vector, reward, next_state, terminal)`` fires
+    after each environment step; the action vector is built only for it.
+    Returns (steps, episode return).
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("exploratory episodes need a generator")
     obs = env.reset()
-    transitions = []
+    steps = 0
     total = 0.0
     while True:
         if epsilon > 0.0 and rng.random() < epsilon:
@@ -136,18 +140,13 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
         else:
             action = backbone.greedy_action(obs)
         next_obs, reward, done = env.step(action)
-        transition = Transition(
-            state=obs, action=env.action_vector(action), reward=reward,
-            next_state=next_obs, terminal=done,
-        )
-        transitions.append(transition)
+        steps += 1
         total += reward
-        slot = buffer.push(transition) if buffer is not None else None
         if on_step is not None:
-            on_step(slot, transition)
+            on_step(obs, env.action_vector(action), reward, next_obs, done)
         obs = next_obs
         if done:
-            return transitions, total
+            return steps, total
 
 
 def evaluate(env, backbone: BackboneQ, n_episodes: int):
@@ -272,8 +271,8 @@ def train(config: RunConfig, env=None, out_dir=None):
         epsilon = epsilon_at(config, ep)
         state["shaped"] = 0
 
-        def on_step(slot, transition):
-            reward = transition.reward
+        def on_step(obs, action, reward, next_obs, done):
+            buffer.push(obs, action, reward, next_obs, done)
             if reward != 0.0 and reward not in state["zset"].observed:
                 state["zset"] = update_reward_set(state["zset"], reward)
             # Shaping cannot act before any genuine reward exists: the
@@ -288,11 +287,9 @@ def train(config: RunConfig, env=None, out_dir=None):
             backbone_update(backbone, buffer.batch_arrays(slots),
                             config.backbone_lr, config.discount)
 
-        transitions, ep_return = run_episode(
-            env, backbone, epsilon, streams["action"], buffer=buffer,
-            on_step=on_step,
-        )
-        total_transitions += len(transitions)
+        steps, ep_return = run_episode(env, backbone, epsilon,
+                                       streams["action"], on_step=on_step)
+        total_transitions += steps
         if first_success is None and ep_return > 0.0:
             first_success = ep + 1
 
@@ -343,7 +340,7 @@ def train(config: RunConfig, env=None, out_dir=None):
         columns["p_u"].append(p_u)
         columns["shaped"].append(state["shaped"])
         columns["returns"].append(ep_return)
-        columns["lengths"].append(len(transitions))
+        columns["lengths"].append(steps)
 
         if (out_dir is not None and config.checkpoint_interval > 0
                 and (ep + 1) % config.checkpoint_interval == 0):

@@ -14,7 +14,7 @@ from ssrs.analysis import (
     reward_distribution,
     trajectory_consensus,
 )
-from ssrs.core import ReplayBuffer, Transition
+from ssrs.core import ReplayBuffer
 
 
 def _two_clouds(n_per=30, d=2, gap=10.0, seed=0):
@@ -31,13 +31,9 @@ def _push_episode(buf, anchor, length=4, reward=1.0, m1=3, m2=2):
         return np.maximum(np.full(m1, anchor) + 0.01 * rng.normal(size=m1), 0.0)
 
     for t in range(length):
-        buf.push(Transition(
-            state=jittered(),
-            action=np.eye(m2)[t % m2],
-            reward=reward if t == length - 1 else 0.0,
-            next_state=jittered(),
-            terminal=t == length - 1,
-        ))
+        buf.push(jittered(), np.eye(m2)[t % m2],
+                 reward if t == length - 1 else 0.0, jittered(),
+                 t == length - 1)
 
 
 class TestGmmFit:
@@ -183,9 +179,7 @@ class TestRewardDistribution:
     def test_all_equal_rewards_single_bin(self):
         buf = ReplayBuffer(capacity=16)
         for _ in range(4):
-            buf.push(Transition(state=np.ones(2), action=np.ones(1),
-                                reward=0.0, next_state=np.ones(2),
-                                terminal=False))
+            buf.push(np.ones(2), np.ones(1), 0.0, np.ones(2), False)
         edges, rows = reward_distribution({"flat": buf}, bins=10)
         np.testing.assert_allclose(edges, [-0.5, 0.5], atol=1e-12)
         assert rows == [("flat", -0.5, 0.5, 1.0)]

@@ -11,6 +11,7 @@ from ssrs.augment import (
     apply_augment,
     default_cutout_width,
     double_entropy,
+    partition_entropies,
     row_entropy,
     row_views,
     shannon_entropy,
@@ -324,6 +325,29 @@ def test_double_entropy_matches_per_partition_reference():
             block = states[:, lo:hi]
             expected[:, lo:hi] = _entropy_reference(block) * block
         assert double_entropy(traj, n).states.tobytes() == expected.tobytes()
+
+
+def test_partition_entropies_match_per_partition_reference():
+    # the layout double_entropy weights by and augment-check reports
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        n_traj, steps = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        m1 = int(rng.integers(1, 40))
+        n = int(rng.integers(1, m1 + 1))
+        blocks = _sparse_rows(rng, n_traj * steps + 2, m1)[2:].reshape(
+            n_traj, steps, m1)
+        width = m1 // n
+        expected = [[_entropy_reference(block[:, i * width:
+                                              (i + 1) * width if i < n - 1
+                                              else m1])
+                     for i in range(n)] for block in blocks]
+        got = partition_entropies(blocks, n)
+        assert got.shape == (n_traj, n)
+        assert _bits(got) == _bits(expected)
+    with pytest.raises(ValueError):
+        partition_entropies(np.ones((1, 2, 3)), 4)
+    with pytest.raises(ValueError):
+        partition_entropies(np.ones((1, 2, 3)), 0)
 
 
 def _per_row_views(pairing, states, seed):

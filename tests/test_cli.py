@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ssrs.cli
+from ssrs.augment import AugmentSpec, shannon_entropy
 from ssrs.cli import gradcheck_report, main
 from ssrs.config import ConfigError, RunConfig, serialize_config
 from ssrs.core import load_buffer, load_trajectory
@@ -316,6 +317,38 @@ class TestRolloutAndAugmentCheck:
         augmented = load_trajectory(out / "augmented.csv")
         assert augmented.states.shape == traj.states.shape
         np.testing.assert_array_equal(augmented.rewards, traj.rewards)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("gaussian", None), ("cutout", None), ("smooth", None),
+        ("scale", None), ("translate", None), ("flip", None),
+        ("double_entropy", None), ("double_entropy", 3),
+    ])
+    def test_report_bytes_match_per_slice_entropies(self, tmp_path, kind, n):
+        # The report's partitions as augment-check laid them out by hand:
+        # width m1 // n, the last partition taking the remainder.
+        out = tmp_path / "r"
+        assert main(["rollout", "--seed", "4", "--out", str(out)]) == 0
+        traj = load_trajectory(out / "rollout.csv")
+        args = ["augment-check", "--traj", str(out / "rollout.csv"),
+                "--kind", kind, "--out", str(out)]
+        assert main(args + (["--n", str(n)] if n else [])) == 0
+        m1 = traj.states.shape[1]
+        parts = n or min(8, m1)
+        width = m1 // parts
+        entropies = [shannon_entropy(traj.states[:, i * width:
+                                                 (i + 1) * width
+                                                 if i < parts - 1 else m1])
+                     for i in range(parts)]
+        spec = AugmentSpec(kind, {"n": n} if n else {})
+        expected = json.dumps({
+            "kind": kind,
+            "params": spec.params,
+            "entropy_per_partition": entropies,
+            "shapes": {"states": list(traj.states.shape),
+                       "actions": list(traj.actions.shape),
+                       "rewards": list(traj.rewards.shape)},
+        }, indent=2, sort_keys=True) + "\n"
+        assert (out / "augment_report.json").read_text() == expected
 
     def test_rollout_deterministic(self, tmp_path):
         outs = []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ssrs.core import ReplayBuffer, RewardSet, Transition
+from ssrs.core import ReplayBuffer, RewardSet
 from ssrs.estimator import (
     EstimatorParams,
     MlpNet,
@@ -348,10 +348,15 @@ def _seed_buffer(n_zero=10, n_nonzero=2, m1=3, m2=2):
     rng = np.random.default_rng(0)
     for i in range(n_zero + n_nonzero):
         r = 3.0 if i < n_nonzero else 0.0
-        buf.push(Transition(state=rng.uniform(size=m1),
-                            action=np.eye(m2)[i % m2], reward=r,
-                            next_state=rng.uniform(size=m1), terminal=False))
+        buf.push(rng.uniform(size=m1), np.eye(m2)[i % m2], r,
+                 rng.uniform(size=m1), False)
     return buf
+
+
+def _stored(buf):
+    """(stored rewards, shaped flags) of every entry, oldest first."""
+    rows = buf.to_rows()
+    return buf.batch_arrays(buf.slots()).rewards, rows[:, -1] == 1.0
 
 
 class TestShapeBuffer:
@@ -365,9 +370,9 @@ class TestShapeBuffer:
                               visit_fraction=0.35, rng=np.random.default_rng(1),
                               mix=1.0)
         assert shaped == 3  # floor(0.35 * 10)
-        rewards = np.array([buf.transition_at(s).reward for s in buf.slots()])
+        rewards, shaped_flags = _stored(buf)
         assert (rewards == 4.0).sum() == 3
-        assert sum(buf.is_shaped(s) for s in buf.slots()) == 3
+        assert shaped_flags.sum() == 3
         # the shaping pool is keyed on original rewards, so it is unchanged
         assert buf.zero_reward_slots().size == 10
 
@@ -393,8 +398,8 @@ class TestShapeBuffer:
             buf = _seed_buffer(n_zero=8)
             shape_buffer(params, buf, self.zset, 0.4, 0.5,
                          np.random.default_rng(11), mix=1.0)
-            marks.append(tuple(sorted(
-                s for s in buf.slots() if buf.transition_at(s).reward != 0.0)))
+            rewards, _ = _stored(buf)
+            marks.append(tuple(buf.slots()[rewards != 0.0]))
         assert marks[0] == marks[1]
 
     def test_matches_per_row_reference(self):
@@ -411,26 +416,24 @@ class TestShapeBuffer:
         chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
         expected = 0
         for slot in chosen:
-            t = slow.transition_at(slot)
-            q, *_ = confidence_batch(params, t.state[None, :],
-                                     t.action[None, :], t.next_state[None, :],
-                                     0.5)
+            t = slow.batch_arrays(np.array([slot]))
+            q, *_ = confidence_batch(params, t.states, t.actions,
+                                     t.next_states, 0.5)
             value = float(select(q, self.zset, 0.36)[0])
             slow.set_reward(int(slot), value, shaped=value != 0.0)
             expected += value != 0.0
         assert shaped == expected
-        for s in fast.slots():
-            assert fast.transition_at(s).reward == slow.transition_at(s).reward
-            assert fast.is_shaped(s) == slow.is_shaped(s)
+        assert fast.to_rows().tobytes() == slow.to_rows().tobytes()
 
     def test_nonzero_originals_untouched(self):
         params = _fixed_params()
         buf = _seed_buffer(n_zero=5, n_nonzero=3)
         shape_buffer(params, buf, self.zset, 0.4, 1.0,
                      np.random.default_rng(3), mix=1.0)
-        originals = [s for s in buf.slots() if buf.original_reward_at(s) != 0.0]
-        assert len(originals) == 3
-        assert all(buf.transition_at(s).reward == 3.0 for s in originals)
+        batch = buf.batch_arrays(buf.slots())
+        nonzero = batch.originals != 0.0
+        assert nonzero.sum() == 3
+        assert np.all(batch.rewards[nonzero] == 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +482,28 @@ class TestParamsIo:
                 load_params(cut)
         cut.write_text("".join(lines))
         np.testing.assert_array_equal(load_params(cut).flat, params.flat)
+
+    def test_bit_flips_load_or_name_the_file(self, tmp_path):
+        params = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                        hidden=(3,))
+        good = tmp_path / "good.txt"
+        save_params(params, good)
+        data = good.read_bytes()
+        path = tmp_path / "flipped.txt"
+        loaded = 0
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                back = load_params(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                continue
+            loaded += 1
+            assert isinstance(back, EstimatorParams)
+        # flips inside digits of a value still parse
+        assert 0 < loaded < 8 * len(data)
 
     @pytest.mark.parametrize("old, new", [
         ("layer 3 2", "layer 3 x"),      # non-integer width

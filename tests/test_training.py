@@ -171,11 +171,11 @@ def test_backbone_update_matches_per_row_loop(env):
     buffer = ReplayBuffer(400)
     walker = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of)
     for _ in range(30):
-        run_episode(env, walker, 1.0, rng, buffer=buffer)
+        run_episode(env, walker, 1.0, rng, on_step=buffer.push)
     # Shaped-looking rewards exercise the float arithmetic beyond 0 and 1.
     slots = buffer.slots()
     shaped = rng.random(slots.size) < 0.5
-    originals = np.array([buffer.original_reward_at(s) for s in slots])
+    originals = buffer.batch_arrays(slots).originals
     buffer.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
                                       originals), shaped)
     backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of)
@@ -218,12 +218,14 @@ class TestRunEpisode:
     def test_greedy_right_solves_chain(self):
         env = SparseChain(length=6, max_steps=30)
         backbone = _chain_backbone(env, bias_right=True)
-        transitions, ret = run_episode(env, backbone, 0.0, None)
+        seen = []
+        n_steps, ret = run_episode(env, backbone, 0.0, None,
+                                   on_step=lambda *step: seen.append(step))
         assert ret == 1.0
-        assert len(transitions) == 5
-        assert transitions[-1].terminal
-        assert transitions[-1].reward == 1.0
-        assert all(t.reward == 0.0 for t in transitions[:-1])
+        assert n_steps == len(seen) == 5
+        assert seen[-1][4]
+        assert seen[-1][2] == 1.0
+        assert all(step[2] == 0.0 for step in seen[:-1])
 
     def test_exploration_requires_generator(self):
         env = SparseChain(length=4)
@@ -243,9 +245,9 @@ class TestRunEpisode:
         env = SparseChain(length=5, max_steps=15)
         backbone = _chain_backbone(env)
         rng = np.random.default_rng(11)
-        transitions, _ = run_episode(env, backbone, 1.0, rng)
+        n_steps, _ = run_episode(env, backbone, 1.0, rng)
         mirror = np.random.default_rng(11)
-        for _ in transitions:
+        for _ in range(n_steps):
             mirror.random()
             mirror.integers(env.n_actions)
         assert rng.random() == mirror.random()
@@ -253,33 +255,36 @@ class TestRunEpisode:
     def test_reproducible_per_seed(self):
         env_a, env_b = SparseChain(length=8), SparseChain(length=8)
         backbone = _chain_backbone(env_a)
-        tr_a, ret_a = run_episode(env_a, backbone, 0.5,
-                                  np.random.default_rng(21))
-        tr_b, ret_b = run_episode(env_b, backbone, 0.5,
-                                  np.random.default_rng(21))
+        tr_a, tr_b = [], []
+        n_a, ret_a = run_episode(env_a, backbone, 0.5,
+                                 np.random.default_rng(21),
+                                 on_step=lambda *step: tr_a.append(step))
+        n_b, ret_b = run_episode(env_b, backbone, 0.5,
+                                 np.random.default_rng(21),
+                                 on_step=lambda *step: tr_b.append(step))
         assert ret_a == ret_b
-        assert len(tr_a) == len(tr_b)
+        assert n_a == n_b == len(tr_a) == len(tr_b)
         for a, b in zip(tr_a, tr_b):
-            np.testing.assert_array_equal(a.state, b.state)
-            np.testing.assert_array_equal(a.action, b.action)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
 
     def test_buffer_and_callback(self):
+        # the step hook receives push's arguments, in push's order
         env = SparseChain(length=4, max_steps=10)
         backbone = _chain_backbone(env, bias_right=True)
         buffer = ReplayBuffer(capacity=16)
         seen = []
-        transitions, _ = run_episode(env, backbone, 0.0, None, buffer=buffer,
-                                     on_step=lambda slot, tr: seen.append(slot))
-        assert len(buffer) == len(transitions) == len(seen)
-        assert seen == list(range(len(transitions)))
 
-    def test_callback_without_buffer_gets_none_slot(self):
-        env = SparseChain(length=3, max_steps=5)
-        backbone = _chain_backbone(env, bias_right=True)
-        slots = []
-        run_episode(env, backbone, 0.0, None,
-                    on_step=lambda slot, tr: slots.append(slot))
-        assert slots and all(s is None for s in slots)
+        def on_step(*step):
+            seen.append(buffer.push(*step))
+
+        n_steps, _ = run_episode(env, backbone, 0.0, None, on_step=on_step)
+        assert len(buffer) == n_steps == len(seen)
+        assert seen == list(range(n_steps))
+        batch = buffer.batch_arrays(buffer.slots())
+        np.testing.assert_array_equal(batch.actions,
+                                      [env.action_vector(1)] * n_steps)
+        assert batch.terminals.tolist() == [False] * (n_steps - 1) + [True]
 
 
 class TestEvaluate:
@@ -289,6 +294,16 @@ class TestEvaluate:
         assert evaluate(env, good, 3) == (1.0, 1.0)
         bad = _chain_backbone(env, bias_right=False)
         assert evaluate(env, bad, 3) == (0.0, 0.0)
+
+    def test_builds_no_action_vectors(self, monkeypatch):
+        # greedy evaluation stores nothing, so it encodes no action
+        env = SparseChain(length=5, max_steps=12)
+        calls = []
+        monkeypatch.setattr(env, "action_vector",
+                            lambda action: calls.append(action))
+        assert evaluate(env, _chain_backbone(env, bias_right=True), 3) == (
+            1.0, 1.0)
+        assert calls == []
 
 
 class TestTrain:
