@@ -19,6 +19,7 @@ from .core import TrajectoryMatrix
 
 __all__ = [
     "AugmentSpec",
+    "KINDS",
     "PAIRINGS",
     "row_entropy",
     "shannon_entropy",
@@ -30,7 +31,7 @@ __all__ = [
     "default_cutout_width",
 ]
 
-_KINDS = ("gaussian", "cutout", "smooth", "scale", "translate", "flip", "double_entropy")
+KINDS = ("gaussian", "cutout", "smooth", "scale", "translate", "flip", "double_entropy")
 _DRAWING_KINDS = ("gaussian", "cutout", "scale", "translate")
 
 # Fixed draw ranges for the stochastic rescaling transforms.
@@ -61,7 +62,7 @@ class AugmentSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown augmentation kind: {self.kind!r}")
         p = dict(self.params)
         if self.kind == "gaussian":

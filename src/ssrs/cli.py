@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import best_score_series, reward_distribution, trajectory_consensus
-from .augment import AugmentSpec, apply_augment, partition_entropies
+from .augment import KINDS, AugmentSpec, apply_augment, partition_entropies
 from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
                      parse_config)
 from .core import (Batch, RewardSet, format_cell, load_buffer, load_trajectory,
@@ -269,27 +269,16 @@ def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
     views = consistency_views(batch_z, pairing, seed + 1)
 
     checks = {
-        "L_r": (
-            lambda p: loss_r(p, batch_nz, zset, threshold, mix,
-                             temperature=0.5, mode="smooth")[0],
-            lambda p: loss_r(p, batch_nz, zset, threshold, mix,
-                             temperature=0.5, mode="smooth")[1],
-        ),
-        "L_QV": (
-            lambda p: loss_qv(p, batch_nz)[0],
-            lambda p: loss_qv(p, batch_nz)[1],
-        ),
-        "L_s": (
-            lambda p: loss_s(p, batch_z, views, zset, threshold, mix,
-                             mode="smooth")[0],
-            lambda p: loss_s(p, batch_z, views, zset, threshold, mix,
-                             mode="smooth")[1],
-        ),
+        "L_r": lambda p: loss_r(p, batch_nz, zset, threshold, mix,
+                                temperature=0.5, mode="smooth"),
+        "L_QV": lambda p: loss_qv(p, batch_nz, mode="smooth"),
+        "L_s": lambda p: loss_s(p, batch_z, views, zset, threshold, mix,
+                                mode="smooth"),
     }
     report = {}
-    for name, (value_fn, grad_fn) in checks.items():
-        g_bp = grad_fn(params)
-        g_fd = finite_diff_gradient(value_fn, params, step=step)
+    for name, loss in checks.items():
+        g_bp = loss(params)[1]
+        g_fd = finite_diff_gradient(lambda p: loss(p)[0], params, step=step)
         rel = np.abs(g_bp - g_fd) / (np.abs(g_fd) + 1e-8)
         report[name] = float(rel.max())
     return report
@@ -532,9 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment-check", parents=[common],
                        help="apply one transform to a trajectory file")
     p.add_argument("--traj", required=True, help="trajectory CSV")
-    p.add_argument("--kind", required=True,
-                   choices=["gaussian", "cutout", "smooth", "scale",
-                            "translate", "flip", "double_entropy"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--sigma", type=float, help="gaussian noise scale")
     p.add_argument("--n", type=int,
                    help="column/window/partition count for cutout, smooth "
@@ -581,10 +568,7 @@ def main(argv=None) -> int:
         parser.error("compare needs at least two run directories")
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (CliError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

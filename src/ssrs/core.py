@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,9 +162,12 @@ def update_reward_set(zset: RewardSet, r_new: float) -> RewardSet:
     observed range.  While only a single distinct value v has been seen the
     span is anchored at zero ([min(0, v), max(0, v)]): zero rewards are
     ubiquitous in sparse settings, so the grid should always be able to
-    express "no reward".  Repeated values are a no-op.
+    express "no reward".  Repeated values are a no-op; a non-finite value
+    is rejected.
     """
     r = float(r_new)
+    if not math.isfinite(r):
+        raise ValueError(f"observed reward must be finite, got {r}")
     if r in zset.observed:
         return zset
     observed = tuple(sorted((*zset.observed, r)))
@@ -181,12 +185,13 @@ def update_reward_set(zset: RewardSet, r_new: float) -> RewardSet:
 # replay buffer
 # ---------------------------------------------------------------------------
 
-def _check_entries(states, actions, next_states, m1, m2):
+def _check_entries(states, actions, rewards, next_states, m1, m2):
     """Reject entries that no buffer may hold; the one check on the way in.
 
-    ``states``, ``actions`` and ``next_states`` hold one entry per row.  The
-    state and action widths must be ``m1`` and ``m2`` (any, when None) and
-    states nonnegative: observations are RAM-like values in [0, 255].
+    ``states``, ``actions`` and ``next_states`` hold one entry per row and
+    ``rewards`` is an iterable of their rewards.  The state and action widths
+    must be ``m1`` and ``m2`` (any, when None), states nonnegative
+    (observations are RAM-like values in [0, 255]) and rewards finite.
     """
     if states.ndim != 2 or next_states.ndim != 2:
         raise ValueError("states must be 1-D vectors")
@@ -209,6 +214,9 @@ def _check_entries(states, actions, next_states, m1, m2):
     if (np.count_nonzero(states >= 0) != states.size
             or np.count_nonzero(next_states >= 0) != next_states.size):
         raise ValueError("state components must be nonnegative")
+    # math.isfinite costs push a fraction of a ufunc call on one float.
+    if not all(map(math.isfinite, rewards)):
+        raise ValueError("rewards must be finite")
 
 
 class ReplayBuffer:
@@ -282,7 +290,7 @@ class ReplayBuffer:
         state = np.asarray(state, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         next_state = np.asarray(next_state, dtype=np.float64)
-        _check_entries(state[None], action[None], next_state[None],
+        _check_entries(state[None], action[None], (reward,), next_state[None],
                        self._m1, self._m2)
         if self._m1 is None:
             self._allocate(state.size, action.size)
@@ -380,21 +388,28 @@ class ReplayBuffer:
         """Inverse of :meth:`to_rows`: a buffer holding the rows' entries,
         oldest first, in slots ``[0, len(rows))``.
 
-        Rejects more rows than the capacity, entries that :meth:`push` would
-        reject, flags other than exactly 0.0 or 1.0, and unshaped entries whose
-        reward differs from the original.
+        Rejects rows of another width than ``2*m1 + m2 + 4``, more rows than
+        the capacity, entries that :meth:`push` would reject (stored and
+        original rewards alike), flags other than exactly 0.0 or 1.0, and
+        unshaped entries whose reward differs from the original.
         """
         buffer = cls(capacity)
         rows = np.asarray(rows, dtype=np.float64)
         count = rows.shape[0]
         if count == 0:
             return buffer
+        width = 2 * m1 + m2 + 4
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"rows must be {width} values wide "
+                             f"(2*m1 + m2 + 4), got shape {rows.shape}")
         if count > buffer.capacity:
             raise ValueError(f"{count} entries exceed the capacity {capacity}")
         bounds = np.cumsum([m1, m2, 1, m1, 1, 1])
         (states, actions, rewards, next_states, terminals, originals,
          shaped) = np.split(rows, bounds, axis=1)
-        _check_entries(states, actions, next_states, m1, m2)
+        _check_entries(states, actions,
+                       np.hstack([rewards, originals]).ravel().tolist(),
+                       next_states, m1, m2)
         flags = np.hstack([terminals, shaped])
         if not np.all((flags == 0.0) | (flags == 1.0)):
             raise ValueError("terminal and shaped flags must be 0.0 or 1.0")

@@ -15,12 +15,13 @@ sigmoids and the argmax selection with a softmax-weighted average so the
 gradient exists everywhere; those gradients are the ones used for training
 and are checked against central finite differences in the test suite.
 
-Each loss takes a :class:`~ssrs.core.Batch` and returns (value, gradient,
-gate count).  The gradient is a vector in ``params.flat`` order; hard mode
-returns ``None`` instead and runs no backward pass.  ``sgd_step`` subtracts
-it from ``params.flat`` in place.  The confidence mix, hard and
-soft selection and the confidence-gated pseudo-label come from
-:mod:`ssrs.estimator`, so shaping and training share one definition of each.
+Each loss takes a :class:`~ssrs.core.Batch` and a required ``mode`` and
+returns (value, gradient, gate count).  The gradient is a vector in
+``params.flat`` order; hard mode returns ``None`` instead and runs no
+backward pass.  ``sgd_step`` subtracts it from ``params.flat`` in place.
+The confidence mix, hard and soft selection and the confidence-gated
+pseudo-label come from :mod:`ssrs.estimator`, so shaping and training share
+one definition of each.
 
 The consistency term takes its weak/strong state views ready-made
 (``consistency_views``), so one estimator step builds them once and its
@@ -60,6 +61,11 @@ class LossBreakdown:
     total: float
     gate_pass: dict
 
+    @classmethod
+    def zero(cls) -> "LossBreakdown":
+        """All values and gate counts 0: the record of no evaluation."""
+        return cls(0.0, 0.0, 0.0, 0.0, {"l_r": 0, "l_qv": 0, "l_s": 0})
+
 
 def _sigmoid(x):
     out = np.empty_like(x)
@@ -95,7 +101,7 @@ def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
 
 def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
            threshold: float, mix: float, sharpness: float = 1.0,
-           temperature: float = 0.1, mode: str = "hard", dropout_rng=None):
+           temperature: float = 0.1, *, mode: str, dropout_rng=None):
     """Supervised reward loss over nonzero-reward transitions.
 
     mean over the batch of gate * (r - selected)^2, where the gate passes
@@ -106,7 +112,7 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
         raise ValueError("supervised batch must contain only nonzero-reward transitions")
     n = len(batch)
     if n == 0:
-        return 0.0, np.zeros(params.n_params), 0
+        return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
     q, _, _, q_cache, v_cache = confidence_batch(
         params, batch.states, batch.actions, batch.next_states, mix, dropout_rng
     )
@@ -140,8 +146,8 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
 # head ordering hinge
 # ---------------------------------------------------------------------------
 
-def loss_qv(params: EstimatorParams, batch: Batch, dropout_rng=None,
-            mode: str = "smooth"):
+def loss_qv(params: EstimatorParams, batch: Batch, *, mode: str,
+            dropout_rng=None):
     """Squared hinge penalizing state-action head components that exceed the
     state head's, compared per candidate component.
 
@@ -153,7 +159,7 @@ def loss_qv(params: EstimatorParams, batch: Batch, dropout_rng=None,
     """
     n = len(batch)
     if n == 0:
-        return 0.0, np.zeros(params.n_params), 0
+        return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
     # The ordering compares both heads on the *current* state.
     [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
         params, [batch.states], batch.actions, batch.states, dropout_rng
@@ -187,7 +193,7 @@ def consistency_views(batch: Batch, pairing, augment_seed: int):
 
 def loss_s(params: EstimatorParams, batch: Batch, views,
            zset: RewardSet, threshold: float, mix: float,
-           sharpness: float = 1.0, mode: str = "hard", dropout_rng=None):
+           sharpness: float = 1.0, *, mode: str, dropout_rng=None):
     """Consistency loss over zero-reward transitions.
 
     ``views`` holds a weak and a strong state view of every transition, as
@@ -206,7 +212,7 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
         )
     n = len(batch)
     if n == 0:
-        return 0.0, np.zeros(params.n_params), 0
+        return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
     [(qh_w, cache_w), (qh_s, cache_s)], (vh, cache_v) = forward_heads(
         params, [weak_states, strong_states], batch.actions, batch.next_states,
         dropout_rng,
@@ -259,7 +265,7 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
 def total_loss(params: EstimatorParams, batch: Batch, weight: float,
                zset: RewardSet, threshold: float, mix: float,
                sharpness: float = 1.0, temperature: float = 0.1, *,
-               views, mode: str = "hard", dropout_rng=None):
+               views, mode: str, ordering: bool = True, dropout_rng=None):
     """Combined objective: l_qv + weight * l_s + (1 - weight) * l_r.
 
     The batch is partitioned by original reward: nonzero transitions feed
@@ -268,17 +274,22 @@ def total_loss(params: EstimatorParams, batch: Batch, weight: float,
     (LossBreakdown, gradient); the gradient is None in hard mode (the
     indicator gates have no useful derivative), which runs no backward pass.
     A smooth-mode term whose gradient is not finite raises a ValueError
-    naming the term.
+    naming the term.  With ``ordering`` false the smooth gradient leaves out
+    the head-ordering term, the very one it computed (dropout included);
+    values and gate counts still report l_qv.
     """
     nonzero = batch.originals != 0.0
     batch_nz = batch.subset(nonzero)
     batch_z = batch.subset(~nonzero)
 
     l_r, grad_r, gate_r = loss_r(params, batch_nz, zset, threshold, mix,
-                                 sharpness, temperature, mode, dropout_rng)
-    l_qv, grad_qv, gate_qv = loss_qv(params, batch_nz, dropout_rng, mode)
+                                 sharpness, temperature, mode=mode,
+                                 dropout_rng=dropout_rng)
+    l_qv, grad_qv, gate_qv = loss_qv(params, batch_nz, mode=mode,
+                                     dropout_rng=dropout_rng)
     l_s, grad_s, gate_s = loss_s(params, batch_z, views, zset, threshold,
-                                 mix, sharpness, mode, dropout_rng)
+                                 mix, sharpness, mode=mode,
+                                 dropout_rng=dropout_rng)
 
     breakdown = LossBreakdown(
         l_r=l_r, l_qv=l_qv, l_s=l_s,
@@ -294,6 +305,8 @@ def total_loss(params: EstimatorParams, batch: Batch, weight: float,
                                        (grad_r, grad_qv, grad_s))
                if not np.isfinite(g).all()]
         raise ValueError(f"non-finite gradient in {', '.join(bad) or 'the sum'}")
+    if not ordering:
+        grad = grad - grad_qv
     return breakdown, grad
 
 

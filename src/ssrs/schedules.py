@@ -8,6 +8,9 @@ from dataclasses import dataclass
 
 __all__ = ["ScheduleState", "lambda_at", "alpha_at", "p_u_at"]
 
+# Episode fractions (early, late) at which the shaping-rate phases change.
+_PHASE_BOUNDARIES = (0.2, 0.8)
+
 
 @dataclass
 class ScheduleState:
@@ -17,14 +20,12 @@ class ScheduleState:
     total             total training episodes
     nonzero_count     buffer entries with nonzero original reward
     buffer_count      total buffer entries
-    boundaries        phase break fractions (early, late)
     """
 
     t: float
     total: float
     nonzero_count: int
     buffer_count: int
-    boundaries: tuple = (0.2, 0.8)
 
 
 def lambda_at(t: float, total: float) -> float:
@@ -58,7 +59,7 @@ def p_u_at(state: ScheduleState, base: float) -> float:
     """
     if state.total <= 0:
         raise ValueError("schedule horizon must be positive")
-    early, late = state.boundaries
+    early, late = _PHASE_BOUNDARIES
     frac = state.t / state.total
     if early <= frac < late:
         if state.buffer_count > 0:

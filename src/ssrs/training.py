@@ -12,7 +12,9 @@ nonzero reward has been observed.
 ``run_episode`` only acts; ``train`` hands it a step hook that, per
 environment step and in this order, pushes the step into the replay buffer,
 folds a new nonzero reward into the candidate set, runs a shaping pass and
-applies one TD batch.  Greedy evaluation passes no hook and stores nothing.
+applies one TD batch.  Greedy evaluation runs on the same environment,
+passes no hook and stores nothing.  ``train`` appends one row of measured
+values per episode and builds its :class:`RunRecord` from them once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (Batch, ReplayBuffer, RewardSet, save_buffer,
                    update_reward_set, write_csv, write_json)
 from .envs import make_env
 from .estimator import EstimatorParams, save_params, shape_buffer
-from .losses import consistency_views, loss_qv, sgd_step, total_loss
+from .losses import LossBreakdown, consistency_views, sgd_step, total_loss
 from .schedules import ScheduleState, alpha_at, lambda_at, p_u_at
 
 __all__ = [
@@ -175,13 +177,16 @@ def epsilon_at(config: RunConfig, episode: int) -> float:
 
 @dataclass
 class RunRecord:
-    """Per-episode curves and summary metrics of a single training run."""
+    """Per-episode curves and summary metrics of a single training run.
+
+    Every array holds one value per episode, in the order ``train`` appends
+    its rows; the remaining per-run quantities are derived from them.
+    """
 
     seed: int
     config_hash: str
-    episodes: np.ndarray
+    final_success_rate: float
     scores: np.ndarray
-    best: np.ndarray
     l_r: np.ndarray
     l_qv: np.ndarray
     l_s: np.ndarray
@@ -194,9 +199,27 @@ class RunRecord:
     gate_s: np.ndarray
     returns: np.ndarray
     lengths: np.ndarray
-    first_success_episode: int | None
-    final_success_rate: float
-    total_transitions: int
+
+    @property
+    def episodes(self) -> np.ndarray:
+        """One-based episode numbers."""
+        return np.arange(1, self.scores.size + 1)
+
+    @property
+    def best(self) -> np.ndarray:
+        """Best evaluation score so far, per episode."""
+        return np.maximum.accumulate(self.scores)
+
+    @property
+    def first_success_episode(self) -> int | None:
+        """One-based number of the first episode with a positive return."""
+        hits = np.flatnonzero(self.returns > 0.0)
+        return int(hits[0]) + 1 if hits.size else None
+
+    @property
+    def total_transitions(self) -> int:
+        """Environment steps over all episodes."""
+        return int(self.lengths.sum())
 
     def curve_rows(self):
         """Rows matching CURVE_COLUMNS, one per episode."""
@@ -220,14 +243,13 @@ class RunRecord:
 # training
 # ---------------------------------------------------------------------------
 
-def train(config: RunConfig, env=None, out_dir=None):
+def train(config: RunConfig, out_dir=None):
     """Run one seed end to end; returns (RunRecord, backbone, params, buffer).
 
     With ``out_dir`` set and checkpoint_interval > 0, buffer and estimator
     checkpoints are written every interval episodes.
     """
-    env = env if env is not None else make_env(config.env_spec())
-    eval_env = make_env(config.env_spec())
+    env = make_env(config.env_spec())
     streams = spawn_streams(config.seed)
     backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of,
                                 config.q_init)
@@ -246,16 +268,10 @@ def train(config: RunConfig, env=None, out_dir=None):
     if out_dir is not None and config.checkpoint_interval > 0:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    columns = {name: [] for name in (
-        "scores", "best", "l_r", "l_qv", "l_s", "lam", "alpha", "p_u",
-        "shaped", "gate_r", "gate_qv", "gate_s", "returns", "lengths",
-    )}
+    rows = []
     state = {"zset": zset, "shaped": 0}
-    best_score = -np.inf
     last_score = 0.0
     final_success = 0.0
-    first_success = None
-    total_transitions = 0
 
     for ep in range(horizon):
         lam = lambda_at(ep, horizon)
@@ -289,11 +305,9 @@ def train(config: RunConfig, env=None, out_dir=None):
 
         steps, ep_return = run_episode(env, backbone, epsilon,
                                        streams["action"], on_step=on_step)
-        total_transitions += steps
-        if first_success is None and ep_return > 0.0:
-            first_success = ep + 1
 
-        breakdown = None
+        # An episode without an estimator step logs zeros.
+        breakdown = LossBreakdown.zero()
         if params is not None and config.estimator_steps > 0 and len(buffer) > 0:
             for _ in range(config.estimator_steps):
                 slots = buffer.sample_slots(config.batch_size,
@@ -306,12 +320,9 @@ def train(config: RunConfig, env=None, out_dir=None):
                     params, batch, alpha, state["zset"], lam, config.beta,
                     sharpness=config.sigmoid_sharpness,
                     temperature=config.soft_select_temp, views=views,
-                    mode="smooth", dropout_rng=dropout_rng,
+                    mode="smooth", ordering=config.monotonicity,
+                    dropout_rng=dropout_rng,
                 )
-                if not config.monotonicity:
-                    nz = batch.originals != 0.0
-                    _, g_qv, _ = loss_qv(params, batch.subset(nz))
-                    grad = grad - g_qv
                 sgd_step(params, grad, config.estimator_lr)
                 # Hard-mode values on the same batch and views for the
                 # logged curves.
@@ -323,24 +334,13 @@ def train(config: RunConfig, env=None, out_dir=None):
                 )
 
         if ep % config.eval_interval == 0 or ep == horizon - 1:
-            last_score, final_success = evaluate(eval_env, backbone,
+            last_score, final_success = evaluate(env, backbone,
                                                  config.eval_episodes)
-        best_score = max(best_score, last_score)
 
-        columns["scores"].append(last_score)
-        columns["best"].append(best_score)
-        columns["l_r"].append(breakdown.l_r if breakdown else 0.0)
-        columns["l_qv"].append(breakdown.l_qv if breakdown else 0.0)
-        columns["l_s"].append(breakdown.l_s if breakdown else 0.0)
-        columns["gate_r"].append(breakdown.gate_pass["l_r"] if breakdown else 0)
-        columns["gate_qv"].append(breakdown.gate_pass["l_qv"] if breakdown else 0)
-        columns["gate_s"].append(breakdown.gate_pass["l_s"] if breakdown else 0)
-        columns["lam"].append(lam)
-        columns["alpha"].append(alpha)
-        columns["p_u"].append(p_u)
-        columns["shaped"].append(state["shaped"])
-        columns["returns"].append(ep_return)
-        columns["lengths"].append(steps)
+        gates = breakdown.gate_pass
+        rows.append((last_score, breakdown.l_r, breakdown.l_qv, breakdown.l_s,
+                     lam, alpha, p_u, state["shaped"], gates["l_r"],
+                     gates["l_qv"], gates["l_s"], ep_return, steps))
 
         if (out_dir is not None and config.checkpoint_interval > 0
                 and (ep + 1) % config.checkpoint_interval == 0):
@@ -348,29 +348,9 @@ def train(config: RunConfig, env=None, out_dir=None):
             if params is not None:
                 save_params(params, out_dir / f"params_ep{ep + 1}.txt")
 
-    record = RunRecord(
-        seed=config.seed,
-        config_hash=config_hash(config),
-        episodes=np.arange(1, horizon + 1),
-        scores=np.array(columns["scores"]),
-        best=np.array(columns["best"]),
-        l_r=np.array(columns["l_r"]),
-        l_qv=np.array(columns["l_qv"]),
-        l_s=np.array(columns["l_s"]),
-        lam=np.array(columns["lam"]),
-        alpha=np.array(columns["alpha"]),
-        p_u=np.array(columns["p_u"]),
-        shaped_count=np.array(columns["shaped"], dtype=int),
-        gate_r=np.array(columns["gate_r"], dtype=int),
-        gate_qv=np.array(columns["gate_qv"], dtype=int),
-        gate_s=np.array(columns["gate_s"], dtype=int),
-        returns=np.array(columns["returns"]),
-        lengths=np.array(columns["lengths"], dtype=int),
-        first_success_episode=first_success,
-        final_success_rate=final_success,
-        total_transitions=total_transitions,
-    )
-    assert record.total_transitions == int(record.lengths.sum())
+    # One array per RunRecord column, in field order.
+    record = RunRecord(config.seed, config_hash(config), final_success,
+                       *map(np.array, zip(*rows)))
     return record, backbone, params, buffer
 
 

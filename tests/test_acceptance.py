@@ -299,12 +299,12 @@ def test_acceptance_07_head_ordering_descent():
     )
     reached = None
     for step in range(10000):
-        value, grad, _ = loss_qv(params, batch)
+        value, grad, _ = loss_qv(params, batch, mode="smooth")
         if value < 1e-6:
             reached = step
             break
         sgd_step(params, grad, 1.0)
-    final, _, _ = loss_qv(params, batch)
+    final, _, _ = loss_qv(params, batch, mode="smooth")
     _report(7, "head-ordering descent", reached is not None and final < 1e-6,
             f"below 1e-6 at step {reached}")
 

@@ -107,6 +107,9 @@ def test_reward_set_rejects_degenerate_grids():
         RewardSet(values=np.array([1.0]), observed=())
     with pytest.raises(ValueError):
         RewardSet(values=np.array([1.0, 1.0]), observed=())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            update_reward_set(RewardSet.initial(3), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +119,24 @@ def test_reward_set_rejects_degenerate_grids():
 def test_push_validates_shapes():
     cases = [
         # 2-D state
-        (np.zeros((2, 2)), np.ones(1), np.zeros(4), "1-D"),
+        (np.zeros((2, 2)), np.ones(1), 0.0, np.zeros(4), "1-D"),
         # 2-D action
-        (np.ones(2), np.ones((1, 1)), np.ones(2), "1-D"),
-        (np.ones(2), np.ones(1), np.zeros(3), "lengths differ"),
-        (np.zeros(0), np.ones(1), np.zeros(0), "non-empty"),
-        (np.ones(2), np.zeros(0), np.ones(2), "non-empty"),
-        (np.array([-1.0, 2.0]), np.ones(1), np.ones(2), "nonnegative"),
-        (np.ones(2), np.ones(1), np.array([1.0, -2.0]), "nonnegative"),
-        (np.array([np.nan, 2.0]), np.ones(1), np.ones(2), "nonnegative"),
+        (np.ones(2), np.ones((1, 1)), 0.0, np.ones(2), "1-D"),
+        (np.ones(2), np.ones(1), 0.0, np.zeros(3), "lengths differ"),
+        (np.zeros(0), np.ones(1), 0.0, np.zeros(0), "non-empty"),
+        (np.ones(2), np.zeros(0), 0.0, np.ones(2), "non-empty"),
+        (np.array([-1.0, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
+        (np.ones(2), np.ones(1), 0.0, np.array([1.0, -2.0]), "nonnegative"),
+        (np.array([np.nan, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
+        (np.ones(2), np.ones(1), np.nan, np.ones(2), "finite"),
+        (np.ones(2), np.ones(1), -np.inf, np.ones(2), "finite"),
     ]
-    for state, action, next_state, match in cases:
+    for state, action, reward, next_state, match in cases:
         buf = ReplayBuffer(2)
         with pytest.raises(ValueError, match=match):
-            buf.push(state, action, 0.0, next_state, False)
+            buf.push(state, action, reward, next_state, False)
         assert len(buf) == 0 and buf.state_width is None
+        assert buf.nonzero_reward_count == 0
 
 
 def test_push_and_fraction():
@@ -400,20 +406,32 @@ def test_load_buffer_rejects_unshaped_reward_off_original(tmp_path):
         load_buffer(path)
 
 
-@pytest.mark.parametrize("column, value", [(0, -1.0), (3, -2.0), (0, np.nan),
-                                           (3, -np.inf)],
-                         ids=["state", "next-state", "nan-state",
-                              "inf-next-state"])
-def test_load_buffer_rejects_negative_states(tmp_path, column, value):
-    # The checks push makes on every step also guard every loaded row.
+@pytest.mark.parametrize("edits, match", [
+    ({0: -1.0}, "nonnegative"), ({3: -2.0}, "nonnegative"),
+    ({0: np.nan}, "nonnegative"), ({3: -np.inf}, "nonnegative"),
+    # shaped entries, so only the finite check can catch them
+    ({2: np.nan, 6: 1.0}, "finite"), ({5: np.inf, 6: 1.0}, "finite"),
+], ids=["state", "next-state", "nan-state", "inf-next-state",
+        "nan-shaped-reward", "inf-original"])
+def test_load_buffer_rejects_negative_states(tmp_path, edits, match):
+    # The checks push makes on every step also guard every loaded row, and
+    # cover stored and original rewards alike.
     row = list(_GOOD_ROW)
-    row[column] = value
+    for column, value in edits.items():
+        row[column] = value
     path = tmp_path / "negative.bin"
     path.write_bytes(_checkpoint_bytes([_GOOD_ROW, row]))
-    with pytest.raises(ValueError, match="negative.bin.*nonnegative"):
+    with pytest.raises(ValueError, match=f"negative.bin.*{match}"):
         load_buffer(path)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=match):
         ReplayBuffer.from_rows(4, 1, 1, [_GOOD_ROW, row])
+
+
+@pytest.mark.parametrize("rows", [[_GOOD_ROW[:-1]], [_GOOD_ROW + [0.0]],
+                                  _GOOD_ROW], ids=["narrow", "wide", "1-D"])
+def test_from_rows_rejects_other_row_widths(rows):
+    with pytest.raises(ValueError, match=r"7 values wide.*shape"):
+        ReplayBuffer.from_rows(4, 1, 1, rows)
 
 
 def test_load_buffer_names_unallocatable_capacity(tmp_path):

@@ -91,7 +91,7 @@ class TestLossR:
     def test_exact_fit_is_zero(self):
         params = _scripted([[0.2, 0.3, 0.5]])
         value, grad, _ = loss_r(params, _batch([4.0]), ZSET, threshold=0.4,
-                                mix=1.0)
+                                mix=1.0, mode="hard")
         assert value == 0.0
         assert grad is None
 
@@ -99,31 +99,34 @@ class TestLossR:
         # peak 0.5 at the last candidate selects z = 4 for every row
         params = _scripted([[0.2, 0.3, 0.5]])
         value, _, _ = loss_r(params, _batch([3.0, 1.0]), ZSET, threshold=0.4,
-                             mix=1.0)
+                             mix=1.0, mode="hard")
         assert value == pytest.approx((1.0 + 9.0) / 2, abs=1e-12)
 
     def test_selection_strict_but_gate_inclusive(self):
         # peak == threshold: no candidate is selected (strict), yet the
         # indicator still counts the sample (inclusive), so r is compared to 0
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, _, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.5, mix=1.0)
+        value, _, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.5, mix=1.0,
+                             mode="hard")
         assert value == pytest.approx(9.0, abs=1e-12)
 
     def test_gate_off_below_threshold(self):
         params = _scripted([[0.2, 0.3, 0.5]])
-        value, _, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.6, mix=1.0)
+        value, _, _ = loss_r(params, _batch([3.0]), ZSET, threshold=0.6, mix=1.0,
+                             mode="hard")
         assert value == 0.0
 
     def test_rejects_zero_reward_rows(self):
         params = _small_params(0)
         with pytest.raises(ValueError):
-            loss_r(params, _batch([2.0, 0.0], m1=4), ZSET, 0.5, 0.5)
+            loss_r(params, _batch([2.0, 0.0], m1=4), ZSET, 0.5, 0.5,
+                   mode="hard")
 
     def test_hard_value_matches_manual_selection(self):
         params = _small_params(1)
         batch = _batch([1.0, 2.0, 4.0, 2.0, 1.0], m1=4, seed=3)
         thr, mix = 0.36, 0.6
-        value, _, _ = loss_r(params, batch, ZSET, thr, mix)
+        value, _, _ = loss_r(params, batch, ZSET, thr, mix, mode="hard")
         q, *_ = confidence_batch(params, batch.states, batch.actions,
                                  batch.next_states, mix)
         acc = 0.0
@@ -171,7 +174,7 @@ class TestLossQv:
         params = EstimatorParams(q_net=_FixedNet([[1.0], [0.0]]),
                                  v_net=_FixedNet([[0.0], [1.0]]))
         zero_grid = _batch([5.0, 5.0], m1=3)
-        value, grad, _ = loss_qv(params, zero_grid)
+        value, grad, _ = loss_qv(params, zero_grid, mode="smooth")
         assert value == pytest.approx(0.5, abs=1e-12)
         assert isinstance(grad, np.ndarray)
         assert grad.shape == (params.n_params,)
@@ -179,13 +182,13 @@ class TestLossQv:
     def test_ordered_heads_cost_nothing(self):
         params = EstimatorParams(q_net=_FixedNet([[0.1, 0.2, 0.3]]),
                                  v_net=_FixedNet([[0.2, 0.3, 0.4]]))
-        value, _, _ = loss_qv(params, _batch([1.0, 2.0]))
+        value, _, _ = loss_qv(params, _batch([1.0, 2.0]), mode="smooth")
         assert value == 0.0
 
     def test_compares_heads_on_current_state(self):
         params = _small_params(2)
         batch = _batch([1.0, 2.0, 4.0], m1=4, seed=5)
-        value, _, _ = loss_qv(params, batch)
+        value, _, _ = loss_qv(params, batch, mode="smooth")
         q_out, _ = params.q_net.forward(
             np.concatenate([batch.states, batch.actions], axis=1))
         v_out, _ = params.v_net.forward(batch.states)
@@ -195,7 +198,7 @@ class TestLossQv:
     def test_hard_mode_same_value_without_gradient(self):
         params = _small_params(3)
         batch = _batch([1.0, 2.0, 4.0], m1=4, seed=5)
-        smooth, grad, gates = loss_qv(params, batch)
+        smooth, grad, gates = loss_qv(params, batch, mode="smooth")
         hard, no_grad, hard_gates = loss_qv(params, batch, mode="hard")
         assert grad is not None and no_grad is None
         assert (hard, hard_gates) == (smooth, gates)
@@ -206,9 +209,9 @@ class TestLossQv:
             batch = _batch([2.0, 1.0, 4.0, 2.0], m1=4, seed=seed)
 
             def f(p):
-                return loss_qv(p, batch)[0]
+                return loss_qv(p, batch, mode="smooth")[0]
 
-            _, grad, _ = loss_qv(params, batch)
+            _, grad, _ = loss_qv(params, batch, mode="smooth")
             fd = finite_diff_gradient(f, params)
             rel = np.abs(grad - fd) / (np.abs(fd) + 1e-8)
             assert rel.max() < 1e-4
@@ -223,42 +226,47 @@ class TestLossS:
         # weak view calls the first scripted row, strong view the second
         params = _scripted([[0.7, 0.2, 0.1], [0.91, 0.05, 0.04]])
         value, grad, _ = _loss_s(params, _batch([0.0]), ZSET,
-                                threshold=0.5, mix=1.0)
+                                threshold=0.5, mix=1.0, mode="hard")
         assert value == pytest.approx(-math.log(0.91), abs=1e-12)
         assert grad is None
 
     def test_strong_gate_off(self):
         params = _scripted([[0.7, 0.2, 0.1], [0.45, 0.30, 0.25]])
-        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0)
+        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0,
+                              mode="hard")
         assert value == 0.0
 
     def test_weak_gate_off(self):
         params = _scripted([[0.45, 0.30, 0.25], [0.91, 0.05, 0.04]])
-        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0)
+        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0,
+                              mode="hard")
         assert value == 0.0
 
     def test_gates_inclusive_at_threshold(self):
         params = _scripted([[0.5, 0.3, 0.2], [0.5, 0.25, 0.25]])
-        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0)
+        value, _, _ = _loss_s(params, _batch([0.0]), ZSET, 0.5, 1.0,
+                              mode="hard")
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_rejects_nonzero_rows(self):
         params = _small_params(0)
         with pytest.raises(ValueError):
-            _loss_s(params, _batch([0.0, 1.0], m1=4), ZSET, 0.5, 0.5)
+            _loss_s(params, _batch([0.0, 1.0], m1=4), ZSET, 0.5, 0.5,
+                    mode="hard")
 
     def test_rejects_grid_size_mismatch(self):
         params = _small_params(0)  # 3 candidate outputs
         wrong = RewardSet(values=np.array([1.0, 2.0]), observed=(1.0, 2.0))
         with pytest.raises(ValueError):
-            _loss_s(params, _batch([0.0], m1=4), wrong, 0.5, 0.5)
+            _loss_s(params, _batch([0.0], m1=4), wrong, 0.5, 0.5,
+                    mode="hard")
 
     def test_rejects_views_of_another_batch(self):
         params = _small_params(0)
         batch = _batch([0.0, 0.0], m1=4)
         views = consistency_views(_batch([0.0], m1=4), PAIRING, 0)
         with pytest.raises(ValueError, match="views"):
-            loss_s(params, batch, views, ZSET, 0.5, 0.5)
+            loss_s(params, batch, views, ZSET, 0.5, 0.5, mode="hard")
 
     def test_view_seed_reproducible(self):
         # smooth mode: the weak-view gate varies continuously with the noise,
@@ -299,16 +307,18 @@ class TestTotalLoss:
         batch = _batch([2.0, 0.0, 4.0, 0.0, 0.0, 1.0], m1=4, seed=9)
         weight = 0.7
         breakdown, grad = total_loss(params, batch, weight, ZSET, 0.34, 0.5,
-                                     views=consistency_views(batch, PAIRING, 3))
+                                     views=consistency_views(batch, PAIRING, 3),
+                                     mode="hard")
         assert grad is None
         assert abs(breakdown.total - (breakdown.l_qv + weight * breakdown.l_s
                                       + (1.0 - weight) * breakdown.l_r)) < 1e-15
 
         nz = batch.originals != 0.0
-        l_r, _, _ = loss_r(params, batch.subset(nz), ZSET, 0.34, 0.5)
-        l_qv, _, _ = loss_qv(params, batch.subset(nz))
+        l_r, _, _ = loss_r(params, batch.subset(nz), ZSET, 0.34, 0.5,
+                           mode="hard")
+        l_qv, _, _ = loss_qv(params, batch.subset(nz), mode="hard")
         l_s, _, _ = _loss_s(params, batch.subset(~nz), ZSET, 0.34, 0.5,
-                            augment_seed=3)
+                            mode="hard", augment_seed=3)
         assert breakdown.l_r == pytest.approx(l_r, abs=1e-12)
         assert breakdown.l_qv == pytest.approx(l_qv, abs=1e-12)
         assert breakdown.l_s == pytest.approx(l_s, abs=1e-12)
@@ -319,7 +329,8 @@ class TestTotalLoss:
         params = _small_params(6)
         batch = _batch([0.0, 0.0], m1=4)
         breakdown, _ = total_loss(params, batch, 0.5, ZSET, 0.2, 0.5,
-                                  views=consistency_views(batch, PAIRING, 0))
+                                  views=consistency_views(batch, PAIRING, 0),
+                                  mode="hard")
         assert breakdown.l_r == 0.0
         assert breakdown.l_qv == 0.0
 
@@ -327,7 +338,8 @@ class TestTotalLoss:
         params = _small_params(6)
         batch = _batch([1.0, 2.0], m1=4)
         breakdown, _ = total_loss(params, batch, 0.5, ZSET, 0.2, 0.5,
-                                  views=consistency_views(batch, PAIRING, 0))
+                                  views=consistency_views(batch, PAIRING, 0),
+                                  mode="hard")
         assert breakdown.l_s == 0.0
         assert breakdown.gate_pass["l_s"] == 0
 
@@ -378,6 +390,63 @@ class TestTotalLoss:
                            dropout_rng=np.random.default_rng(9))[0].total
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_ordering_off_drops_the_term_it_computed_under_dropout(self):
+        # The ablation must remove the dropout-mode ordering gradient that
+        # went into the sum, not an eval-mode recomputation of it.
+        params = EstimatorParams.create(4, 2, 3, np.random.default_rng(8),
+                                        hidden=(6,), dropout=0.3)
+        batch = _batch([2.0, 0.0, 1.0, 0.0, 4.0, 0.0, 1.0], m1=4, seed=12)
+        views = consistency_views(batch, PAIRING, 0)
+        weight = 0.6
+        _, grad = total_loss(params, batch, weight, ZSET, 0.34, 0.5,
+                             sharpness=3.0, temperature=0.5, views=views,
+                             mode="smooth", ordering=False,
+                             dropout_rng=np.random.default_rng(9))
+        # the three terms in total_loss's order, drawing from one generator
+        rng = np.random.default_rng(9)
+        nz = batch.originals != 0.0
+        _, g_r, _ = loss_r(params, batch.subset(nz), ZSET, 0.34, 0.5, 3.0,
+                           0.5, mode="smooth", dropout_rng=rng)
+        _, g_qv, _ = loss_qv(params, batch.subset(nz), mode="smooth",
+                             dropout_rng=rng)
+        _, g_s, _ = loss_s(params, batch.subset(~nz), views, ZSET, 0.34, 0.5,
+                           3.0, mode="smooth", dropout_rng=rng)
+        np.testing.assert_allclose(grad, weight * g_s + (1 - weight) * g_r,
+                                   rtol=0, atol=1e-12)
+        # dropout moves the ordering gradient, so the check above is not
+        # one an eval-mode subtraction would also pass
+        _, g_qv_eval, _ = loss_qv(params, batch.subset(nz), mode="smooth")
+        assert not np.allclose(g_qv, g_qv_eval, rtol=0, atol=1e-6)
+
+    def test_ordering_off_subtracts_the_ordering_gradient_exactly(self):
+        params = _small_params(7)
+        batch = _batch([2.0, 0.0, 1.0, 0.0], m1=4, seed=11)
+        views = consistency_views(batch, PAIRING, 2)
+        _, full = total_loss(params, batch, 0.6, ZSET, 0.34, 0.5,
+                             views=views, mode="smooth")
+        _, ablated = total_loss(params, batch, 0.6, ZSET, 0.34, 0.5,
+                                views=views, mode="smooth", ordering=False)
+        _, g_qv, _ = loss_qv(params, batch.subset(batch.originals != 0.0),
+                             mode="smooth")
+        assert ablated.tobytes() == (full - g_qv).tobytes()
+
+    def test_empty_batch_gradient_is_none_in_hard_mode(self):
+        params = _small_params(6)
+        empty = _batch([], m1=4)
+        views = consistency_views(empty, PAIRING, 0)
+        for mode in ("hard", "smooth"):
+            for value, grad, gates in (
+                loss_r(params, empty, ZSET, 0.5, 0.5, mode=mode),
+                loss_qv(params, empty, mode=mode),
+                loss_s(params, empty, views, ZSET, 0.5, 0.5, mode=mode),
+            ):
+                assert (value, gates) == (0.0, 0)
+                if mode == "hard":
+                    assert grad is None
+                else:
+                    np.testing.assert_array_equal(grad,
+                                                  np.zeros(params.n_params))
 
 
 class TestNonFiniteGradient:

@@ -100,13 +100,6 @@ class TestShapingRate:
         assert p_u_at(state, 1.0) == 1.0
         assert p_u_at(state, 0.0) == 0.0
 
-    def test_custom_boundaries(self):
-        state = ScheduleState(t=30, total=100, nonzero_count=4,
-                              buffer_count=16, boundaries=(0.5, 0.9))
-        # frac 0.3 < 0.5: still the early phase under widened boundaries
-        assert p_u_at(state, 0.02) == pytest.approx(0.02 * math.log(5),
-                                                    abs=1e-15)
-
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             p_u_at(ScheduleState(t=0, total=0, nonzero_count=1,

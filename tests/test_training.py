@@ -317,6 +317,14 @@ class TestTrain:
         assert np.all(np.diff(record.alpha) >= 0)
         assert record.total_transitions == int(record.lengths.sum())
         assert set(np.unique(record.returns)).issubset({0.0, 1.0})
+        # plain ints, as run.json serializes them
+        assert type(record.total_transitions) is int
+        first = record.first_success_episode
+        assert type(first) is int
+        assert record.returns[first - 1] > 0.0
+        assert not np.any(record.returns[:first - 1] > 0.0)
+        for gates in (record.gate_r, record.gate_qv, record.gate_s):
+            assert gates.size == 30 and np.all((gates >= 0) & (gates <= 8))
         assert params is not None
         assert len(buffer) == record.total_transitions  # under capacity
 
@@ -343,6 +351,10 @@ class TestTrain:
         assert params is None
         assert np.all(record.shaped_count == 0)
         assert np.all(record.l_r == 0.0)
+        # no estimator step: every loss value and gate count is zero
+        for column in (record.l_qv, record.l_s, record.gate_r, record.gate_qv,
+                       record.gate_s):
+            assert np.all(column == 0)
 
     def test_trajectories_match_vanilla_until_first_success(self):
         # estimator streams are separate, and shaping waits for a real
@@ -416,7 +428,8 @@ class TestRunOutputs:
 # of a 40-episode seed-0 run of the default config with these overrides.
 # Together they cover the smooth (training) and hard (logging) loss passes,
 # train-time dropout, the cutout and smooth strong views and the run without
-# the head-ordering term.
+# the head-ordering term, also under train-time dropout (where the ablation
+# removes the dropout-mode ordering gradient it added).
 _GOLDEN_RUNS = {
     "default": ((), "de4678460ff9617f2b16dc826c0620115018b709d40e389931f861a3f9f4b736"),
     "dropout": (("train_dropout=on",),
@@ -427,6 +440,8 @@ _GOLDEN_RUNS = {
                "3318dba299a3b7118cd06ef957e6b62d32f865334e5525b34177fc03408c0c68"),
     "no_ordering": (("monotonicity=off",),
                     "e78bde10812b6308d714940bd7d062ab61645bb7550fe1646d7066f4e30b8336"),
+    "dropout_no_ordering": (("train_dropout=on", "monotonicity=off"),
+                            "59d48dbb4ffde68c07445d9e2ec39ebfec10d5f6d50794d0ba6d0071c7168149"),
 }
 
 
