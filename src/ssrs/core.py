@@ -32,6 +32,7 @@ __all__ = [
     "save_trajectory",
     "load_trajectory",
     "format_cell",
+    "format_floats",
     "read_csv",
     "write_csv",
     "write_json",
@@ -483,13 +484,25 @@ def load_buffer(path) -> ReplayBuffer:
 # text files: every CSV and JSON file the package writes, trajectory files
 # ---------------------------------------------------------------------------
 
+# 17 significant digits: lossless for float64.
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_cell(value) -> str:
     """Strings as is, integers as integers, else 17-significant-digit float."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return _FLOAT_FORMAT % float(value)
+
+
+def format_floats(values) -> str:
+    """The float cells of a 1-D array, space-separated: the string
+    ``" ".join(map(format_cell, values))`` gives, built in one formatting
+    operation."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    return " ".join([_FLOAT_FORMAT] * len(values)) % tuple(values)
 
 
 def write_csv(path, header, rows):

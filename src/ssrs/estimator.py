@@ -9,7 +9,9 @@ This module holds the single, row-batched definition of each estimator
 formula: the two-head forward (``forward_heads``), the confidence mix
 (``mix_heads``, ``confidence_batch``), hard selection (``select``), its soft
 surrogate (``soft_select``) and the confidence-gated pseudo-label
-(``pseudo_label``).  Buffer shaping and the losses both build on them.
+(``pseudo_label``).  Buffer shaping and the losses both build on them;
+shaping keeps each slot's confidence vector in a ``ConfidenceCache`` until
+the slot is overwritten or the parameters change.
 
 The networks are plain numpy with hand-written backward passes so gradients
 can be audited against finite differences.  All parameters live in one
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ReplayBuffer, RewardSet, format_cell
+from .core import ReplayBuffer, RewardSet, format_cell, format_floats
 
 __all__ = [
     "MlpNet",
@@ -32,6 +34,7 @@ __all__ = [
     "select",
     "soft_select",
     "pseudo_label",
+    "ConfidenceCache",
     "shape_buffer",
     "save_params",
     "load_params",
@@ -298,25 +301,54 @@ def pseudo_label(q, threshold: float):
 # buffer shaping
 # ---------------------------------------------------------------------------
 
+class ConfidenceCache:
+    """Confidence vectors of a buffer's slots, kept while the estimator
+    parameters stay the same.
+
+    A slot's vector depends only on the parameters, the confidence mix and
+    the slot's state, action and next state; not on its stored reward, the
+    threshold or the candidate set.  The owner calls :meth:`forget` when a
+    push overwrites a slot and :meth:`clear` after every parameter update,
+    and passes one mix to every :func:`shape_buffer` call.
+    """
+
+    def __init__(self, capacity: int, n_candidates: int):
+        self.values = np.zeros((capacity, n_candidates))
+        self.fresh = np.zeros(capacity, dtype=bool)
+
+    def forget(self, slot: int):
+        self.fresh[slot] = False
+
+    def clear(self):
+        self.fresh[:] = False
+
+
 def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
                  threshold: float, visit_fraction: float,
-                 rng: np.random.Generator, mix: float) -> int:
+                 rng: np.random.Generator, mix: float,
+                 cache: ConfidenceCache) -> int:
     """Rewrite a random fraction of zero-original-reward entries.
 
     floor(visit_fraction * #candidates) entries are drawn without
     replacement; each visited entry's stored reward becomes the hard
     selection of its confidence vector.  Entries whose selection is 0 are
-    reverted to unshaped.  Returns the number of entries left shaped.
+    reverted to unshaped.  Only visited entries without a fresh vector in
+    ``cache`` are scored (in draw order); their vectors are stored there.
+    Returns the number of entries left shaped.
     """
     candidates = buffer.zero_reward_slots()
     k = int(visit_fraction * candidates.size)
     if k <= 0:
         return 0
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
-    batch = buffer.batch_arrays(chosen)
-    q, _, _, _, _ = confidence_batch(params, batch.states, batch.actions,
-                                     batch.next_states, mix)
-    values = select(q, zset, threshold)
+    stale = chosen[~cache.fresh[chosen]]
+    if stale.size:
+        batch = buffer.batch_arrays(stale)
+        q, _, _, _, _ = confidence_batch(params, batch.states, batch.actions,
+                                         batch.next_states, mix)
+        cache.values[stale] = q
+        cache.fresh[stale] = True
+    values = select(cache.values[chosen], zset, threshold)
     shaped = values != 0.0
     buffer.set_reward(chosen, values, shaped)
     return int(np.count_nonzero(shaped))
@@ -347,10 +379,9 @@ def save_params(params: EstimatorParams, path):
         )
         for w, b in zip(net.weights, net.biases):
             lines.append(f"layer {w.shape[0]} {w.shape[1]}")
-            for row in w:
-                lines.append(" ".join(format_cell(v) for v in row))
+            lines.extend(map(format_floats, w))
             lines.append("bias")
-            lines.append(" ".join(format_cell(v) for v in b))
+            lines.append(format_floats(b))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

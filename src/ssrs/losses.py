@@ -15,13 +15,14 @@ sigmoids and the argmax selection with a softmax-weighted average so the
 gradient exists everywhere; those gradients are the ones used for training
 and are checked against central finite differences in the test suite.
 
-Each loss takes a :class:`~ssrs.core.Batch` and a required ``mode`` and
-returns (value, gradient, gate count).  The gradient is a vector in
-``params.flat`` order; hard mode returns ``None`` instead and runs no
-backward pass.  ``sgd_step`` subtracts it from ``params.flat`` in place.
-The confidence mix, hard and soft selection and the confidence-gated
-pseudo-label come from :mod:`ssrs.estimator`, so shaping and training share
-one definition of each.
+Each loss takes a :class:`~ssrs.core.Batch` and a required ``mode``
+(``"hard"`` or ``"smooth"``; anything else raises a ValueError) and returns
+(value, gradient, gate count).  The gradient is a vector in ``params.flat``
+order; hard mode returns ``None`` instead and runs no backward pass.
+``sgd_step`` subtracts it from ``params.flat`` in place.  The confidence
+mix, hard and soft selection and the confidence-gated pseudo-label come
+from :mod:`ssrs.estimator`, so shaping and training share one definition
+of each.
 
 The consistency term takes its weak/strong state views ready-made
 (``consistency_views``), so one estimator step builds them once and its
@@ -76,6 +77,11 @@ def _sigmoid(x):
     return out
 
 
+def _check_mode(mode):
+    if mode not in ("hard", "smooth"):
+        raise ValueError(f"mode must be 'hard' or 'smooth', got {mode!r}")
+
+
 def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
     """Sum per-head backward results into one ``params.flat``-ordered vector.
 
@@ -108,6 +114,7 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
     when the confidence peak reaches the threshold.  Returns (value,
     gradient, gate count); the gradient is None in hard mode.
     """
+    _check_mode(mode)
     if np.any(batch.originals == 0.0):
         raise ValueError("supervised batch must contain only nonzero-reward transitions")
     n = len(batch)
@@ -157,6 +164,7 @@ def loss_qv(params: EstimatorParams, batch: Batch, *, mode: str,
     (value, gradient, count of samples with some positive component); the
     gradient is None in hard mode.
     """
+    _check_mode(mode)
     n = len(batch)
     if n == 0:
         return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
@@ -202,6 +210,7 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
     cross-entropy.  Both views share one forward of the state head.  Returns
     (value, gradient, gate count); the gradient is None in hard mode.
     """
+    _check_mode(mode)
     if np.any(batch.originals != 0.0):
         raise ValueError("consistency batch must contain only zero-reward transitions")
     weak_states, strong_states = views
@@ -278,6 +287,7 @@ def total_loss(params: EstimatorParams, batch: Batch, weight: float,
     the head-ordering term, the very one it computed (dropout included);
     values and gate counts still report l_qv.
     """
+    _check_mode(mode)
     nonzero = batch.originals != 0.0
     batch_nz = batch.subset(nonzero)
     batch_z = batch.subset(~nonzero)

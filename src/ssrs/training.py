@@ -12,9 +12,11 @@ nonzero reward has been observed.
 ``run_episode`` only acts; ``train`` hands it a step hook that, per
 environment step and in this order, pushes the step into the replay buffer,
 folds a new nonzero reward into the candidate set, runs a shaping pass and
-applies one TD batch.  Greedy evaluation runs on the same environment,
-passes no hook and stores nothing.  ``train`` appends one row of measured
-values per episode and builds its :class:`RunRecord` from them once.
+applies one TD batch.  Shaping reuses each slot's confidence vector until
+the slot is overwritten or the estimator steps.  Greedy evaluation runs on
+the same environment, passes no hook and stores nothing.  ``train`` appends
+one row of measured values per episode and builds its :class:`RunRecord`
+from them once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .config import RunConfig, config_hash, serialize_config
 from .core import (Batch, ReplayBuffer, RewardSet, save_buffer,
                    update_reward_set, write_csv, write_json)
 from .envs import make_env
-from .estimator import EstimatorParams, save_params, shape_buffer
+from .estimator import (ConfidenceCache, EstimatorParams, save_params,
+                        shape_buffer)
 from .losses import LossBreakdown, consistency_views, sgd_step, total_loss
 from .schedules import ScheduleState, alpha_at, lambda_at, p_u_at
 
@@ -255,13 +258,14 @@ def train(config: RunConfig, out_dir=None):
                                 config.q_init)
     buffer = ReplayBuffer(config.buffer_capacity)
     zset = RewardSet.initial(config.n_z)
-    params = None
+    params = cache = None
     if config.shaping:
         params = EstimatorParams.create(
             env.obs_width, env.n_actions, config.n_z,
             streams["estimator_init"], hidden=config.estimator_hidden,
             dropout=config.estimator_dropout, input_scale=1.0 / 255.0,
         )
+        cache = ConfidenceCache(config.buffer_capacity, config.n_z)
     pairing = config.augment_pair()
     horizon = config.episodes
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -288,7 +292,9 @@ def train(config: RunConfig, out_dir=None):
         state["shaped"] = 0
 
         def on_step(obs, action, reward, next_obs, done):
-            buffer.push(obs, action, reward, next_obs, done)
+            slot = buffer.push(obs, action, reward, next_obs, done)
+            if cache is not None:
+                cache.forget(slot)
             if reward != 0.0 and reward not in state["zset"].observed:
                 state["zset"] = update_reward_set(state["zset"], reward)
             # Shaping cannot act before any genuine reward exists: the
@@ -297,7 +303,7 @@ def train(config: RunConfig, out_dir=None):
                     and buffer.nonzero_reward_count > 0):
                 state["shaped"] += shape_buffer(
                     params, buffer, state["zset"], lam, p_u,
-                    streams["shaping"], config.beta,
+                    streams["shaping"], config.beta, cache,
                 )
             slots = buffer.sample_slots(config.batch_size, streams["batch"])
             backbone_update(backbone, buffer.batch_arrays(slots),
@@ -324,6 +330,7 @@ def train(config: RunConfig, out_dir=None):
                     dropout_rng=dropout_rng,
                 )
                 sgd_step(params, grad, config.estimator_lr)
+                cache.clear()
                 # Hard-mode values on the same batch and views for the
                 # logged curves.
                 breakdown, _ = total_loss(

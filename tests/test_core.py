@@ -12,6 +12,8 @@ from ssrs.core import (
     ReplayBuffer,
     RewardSet,
     TrajectoryMatrix,
+    format_cell,
+    format_floats,
     load_buffer,
     load_trajectory,
     save_buffer,
@@ -610,3 +612,14 @@ def test_trajectory_file_corruption_named(tmp_path):
         assert back.states.shape[1] == 4 and back.actions.shape[1] == 2
         assert len(back.rewards) == len(back.states)
     assert rejected > len(data) // 2
+
+
+def test_format_floats_matches_format_cell_per_value():
+    values = np.array([-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e308,
+                       -1e308, 3.0, -7.0, 1e16, 0.1, 1 / 3, -2.5e-5, np.inf,
+                       -np.inf, np.nan])
+    expected = " ".join(map(format_cell, values))
+    assert format_floats(values) == expected
+    assert expected.split()[:4] == ["-0", "0", "4.9406564584124654e-324",
+                                    "2.2250738585072009e-308"]
+    assert format_floats(np.array([])) == ""

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ssrs.core import ReplayBuffer, RewardSet
+from ssrs.core import ReplayBuffer, RewardSet, format_cell, update_reward_set
 from ssrs.estimator import (
+    ConfidenceCache,
     EstimatorParams,
     MlpNet,
     confidence_batch,
@@ -353,6 +354,10 @@ def _seed_buffer(n_zero=10, n_nonzero=2, m1=3, m2=2):
     return buf
 
 
+def _cache(buf, n_candidates=3):
+    return ConfidenceCache(buf.capacity, n_candidates)
+
+
 def _stored(buf):
     """(stored rewards, shaped flags) of every entry, oldest first."""
     rows = buf.to_rows()
@@ -368,7 +373,7 @@ class TestShapeBuffer:
         buf = _seed_buffer(n_zero=10)
         shaped = shape_buffer(params, buf, self.zset, threshold=0.4,
                               visit_fraction=0.35, rng=np.random.default_rng(1),
-                              mix=1.0)
+                              mix=1.0, cache=_cache(buf))
         assert shaped == 3  # floor(0.35 * 10)
         rewards, shaped_flags = _stored(buf)
         assert (rewards == 4.0).sum() == 3
@@ -380,14 +385,14 @@ class TestShapeBuffer:
         params = _fixed_params()
         buf = _seed_buffer()
         assert shape_buffer(params, buf, self.zset, 0.4, 0.0,
-                            np.random.default_rng(0), mix=1.0) == 0
+                            np.random.default_rng(0), 1.0, _cache(buf)) == 0
 
     def test_below_threshold_reverts(self):
         params = _fixed_params()
         buf = _seed_buffer(n_zero=6)
         shaped = shape_buffer(params, buf, self.zset, threshold=0.6,
                               visit_fraction=1.0, rng=np.random.default_rng(2),
-                              mix=1.0)
+                              mix=1.0, cache=_cache(buf))
         assert shaped == 0
         assert buf.zero_reward_slots().size == 6
 
@@ -397,7 +402,7 @@ class TestShapeBuffer:
         for _ in range(2):
             buf = _seed_buffer(n_zero=8)
             shape_buffer(params, buf, self.zset, 0.4, 0.5,
-                         np.random.default_rng(11), mix=1.0)
+                         np.random.default_rng(11), 1.0, _cache(buf))
             rewards, _ = _stored(buf)
             marks.append(tuple(buf.slots()[rewards != 0.0]))
         assert marks[0] == marks[1]
@@ -409,7 +414,7 @@ class TestShapeBuffer:
                                         hidden=(5,), dropout=0.0)
         fast, slow = _seed_buffer(n_zero=12), _seed_buffer(n_zero=12)
         shaped = shape_buffer(params, fast, self.zset, 0.36, 0.8,
-                              np.random.default_rng(5), mix=0.5)
+                              np.random.default_rng(5), 0.5, _cache(fast))
         candidates = slow.zero_reward_slots()
         rng = np.random.default_rng(5)
         k = int(0.8 * candidates.size)
@@ -429,11 +434,146 @@ class TestShapeBuffer:
         params = _fixed_params()
         buf = _seed_buffer(n_zero=5, n_nonzero=3)
         shape_buffer(params, buf, self.zset, 0.4, 1.0,
-                     np.random.default_rng(3), mix=1.0)
+                     np.random.default_rng(3), 1.0, _cache(buf))
         batch = buf.batch_arrays(buf.slots())
         nonzero = batch.originals != 0.0
         assert nonzero.sum() == 3
         assert np.all(batch.rewards[nonzero] == 3.0)
+
+
+def _reference_shape(params, buf, zset, threshold, fraction, rng, mix):
+    """Uncached shaping: score every drawn row, then select and write back."""
+    candidates = buf.zero_reward_slots()
+    k = int(fraction * candidates.size)
+    if k <= 0:
+        return 0
+    chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
+    batch = buf.batch_arrays(chosen)
+    q, *_ = confidence_batch(params, batch.states, batch.actions,
+                             batch.next_states, mix)
+    values = select(q, zset, threshold)
+    buf.set_reward(chosen, values, values != 0.0)
+    return int(np.count_nonzero(values))
+
+
+def _push_random(buf, rng, reward=0.0, m1=3, m2=2):
+    return buf.push(rng.uniform(0, 4, size=m1), np.eye(m2)[rng.integers(m2)],
+                    reward, rng.uniform(0, 4, size=m1), False)
+
+
+class TestConfidenceCache:
+    zset = TestShapeBuffer.zset
+
+    @staticmethod
+    def _params(seed=4):
+        return EstimatorParams.create(3, 2, 3, np.random.default_rng(seed),
+                                      hidden=(5,), dropout=0.0)
+
+    def test_push_over_a_scored_slot_rescores_it(self):
+        params = self._params()
+        rng = np.random.default_rng(0)
+        buf = ReplayBuffer(capacity=6)
+        for _ in range(5):
+            _push_random(buf, rng)
+        _push_random(buf, rng, reward=3.0)
+        cache = _cache(buf)
+        shape_buffer(params, buf, self.zset, 0.0, 1.0,
+                     np.random.default_rng(1), 0.5, cache)
+        # the ring is full: the next push overwrites scored slot 0
+        slot = _push_random(buf, rng)
+        old = cache.values[slot].copy()
+        cache.forget(slot)
+        shape_buffer(params, buf, self.zset, 0.0, 1.0,
+                     np.random.default_rng(2), 0.5, cache)
+        row = buf.batch_arrays(np.array([slot]))
+        q, *_ = confidence_batch(params, row.states, row.actions,
+                                 row.next_states, 0.5)
+        assert not np.array_equal(q[0], old)
+        assert cache.values[slot].tobytes() == q[0].tobytes()
+        assert buf.batch_arrays(np.array([slot])).rewards[0] == \
+            select(q, self.zset, 0.0)[0]
+
+    def test_clear_after_a_parameter_step_rescores_every_drawn_slot(self):
+        params = self._params()
+        buf = _seed_buffer(n_zero=12)
+        cache = _cache(buf)
+        shape_buffer(params, buf, self.zset, 0.0, 1.0,
+                     np.random.default_rng(1), 0.5, cache)
+        slots = buf.zero_reward_slots()
+        before = cache.values[slots].copy()
+        sgd_step(params, np.random.default_rng(3).normal(size=params.n_params),
+                 0.5)
+        cache.clear()
+        shape_buffer(params, buf, self.zset, 0.0, 1.0,
+                     np.random.default_rng(2), 0.5, cache)
+        batch = buf.batch_arrays(slots)
+        q, *_ = confidence_batch(params, batch.states, batch.actions,
+                                 batch.next_states, 0.5)
+        assert cache.fresh[slots].all()
+        assert not np.allclose(before, q)
+        np.testing.assert_allclose(cache.values[slots], q, rtol=1e-12,
+                                   atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_uncached_reference_over_random_operations(self, seed):
+        # pushes (overwriting a full ring), estimator steps, new observed
+        # rewards and threshold changes, with a shaping pass after each
+        params = self._params(seed)
+        rng = np.random.default_rng(seed)
+        cached, reference = ReplayBuffer(capacity=10), ReplayBuffer(capacity=10)
+        cache = _cache(cached)
+        zset = update_reward_set(RewardSet.initial(3), 1.0)
+        pass_cached = np.random.default_rng(100 + seed)
+        pass_reference = np.random.default_rng(100 + seed)
+        steps = 0
+        for _ in range(120):
+            op = rng.integers(4)
+            if op == 0 or len(cached) == 0:
+                reward = float(rng.choice([0.0, 0.0, 0.0, 1.0, 2.5]))
+                state = rng.uniform(0, 4, size=3)
+                action = np.eye(2)[rng.integers(2)]
+                next_state = rng.uniform(0, 4, size=3)
+                slot = cached.push(state, action, reward, next_state, False)
+                reference.push(state, action, reward, next_state, False)
+                cache.forget(slot)
+                if reward != 0.0:
+                    zset = update_reward_set(zset, reward)
+            elif op == 1:
+                sgd_step(params, rng.normal(size=params.n_params), 2.0)
+                cache.clear()
+                steps += 1
+            elif op == 2:
+                zset = update_reward_set(zset, float(rng.uniform(-2, 5)))
+            threshold = float(rng.uniform(0.3, 0.6))
+            fraction = float(rng.uniform(0.2, 1.0))
+            n = shape_buffer(params, cached, zset, threshold, fraction,
+                             pass_cached, 0.5, cache)
+            assert n == _reference_shape(params, reference, zset, threshold,
+                                         fraction, pass_reference, 0.5)
+            assert cached.to_rows().tobytes() == reference.to_rows().tobytes()
+        assert steps > 0
+
+    def test_all_fresh_pass_runs_no_forward(self, monkeypatch):
+        params = self._params()
+        buf = _seed_buffer(n_zero=12)
+        cache = _cache(buf)
+        shape_buffer(params, buf, self.zset, 0.3, 1.0,
+                     np.random.default_rng(1), 0.5, cache)
+        calls = []
+        forward = MlpNet.forward
+
+        def counting(net, *args, **kwargs):
+            calls.append(net)
+            return forward(net, *args, **kwargs)
+
+        monkeypatch.setattr(MlpNet, "forward", counting)
+        shape_buffer(params, buf, self.zset, 0.4, 0.5,
+                     np.random.default_rng(2), 0.5, cache)
+        assert calls == []
+        cache.forget(int(buf.zero_reward_slots()[0]))
+        shape_buffer(params, buf, self.zset, 0.4, 1.0,
+                     np.random.default_rng(3), 0.5, cache)
+        assert len(calls) == 2  # one forward per head, for the one stale slot
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +592,27 @@ class TestParamsIo:
         assert loaded.q_net.layer_sizes == params.q_net.layer_sizes
         assert loaded.q_net.dropout == params.q_net.dropout
         assert loaded.q_net.input_scale == params.q_net.input_scale
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        # the format pinned before the row formatter: one format_cell per
+        # value, space-separated
+        params = EstimatorParams.create(3, 2, 4, np.random.default_rng(7),
+                                        hidden=(5, 4), dropout=0.2,
+                                        input_scale=1 / 255)
+        params.flat[:6] = [-0.0, 5e-324, 1e308, 2.0, -3.0, 0.0]
+        lines = ["reward-estimator-params v1"]
+        for name, net in (("q", params.q_net), ("v", params.v_net)):
+            lines.append(f"net {name} scale {format_cell(net.input_scale)} "
+                         f"dropout {format_cell(net.dropout)} "
+                         f"layers {len(net.weights)}")
+            for w, b in zip(net.weights, net.biases):
+                lines.append(f"layer {w.shape[0]} {w.shape[1]}")
+                lines.extend(" ".join(map(format_cell, row)) for row in w)
+                lines.append("bias")
+                lines.append(" ".join(map(format_cell, b)))
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -530,3 +530,25 @@ class TestFiniteDiff:
         params = _small_params(4, m1=2, m2=1, n_z=2, hidden=())
         grad = finite_diff_gradient(lambda p: 7.5, params)
         np.testing.assert_array_equal(grad, np.zeros(params.n_params))
+
+
+_MODE_CALLS = {
+    "loss_r": lambda p, b, mode: loss_r(p, b.subset(b.originals != 0.0), ZSET,
+                                        0.3, 0.5, mode=mode),
+    "loss_qv": lambda p, b, mode: loss_qv(p, b.subset(b.originals != 0.0),
+                                          mode=mode),
+    "loss_s": lambda p, b, mode: _loss_s(p, b.subset(b.originals == 0.0), ZSET,
+                                         0.3, 0.5, mode=mode),
+    "total_loss": lambda p, b, mode: total_loss(
+        p, b, 0.5, ZSET, 0.3, 0.5, views=consistency_views(b, PAIRING, 0),
+        mode=mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["Hard", "soft"])
+@pytest.mark.parametrize("name", sorted(_MODE_CALLS))
+def test_unknown_mode_is_rejected(name, mode):
+    params = _small_params(8)
+    batch = _batch([2.0, 0.0, 1.0, 0.0], m1=4)
+    with pytest.raises(ValueError, match=f"'{mode}'"):
+        _MODE_CALLS[name](params, batch, mode)

@@ -9,7 +9,8 @@ import pytest
 from ssrs.config import RunConfig, apply_overrides, parse_config
 from ssrs.core import Batch, ReplayBuffer, load_buffer
 from ssrs.envs import KeyDoorGrid, SparseChain
-from ssrs.estimator import load_params
+from ssrs import training
+from ssrs.estimator import ConfidenceCache, load_params, shape_buffer
 from ssrs.training import (
     STREAM_NAMES,
     BackboneQ,
@@ -376,6 +377,28 @@ class TestTrain:
             assert len(buf) > 0
             params = load_params(tmp_path / f"params_ep{ep}.txt")
             assert params.q_net.layer_sizes[-1] == 3
+
+    def test_cached_shaping_matches_scoring_every_drawn_row(self, monkeypatch):
+        # the window wraps and shaping writes, so a confidence vector kept
+        # across a push into its slot or an estimator step would show
+        config = _quick_config("env.kind=key_door_grid", "env.max_steps=100",
+                               "epsilon_final=1.0", "episodes=20",
+                               "estimator_lr=2.0", "buffer_capacity=1000")
+        cached = train(config)
+
+        def uncached(params, buffer, zset, threshold, fraction, rng, mix,
+                     cache):
+            return shape_buffer(params, buffer, zset, threshold, fraction, rng,
+                                mix, ConfidenceCache(buffer.capacity, zset.size))
+
+        monkeypatch.setattr(training, "shape_buffer", uncached)
+        reference = train(config)
+        assert cached[0].total_transitions > config.buffer_capacity
+        assert cached[0].shaped_count.sum() > 0
+        np.testing.assert_array_equal(cached[0].shaped_count,
+                                      reference[0].shaped_count)
+        assert cached[2].flat.tobytes() == reference[2].flat.tobytes()
+        assert cached[3].to_rows().tobytes() == reference[3].to_rows().tobytes()
 
     def test_static_pu_uses_base_rate(self):
         record, *_ = train(_quick_config("static_pu=on", "p_u_base=0.25"))
