@@ -6,7 +6,8 @@ original environment reward for every entry, so shaping is always reversible
 and the shaped/unshaped populations can be told apart exactly.  Environment
 steps enter it through ``ReplayBuffer.push`` and checkpoints through
 ``ReplayBuffer.from_rows``; both apply one entry check.  Every read of
-several entries at once (TD update, shaping, losses, analyses) is a ``Batch``.
+several whole entries at once (shaping, losses, analyses) is a ``Batch``; a
+TD update reads only stored rewards (``ReplayBuffer.rewards_at``).
 """
 
 from __future__ import annotations
@@ -231,6 +232,11 @@ class ReplayBuffer:
     :meth:`sample_slots` and stay valid until the slot is overwritten by
     eviction.  Occupied slots are always ``[0, len(buffer))``: the ring fills
     from slot 0 and never shrinks.
+
+    The ascending list of zero-original slots is kept as entries arrive: a
+    push that fills the ring appends its slot (the largest so far), and in
+    a full ring the list is rebuilt only when a push flips a slot between
+    zero and nonzero original reward.
     """
 
     def __init__(self, capacity: int):
@@ -241,7 +247,7 @@ class ReplayBuffer:
         self._m2 = None
         self._next = 0      # next physical slot to write
         self._size = 0
-        self._nonzero = 0   # cached count of entries with original reward != 0
+        self._zero_count = 0  # entries with original reward 0
 
     # -- sizing -------------------------------------------------------------
 
@@ -259,7 +265,7 @@ class ReplayBuffer:
     @property
     def nonzero_reward_count(self) -> int:
         """Number of stored entries whose *original* reward is nonzero."""
-        return self._nonzero
+        return self._size - self._zero_count
 
     def _require_entries(self, what: str):
         if self._size == 0:
@@ -275,10 +281,23 @@ class ReplayBuffer:
             self._terminals = np.zeros(cap, dtype=bool)
             self._originals = np.zeros(cap)
             self._shaped = np.zeros(cap, dtype=bool)
+            self._index_zero_slots()
         except (MemoryError, ValueError):  # numpy: "array is too big"
             raise ValueError(f"cannot allocate a buffer of capacity {cap}"
                              ) from None
         self._m1, self._m2 = m1, m2
+
+    def _index_zero_slots(self):
+        """Rebuild the zero-original slot list from the stored originals.
+
+        Each rebuild fills a new array with room for every slot, and pushes
+        only append past its end, so an array handed out by
+        :meth:`zero_reward_slots` never changes.
+        """
+        found = np.flatnonzero(self._originals[:self._size] == 0.0)
+        self._zero_slots = np.empty(self.capacity, dtype=np.intp)
+        self._zero_slots[:found.size] = found
+        self._zero_count = found.size
 
     # -- writing ------------------------------------------------------------
 
@@ -296,8 +315,8 @@ class ReplayBuffer:
         if self._m1 is None:
             self._allocate(state.size, action.size)
         slot = self._next
-        if self._size == self.capacity and self._originals[slot] != 0.0:
-            self._nonzero -= 1
+        full = self._size == self.capacity
+        flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
         self._states[slot] = state
         self._actions[slot] = action
         self._rewards[slot] = reward
@@ -305,8 +324,11 @@ class ReplayBuffer:
         self._terminals[slot] = terminal
         self._originals[slot] = reward
         self._shaped[slot] = False
-        if reward != 0.0:
-            self._nonzero += 1
+        if flips:
+            self._index_zero_slots()
+        elif not full and reward == 0.0:
+            self._zero_slots[self._zero_count] = slot
+            self._zero_count += 1
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         return slot
@@ -336,10 +358,19 @@ class ReplayBuffer:
 
     def zero_reward_slots(self) -> np.ndarray:
         """Slots whose original reward is zero, in ascending slot order
-        (none on an empty buffer)."""
+        (none on an empty buffer), as a read-only array that later pushes
+        leave unchanged."""
         if self._size == 0:
             return np.zeros(0, dtype=np.intp)
-        return np.flatnonzero(self._originals[:self._size] == 0.0)
+        slots = self._zero_slots[:self._zero_count]
+        slots.flags.writeable = False
+        return slots
+
+    def rewards_at(self, slots: np.ndarray) -> np.ndarray:
+        """The stored (possibly shaped) rewards at an array of slots, as a
+        copy; the one field a TD update reads from the buffer."""
+        self._require_entries("no reward to read")
+        return self._rewards[slots]
 
     def batch_arrays(self, slots: np.ndarray) -> Batch:
         """The entries at a 1-D array of slots, as a Batch of copies."""
@@ -426,7 +457,7 @@ class ReplayBuffer:
         buffer._shaped[:count] = shaped[:, 0] == 1.0
         buffer._size = count
         buffer._next = count % buffer.capacity
-        buffer._nonzero = int(np.count_nonzero(originals != 0.0))
+        buffer._index_zero_slots()
         return buffer
 
 

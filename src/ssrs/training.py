@@ -10,11 +10,14 @@ a shaped run's trajectory is bit-identical to vanilla until the first
 nonzero reward has been observed.
 
 ``run_episode`` only acts; ``train`` hands it a step hook that, per
-environment step and in this order, pushes the step into the replay buffer,
-folds a new nonzero reward into the candidate set, runs a shaping pass and
-applies one TD batch.  Shaping reuses each slot's confidence vector until
-the slot is overwritten or the estimator steps.  Greedy evaluation runs on
-the same environment, passes no hook and stores nothing.  ``train`` appends
+environment step and in this order, pushes the step into the replay buffer
+and writes the slot's integer codes (state id, action index, next-state id,
+terminal flag; each observation is encoded once), folds a new nonzero
+reward into the candidate set, runs a shaping pass and applies one TD batch.
+TD reads the drawn slots' codes and stored rewards, nothing else of the
+buffer.  Shaping reuses each slot's confidence vector until the slot is
+overwritten or the estimator steps.  Greedy evaluation runs on the same
+environment, passes no hook and stores nothing.  ``train`` appends
 one row of measured values per episode and builds its :class:`RunRecord`
 from them once.
 """
@@ -27,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_hash, serialize_config
-from .core import (Batch, ReplayBuffer, RewardSet, save_buffer,
-                   update_reward_set, write_csv, write_json)
+from .core import (ReplayBuffer, RewardSet, save_buffer, update_reward_set,
+                   write_csv, write_json)
 from .envs import make_env
 from .estimator import (ConfidenceCache, EstimatorParams, save_params,
                         shape_buffer)
@@ -71,53 +74,60 @@ def spawn_streams(seed: int) -> dict:
 # backbone
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BackboneQ:
     """Tabular action-value function plus an observation-to-id encoder.
 
+    ``rows`` holds the values, one list of Python floats per state id, and
+    is the only copy: TD updates write into it.  ``table`` builds a
+    read-only (n_states, n_actions) float64 array of it (for saving and
+    comparing), so a write through ``table`` raises instead of being lost.
     ``encoder`` maps a (rows, obs_width) block of observations to an array
     of state ids, e.g. an environment's ``state_ids_of``.
     """
 
-    table: np.ndarray
-    encoder: object
+    def __init__(self, table, encoder):
+        self.rows = np.asarray(table, dtype=np.float64).tolist()
+        self.encoder = encoder
 
     @classmethod
     def create(cls, n_states: int, n_actions: int, encoder,
                init: float = 1.0) -> "BackboneQ":
         # Optimistic initialization drives systematic exploration of the
         # sparse environments even under modest epsilon.
-        return cls(table=np.full((n_states, n_actions), float(init)),
-                   encoder=encoder)
+        return cls(np.full((n_states, n_actions), float(init)), encoder)
+
+    @property
+    def table(self) -> np.ndarray:
+        table = np.array(self.rows, dtype=np.float64)
+        table.flags.writeable = False
+        return table
 
     def greedy_action(self, obs) -> int:
-        state = self.encoder(np.asarray(obs)[None])[0]
-        return int(np.argmax(self.table[state]))
+        """The first action of maximal value, as ``np.argmax`` picks it
+        (for rows without NaN)."""
+        row = self.rows[self.encoder(np.asarray(obs)[None])[0]]
+        return row.index(max(row))
 
 
-def backbone_update(backbone: BackboneQ, batch: Batch, lr: float,
+def backbone_update(backbone: BackboneQ, buffer: ReplayBuffer,
+                    codes: np.ndarray, slots: np.ndarray, lr: float,
                     discount: float):
-    """Per-entry temporal-difference update, applied sequentially in batch
-    order (stored rewards, i.e. shaped where shaping has run).
+    """Per-entry temporal-difference update of the entries at ``slots``,
+    applied sequentially in the order of ``slots``.
 
-    Terminal entries use the reward alone as target.  Both state columns and
-    the action argmax are encoded once for the whole batch; the sequential
-    updates then run on Python floats, which is the same float64 arithmetic
-    as updating the array entry by entry, and the table is written back once.
+    ``codes[slot]`` holds the entry's state id, action index, next-state id
+    and terminal flag, encoded once when the step was pushed; the reward is
+    read from ``buffer`` (the stored reward, i.e. shaped where shaping has
+    run).  Terminal entries use the reward alone as target.  The updates
+    run on Python floats straight in ``backbone.rows``, which is the same
+    float64 arithmetic as updating an array entry by entry.
     """
-    encode = backbone.encoder
-    rows = backbone.table.tolist()
-    for sid, aid, reward, next_id, terminal in zip(
-        encode(batch.states).tolist(),
-        np.argmax(batch.actions, axis=1).tolist(),
-        batch.rewards.tolist(),
-        encode(batch.next_states).tolist(),
-        batch.terminals.tolist(),
-    ):
+    rows = backbone.rows
+    for (sid, aid, next_id, terminal), reward in zip(
+            codes[slots].tolist(), buffer.rewards_at(slots).tolist()):
         row = rows[sid]
         target = reward if terminal else reward + discount * max(rows[next_id])
         row[aid] += lr * (target - row[aid])
-    backbone.table[...] = rows
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +264,12 @@ def train(config: RunConfig, out_dir=None):
     """
     env = make_env(config.env_spec())
     streams = spawn_streams(config.seed)
-    backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of,
+    encode = env.state_ids_of
+    backbone = BackboneQ.create(env.n_states, env.n_actions, encode,
                                 config.q_init)
     buffer = ReplayBuffer(config.buffer_capacity)
+    # Per slot: state id, action index, next-state id, terminal flag.
+    codes = np.zeros((config.buffer_capacity, 4), dtype=np.int32)
     zset = RewardSet.initial(config.n_z)
     params = cache = None
     if config.shaping:
@@ -290,9 +303,17 @@ def train(config: RunConfig, out_dir=None):
             )
         epsilon = epsilon_at(config, ep)
         state["shaped"] = 0
+        # Id of the previous step's next state, which is where the episode's
+        # next step starts; None before its first step.
+        state["next_id"] = None
 
         def on_step(obs, action, reward, next_obs, done):
             slot = buffer.push(obs, action, reward, next_obs, done)
+            sid = state["next_id"]
+            if sid is None:
+                sid = int(encode(obs[None])[0])
+            state["next_id"] = next_id = int(encode(next_obs[None])[0])
+            codes[slot] = sid, action.argmax(), next_id, done
             if cache is not None:
                 cache.forget(slot)
             if reward != 0.0 and reward not in state["zset"].observed:
@@ -306,8 +327,8 @@ def train(config: RunConfig, out_dir=None):
                     streams["shaping"], config.beta, cache,
                 )
             slots = buffer.sample_slots(config.batch_size, streams["batch"])
-            backbone_update(backbone, buffer.batch_arrays(slots),
-                            config.backbone_lr, config.discount)
+            backbone_update(backbone, buffer, codes, slots, config.backbone_lr,
+                            config.discount)
 
         steps, ep_return = run_episode(env, backbone, epsilon,
                                        streams["action"], on_step=on_step)

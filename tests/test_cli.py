@@ -252,6 +252,19 @@ class TestEval:
         assert "mean_return" in text
         assert "success_rate" in text
 
+    def test_acts_on_the_saved_value_table(self, worker_run, capsys):
+        # eval loads backbone_q.npy: a table preferring "right" solves the
+        # corridor, one preferring "left" never does
+        table_path = worker_run / "backbone_q.npy"
+        saved = np.load(table_path)
+        assert saved.shape == (4, 2) and saved.flags.writeable
+        for column, success in ((1, "1"), (0, "0")):
+            table = np.zeros_like(saved)
+            table[:, column] = 1.0
+            np.save(table_path, table)
+            assert main(["eval", "--run", str(worker_run)]) == 0
+            assert f"success_rate {success}\n" in capsys.readouterr().out
+
     def test_missing_run_dir(self, tmp_path, capsys):
         code = main(["eval", "--run", str(tmp_path / "ghost")])
         assert code == 1

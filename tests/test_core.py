@@ -236,6 +236,8 @@ def test_empty_buffer_reads():
         buf.set_reward(np.array([0]), np.array([1.0]), np.array([True]))
     with pytest.raises(ValueError, match="empty"):
         buf.sample_slots(2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty"):
+        buf.rewards_at(np.array([0]))
 
 
 def test_sample_consumes_one_generator_call():
@@ -289,6 +291,10 @@ def test_batch_arrays_returns_copies():
     batch.states[0, 0] = -100.0
     assert _entry(buf, 4).rewards[0] == -1.5
     assert _entry(buf, 4).states[0, 0] == expected["states"][0, 0]
+    # the rewards-only read gives the same stored rewards, also a copy
+    rewards = buf.rewards_at(slots)
+    assert rewards.tobytes() == expected["rewards"].tobytes()
+    assert not any(np.shares_memory(rewards, a) for a in stored)
 
 
 @pytest.mark.parametrize("slots", [1, np.int64(0), np.array([[0, 1]])],
@@ -532,6 +538,48 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             assert np.array_equal(rewards[unshaped], originals[unshaped])
         np.testing.assert_array_equal(buf.zero_reward_slots(),
                                       _sorted_zero_slots(buf))
+
+
+def _flatnonzero_zero_slots(buf):
+    """``np.flatnonzero(originals[:len] == 0)`` over the originals read back
+    per physical slot: the scan ``zero_reward_slots`` keeps incrementally."""
+    originals = np.zeros(len(buf))
+    if len(buf):
+        originals[buf.slots()] = buf.to_rows()[:, -2]
+    return np.flatnonzero(originals == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
+    rng = np.random.default_rng(seed)
+    capacity = int(rng.integers(1, 40))
+    p_nonzero = rng.uniform(0.05, 0.6)
+    buf = ReplayBuffer(capacity)
+    handed_out = []
+    for step in range(400):
+        op = rng.random()
+        if op < 0.8 or not len(buf):
+            reward = float(rng.normal()) if rng.random() < p_nonzero else 0.0
+            _push(buf, [float(step), 1.0], reward=reward)
+        elif op < 0.9:
+            slots = rng.permutation(buf.slots())[:rng.integers(1, len(buf) + 1)]
+            shaped = rng.random(slots.size) < 0.5
+            originals = buf.batch_arrays(slots).originals
+            buf.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
+                                           originals), shaped)
+        else:
+            # reload all entries, or the newest ones into a ring with room
+            rows = buf.to_rows()[rng.integers(0, len(buf)):]
+            buf = ReplayBuffer.from_rows(capacity, 2, 2, rows)
+        slots = buf.zero_reward_slots()
+        reference = _flatnonzero_zero_slots(buf)
+        assert slots.dtype == reference.dtype
+        np.testing.assert_array_equal(slots, reference)
+        assert not slots.flags.writeable
+        handed_out.append((slots, slots.copy()))
+    # later pushes never change an array already handed out
+    for slots, copy in handed_out:
+        np.testing.assert_array_equal(slots, copy)
 
 
 # ---------------------------------------------------------------------------

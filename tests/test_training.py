@@ -1,5 +1,6 @@
 """Backbone updates, acting loop, draw contracts, end-to-end training runs."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from ssrs.config import RunConfig, apply_overrides, parse_config
-from ssrs.core import Batch, ReplayBuffer, load_buffer
-from ssrs.envs import KeyDoorGrid, SparseChain
+from ssrs.core import ReplayBuffer, load_buffer
+from ssrs.envs import KeyDoorGrid, SparseChain, make_env
 from ssrs import training
 from ssrs.estimator import ConfidenceCache, load_params, shape_buffer
 from ssrs.training import (
@@ -46,16 +47,21 @@ def _first_column(rows):
     return np.asarray(rows)[:, 0].astype(int)
 
 
-def _td_batch(states, actions, rewards, next_states, terminals):
-    """A TD batch of unshaped entries."""
-    return Batch(states, actions, rewards, next_states, terminals, rewards)
+def _td_update(backbone, codes, rewards, lr, discount):
+    """One TD batch over every entry of a buffer holding ``rewards``; row i
+    of ``codes`` is entry i's (state id, action index, next-state id,
+    terminal flag)."""
+    buffer = ReplayBuffer(len(rewards))
+    for reward in rewards:
+        buffer.push([0.0], [1.0], reward, [0.0], False)
+    backbone_update(backbone, buffer, np.array(codes), buffer.slots(), lr,
+                    discount)
 
 
 def _chain_backbone(env, bias_right=True, init=0.0):
-    backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of,
-                                init)
-    backbone.table[:, 1 if bias_right else 0] += 1.0
-    return backbone
+    table = np.full((env.n_states, env.n_actions), init)
+    table[:, 1 if bias_right else 0] += 1.0
+    return BackboneQ(table, env.state_ids_of)
 
 
 class TestStreams:
@@ -90,65 +96,64 @@ class TestBackbone:
 
     def test_terminal_update(self):
         backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
-        batch = _td_batch(
-            states=np.array([[0.0]]), actions=np.array([[1.0, 0.0]]),
-            rewards=np.array([1.0]), next_states=np.array([[1.0]]),
-            terminals=np.array([True]),
-        )
-        backbone_update(backbone, batch, lr=0.1, discount=0.99)
+        _td_update(backbone, [[0, 0, 1, True]], [1.0], lr=0.1, discount=0.99)
         assert backbone.table[0, 0] == pytest.approx(0.1, abs=1e-15)
         assert np.all(backbone.table.ravel()[1:] == 0.0)
 
     def test_zero_reward_update_is_noop_on_zero_table(self):
         backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
-        batch = _td_batch(
-            states=np.array([[0.0]]), actions=np.array([[0.0, 1.0]]),
-            rewards=np.array([0.0]), next_states=np.array([[1.0]]),
-            terminals=np.array([False]),
-        )
-        backbone_update(backbone, batch, lr=0.1, discount=0.99)
+        _td_update(backbone, [[0, 1, 1, False]], [0.0], lr=0.1, discount=0.99)
         assert np.all(backbone.table == 0.0)
 
     def test_nonterminal_bootstraps_from_next_state(self):
-        backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
-        backbone.table[1] = [2.0, 0.5]
-        batch = _td_batch(
-            states=np.array([[0.0]]), actions=np.array([[1.0, 0.0]]),
-            rewards=np.array([1.0]), next_states=np.array([[1.0]]),
-            terminals=np.array([False]),
-        )
-        backbone_update(backbone, batch, lr=0.5, discount=0.5)
+        backbone = BackboneQ([[0.0, 0.0], [2.0, 0.5], [0.0, 0.0]],
+                             _first_column)
+        _td_update(backbone, [[0, 0, 1, False]], [1.0], lr=0.5, discount=0.5)
         # target = 1 + 0.5 * max(2, 0.5) = 2
         assert backbone.table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_terminal_ignores_next_state_values(self):
-        backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
-        backbone.table[1] = [5.0, 5.0]
-        batch = _td_batch(
-            states=np.array([[0.0]]), actions=np.array([[1.0, 0.0]]),
-            rewards=np.array([1.0]), next_states=np.array([[1.0]]),
-            terminals=np.array([True]),
-        )
-        backbone_update(backbone, batch, lr=1.0, discount=0.99)
+        backbone = BackboneQ([[0.0, 0.0], [5.0, 5.0], [0.0, 0.0]],
+                             _first_column)
+        _td_update(backbone, [[0, 0, 1, True]], [1.0], lr=1.0, discount=0.99)
         assert backbone.table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_updates_apply_sequentially(self):
         backbone = BackboneQ.create(2, 1, _first_column, init=0.0)
-        batch = _td_batch(
-            states=np.array([[0.0], [0.0]]),
-            actions=np.array([[1.0], [1.0]]),
-            rewards=np.array([1.0, 1.0]),
-            next_states=np.array([[1.0], [1.0]]),
-            terminals=np.array([True, True]),
-        )
-        backbone_update(backbone, batch, lr=0.5, discount=0.9)
+        _td_update(backbone, [[0, 0, 1, True], [0, 0, 1, True]], [1.0, 1.0],
+                   lr=0.5, discount=0.9)
         # 0 -> 0.5 -> 0.75; a batched (parallel) update would land on 0.5
         assert backbone.table[0, 0] == pytest.approx(0.75, abs=1e-15)
 
+    def test_greedy_action_takes_the_first_maximum(self):
+        # np.argmax's tie-break, on rows with ties (-0.0 equals 0.0 too)
+        rng = np.random.default_rng(5)
+        table = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(200, 4))
+        backbone = BackboneQ(table, _first_column)
+        assert sum(np.sum(row == row.max()) > 1 for row in table) > 50
+        for sid, row in enumerate(table):
+            assert backbone.greedy_action(np.array([sid])) == np.argmax(row)
+
+    def test_table_is_a_read_only_copy_of_the_values(self):
+        backbone = BackboneQ([[1.0, 2.0], [3.0, 4.0]], _first_column)
+        table = backbone.table
+        assert table.dtype == np.float64 and table.shape == (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            backbone.table[...] += 1.0
+        with pytest.raises(AttributeError):
+            backbone.table = np.zeros((2, 2))
+        assert backbone.rows == [[1.0, 2.0], [3.0, 4.0]]
+        # TD writes show in the next table built
+        _td_update(backbone, [[1, 0, 0, True]], [0.0], lr=1.0, discount=0.9)
+        assert backbone.table.tolist() == [[1.0, 2.0], [0.0, 4.0]]
+
 
 def _per_row_update(table, state_id_of, batch, lr, discount):
-    """The per-row TD loop ``backbone_update`` replaced: the reference its
-    batch-encoded version must match bit for bit."""
+    """The per-row TD loop on a gathered batch: the reference that
+    ``backbone_update``, reading codes stored at push, must match bit for
+    bit."""
     for state, action, reward, next_state, terminal in zip(
         batch.states, batch.actions, batch.rewards, batch.next_states,
         batch.terminals,
@@ -179,17 +184,23 @@ def test_backbone_update_matches_per_row_loop(env):
     originals = buffer.batch_arrays(slots).originals
     buffer.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
                                       originals), shaped)
+    entries = buffer.batch_arrays(slots)
+    codes = np.zeros((buffer.capacity, 4), dtype=np.int32)
+    codes[slots] = np.column_stack([
+        env.state_ids_of(entries.states), np.argmax(entries.actions, axis=1),
+        env.state_ids_of(entries.next_states), entries.terminals])
     backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of)
     reference = backbone.table.copy()
     saw_repeat = saw_terminal = False
     for _ in range(200):
         # Small logical range: batches repeat (s, a) pairs and slots.
-        batch = buffer.batch_arrays(rng.choice(slots[:40], size=32))
+        drawn = rng.choice(slots[:40], size=32)
+        batch = buffer.batch_arrays(drawn)
         pairs = {(env.state_id_of(s), int(np.argmax(a)))
                  for s, a in zip(batch.states, batch.actions)}
         saw_repeat |= len(pairs) < 32
         saw_terminal |= bool(batch.terminals.any())
-        backbone_update(backbone, batch, lr=0.3, discount=0.97)
+        backbone_update(backbone, buffer, codes, drawn, lr=0.3, discount=0.97)
         _per_row_update(reference, env.state_id_of, batch, 0.3, 0.97)
     assert saw_repeat and saw_terminal
     assert backbone.table.tobytes() == reference.tobytes()
@@ -400,6 +411,34 @@ class TestTrain:
         assert cached[2].flat.tobytes() == reference[2].flat.tobytes()
         assert cached[3].to_rows().tobytes() == reference[3].to_rows().tobytes()
 
+    def test_codes_written_at_push_match_reencoding_every_batch(
+            self, monkeypatch):
+        # a small window wraps many times and shaping rewrites rewards, so
+        # a code left stale by an overwrite or a reward read from anywhere
+        # but the buffer would show
+        config = _quick_config("env.kind=key_door_grid", "env.max_steps=100",
+                               "epsilon_final=1.0", "episodes=20",
+                               "estimator_lr=2.0", "buffer_capacity=150")
+        coded = train(config)
+        encode = make_env(config.env_spec()).state_id_of
+
+        def reencoding(backbone, buffer, codes, slots, lr, discount):
+            table = backbone.table.copy()
+            _per_row_update(table, encode, buffer.batch_arrays(slots), lr,
+                            discount)
+            backbone.rows[:] = table.tolist()
+
+        monkeypatch.setattr(training, "backbone_update", reencoding)
+        reference = train(config)
+        assert coded[0].total_transitions > 5 * config.buffer_capacity
+        assert coded[0].shaped_count.sum() > 0
+        for field in dataclasses.fields(coded[0]):
+            np.testing.assert_array_equal(getattr(coded[0], field.name),
+                                          getattr(reference[0], field.name))
+        assert coded[1].table.tobytes() == reference[1].table.tobytes()
+        assert coded[2].flat.tobytes() == reference[2].flat.tobytes()
+        assert coded[3].to_rows().tobytes() == reference[3].to_rows().tobytes()
+
     def test_static_pu_uses_base_rate(self):
         record, *_ = train(_quick_config("static_pu=on", "p_u_base=0.25"))
         assert np.all(record.p_u == 0.25)
@@ -468,14 +507,36 @@ _GOLDEN_RUNS = {
 }
 
 
+def _golden_digest(config, out_dir):
+    """(record, sha256 over the four hashed artifacts) of one run."""
+    record, backbone, params, buffer = train(config)
+    write_run_outputs(record, config, out_dir, backbone, params, buffer)
+    sha = hashlib.sha256()
+    for artifact in ("curve.csv", "backbone_q.npy", "params_final.txt",
+                     "buffer_final.bin"):
+        sha.update((out_dir / artifact).read_bytes())
+    return record, sha.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
 def test_run_outputs_match_golden_hashes(tmp_path, name):
     overrides, digest = _GOLDEN_RUNS[name]
     config = apply_overrides(RunConfig(), ["episodes=40", "seed=0", *overrides])
-    record, backbone, params, buffer = train(config)
-    write_run_outputs(record, config, tmp_path, backbone, params, buffer)
-    sha = hashlib.sha256()
-    for artifact in ("curve.csv", "backbone_q.npy", "params_final.txt",
-                     "buffer_final.bin"):
-        sha.update((tmp_path / artifact).read_bytes())
-    assert sha.hexdigest() == digest
+    assert _golden_digest(config, tmp_path)[1] == digest
+
+
+def test_shaped_wrapping_run_matches_golden_hash(tmp_path):
+    # The runs above make no shaped write.  This grid run (the config of
+    # test_cached_shaping_matches_scoring_every_drawn_row) shapes and wraps
+    # its window, so TD reads rewritten rewards from overwritten slots.
+    config = apply_overrides(RunConfig(), [
+        "seed=0", "episodes=20", "env.kind=key_door_grid", "env.max_steps=100",
+        "epsilon_final=1.0", "estimator_lr=2.0", "buffer_capacity=1000",
+        "n_z=3", "estimator_hidden=8", "estimator_dropout=0",
+        "eval_interval=5", "eval_episodes=2", "batch_size=8",
+    ])
+    record, digest = _golden_digest(config, tmp_path)
+    assert record.shaped_count.sum() > 0
+    assert record.total_transitions > config.buffer_capacity
+    assert digest == (
+        "817dbe1b1a91eab804cfb4cedc4a22b106e3e159bfa52418b64327b68caa0d16")
