@@ -83,9 +83,12 @@ def _seed_list(args, default):
     if not parts:
         raise CliError("--seed must list at least one integer")
     try:
-        return [int(p) for p in parts]
+        seeds = [int(p) for p in parts]
     except ValueError:
         raise CliError(f"--seed expects comma-separated integers, got {raw!r}")
+    if min(seeds) < 0:
+        raise CliError(f"--seed entries must be non-negative, got {raw!r}")
+    return seeds
 
 
 def _out_root(args) -> Path:
@@ -208,12 +211,18 @@ def _cmd_eval(args) -> int:
     table_path = run_dir / "backbone_q.npy"
     if not table_path.is_file():
         raise CliError(f"missing value table: {table_path}")
-    table = np.load(table_path)
+    try:
+        with open(table_path, "rb") as fh:
+            table = np.lib.format.read_array(fh)
+    except ValueError as exc:  # empty, truncated or not .npy
+        raise CliError(f"{table_path}: {exc}") from None
+    if table.dtype != np.float64:
+        raise CliError(f"{table_path}: dtype {table.dtype} is not float64")
     env = make_env(config.env_spec())
     if table.shape != (env.n_states, env.n_actions):
         raise CliError(f"value table shape {table.shape} does not match "
                        f"environment ({env.n_states}, {env.n_actions})")
-    backbone = BackboneQ(table=table, encoder=env.state_ids_of)
+    backbone = BackboneQ(table)
     n = args.episodes if args.episodes is not None else config.eval_episodes
     mean_return, success = evaluate(env, backbone, n)
     print(f"episodes {n}")
@@ -399,7 +408,10 @@ def _load_buffer_arg(args):
         raise CliError("pass --run DIR or --buffer FILE")
     if not path.is_file():
         raise CliError(f"missing buffer checkpoint: {path}")
-    return load_buffer(path), config
+    try:
+        return load_buffer(path), config
+    except ValueError as exc:  # malformed file; the message names it
+        raise CliError(str(exc)) from None
 
 
 def _cmd_consensus(args) -> int:
@@ -445,7 +457,10 @@ def _cmd_dist(args) -> int:
         if not path.is_file():
             raise CliError(f"missing buffer checkpoint: {path} "
                            f"(train with checkpoint_interval set)")
-        snapshots[epoch] = load_buffer(path)
+        try:
+            snapshots[epoch] = load_buffer(path)
+        except ValueError as exc:  # malformed file; the message names it
+            raise CliError(str(exc)) from None
     _, rows = reward_distribution(snapshots, bins=args.bins)
     root = _out_root(args)
     out_csv = root / "dist.csv"

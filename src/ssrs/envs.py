@@ -2,9 +2,9 @@
 
 Observations are RAM-like: nonnegative integer-valued vectors scaled to
 [0, 255], padded so the state width is a multiple of the default
-augmentation partition count.  Both environments also expose a compact
-discrete state id for the tabular backbone, one observation at a time
-(``state_id_of``) or for a block of rows at once (``state_ids_of``).
+augmentation partition count.  Both environments also decode an
+observation to the compact discrete state id the tabular backbone indexes
+(``state_id_of``); ``training.run_episode`` decodes each observation once.
 """
 
 from __future__ import annotations
@@ -75,15 +75,12 @@ class SparseChain:
     @property
     def state_id(self) -> int:
         """Id of the current state, read from the walker's position rather
-        than decoded; the independent reference for ``state_ids_of``."""
+        than decoded; the independent reference for ``state_id_of``."""
         return self._pos
 
-    def state_ids_of(self, rows) -> np.ndarray:
-        """State ids of a (rows, obs_width) block of observations."""
-        return np.argmax(np.asarray(rows)[:, : self.length], axis=1)
-
     def state_id_of(self, obs) -> int:
-        return int(self.state_ids_of(np.asarray(obs)[None])[0])
+        """State id of an observation: the hot cell of its one-hot position."""
+        return int(np.asarray(obs)[: self.length].argmax())
 
     def action_vector(self, action: int) -> np.ndarray:
         vec = np.zeros(self.n_actions)
@@ -163,18 +160,15 @@ class KeyDoorGrid:
     @property
     def state_id(self) -> int:
         """Id of the current state, read from the walker's cell and key flag
-        rather than decoded; the independent reference for ``state_ids_of``."""
+        rather than decoded; the independent reference for ``state_id_of``."""
         return self._cell() * 2 + int(self._has_key)
 
-    def state_ids_of(self, rows) -> np.ndarray:
-        """State ids of a (rows, obs_width) block of observations: the cell
-        index doubled, plus one while the key flag is set."""
-        rows = np.asarray(rows)
-        cells = self.width * self.height
-        return np.argmax(rows[:, :cells], axis=1) * 2 + (rows[:, cells] > 0.0)
-
     def state_id_of(self, obs) -> int:
-        return int(self.state_ids_of(np.asarray(obs)[None])[0])
+        """State id of an observation: the cell index doubled, plus one while
+        the key flag is set."""
+        obs = np.asarray(obs)
+        cells = self.width * self.height
+        return int(obs[:cells].argmax()) * 2 + int(obs[cells] > 0.0)
 
     def action_vector(self, action: int) -> np.ndarray:
         vec = np.zeros(self.n_actions)

@@ -9,17 +9,17 @@ its own streams, so disabling shaping never shifts the backbone's draws and
 a shaped run's trajectory is bit-identical to vanilla until the first
 nonzero reward has been observed.
 
-``run_episode`` only acts; ``train`` hands it a step hook that, per
-environment step and in this order, pushes the step into the replay buffer
-and writes the slot's integer codes (state id, action index, next-state id,
-terminal flag; each observation is encoded once), folds a new nonzero
-reward into the candidate set, runs a shaping pass and applies one TD batch.
-TD reads the drawn slots' codes and stored rewards, nothing else of the
-buffer.  Shaping reuses each slot's confidence vector until the slot is
-overwritten or the estimator steps.  Greedy evaluation runs on the same
-environment, passes no hook and stores nothing.  ``train`` appends
-one row of measured values per episode and builds its :class:`RunRecord`
-from them once.
+``run_episode`` only acts, and decodes each observation to its state id
+once; ``train`` hands it a step hook that, per environment step and in
+this order, pushes the step into the replay buffer and writes the slot's
+integer codes (state id, action index, next-state id, terminal flag),
+folds a nonzero reward into the candidate set, runs a shaping pass and
+applies one TD batch.  TD reads the drawn slots' codes and stored
+rewards, nothing else of the buffer.  Shaping reuses each slot's
+confidence vector until the slot is overwritten or the estimator steps.
+Greedy evaluation runs on the same environment, passes no hook and stores
+nothing.  ``train`` appends one row of measured values per episode and
+builds its :class:`RunRecord` from them once.
 """
 
 from __future__ import annotations
@@ -75,26 +75,23 @@ def spawn_streams(seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 class BackboneQ:
-    """Tabular action-value function plus an observation-to-id encoder.
+    """Tabular action-value function over state ids.
 
     ``rows`` holds the values, one list of Python floats per state id, and
     is the only copy: TD updates write into it.  ``table`` builds a
     read-only (n_states, n_actions) float64 array of it (for saving and
     comparing), so a write through ``table`` raises instead of being lost.
-    ``encoder`` maps a (rows, obs_width) block of observations to an array
-    of state ids, e.g. an environment's ``state_ids_of``.
     """
 
-    def __init__(self, table, encoder):
+    def __init__(self, table):
         self.rows = np.asarray(table, dtype=np.float64).tolist()
-        self.encoder = encoder
 
     @classmethod
-    def create(cls, n_states: int, n_actions: int, encoder,
+    def create(cls, n_states: int, n_actions: int,
                init: float = 1.0) -> "BackboneQ":
         # Optimistic initialization drives systematic exploration of the
         # sparse environments even under modest epsilon.
-        return cls(np.full((n_states, n_actions), float(init)), encoder)
+        return cls(np.full((n_states, n_actions), float(init)))
 
     @property
     def table(self) -> np.ndarray:
@@ -102,10 +99,10 @@ class BackboneQ:
         table.flags.writeable = False
         return table
 
-    def greedy_action(self, obs) -> int:
-        """The first action of maximal value, as ``np.argmax`` picks it
-        (for rows without NaN)."""
-        row = self.rows[self.encoder(np.asarray(obs)[None])[0]]
+    def greedy_action(self, sid: int) -> int:
+        """The first action of maximal value in state ``sid``, as
+        ``np.argmax`` picks it (for rows without NaN)."""
+        row = self.rows[sid]
         return row.index(max(row))
 
 
@@ -116,7 +113,7 @@ def backbone_update(backbone: BackboneQ, buffer: ReplayBuffer,
     applied sequentially in the order of ``slots``.
 
     ``codes[slot]`` holds the entry's state id, action index, next-state id
-    and terminal flag, encoded once when the step was pushed; the reward is
+    and terminal flag, written when the step was pushed; the reward is
     read from ``buffer`` (the stored reward, i.e. shaped where shaping has
     run).  Terminal entries use the reward alone as target.  The updates
     run on Python floats straight in ``backbone.rows``, which is the same
@@ -140,26 +137,29 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
 
     While epsilon > 0, each step consumes one uniform draw (plus one integer
     draw when exploring); greedy runs (epsilon == 0) consume nothing.
-    ``on_step(state, action_vector, reward, next_state, terminal)`` fires
-    after each environment step; the action vector is built only for it.
+    ``on_step(state, sid, action, reward, next_state, next_sid, terminal)``
+    fires after each environment step, with the action index and the ids
+    ``env.state_id_of`` gave: each observation is decoded once.
     Returns (steps, episode return).
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("exploratory episodes need a generator")
     obs = env.reset()
+    sid = env.state_id_of(obs)
     steps = 0
     total = 0.0
     while True:
         if epsilon > 0.0 and rng.random() < epsilon:
             action = int(rng.integers(env.n_actions))
         else:
-            action = backbone.greedy_action(obs)
+            action = backbone.greedy_action(sid)
         next_obs, reward, done = env.step(action)
+        next_sid = env.state_id_of(next_obs)
         steps += 1
         total += reward
         if on_step is not None:
-            on_step(obs, env.action_vector(action), reward, next_obs, done)
-        obs = next_obs
+            on_step(obs, sid, action, reward, next_obs, next_sid, done)
+        obs, sid = next_obs, next_sid
         if done:
             return steps, total
 
@@ -264,9 +264,7 @@ def train(config: RunConfig, out_dir=None):
     """
     env = make_env(config.env_spec())
     streams = spawn_streams(config.seed)
-    encode = env.state_ids_of
-    backbone = BackboneQ.create(env.n_states, env.n_actions, encode,
-                                config.q_init)
+    backbone = BackboneQ.create(env.n_states, env.n_actions, config.q_init)
     buffer = ReplayBuffer(config.buffer_capacity)
     # Per slot: state id, action index, next-state id, terminal flag.
     codes = np.zeros((config.buffer_capacity, 4), dtype=np.int32)
@@ -286,9 +284,28 @@ def train(config: RunConfig, out_dir=None):
         out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    state = {"zset": zset, "shaped": 0}
     last_score = 0.0
     final_success = 0.0
+
+    def on_step(obs, sid, action, reward, next_obs, next_sid, done):
+        # lam and p_u are the current episode's; shaped counts its writes.
+        nonlocal zset, shaped
+        slot = buffer.push(obs, env.action_vector(action), reward, next_obs,
+                           done)
+        codes[slot] = sid, action, next_sid, done
+        if cache is not None:
+            cache.forget(slot)
+        if reward != 0.0:
+            zset = update_reward_set(zset, reward)
+        # Shaping cannot act before any genuine reward exists: the
+        # candidate grid would still be the placeholder.
+        if (params is not None and p_u > 0.0
+                and buffer.nonzero_reward_count > 0):
+            shaped += shape_buffer(params, buffer, zset, lam, p_u,
+                                   streams["shaping"], config.beta, cache)
+        slots = buffer.sample_slots(config.batch_size, streams["batch"])
+        backbone_update(backbone, buffer, codes, slots, config.backbone_lr,
+                        config.discount)
 
     for ep in range(horizon):
         lam = lambda_at(ep, horizon)
@@ -302,40 +319,13 @@ def train(config: RunConfig, out_dir=None):
                 config.p_u_base,
             )
         epsilon = epsilon_at(config, ep)
-        state["shaped"] = 0
-        # Id of the previous step's next state, which is where the episode's
-        # next step starts; None before its first step.
-        state["next_id"] = None
-
-        def on_step(obs, action, reward, next_obs, done):
-            slot = buffer.push(obs, action, reward, next_obs, done)
-            sid = state["next_id"]
-            if sid is None:
-                sid = int(encode(obs[None])[0])
-            state["next_id"] = next_id = int(encode(next_obs[None])[0])
-            codes[slot] = sid, action.argmax(), next_id, done
-            if cache is not None:
-                cache.forget(slot)
-            if reward != 0.0 and reward not in state["zset"].observed:
-                state["zset"] = update_reward_set(state["zset"], reward)
-            # Shaping cannot act before any genuine reward exists: the
-            # candidate grid would still be the placeholder.
-            if (params is not None and p_u > 0.0
-                    and buffer.nonzero_reward_count > 0):
-                state["shaped"] += shape_buffer(
-                    params, buffer, state["zset"], lam, p_u,
-                    streams["shaping"], config.beta, cache,
-                )
-            slots = buffer.sample_slots(config.batch_size, streams["batch"])
-            backbone_update(backbone, buffer, codes, slots, config.backbone_lr,
-                            config.discount)
-
+        shaped = 0
         steps, ep_return = run_episode(env, backbone, epsilon,
                                        streams["action"], on_step=on_step)
 
         # An episode without an estimator step logs zeros.
         breakdown = LossBreakdown.zero()
-        if params is not None and config.estimator_steps > 0 and len(buffer) > 0:
+        if params is not None:
             for _ in range(config.estimator_steps):
                 slots = buffer.sample_slots(config.batch_size,
                                             streams["estimator_batch"])
@@ -344,7 +334,7 @@ def train(config: RunConfig, out_dir=None):
                 views = consistency_views(batch, pairing, aug_seed)
                 dropout_rng = streams["dropout"] if config.train_dropout else None
                 _, grad = total_loss(
-                    params, batch, alpha, state["zset"], lam, config.beta,
+                    params, batch, alpha, zset, lam, config.beta,
                     sharpness=config.sigmoid_sharpness,
                     temperature=config.soft_select_temp, views=views,
                     mode="smooth", ordering=config.monotonicity,
@@ -355,7 +345,7 @@ def train(config: RunConfig, out_dir=None):
                 # Hard-mode values on the same batch and views for the
                 # logged curves.
                 breakdown, _ = total_loss(
-                    params, batch, alpha, state["zset"], lam, config.beta,
+                    params, batch, alpha, zset, lam, config.beta,
                     sharpness=config.sigmoid_sharpness,
                     temperature=config.soft_select_temp, views=views,
                     mode="hard",
@@ -367,7 +357,7 @@ def train(config: RunConfig, out_dir=None):
 
         gates = breakdown.gate_pass
         rows.append((last_score, breakdown.l_r, breakdown.l_qv, breakdown.l_s,
-                     lam, alpha, p_u, state["shaped"], gates["l_r"],
+                     lam, alpha, p_u, shaped, gates["l_r"],
                      gates["l_qv"], gates["l_s"], ep_return, steps))
 
         if (out_dir is not None and config.checkpoint_interval > 0

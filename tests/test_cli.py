@@ -297,6 +297,90 @@ def test_bad_run_json_named(tmp_path, capsys, command, content):
     assert err.startswith("error: ") and str(run / "run.json") in err
 
 
+@pytest.mark.parametrize("command", ["train", "rollout", "gradcheck",
+                                     "augment-check"])
+def test_negative_seed_rejected(tmp_path, capsys, command):
+    argv = [command, "--seed", "-1", "--out", str(tmp_path / "o")]
+    if command == "augment-check":
+        assert main(["rollout", "--out", str(tmp_path)]) == 0
+        argv += ["--traj", str(tmp_path / "rollout.csv"), "--kind", "gaussian"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed ") and "'-1'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _copy_run_json(trained_root, run):
+    """A run directory holding only the trained run's run.json."""
+    run.mkdir()
+    (run / "run.json").write_bytes(
+        (trained_root / "out" / "seed_0" / "run.json").read_bytes())
+    return run
+
+
+BAD_TABLES = {
+    "empty": lambda good: b"",
+    "truncated_data": lambda good: good[:-5],
+    "truncated_header": lambda good: good[:20],
+    "not_npy": lambda good: b"not an array\n",
+}
+
+
+@pytest.mark.parametrize("content", sorted(BAD_TABLES))
+def test_malformed_value_table_named(trained_root, tmp_path, capsys, content):
+    run = _copy_run_json(trained_root, tmp_path / "run")
+    good = (trained_root / "out" / "seed_0" / "backbone_q.npy").read_bytes()
+    table = run / "backbone_q.npy"
+    table.write_bytes(BAD_TABLES[content](good))
+    assert main(["eval", "--run", str(run)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {table}: ")
+
+
+@pytest.mark.parametrize("save, message", [
+    (lambda fh: np.savez(fh, q=np.zeros((4, 2))), "magic string"),
+    (lambda fh: np.save(fh, np.full((4, 2), "a")), "not float64"),
+], ids=["npz_archive", "string_array"])
+def test_value_table_not_a_float_array_named(trained_root, tmp_path, capsys,
+                                             save, message):
+    run = _copy_run_json(trained_root, tmp_path / "run")
+    table = run / "backbone_q.npy"
+    with open(table, "wb") as fh:
+        save(fh)
+    assert main(["eval", "--run", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}: ") and message in err
+
+
+BAD_BUFFERS = {
+    "empty": lambda good: b"",
+    "truncated": lambda good: good[:-1],
+    "trailing_byte": lambda good: good + b"\0",
+}
+
+
+@pytest.mark.parametrize("content", sorted(BAD_BUFFERS))
+@pytest.mark.parametrize("source", ["consensus_run", "consensus_buffer",
+                                    "dist"])
+def test_malformed_buffer_named(trained_root, tmp_path, capsys, source,
+                                content):
+    run = _copy_run_json(trained_root, tmp_path / "run")
+    good = (trained_root / "out" / "seed_0" / "buffer_final.bin").read_bytes()
+    if source == "dist":
+        path = run / "buffer_ep6.bin"
+        argv = ["dist", "--run", str(run), "--epochs", "6"]
+    else:
+        path = run / "buffer_final.bin"
+        argv = (["consensus", "--run", str(run)] if source == "consensus_run"
+                else ["consensus", "--buffer", str(path)])
+    path.write_bytes(BAD_BUFFERS[content](good))
+    with pytest.raises(ValueError):
+        load_buffer(path)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "o").exists()
+
+
 class TestGradcheck:
     def test_report_values_small(self):
         report = gradcheck_report(0)

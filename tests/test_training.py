@@ -42,11 +42,6 @@ def _quick_config(*overrides):
     return apply_overrides(parse_config(QUICK_CONFIG), list(overrides))
 
 
-def _first_column(rows):
-    """Encoder reading the state id from the first observation column."""
-    return np.asarray(rows)[:, 0].astype(int)
-
-
 def _td_update(backbone, codes, rewards, lr, discount):
     """One TD batch over every entry of a buffer holding ``rewards``; row i
     of ``codes`` is entry i's (state id, action index, next-state id,
@@ -61,7 +56,7 @@ def _td_update(backbone, codes, rewards, lr, discount):
 def _chain_backbone(env, bias_right=True, init=0.0):
     table = np.full((env.n_states, env.n_actions), init)
     table[:, 1 if bias_right else 0] += 1.0
-    return BackboneQ(table, env.state_ids_of)
+    return BackboneQ(table)
 
 
 class TestStreams:
@@ -84,42 +79,40 @@ class TestStreams:
 
 class TestBackbone:
     def test_create_fills_init(self):
-        backbone = BackboneQ.create(4, 2, _first_column, init=1.5)
+        backbone = BackboneQ.create(4, 2, init=1.5)
         assert backbone.table.shape == (4, 2)
         assert np.all(backbone.table == 1.5)
 
-    def test_greedy_action_uses_encoder(self):
+    def test_greedy_action_reads_the_state_row(self):
         env = SparseChain(length=4)
         backbone = _chain_backbone(env, bias_right=True)
         obs = env.reset()
-        assert backbone.greedy_action(obs) == 1
+        assert backbone.greedy_action(env.state_id_of(obs)) == 1
 
     def test_terminal_update(self):
-        backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
+        backbone = BackboneQ.create(3, 2, init=0.0)
         _td_update(backbone, [[0, 0, 1, True]], [1.0], lr=0.1, discount=0.99)
         assert backbone.table[0, 0] == pytest.approx(0.1, abs=1e-15)
         assert np.all(backbone.table.ravel()[1:] == 0.0)
 
     def test_zero_reward_update_is_noop_on_zero_table(self):
-        backbone = BackboneQ.create(3, 2, _first_column, init=0.0)
+        backbone = BackboneQ.create(3, 2, init=0.0)
         _td_update(backbone, [[0, 1, 1, False]], [0.0], lr=0.1, discount=0.99)
         assert np.all(backbone.table == 0.0)
 
     def test_nonterminal_bootstraps_from_next_state(self):
-        backbone = BackboneQ([[0.0, 0.0], [2.0, 0.5], [0.0, 0.0]],
-                             _first_column)
+        backbone = BackboneQ([[0.0, 0.0], [2.0, 0.5], [0.0, 0.0]])
         _td_update(backbone, [[0, 0, 1, False]], [1.0], lr=0.5, discount=0.5)
         # target = 1 + 0.5 * max(2, 0.5) = 2
         assert backbone.table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_terminal_ignores_next_state_values(self):
-        backbone = BackboneQ([[0.0, 0.0], [5.0, 5.0], [0.0, 0.0]],
-                             _first_column)
+        backbone = BackboneQ([[0.0, 0.0], [5.0, 5.0], [0.0, 0.0]])
         _td_update(backbone, [[0, 0, 1, True]], [1.0], lr=1.0, discount=0.99)
         assert backbone.table[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_updates_apply_sequentially(self):
-        backbone = BackboneQ.create(2, 1, _first_column, init=0.0)
+        backbone = BackboneQ.create(2, 1, init=0.0)
         _td_update(backbone, [[0, 0, 1, True], [0, 0, 1, True]], [1.0, 1.0],
                    lr=0.5, discount=0.9)
         # 0 -> 0.5 -> 0.75; a batched (parallel) update would land on 0.5
@@ -129,13 +122,13 @@ class TestBackbone:
         # np.argmax's tie-break, on rows with ties (-0.0 equals 0.0 too)
         rng = np.random.default_rng(5)
         table = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(200, 4))
-        backbone = BackboneQ(table, _first_column)
+        backbone = BackboneQ(table)
         assert sum(np.sum(row == row.max()) > 1 for row in table) > 50
         for sid, row in enumerate(table):
-            assert backbone.greedy_action(np.array([sid])) == np.argmax(row)
+            assert backbone.greedy_action(sid) == np.argmax(row)
 
     def test_table_is_a_read_only_copy_of_the_values(self):
-        backbone = BackboneQ([[1.0, 2.0], [3.0, 4.0]], _first_column)
+        backbone = BackboneQ([[1.0, 2.0], [3.0, 4.0]])
         table = backbone.table
         assert table.dtype == np.float64 and table.shape == (2, 2)
         with pytest.raises(ValueError, match="read-only"):
@@ -175,21 +168,23 @@ def _per_row_update(table, state_id_of, batch, lr, discount):
 def test_backbone_update_matches_per_row_loop(env):
     rng = np.random.default_rng(11)
     buffer = ReplayBuffer(400)
-    walker = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of)
+    codes = np.zeros((buffer.capacity, 4), dtype=np.int32)
+
+    def push(obs, sid, action, reward, next_obs, next_sid, done):
+        slot = buffer.push(obs, env.action_vector(action), reward, next_obs,
+                           done)
+        codes[slot] = sid, action, next_sid, done
+
+    walker = BackboneQ.create(env.n_states, env.n_actions)
     for _ in range(30):
-        run_episode(env, walker, 1.0, rng, on_step=buffer.push)
+        run_episode(env, walker, 1.0, rng, on_step=push)
     # Shaped-looking rewards exercise the float arithmetic beyond 0 and 1.
     slots = buffer.slots()
     shaped = rng.random(slots.size) < 0.5
     originals = buffer.batch_arrays(slots).originals
     buffer.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
                                       originals), shaped)
-    entries = buffer.batch_arrays(slots)
-    codes = np.zeros((buffer.capacity, 4), dtype=np.int32)
-    codes[slots] = np.column_stack([
-        env.state_ids_of(entries.states), np.argmax(entries.actions, axis=1),
-        env.state_ids_of(entries.next_states), entries.terminals])
-    backbone = BackboneQ.create(env.n_states, env.n_actions, env.state_ids_of)
+    backbone = BackboneQ.create(env.n_states, env.n_actions)
     reference = backbone.table.copy()
     saw_repeat = saw_terminal = False
     for _ in range(200):
@@ -235,9 +230,9 @@ class TestRunEpisode:
                                    on_step=lambda *step: seen.append(step))
         assert ret == 1.0
         assert n_steps == len(seen) == 5
-        assert seen[-1][4]
-        assert seen[-1][2] == 1.0
-        assert all(step[2] == 0.0 for step in seen[:-1])
+        assert seen[-1][6]
+        assert seen[-1][3] == 1.0
+        assert all(step[3] == 0.0 for step in seen[:-1])
 
     def test_exploration_requires_generator(self):
         env = SparseChain(length=4)
@@ -278,17 +273,18 @@ class TestRunEpisode:
         assert n_a == n_b == len(tr_a) == len(tr_b)
         for a, b in zip(tr_a, tr_b):
             np.testing.assert_array_equal(a[0], b[0])
-            np.testing.assert_array_equal(a[1], b[1])
+            assert a[2] == b[2]
 
     def test_buffer_and_callback(self):
-        # the step hook receives push's arguments, in push's order
+        # the step hook receives the step and pushes it, one slot per step
         env = SparseChain(length=4, max_steps=10)
         backbone = _chain_backbone(env, bias_right=True)
         buffer = ReplayBuffer(capacity=16)
         seen = []
 
-        def on_step(*step):
-            seen.append(buffer.push(*step))
+        def on_step(obs, sid, action, reward, next_obs, next_sid, done):
+            seen.append(buffer.push(obs, env.action_vector(action), reward,
+                                    next_obs, done))
 
         n_steps, _ = run_episode(env, backbone, 0.0, None, on_step=on_step)
         assert len(buffer) == n_steps == len(seen)
@@ -297,6 +293,35 @@ class TestRunEpisode:
         np.testing.assert_array_equal(batch.actions,
                                       [env.action_vector(1)] * n_steps)
         assert batch.terminals.tolist() == [False] * (n_steps - 1) + [True]
+
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.0],
+                             ids=["exploring", "greedy"])
+    def test_decodes_each_observation_once(self, monkeypatch, epsilon):
+        # the reset observation and every next observation are decoded
+        # once, and the hook gets those ids
+        env = KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2),
+                          max_steps=25)
+        rng = np.random.default_rng(4)
+        backbone = BackboneQ(rng.random((env.n_states, env.n_actions)))
+        decode, truth = env.state_id_of, []
+
+        def counting(obs):
+            truth.append(env.state_id)
+            return decode(obs)
+
+        monkeypatch.setattr(env, "state_id_of", counting)
+        seen = []
+
+        def on_step(obs, sid, action, reward, next_obs, next_sid, done):
+            assert next_sid == env.state_id
+            seen.append((sid, next_sid))
+
+        n_steps, _ = run_episode(env, backbone, epsilon,
+                                 rng if epsilon else None, on_step=on_step)
+        assert n_steps > 1
+        assert len(truth) == n_steps + 1
+        assert seen == list(zip(truth[:-1], truth[1:]))
 
 
 class TestEvaluate:
