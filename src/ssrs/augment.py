@@ -31,12 +31,20 @@ __all__ = [
     "default_cutout_width",
 ]
 
-KINDS = ("gaussian", "cutout", "smooth", "scale", "translate", "flip", "double_entropy")
+# The parameters each transform kind reads, with their defaults.  The
+# ``scale`` and ``translate`` defaults are also the fixed ranges their draw
+# ranges must sit inside.
+_DEFAULTS = {
+    "gaussian": {"sigma": 0.1},
+    "cutout": {"n": 0},  # 0 derives the width from the state width
+    "smooth": {"n": 3},
+    "scale": {"low": 0.8, "high": 1.2},
+    "translate": {"low": 0.0, "high": 0.1},
+    "flip": {},
+    "double_entropy": {"n": 8},
+}
+KINDS = tuple(_DEFAULTS)
 _DRAWING_KINDS = ("gaussian", "cutout", "scale", "translate")
-
-# Fixed draw ranges for the stochastic rescaling transforms.
-_SCALE_RANGE = (0.8, 1.2)
-_TRANSLATE_RANGE = (0.0, 0.1)
 
 
 def default_cutout_width(m1: int) -> int:
@@ -54,8 +62,9 @@ class AugmentSpec:
     kind      one of: gaussian, cutout, smooth, scale, translate, flip,
               double_entropy
     params    kind-specific parameters; missing entries take the defaults
-              below.  ``scale`` and ``translate`` draw their factor from the
-              fixed ranges (0.8, 1.2) and (0, 0.1) respectively.
+              below, and a parameter the kind does not read is rejected.
+              ``scale`` and ``translate`` draw their factor from the fixed
+              ranges (0.8, 1.2) and (0, 0.1) respectively.
     """
 
     kind: str
@@ -64,37 +73,28 @@ class AugmentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown augmentation kind: {self.kind!r}")
-        p = dict(self.params)
+        defaults = _DEFAULTS[self.kind]
+        unread = sorted(set(self.params) - set(defaults))
+        if unread:
+            raise ValueError(f"{self.kind} takes no parameter "
+                             f"{', '.join(unread)}")
+        p = {**defaults, **self.params}
         if self.kind == "gaussian":
-            sigma = float(p.get("sigma", 0.1))
-            if sigma < 0:
+            p["sigma"] = float(p["sigma"])
+            if p["sigma"] < 0:
                 raise ValueError("gaussian sigma must be nonnegative")
-            p["sigma"] = sigma
-        elif self.kind == "cutout":
-            # 0 means "derive from the state width at application time"
-            n = int(p.get("n", 0))
-            if n < 0:
-                raise ValueError("cutout width must be nonnegative")
-            p["n"] = n
-        elif self.kind == "smooth":
-            n = int(p.get("n", 3))
-            if n < 1:
-                raise ValueError("smoothing window must be at least 1")
-            p["n"] = n
-        elif self.kind == "double_entropy":
-            n = int(p.get("n", 8))
-            if n < 1:
-                raise ValueError("partition count must be at least 1")
-            p["n"] = n
         elif self.kind in ("scale", "translate"):
-            lo, hi = _SCALE_RANGE if self.kind == "scale" else _TRANSLATE_RANGE
-            plo = float(p.get("low", lo))
-            phi = float(p.get("high", hi))
-            if not (lo <= plo < phi <= hi):
+            lo, hi = defaults["low"], defaults["high"]
+            p["low"], p["high"] = float(p["low"]), float(p["high"])
+            if not lo <= p["low"] < p["high"] <= hi:
                 raise ValueError(
                     f"{self.kind} draw range must sit inside ({lo}, {hi})"
                 )
-            p["low"], p["high"] = plo, phi
+        elif "n" in p:
+            p["n"] = int(p["n"])
+            least = 0 if self.kind == "cutout" else 1
+            if p["n"] < least:
+                raise ValueError(f"{self.kind} n must be at least {least}")
         object.__setattr__(self, "params", p)
 
 

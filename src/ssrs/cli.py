@@ -13,11 +13,15 @@ consensus      co-assignment matrix over repeated clusterings of a buffer
 dist           shaped-reward histograms across buffer checkpoints
 compare        mean/std of best scores across aggregated run directories
 
-Shared flags: ``--config PATH``, ``--seed LIST``, ``--out DIR`` (default from
-the ``SSRS_OUT`` environment variable, else the working directory),
-``--force`` to overwrite existing outputs, and ``--set key=value``
-(repeatable) for config overrides.  All CSV outputs use RFC-4180 quoting,
-"\\n" line endings and 17-significant-digit decimal floats.
+Each subcommand accepts only the flags it reads.  ``train`` and
+``rollout`` take ``--config PATH`` and ``--set key=value`` (repeatable)
+for config overrides.  ``train`` and ``gradcheck`` take ``--seed LIST``;
+``rollout``, ``augment-check`` and ``consensus`` take one ``--seed N``.
+Every subcommand that writes files takes ``--out DIR`` (default from the
+``SSRS_OUT`` environment variable, else the working directory) and
+``--force`` to overwrite existing outputs; ``eval`` takes ``--run`` alone.
+All CSV outputs use RFC-4180 quoting, "\\n" line endings and
+17-significant-digit decimal floats.
 """
 
 from __future__ import annotations
@@ -57,7 +61,9 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    """The run configuration of ``--config`` (else the defaults) with the
+    ``--set`` overrides applied."""
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
@@ -67,19 +73,19 @@ def _load_config(args) -> RunConfig:
             raise CliError(f"{path}: {exc}") from None
     else:
         config = RunConfig()
-    overrides = getattr(args, "set", None) or []
     try:
-        apply_overrides(config, overrides)
+        apply_overrides(config, args.set or [])
     except ConfigError as exc:
         raise CliError(str(exc))
     return config
 
 
-def _seed_list(args, default):
-    raw = getattr(args, "seed", None)
+def _seed_list(args, default: list) -> list:
+    """The seeds of ``--seed``, or ``default`` when it was not given."""
+    raw = args.seed
     if raw is None:
-        return [int(default)]
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+        return default
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise CliError("--seed must list at least one integer")
     try:
@@ -91,9 +97,16 @@ def _seed_list(args, default):
     return seeds
 
 
+def _one_seed(args, default: int) -> int:
+    """The single seed of ``--seed``, or ``default`` when it was not given."""
+    seeds = _seed_list(args, [default])
+    if len(seeds) != 1:
+        raise CliError(f"--seed takes one integer here, got {args.seed!r}")
+    return seeds[0]
+
+
 def _out_root(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("SSRS_OUT") or "."
-    return Path(out)
+    return Path(args.out or os.environ.get("SSRS_OUT") or ".")
 
 
 def _guard_outputs(paths, force: bool):
@@ -153,7 +166,7 @@ def _run_config_of(run_dir: Path) -> RunConfig:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    seeds = _seed_list(args, config.seed)
+    seeds = _seed_list(args, [config.seed])
     if len(set(seeds)) != len(seeds):
         raise CliError("duplicate seeds in --seed list")
     root = _out_root(args)
@@ -218,13 +231,12 @@ def _cmd_eval(args) -> int:
         raise CliError(f"{table_path}: {exc}") from None
     if table.dtype != np.float64:
         raise CliError(f"{table_path}: dtype {table.dtype} is not float64")
-    env = make_env(config.env_spec())
+    env = make_env(config.env)
     if table.shape != (env.n_states, env.n_actions):
         raise CliError(f"value table shape {table.shape} does not match "
                        f"environment ({env.n_states}, {env.n_actions})")
-    backbone = BackboneQ(table)
-    n = args.episodes if args.episodes is not None else config.eval_episodes
-    mean_return, success = evaluate(env, backbone, n)
+    n = config.eval_episodes
+    mean_return, success = evaluate(env, BackboneQ(table), n)
     print(f"episodes {n}")
     print(f"mean_return {format_cell(mean_return)}")
     print(f"success_rate {format_cell(success)}")
@@ -264,7 +276,7 @@ def _toy_batch(rng: np.random.Generator, m1: int, m2: int, n: int,
 def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
     """Max relative backprop-vs-finite-difference error for each loss.
 
-    Uses eval-mode toy estimators well under 200 parameters; the relative
+    Uses dropout-free toy estimators well under 200 parameters; the relative
     error is |g_bp - g_fd| / (|g_fd| + 1e-8), reduced with max over
     coordinates.
     """
@@ -294,7 +306,7 @@ def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
-    seeds = _seed_list(args, 0) if args.seed is not None else [0, 1, 2]
+    seeds = _seed_list(args, [0, 1, 2])
     worst = 0.0
     for seed in seeds:
         report = gradcheck_report(seed)
@@ -318,21 +330,13 @@ def _cmd_augment_check(args) -> int:
         traj = load_trajectory(args.traj)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc))
-    params = {}
-    if args.sigma is not None:
-        params["sigma"] = args.sigma
-    if args.n is not None:
-        params["n"] = args.n
-    if args.low is not None:
-        params["low"] = args.low
-    if args.high is not None:
-        params["high"] = args.high
+    params = {name: getattr(args, name) for name in ("sigma", "n", "low", "high")
+              if getattr(args, name) is not None}
     try:
         spec = AugmentSpec(args.kind, params)
     except ValueError as exc:
         raise CliError(str(exc))
-    seeds = _seed_list(args, 0)
-    rng = np.random.default_rng(seeds[0])
+    rng = np.random.default_rng(_one_seed(args, 0))
     try:
         out = apply_augment(spec, traj, rng)
     except ValueError as exc:
@@ -368,9 +372,8 @@ def _cmd_augment_check(args) -> int:
 
 def _cmd_rollout(args) -> int:
     config = _load_config(args)
-    seeds = _seed_list(args, config.seed)
-    env = make_env(config.env_spec())
-    rng = np.random.default_rng(seeds[0])
+    rng = np.random.default_rng(_one_seed(args, config.seed))
+    env = make_env(config.env)
     obs = env.reset()
     states, action_rows, rewards = [], [], []
     done = False
@@ -417,10 +420,10 @@ def _load_buffer_arg(args):
 def _cmd_consensus(args) -> int:
     buffer, config = _load_buffer_arg(args)
     k = args.k if args.k is not None else config.n_z
-    seeds = _seed_list(args, config.seed)
+    seed = _one_seed(args, config.seed)
     try:
         matrix, n_traj = trajectory_consensus(buffer, k, runs=args.runs,
-                                              seed=seeds[0])
+                                              seed=seed)
     except ValueError as exc:
         raise CliError(str(exc))
     root = _out_root(args)
@@ -503,37 +506,39 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run configuration file")
-    common.add_argument("--seed", help="comma-separated seed list")
-    common.add_argument("--out", help="output directory "
-                        "(default: $SSRS_OUT, else the working directory)")
-    common.add_argument("--force", action="store_true",
-                        help="overwrite existing outputs")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+    # Parent parsers: each subcommand takes exactly the groups it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="run configuration file")
+    config.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="config override, repeatable")
+    seeds = argparse.ArgumentParser(add_help=False)
+    seeds.add_argument("--seed", help="comma-separated seed list")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", help="generator seed (one integer)")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", help="output directory "
+                         "(default: $SSRS_OUT, else the working directory)")
+    outputs.add_argument("--force", action="store_true",
+                         help="overwrite existing outputs")
 
     parser = argparse.ArgumentParser(
         prog="ssrs",
         description="semi-supervised reward shaping toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[config, seeds, outputs],
                        help="train one run directory per seed")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="greedy evaluation of a trained run")
+    p = sub.add_parser("eval", help="greedy evaluation of a trained run")
     p.add_argument("--run", required=True, help="run directory")
-    p.add_argument("--episodes", type=_positive_int,
-                   help="evaluation episode count")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seeds],
                        help="verify loss gradients against finite differences")
     p.set_defaults(fn=_cmd_gradcheck)
 
-    p = sub.add_parser("augment-check", parents=[common],
+    p = sub.add_parser("augment-check", parents=[seed, outputs],
                        help="apply one transform to a trajectory file")
     p.add_argument("--traj", required=True, help="trajectory CSV")
     p.add_argument("--kind", required=True, choices=KINDS)
@@ -545,11 +550,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--high", type=float, help="draw-range high (scale/translate)")
     p.set_defaults(fn=_cmd_augment_check)
 
-    p = sub.add_parser("rollout", parents=[common],
+    p = sub.add_parser("rollout", parents=[config, seed, outputs],
                        help="dump one random-policy episode")
     p.set_defaults(fn=_cmd_rollout)
 
-    p = sub.add_parser("consensus", parents=[common],
+    p = sub.add_parser("consensus", parents=[seed, outputs],
                        help="co-assignment matrix over repeated clusterings")
     p.add_argument("--run", help="run directory holding buffer_final.bin")
     p.add_argument("--buffer", help="buffer checkpoint file")
@@ -559,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="clustering repeats")
     p.set_defaults(fn=_cmd_consensus)
 
-    p = sub.add_parser("dist", parents=[common],
+    p = sub.add_parser("dist", parents=[outputs],
                        help="shaped-reward histograms across checkpoints")
     p.add_argument("--run", required=True, help="run directory")
     p.add_argument("--epochs", default="200,400,600,800,1000",
@@ -568,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="histogram bins")
     p.set_defaults(fn=_cmd_dist)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[outputs],
                        help="mean/std of best score across variants")
     p.add_argument("dirs", nargs="+", metavar="DIR",
                    help="two or more aggregated run directories")

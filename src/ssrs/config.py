@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .augment import PAIRINGS, AugmentSpec
-from .envs import EnvSpec
+from .envs import KINDS as ENV_KINDS, make_env
 
 __all__ = [
     "ConfigError",
@@ -100,20 +100,6 @@ class RunConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
 
     # -- derived views ------------------------------------------------------
-
-    def env_spec(self) -> EnvSpec:
-        e = self.env
-        if e.kind == "sparse_chain":
-            return EnvSpec("sparse_chain",
-                           {"length": e.length, "max_steps": e.max_steps})
-        if e.kind == "key_door_grid":
-            return EnvSpec("key_door_grid", {
-                "width": e.width, "height": e.height,
-                "key_pos": (e.key_x, e.key_y),
-                "door_pos": (e.door_x, e.door_y),
-                "max_steps": e.max_steps,
-            })
-        raise ConfigError(f"unknown env kind {e.kind!r}")
 
     def augment_pair(self):
         """(weak, strong) transform specs for the configured pairing."""
@@ -236,7 +222,7 @@ _FIELDS = {
     "augment.cutout_n": ("augment", "cutout_n", _parse_int(lo=0)),
     "augment.smooth_n": ("augment", "smooth_n", _parse_int(lo=1)),
     "augment.partitions": ("augment", "partitions", _parse_int(lo=1)),
-    "env.kind": ("env", "kind", _parse_choice("sparse_chain", "key_door_grid")),
+    "env.kind": ("env", "kind", _parse_choice(*ENV_KINDS)),
     "env.length": ("env", "length", _parse_int(lo=2)),
     "env.max_steps": ("env", "max_steps", _parse_int(lo=1)),
     "env.width": ("env", "width", _parse_int(lo=2)),
@@ -294,13 +280,10 @@ def apply_overrides(config: RunConfig, overrides) -> RunConfig:
 def _cross_check(config: RunConfig):
     if config.epsilon_final > config.epsilon_start:
         raise ConfigError("epsilon_final must not exceed epsilon_start")
-    e = config.env
-    if e.kind == "key_door_grid":
-        for label, (x, y) in (("key", (e.key_x, e.key_y)),
-                              ("door", (e.door_x, e.door_y))):
-            if not (0 <= x < e.width and 0 <= y < e.height):
-                raise ConfigError(f"env.{label} position ({x}, {y}) falls "
-                                  f"outside the {e.width}x{e.height} grid")
+    try:
+        make_env(config.env)
+    except ValueError as exc:
+        raise ConfigError(f"env: {exc}") from None
 
 
 def serialize_config(config: RunConfig) -> str:

@@ -10,25 +10,16 @@ observation to the compact discrete state id the tabular backbone indexes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["EnvSpec", "SparseChain", "KeyDoorGrid", "make_env"]
+__all__ = ["KINDS", "SparseChain", "KeyDoorGrid", "make_env"]
 
 _PAD_MULTIPLE = 8
 
 
 def _padded_width(raw: int, multiple: int = _PAD_MULTIPLE) -> int:
     return math.ceil(raw / multiple) * multiple
-
-
-@dataclass(frozen=True)
-class EnvSpec:
-    """Named environment plus constructor parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
 
 
 class SparseChain:
@@ -55,8 +46,7 @@ class SparseChain:
         self._steps = 0
         self._done = True
 
-    def reset(self, seed=None) -> np.ndarray:
-        del seed  # layout is fixed; the signature mirrors seeded environments
+    def reset(self) -> np.ndarray:
         self._pos = 0
         self._steps = 0
         self._done = False
@@ -119,9 +109,15 @@ class KeyDoorGrid:
                  key_pos=(4, 0), door_pos=(4, 4), max_steps: int = 100):
         if width < 2 or height < 2:
             raise ValueError("grid must be at least 2x2")
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
         self.width, self.height = int(width), int(height)
         self.key_pos = tuple(key_pos)
         self.door_pos = tuple(door_pos)
+        for label, (x, y) in (("key", self.key_pos), ("door", self.door_pos)):
+            if not (0 <= x < self.width and 0 <= y < self.height):
+                raise ValueError(f"{label} position ({x}, {y}) falls outside "
+                                 f"the {self.width}x{self.height} grid")
         if self.key_pos == (0, 0) or self.door_pos == (0, 0):
             raise ValueError("key and door must not sit on the start cell")
         if self.key_pos == self.door_pos:
@@ -137,8 +133,7 @@ class KeyDoorGrid:
         self._steps = 0
         self._done = True
 
-    def reset(self, seed=None) -> np.ndarray:
-        del seed
+    def reset(self) -> np.ndarray:
         self._x = self._y = 0
         self._has_key = False
         self._steps = 0
@@ -195,10 +190,18 @@ class KeyDoorGrid:
         return self._obs(), reward, self._done
 
 
-def make_env(spec: EnvSpec):
-    """Instantiate an environment from its spec."""
-    if spec.kind == "sparse_chain":
-        return SparseChain(**spec.params)
-    if spec.kind == "key_door_grid":
-        return KeyDoorGrid(**spec.params)
-    raise ValueError(f"unknown environment kind: {spec.kind!r}")
+_CONSTRUCTORS = {
+    "sparse_chain": lambda e: SparseChain(e.length, e.max_steps),
+    "key_door_grid": lambda e: KeyDoorGrid(e.width, e.height,
+                                           (e.key_x, e.key_y),
+                                           (e.door_x, e.door_y), e.max_steps),
+}
+KINDS = tuple(_CONSTRUCTORS)
+
+
+def make_env(env):
+    """The environment an ``EnvConfig`` (``RunConfig.env``) describes; its
+    constructor rejects a geometry it cannot run with a ``ValueError``."""
+    if env.kind not in _CONSTRUCTORS:
+        raise ValueError(f"unknown environment kind: {env.kind!r}")
+    return _CONSTRUCTORS[env.kind](env)

@@ -107,17 +107,15 @@ class MlpNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x, train: bool = False, rng: np.random.Generator | None = None):
-        """Run the net on a batch (n, d_in) or a single vector.
+    def forward(self, x, rng: np.random.Generator | None = None):
+        """Run the net on a batch of rows, shape (n, d_in).
 
-        In train mode, inverted dropout (scale by 1/keep at train time) is
-        applied after every hidden activation; eval mode is deterministic.
+        With a generator, inverted dropout (scale by 1/keep) is applied
+        after every hidden activation, masks drawn from ``rng``; without
+        one the pass is deterministic.
         """
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        h = np.atleast_2d(x) * self.input_scale
-        if train and self.dropout > 0.0 and rng is None:
-            raise ValueError("train-mode forward needs a generator for dropout masks")
+        h = np.asarray(x, dtype=np.float64) * self.input_scale
+        dropout = rng is not None and self.dropout > 0.0
         inputs, pre_acts, masks = [], [], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -125,7 +123,7 @@ class MlpNet:
             z = h @ w.T + b
             pre_acts.append(z)
             h = _relu(z)
-            if i < last and train and self.dropout > 0.0:
+            if i < last and dropout:
                 keep = 1.0 - self.dropout
                 mask = (rng.random(h.shape) < keep) / keep
                 h = h * mask
@@ -134,8 +132,6 @@ class MlpNet:
             masks.append(mask)
         out = _softmax_rows(h)
         cache = {"inputs": inputs, "pre_acts": pre_acts, "masks": masks, "out": out}
-        if squeeze:
-            return out[0], cache
         return out, cache
 
     def backward(self, cache, grad_out):
@@ -236,17 +232,16 @@ def forward_heads(params: EstimatorParams, state_views, actions, v_states,
     """Forward of the state-action head on each state view, then of the state
     head on ``v_states``; every view shares the same action rows.
 
-    Eval mode unless a dropout generator is supplied, in which case the heads
-    draw live dropout masks in that order.  Returns ([(out, cache) per
+    Deterministic unless a dropout generator is supplied, in which case the
+    heads draw live dropout masks in that order.  Returns ([(out, cache) per
     view], (v_out, v_cache)).
     """
-    train = dropout_rng is not None
     q_heads = [
         params.q_net.forward(np.concatenate([states, actions], axis=1),
-                             train=train, rng=dropout_rng)
+                             dropout_rng)
         for states in state_views
     ]
-    return q_heads, params.v_net.forward(v_states, train=train, rng=dropout_rng)
+    return q_heads, params.v_net.forward(v_states, dropout_rng)
 
 
 def mix_heads(q_out, v_out, mix: float):

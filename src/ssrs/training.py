@@ -262,7 +262,7 @@ def train(config: RunConfig, out_dir=None):
     With ``out_dir`` set and checkpoint_interval > 0, buffer and estimator
     checkpoints are written every interval episodes.
     """
-    env = make_env(config.env_spec())
+    env = make_env(config.env)
     streams = spawn_streams(config.seed)
     backbone = BackboneQ.create(env.n_states, env.n_actions, config.q_init)
     buffer = ReplayBuffer(config.buffer_capacity)

@@ -129,6 +129,19 @@ def test_spec_validation():
     assert AugmentSpec("double_entropy").params["n"] == 8
 
 
+@pytest.mark.parametrize("kind, params, unread", [
+    ("flip", {"sigma": 0.5}, "sigma"),
+    ("gaussian", {"sigma": 0.2, "n": 3}, "n"),
+    ("cutout", {"low": 0.1, "high": 0.2}, "high, low"),
+    ("scale", {"low": 0.9, "n": 2}, "n"),
+    ("double_entropy", {"sigma": 0.1}, "sigma"),
+])
+def test_spec_rejects_a_parameter_its_kind_does_not_read(kind, params, unread):
+    with pytest.raises(ValueError) as err:
+        AugmentSpec(kind, params)
+    assert str(err.value) == f"{kind} takes no parameter {unread}"
+
+
 def test_default_cutout_width():
     assert default_cutout_width(128) == 16
     assert default_cutout_width(256) == 16

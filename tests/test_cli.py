@@ -244,11 +244,10 @@ class TestTrain:
 
 class TestEval:
     def test_reports_metrics(self, trained_root, capsys):
-        code = main(["eval", "--run", str(trained_root / "out" / "seed_0"),
-                     "--episodes", "3"])
+        code = main(["eval", "--run", str(trained_root / "out" / "seed_0")])
         assert code == 0
         text = capsys.readouterr().out
-        assert "episodes 3" in text
+        assert "episodes 2" in text  # the run's eval_episodes
         assert "mean_return" in text
         assert "success_rate" in text
 
@@ -270,12 +269,6 @@ class TestEval:
         assert code == 1
         assert "run.json" in capsys.readouterr().err
 
-    def test_zero_episodes_rejected(self, trained_root, capsys):
-        with pytest.raises(SystemExit):
-            main(["eval", "--run", str(trained_root / "out" / "seed_0"),
-                  "--episodes", "0"])
-        assert "--episodes" in capsys.readouterr().err
-
 
 BAD_RUN_JSON = {
     "not_json": '{"config": "episodes = 3"',
@@ -291,8 +284,10 @@ def test_bad_run_json_named(tmp_path, capsys, command, content):
     run = tmp_path / "run"
     run.mkdir()
     (run / "run.json").write_text(BAD_RUN_JSON[content])
-    code = main([command, "--run", str(run), "--out", str(tmp_path / "o")])
-    assert code == 1
+    argv = [command, "--run", str(run)]
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(run / "run.json") in err
 
@@ -300,7 +295,9 @@ def test_bad_run_json_named(tmp_path, capsys, command, content):
 @pytest.mark.parametrize("command", ["train", "rollout", "gradcheck",
                                      "augment-check"])
 def test_negative_seed_rejected(tmp_path, capsys, command):
-    argv = [command, "--seed", "-1", "--out", str(tmp_path / "o")]
+    argv = [command, "--seed", "-1"]
+    if command != "gradcheck":
+        argv += ["--out", str(tmp_path / "o")]
     if command == "augment-check":
         assert main(["rollout", "--out", str(tmp_path)]) == 0
         argv += ["--traj", str(tmp_path / "rollout.csv"), "--kind", "gaussian"]
@@ -308,6 +305,89 @@ def test_negative_seed_rejected(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --seed ") and "'-1'" in err
+    assert not (tmp_path / "o").exists()
+
+
+# The optional flags of each subcommand: exactly the ones it reads.
+FLAGS = {
+    "train": {"--config", "--set", "--seed", "--out", "--force"},
+    "eval": {"--run"},
+    "gradcheck": {"--seed"},
+    "augment-check": {"--traj", "--kind", "--sigma", "--n", "--low", "--high",
+                      "--seed", "--out", "--force"},
+    "rollout": {"--config", "--set", "--seed", "--out", "--force"},
+    "consensus": {"--run", "--buffer", "--k", "--runs", "--seed", "--out",
+                  "--force"},
+    "dist": {"--run", "--epochs", "--bins", "--out", "--force"},
+    "compare": {"--out", "--force"},
+}
+# The flags every subcommand once accepted, whether it read them or not.
+FORMERLY_SHARED = ("--config", "--seed", "--out", "--force", "--set")
+REMOVED_FLAGS = [(command, flag) for command, flags in FLAGS.items()
+                 for flag in FORMERLY_SHARED if flag not in flags]
+REMOVED_FLAGS.append(("eval", "--episodes"))
+# What argparse needs before it reports an unrecognized flag.
+REQUIRED_ARGS = {"eval": ["--run", "r"], "dist": ["--run", "r"],
+                 "augment-check": ["--traj", "t", "--kind", "flip"],
+                 "compare": ["a", "b"]}
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    (commands,) = [action.choices for action in ssrs.cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    taken = {command: {flag for action in parser._actions
+                       for flag in action.option_strings
+                       if flag not in ("-h", "--help")}
+             for command, parser in commands.items()}
+    assert taken == FLAGS
+    assert sum(map(len, taken.values())) == 35
+    assert len(REMOVED_FLAGS) == 20
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flag_exits_2_naming_it(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED_ARGS.get(command, []), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rollout", "augment-check", "consensus"])
+def test_single_seed_commands_reject_a_seed_list(trained_root, tmp_path, capsys,
+                                                 command):
+    argv = {
+        "rollout": ["rollout"],
+        "augment-check": ["augment-check", "--traj", str(tmp_path / "rollout.csv"),
+                          "--kind", "gaussian"],
+        "consensus": ["consensus", "--run", str(trained_root / "out" / "seed_0"),
+                      "--runs", "2"],
+    }[command]
+    assert main(["rollout", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--seed", "1,2", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed ") and "'1,2'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_augment_check_rejects_a_parameter_its_kind_does_not_read(tmp_path,
+                                                                  capsys):
+    assert main(["rollout", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["augment-check", "--traj", str(tmp_path / "rollout.csv"),
+                 "--kind", "flip", "--sigma", "0.5", "--n", "3",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: flip takes no parameter n, sigma\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_rejects_a_key_on_the_start_cell_before_writing(tmp_path, capsys):
+    code = main(["train", "--set", "env.kind=key_door_grid",
+                 "--set", "env.key_x=0", "--set", "env.key_y=0",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "start cell" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -10,6 +10,7 @@ from ssrs.config import (
     parse_config,
     serialize_config,
 )
+from ssrs.envs import KeyDoorGrid, SparseChain, make_env
 
 
 class TestDefaults:
@@ -145,6 +146,19 @@ class TestCrossChecks:
         parse_config("env.kind = key_door_grid\nenv.width = 10\n"
                      "env.door_x = 9\n")
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["env.key_x=0", "env.key_y=0"], "start cell"),
+        (["env.key_x=4", "env.key_y=4"], "different cells"),
+        (["env.door_y=5"], "door position (4, 5) falls outside the 5x5 grid"),
+    ])
+    def test_grid_constructor_errors_become_config_errors(self, overrides,
+                                                          message):
+        # the environment's own check is the config's: one validator
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(RunConfig(), ["env.kind=key_door_grid", *overrides])
+        assert str(err.value).startswith("env: ")
+        assert message in str(err.value)
+
     def test_chain_config_skips_grid_checks(self):
         # out-of-grid positions are irrelevant for the chain environment
         parse_config("env.door_x = 99\n")
@@ -197,16 +211,16 @@ class TestSerialization:
 
 
 class TestDerivedViews:
-    def test_env_spec_chain(self):
-        spec = parse_config("env.length = 15\nenv.max_steps = 60\n").env_spec()
-        assert spec.kind == "sparse_chain"
-        assert spec.params == {"length": 15, "max_steps": 60}
+    def test_make_env_reads_the_chain_keys(self):
+        env = make_env(parse_config("env.length = 15\nenv.max_steps = 60\n").env)
+        assert isinstance(env, SparseChain)
+        assert (env.length, env.max_steps) == (15, 60)
 
-    def test_env_spec_grid(self):
-        spec = parse_config("env.kind = key_door_grid\nenv.key_x = 1\n"
-                            "env.key_y = 2\n").env_spec()
-        assert spec.kind == "key_door_grid"
-        assert spec.params["key_pos"] == (1, 2)
+    def test_make_env_reads_the_grid_keys(self):
+        env = make_env(parse_config("env.kind = key_door_grid\nenv.key_x = 1\n"
+                                    "env.key_y = 2\n").env)
+        assert isinstance(env, KeyDoorGrid)
+        assert (env.key_pos, env.door_pos) == ((1, 2), (4, 4))
 
     def test_augment_pair_kinds(self):
         weak, strong = parse_config("").augment_pair()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ssrs.envs import EnvSpec, KeyDoorGrid, SparseChain, make_env
+from ssrs.config import EnvConfig
+from ssrs.envs import KINDS, KeyDoorGrid, SparseChain, make_env
 
 
 class TestSparseChain:
@@ -169,6 +170,22 @@ class TestKeyDoorGrid:
         with pytest.raises(ValueError):
             KeyDoorGrid(key_pos=(2, 2), door_pos=(2, 2))
 
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_nonpositive_step_limit_rejected(self, max_steps):
+        # a zero limit used to pass and divide by zero at reset
+        with pytest.raises(ValueError, match="max_steps"):
+            KeyDoorGrid(max_steps=max_steps)
+
+    @pytest.mark.parametrize("key_pos, door_pos, label", [
+        ((5, 0), (4, 4), "key position \\(5, 0\\)"),
+        ((4, -1), (4, 4), "key position \\(4, -1\\)"),
+        ((4, 0), (4, 5), "door position \\(4, 5\\)"),
+        ((4, 0), (-1, 4), "door position \\(-1, 4\\)"),
+    ])
+    def test_key_and_door_inside_the_grid(self, key_pos, door_pos, label):
+        with pytest.raises(ValueError, match=f"{label} falls outside the 5x5"):
+            KeyDoorGrid(key_pos=key_pos, door_pos=door_pos)
+
     def test_reset_clears_key(self):
         env = KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2))
         env.reset()
@@ -181,20 +198,24 @@ class TestKeyDoorGrid:
 
 class TestMakeEnv:
     def test_builds_both_kinds(self):
-        chain = make_env(EnvSpec("sparse_chain", {"length": 7}))
-        assert isinstance(chain, SparseChain) and chain.length == 7
-        grid = make_env(EnvSpec("key_door_grid", {"width": 4, "height": 3,
-                                                  "key_pos": (3, 0),
-                                                  "door_pos": (3, 2)}))
-        assert isinstance(grid, KeyDoorGrid) and grid.height == 3
+        assert KINDS == ("sparse_chain", "key_door_grid")
+        chain = make_env(EnvConfig(length=7, max_steps=9))
+        assert isinstance(chain, SparseChain)
+        assert (chain.length, chain.max_steps) == (7, 9)
+        grid = make_env(EnvConfig(kind="key_door_grid", width=4, height=3,
+                                  key_x=3, key_y=0, door_x=1, door_y=2,
+                                  max_steps=11))
+        assert isinstance(grid, KeyDoorGrid)
+        assert (grid.width, grid.height, grid.max_steps) == (4, 3, 11)
+        assert (grid.key_pos, grid.door_pos) == ((3, 0), (1, 2))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_env(EnvSpec("mountain_car"))
+        with pytest.raises(ValueError, match="mountain_car"):
+            make_env(EnvConfig(kind="mountain_car"))
 
     def test_obs_width_padded_to_partition_multiple(self):
         for length in (4, 5, 12, 20, 28):
-            env = make_env(EnvSpec("sparse_chain", {"length": length}))
+            env = make_env(EnvConfig(length=length))
             assert env.obs_width % 8 == 0
             assert env.obs_width >= length + 4
 
@@ -221,7 +242,7 @@ def _random_walk(env, rng, episodes):
                 max_steps=40),
     KeyDoorGrid(),
 ], ids=["chain6", "chain20", "grid3", "grid5"])
-def test_batched_state_ids_match_per_observation(env):
+def test_state_id_of_decodes_every_reached_observation(env):
     # every observation of a block of random walks decodes, one at a time,
     # to the true state id
     rows, ids = _random_walk(env, np.random.default_rng(3), episodes=30)

@@ -50,30 +50,32 @@ class TestMlpNet:
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(7), atol=1e-12)
 
-    def test_single_vector_squeezes(self):
-        net = MlpNet.create([3, 2], np.random.default_rng(1), dropout=0.0)
-        out, _ = net.forward(np.array([1.0, 2.0, 3.0]))
-        assert out.shape == (2,)
-
     def test_bias_net_exact_output(self):
         net = _bias_net(4, [0.1, 0.2, 0.3, 0.4])
-        out, _ = net.forward(np.array([9.0, 9.0, 9.0, 9.0]))
-        np.testing.assert_allclose(out, [0.1, 0.2, 0.3, 0.4], atol=1e-12)
+        out, _ = net.forward(np.array([[9.0, 9.0, 9.0, 9.0]]))
+        np.testing.assert_allclose(out, [[0.1, 0.2, 0.3, 0.4]], atol=1e-12)
 
-    def test_train_mode_needs_rng(self):
+    def test_dropout_runs_exactly_when_a_generator_is_passed(self):
+        x = np.ones((2, 4))
         net = MlpNet.create([4, 6, 3], np.random.default_rng(2), dropout=0.2)
-        with pytest.raises(ValueError):
-            net.forward(np.ones(4), train=True)
-        # dropout disabled: train mode runs without a generator
+        out, cache = net.forward(x)
+        assert cache["masks"] == [None, None]
+        assert out.tobytes() == net.forward(x)[0].tobytes()
+        _, cache = net.forward(x, np.random.default_rng(0))
+        assert cache["masks"][0] is not None
+        # a dropout-free net draws nothing from the generator it is passed
         net0 = MlpNet.create([4, 6, 3], np.random.default_rng(2), dropout=0.0)
-        net0.forward(np.ones(4), train=True)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert net0.forward(x, rng)[1]["masks"] == [None, None]
+        assert rng.bit_generator.state == state
 
     def test_inverted_dropout_scaling(self):
         rng = np.random.default_rng(3)
         net = MlpNet.create([6, 40, 3], rng, dropout=0.5)
         x = rng.uniform(0.5, 1.5, size=(1, 6))
         _, eval_cache = net.forward(x)
-        _, train_cache = net.forward(x, train=True, rng=np.random.default_rng(0))
+        _, train_cache = net.forward(x, np.random.default_rng(0))
         h_eval = eval_cache["inputs"][1]
         h_train = train_cache["inputs"][1]
         # each unit is dropped to 0 or scaled by 1/keep = 2

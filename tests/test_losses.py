@@ -42,10 +42,10 @@ class _FixedNet:
     def backed_by(self, flat):
         return self
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, rng=None):
         out = self._outputs[min(self._calls, len(self._outputs) - 1)]
         self._calls += 1
-        n = np.atleast_2d(np.asarray(x)).shape[0]
+        n = len(x)
         if out.shape[0] == 1:
             out = np.broadcast_to(out, (n, out.shape[1]))
         return out.copy(), {}

@@ -445,7 +445,7 @@ class TestTrain:
                                "epsilon_final=1.0", "episodes=20",
                                "estimator_lr=2.0", "buffer_capacity=150")
         coded = train(config)
-        encode = make_env(config.env_spec()).state_id_of
+        encode = make_env(config.env).state_id_of
 
         def reencoding(backbone, buffer, codes, slots, lr, discount):
             table = backbone.table.copy()
