@@ -138,6 +138,29 @@ def gmm_predict(model: GmmModel, points) -> np.ndarray:
 # consensus
 # ---------------------------------------------------------------------------
 
+def _co_assignment(features, k: int, runs: int, seed: int,
+                   items=None) -> np.ndarray:
+    """Fraction of ``runs`` seeded mixture fits of ``features`` in which two
+    items share a component.
+
+    Without ``items`` every feature row is an item.  Otherwise ``items``
+    gives each row's item index, ascending from 0 without gaps, and an item
+    takes the majority component of its rows (ties pick the lowest label).
+    """
+    if runs < 1:
+        raise ValueError("need at least one run")
+    n = features.shape[0] if items is None else int(items[-1]) + 1
+    matrix = np.zeros((n, n))
+    for child in np.random.SeedSequence(seed).spawn(runs):
+        run_seed = int(child.generate_state(1)[0])
+        labels = gmm_predict(gmm_fit(features, k, run_seed), features)
+        if items is not None:
+            votes = np.bincount(items * k + labels, minlength=n * k)
+            labels = votes.reshape(n, k).argmax(axis=1)
+        matrix += labels[:, None] == labels[None, :]
+    return matrix / runs
+
+
 def consensus(features, k: int, runs: int = 100, seed: int = 0) -> np.ndarray:
     """Co-assignment frequency matrix over repeated seeded mixture fits.
 
@@ -146,18 +169,7 @@ def consensus(features, k: int, runs: int = 100, seed: int = 0) -> np.ndarray:
     symmetric by construction.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    n = features.shape[0]
-    if runs < 1:
-        raise ValueError("need at least one run")
-    matrix = np.zeros((n, n))
-    children = np.random.SeedSequence(seed).spawn(runs)
-    for child in children:
-        run_seed = int(child.generate_state(1)[0])
-        model = gmm_fit(features, k, run_seed)
-        labels = gmm_predict(model, features)
-        same = labels[:, None] == labels[None, :]
-        matrix += same
-    return matrix / runs
+    return _co_assignment(features, k, runs, seed)
 
 
 def buffer_features(buffer: ReplayBuffer):
@@ -181,25 +193,9 @@ def trajectory_consensus(buffer: ReplayBuffer, k: int, runs: int = 100,
     co-assignment matrix is accumulated over trajectories.  Returns
     (matrix, trajectory count).
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
     features, traj_ids = buffer_features(buffer)
-    n_traj = int(traj_ids.max()) + 1 if traj_ids.size else 0
-    if n_traj < 1:
-        raise ValueError("buffer holds no complete or partial trajectories")
-    matrix = np.zeros((n_traj, n_traj))
-    children = np.random.SeedSequence(seed).spawn(runs)
-    for child in children:
-        run_seed = int(child.generate_state(1)[0])
-        model = gmm_fit(features, k, run_seed)
-        labels = gmm_predict(model, features)
-        traj_labels = np.empty(n_traj, dtype=int)
-        for t in range(n_traj):
-            counts = np.bincount(labels[traj_ids == t], minlength=k)
-            traj_labels[t] = int(np.argmax(counts))
-        same = traj_labels[:, None] == traj_labels[None, :]
-        matrix += same
-    return matrix / runs, n_traj
+    matrix = _co_assignment(features, k, runs, seed, traj_ids)
+    return matrix, matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ consensus      co-assignment matrix over repeated clusterings of a buffer
 dist           shaped-reward histograms across buffer checkpoints
 compare        mean/std of best scores across aggregated run directories
 
-Each subcommand accepts only the flags it reads.  ``train`` and
+Each subcommand accepts only the flags it reads; another flag is a usage
+error that the subcommand reports with its own usage line.  ``train`` and
 ``rollout`` take ``--config PATH`` and ``--set key=value`` (repeatable)
 for config overrides.  ``train`` and ``gradcheck`` take ``--seed LIST``;
 ``rollout``, ``augment-check`` and ``consensus`` take one ``--seed N``.
@@ -505,6 +506,26 @@ def _cmd_compare(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports arguments it does not take itself,
+    with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+class _RunDirs(argparse.Action):
+    """``compare``'s run directories: at least two."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) < 2:
+            parser.error("compare needs at least two run directories")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Parent parsers: each subcommand takes exactly the groups it reads.
     config = argparse.ArgumentParser(add_help=False)
@@ -524,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssrs",
         description="semi-supervised reward shaping toolkit")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="cmd", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("train", parents=[config, seeds, outputs],
                        help="train one run directory per seed")
@@ -575,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[outputs],
                        help="mean/std of best score across variants")
-    p.add_argument("dirs", nargs="+", metavar="DIR",
+    p.add_argument("dirs", nargs="+", metavar="DIR", action=_RunDirs,
                    help="two or more aggregated run directories")
     p.set_defaults(fn=_cmd_compare)
     return parser
@@ -584,8 +606,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "compare" and len(args.dirs) < 2:
-        parser.error("compare needs at least two run directories")
     try:
         return args.fn(args)
     except (CliError, ConfigError) as exc:

@@ -1,10 +1,11 @@
 """Shared domain containers: trajectory stacks, reward sets, replay batches,
 replay.
 
-The replay buffer keeps both the stored (possibly shaped) reward and the
-original environment reward for every entry, so shaping is always reversible
-and the shaped/unshaped populations can be told apart exactly.  Environment
-steps enter it through ``ReplayBuffer.push`` and checkpoints through
+The replay buffer is built with its capacity and its state and action
+widths.  It keeps both the stored (possibly shaped) reward and the original
+environment reward for every entry, so shaping is always reversible; an
+entry is shaped exactly when the two differ.  Environment steps enter it
+through ``ReplayBuffer.push`` and checkpoints through
 ``ReplayBuffer.from_rows``; both apply one entry check.  Every read of
 several whole entries at once (shaping, losses, analyses) is a ``Batch``; a
 TD update reads only stored rewards (``ReplayBuffer.rewards_at``).
@@ -192,8 +193,8 @@ def _check_entries(states, actions, rewards, next_states, m1, m2):
 
     ``states``, ``actions`` and ``next_states`` hold one entry per row and
     ``rewards`` is an iterable of their rewards.  The state and action widths
-    must be ``m1`` and ``m2`` (any, when None), states nonnegative
-    (observations are RAM-like values in [0, 255]) and rewards finite.
+    must be ``m1`` and ``m2``, states nonnegative (observations are RAM-like
+    values in [0, 255]) and rewards finite.
     """
     if states.ndim != 2 or next_states.ndim != 2:
         raise ValueError("states must be 1-D vectors")
@@ -204,9 +205,7 @@ def _check_entries(states, actions, rewards, next_states, m1, m2):
             f"state and next_state lengths differ: "
             f"{states.shape[1]} vs {next_states.shape[1]}"
         )
-    if states.shape[1] == 0 or actions.shape[1] == 0:
-        raise ValueError("state and action must be non-empty")
-    if m1 is not None and (states.shape[1], actions.shape[1]) != (m1, m2):
+    if (states.shape[1], actions.shape[1]) != (m1, m2):
         raise ValueError(
             f"dimension mismatch: buffer holds ({m1}, {m2}) vectors, "
             f"got ({states.shape[1]}, {actions.shape[1]})"
@@ -224,9 +223,12 @@ def _check_entries(states, actions, rewards, next_states, m1, m2):
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with shaping bookkeeping.
 
-    Entry layout per slot: state, action, stored reward (possibly shaped),
-    next state, terminal flag, original environment reward, shaped flag.
-    ``shaped[i] == False`` always implies ``rewards[i] == originals[i]``.
+    Built with its capacity, state width and action width, and holds
+    entries of exactly those widths.  Entry layout per slot: state, action,
+    stored reward (possibly shaped), next state, terminal flag, original
+    environment reward.  An entry is shaped exactly when its stored reward
+    differs from its original; the shaped flag of a checkpoint row is
+    derived from that, not stored.
 
     Slots are physical ring positions; they are returned by :meth:`push` and
     :meth:`sample_slots` and stay valid until the slot is overwritten by
@@ -239,28 +241,33 @@ class ReplayBuffer:
     zero and nonzero original reward.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, state_width: int, action_width: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if state_width < 1 or action_width < 1:
+            raise ValueError(f"state and action widths must be positive, "
+                             f"got ({state_width}, {action_width})")
         self.capacity = int(capacity)
-        self._m1 = None
-        self._m2 = None
+        self.state_width = int(state_width)
+        self.action_width = int(action_width)
         self._next = 0      # next physical slot to write
         self._size = 0
-        self._zero_count = 0  # entries with original reward 0
+        try:
+            self._states = np.zeros((capacity, state_width))
+            self._actions = np.zeros((capacity, action_width))
+            self._rewards = np.zeros(capacity)
+            self._next_states = np.zeros((capacity, state_width))
+            self._terminals = np.zeros(capacity, dtype=bool)
+            self._originals = np.zeros(capacity)
+            self._index_zero_slots()
+        except (MemoryError, ValueError):  # numpy: "array is too big"
+            raise ValueError(f"cannot allocate a buffer of capacity {capacity}"
+                             ) from None
 
     # -- sizing -------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def state_width(self):
-        return self._m1
-
-    @property
-    def action_width(self):
-        return self._m2
 
     @property
     def nonzero_reward_count(self) -> int:
@@ -270,22 +277,6 @@ class ReplayBuffer:
     def _require_entries(self, what: str):
         if self._size == 0:
             raise ValueError(f"the buffer is empty: {what}")
-
-    def _allocate(self, m1: int, m2: int):
-        cap = self.capacity
-        try:
-            self._states = np.zeros((cap, m1))
-            self._actions = np.zeros((cap, m2))
-            self._rewards = np.zeros(cap)
-            self._next_states = np.zeros((cap, m1))
-            self._terminals = np.zeros(cap, dtype=bool)
-            self._originals = np.zeros(cap)
-            self._shaped = np.zeros(cap, dtype=bool)
-            self._index_zero_slots()
-        except (MemoryError, ValueError):  # numpy: "array is too big"
-            raise ValueError(f"cannot allocate a buffer of capacity {cap}"
-                             ) from None
-        self._m1, self._m2 = m1, m2
 
     def _index_zero_slots(self):
         """Rebuild the zero-original slot list from the stored originals.
@@ -311,9 +302,7 @@ class ReplayBuffer:
         action = np.asarray(action, dtype=np.float64)
         next_state = np.asarray(next_state, dtype=np.float64)
         _check_entries(state[None], action[None], (reward,), next_state[None],
-                       self._m1, self._m2)
-        if self._m1 is None:
-            self._allocate(state.size, action.size)
+                       self.state_width, self.action_width)
         slot = self._next
         full = self._size == self.capacity
         flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
@@ -323,7 +312,6 @@ class ReplayBuffer:
         self._next_states[slot] = next_state
         self._terminals[slot] = terminal
         self._originals[slot] = reward
-        self._shaped[slot] = False
         if flips:
             self._index_zero_slots()
         elif not full and reward == 0.0:
@@ -333,21 +321,15 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
         return slot
 
-    def set_reward(self, slots, values, shaped):
+    def set_reward(self, slots, values):
         """Overwrite the stored rewards of distinct slots (shaping write-back).
 
-        ``slots``, ``values`` and ``shaped`` are scalars or equal-length
-        arrays.  An unshaped entry must carry its original reward; callers
-        reverting a shaped entry pass the original value with
-        ``shaped=False``.  Nothing is written when any entry breaks that.
+        ``slots`` and ``values`` are scalars or equal-length arrays.  An
+        entry written with a value other than its original is shaped; writing
+        the original back unshapes it.
         """
         self._require_entries("no reward to set")
-        values = np.asarray(values, dtype=np.float64)
-        shaped = np.asarray(shaped, dtype=bool)
-        if np.any(~shaped & (values != self._originals[slots])):
-            raise ValueError("unshaped entries must keep their original reward")
         self._rewards[slots] = values
-        self._shaped[slots] = shaped
 
     # -- reading ------------------------------------------------------------
 
@@ -357,11 +339,8 @@ class ReplayBuffer:
         return (start + np.arange(self._size)) % self.capacity
 
     def zero_reward_slots(self) -> np.ndarray:
-        """Slots whose original reward is zero, in ascending slot order
-        (none on an empty buffer), as a read-only array that later pushes
-        leave unchanged."""
-        if self._size == 0:
-            return np.zeros(0, dtype=np.intp)
+        """Slots whose original reward is zero, in ascending slot order, as
+        a read-only array that later pushes leave unchanged."""
         slots = self._zero_slots[:self._zero_count]
         slots.flags.writeable = False
         return slots
@@ -401,41 +380,41 @@ class ReplayBuffer:
 
     def to_rows(self) -> np.ndarray:
         """Stored entries as checkpoint rows, oldest first (layout at
-        :func:`save_buffer`); an empty buffer gives no rows."""
-        if self._m1 is None:
-            return np.zeros((0, 0))
+        :func:`save_buffer`); the shaped flag is ``rewards != originals``."""
         order = self.slots()
+        rewards = self._rewards[order, None]
+        originals = self._originals[order, None]
         return np.hstack([
             self._states[order],
             self._actions[order],
-            self._rewards[order, None],
+            rewards,
             self._next_states[order],
             self._terminals[order, None].astype(np.float64),
-            self._originals[order, None],
-            self._shaped[order, None].astype(np.float64),
+            originals,
+            (rewards != originals).astype(np.float64),
         ])
 
     @classmethod
     def from_rows(cls, capacity: int, m1: int, m2: int, rows) -> "ReplayBuffer":
-        """Inverse of :meth:`to_rows`: a buffer holding the rows' entries,
-        oldest first, in slots ``[0, len(rows))``.
+        """Inverse of :meth:`to_rows`: a buffer of capacity ``capacity`` and
+        widths ``(m1, m2)`` holding the rows' entries, oldest first, in slots
+        ``[0, len(rows))``.
 
-        Rejects rows of another width than ``2*m1 + m2 + 4``, more rows than
-        the capacity, entries that :meth:`push` would reject (stored and
-        original rewards alike), flags other than exactly 0.0 or 1.0, and
-        unshaped entries whose reward differs from the original.
+        Rejects anything but a 2-D array of rows ``2*m1 + m2 + 4`` values
+        wide, more rows than the capacity, entries that :meth:`push` would
+        reject (stored and original rewards alike), flags other than exactly
+        0.0 or 1.0, and a shaped flag that disagrees with "stored reward
+        differs from original".
         """
-        buffer = cls(capacity)
         rows = np.asarray(rows, dtype=np.float64)
-        count = rows.shape[0]
-        if count == 0:
-            return buffer
         width = 2 * m1 + m2 + 4
         if rows.ndim != 2 or rows.shape[1] != width:
             raise ValueError(f"rows must be {width} values wide "
                              f"(2*m1 + m2 + 4), got shape {rows.shape}")
-        if count > buffer.capacity:
+        count = rows.shape[0]
+        if count > capacity:
             raise ValueError(f"{count} entries exceed the capacity {capacity}")
+        buffer = cls(capacity, m1, m2)
         bounds = np.cumsum([m1, m2, 1, m1, 1, 1])
         (states, actions, rewards, next_states, terminals, originals,
          shaped) = np.split(rows, bounds, axis=1)
@@ -445,16 +424,15 @@ class ReplayBuffer:
         flags = np.hstack([terminals, shaped])
         if not np.all((flags == 0.0) | (flags == 1.0)):
             raise ValueError("terminal and shaped flags must be 0.0 or 1.0")
-        if np.any((shaped == 0.0) & (rewards != originals)):
-            raise ValueError("unshaped entries must keep their original reward")
-        buffer._allocate(m1, m2)
+        if np.any((shaped == 1.0) != (rewards != originals)):
+            raise ValueError("an entry's shaped flag must be 1.0 exactly when "
+                             "its stored reward differs from its original")
         buffer._states[:count] = states
         buffer._actions[:count] = actions
         buffer._rewards[:count] = rewards[:, 0]
         buffer._next_states[:count] = next_states
         buffer._terminals[:count] = terminals[:, 0] == 1.0
         buffer._originals[:count] = originals[:, 0]
-        buffer._shaped[:count] = shaped[:, 0] == 1.0
         buffer._size = count
         buffer._next = count % buffer.capacity
         buffer._index_zero_slots()
@@ -472,13 +450,13 @@ class ReplayBuffer:
 #                 oldest entry first, each row laid out as
 #                 [state (m1) | action (m2) | stored reward | next state (m1)
 #                  | terminal (0.0/1.0) | original reward | shaped (0.0/1.0)]
+#                 where shaped is 1.0 exactly when the stored reward differs
+#                 from the original reward.
 
 def save_buffer(buffer: ReplayBuffer, path):
     """Write a replay buffer checkpoint (see module comment for the layout)."""
-    header = _HEADER.pack(
-        BUFFER_FORMAT_VERSION, buffer.state_width or 0,
-        buffer.action_width or 0, buffer.capacity, len(buffer)
-    )
+    header = _HEADER.pack(BUFFER_FORMAT_VERSION, buffer.state_width,
+                          buffer.action_width, buffer.capacity, len(buffer))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(buffer.to_rows().astype("<f8").tobytes())

@@ -344,9 +344,8 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
         cache.values[stale] = q
         cache.fresh[stale] = True
     values = select(cache.values[chosen], zset, threshold)
-    shaped = values != 0.0
-    buffer.set_reward(chosen, values, shaped)
-    return int(np.count_nonzero(shaped))
+    buffer.set_reward(chosen, values)
+    return int(np.count_nonzero(values))
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def train(config: RunConfig, out_dir=None):
     env = make_env(config.env)
     streams = spawn_streams(config.seed)
     backbone = BackboneQ.create(env.n_states, env.n_actions, config.q_init)
-    buffer = ReplayBuffer(config.buffer_capacity)
+    buffer = ReplayBuffer(config.buffer_capacity, env.obs_width, env.n_actions)
     # Per slot: state id, action index, next-state id, terminal flag.
     codes = np.zeros((config.buffer_capacity, 4), dtype=np.int32)
     zset = RewardSet.initial(config.n_z)
@@ -325,7 +325,7 @@ def train(config: RunConfig, out_dir=None):
 
         # An episode without an estimator step logs zeros.
         breakdown = LossBreakdown.zero()
-        if params is not None:
+        if params is not None and config.estimator_steps > 0:
             for _ in range(config.estimator_steps):
                 slots = buffer.sample_slots(config.batch_size,
                                             streams["estimator_batch"])
@@ -342,14 +342,14 @@ def train(config: RunConfig, out_dir=None):
                 )
                 sgd_step(params, grad, config.estimator_lr)
                 cache.clear()
-                # Hard-mode values on the same batch and views for the
-                # logged curves.
-                breakdown, _ = total_loss(
-                    params, batch, alpha, zset, lam, config.beta,
-                    sharpness=config.sigmoid_sharpness,
-                    temperature=config.soft_select_temp, views=views,
-                    mode="hard",
-                )
+            # Hard-mode values of the last step's batch and views, after its
+            # update, for the logged curves; the pass draws nothing.
+            breakdown, _ = total_loss(
+                params, batch, alpha, zset, lam, config.beta,
+                sharpness=config.sigmoid_sharpness,
+                temperature=config.soft_select_temp, views=views,
+                mode="hard",
+            )
 
         if ep % config.eval_interval == 0 or ep == horizon - 1:
             last_score, final_success = evaluate(env, backbone,

@@ -352,6 +352,21 @@ def test_removed_flag_exits_2_naming_it(capsys, command, flag):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--run", "x", "--episodes", "3"],
+     "unrecognized arguments: --episodes 3"),
+    (["compare", "a"], "compare needs at least two run directories"),
+], ids=["unknown-flag", "one-directory"])
+def test_flag_errors_show_the_command_usage(capsys, argv, message):
+    # the subcommand's own parser reports them, listing the flags it takes
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ssrs {argv[0]} ")
+    assert f"ssrs {argv[0]}: error: {message}" in err
+
+
 @pytest.mark.parametrize("command", ["rollout", "augment-check", "consensus"])
 def test_single_seed_commands_reject_a_seed_list(trained_root, tmp_path, capsys,
                                                  command):

@@ -37,7 +37,8 @@ def _entry(buf, slot):
 
 
 def _shaped(buf, slots):
-    """Shaped flags of physical slots, read from the checkpoint rows."""
+    """Shaped flags of physical slots, read from the checkpoint rows (where
+    they are derived: stored reward differs from original)."""
     flags = np.zeros(buf.capacity, dtype=bool)
     flags[buf.slots()] = buf.to_rows()[:, -1] == 1.0
     return flags[np.asarray(slots)].tolist()
@@ -125,8 +126,8 @@ def test_push_validates_shapes():
         # 2-D action
         (np.ones(2), np.ones((1, 1)), 0.0, np.ones(2), "1-D"),
         (np.ones(2), np.ones(1), 0.0, np.zeros(3), "lengths differ"),
-        (np.zeros(0), np.ones(1), 0.0, np.zeros(0), "non-empty"),
-        (np.ones(2), np.zeros(0), 0.0, np.ones(2), "non-empty"),
+        (np.zeros(0), np.ones(1), 0.0, np.zeros(0), "dimension mismatch"),
+        (np.ones(2), np.zeros(0), 0.0, np.ones(2), "dimension mismatch"),
         (np.array([-1.0, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
         (np.ones(2), np.ones(1), 0.0, np.array([1.0, -2.0]), "nonnegative"),
         (np.array([np.nan, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
@@ -134,26 +135,32 @@ def test_push_validates_shapes():
         (np.ones(2), np.ones(1), -np.inf, np.ones(2), "finite"),
     ]
     for state, action, reward, next_state, match in cases:
-        buf = ReplayBuffer(2)
+        buf = ReplayBuffer(2, 2, 1)
         with pytest.raises(ValueError, match=match):
             buf.push(state, action, reward, next_state, False)
-        assert len(buf) == 0 and buf.state_width is None
+        assert len(buf) == 0 and (buf.state_width, buf.action_width) == (2, 1)
         assert buf.nonzero_reward_count == 0
 
 
+@pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (2, -1, 1)])
+def test_buffer_needs_positive_capacity_and_widths(args):
+    with pytest.raises(ValueError, match="must be positive"):
+        ReplayBuffer(*args)
+
+
 def test_push_and_fraction():
-    buf = ReplayBuffer(2)
+    buf = ReplayBuffer(2, 2, 2)
     _push(buf, [1.0, 0.0], reward=1.0)
     assert len(buf) == 1
     assert buf.nonzero_reward_count / len(buf) == 1.0
 
-    buf = ReplayBuffer(2)
+    buf = ReplayBuffer(2, 2, 2)
     _push(buf, [1.0, 0.0], reward=0.0)
     assert buf.nonzero_reward_count / len(buf) == 0.0
 
 
 def test_ring_drops_oldest():
-    buf = ReplayBuffer(2)
+    buf = ReplayBuffer(2, 2, 2)
     for i in range(3):
         _push(buf, [float(i), 0.0])
     assert len(buf) == 2
@@ -162,7 +169,7 @@ def test_ring_drops_oldest():
 
 
 def test_nonzero_fraction_quarter():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, 2, 2)
     for r in (0.0, 0.0, 5.0, 0.0):
         _push(buf, [1.0, 1.0], reward=r)
     assert buf.nonzero_reward_count / len(buf) == 0.25
@@ -171,7 +178,7 @@ def test_nonzero_fraction_quarter():
 
 
 def test_eviction_updates_nonzero_cache():
-    buf = ReplayBuffer(2)
+    buf = ReplayBuffer(2, 1, 1)
     _push(buf, [1.0], action=[1.0], reward=3.0)
     _push(buf, [2.0], action=[1.0], reward=0.0)
     _push(buf, [3.0], action=[1.0], reward=0.0)  # evicts the reward-3 entry
@@ -179,34 +186,31 @@ def test_eviction_updates_nonzero_cache():
 
 
 def test_set_reward_shaping_bookkeeping():
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, 2, 2)
     slot = _push(buf, [1.0, 2.0], reward=0.0)
-    buf.set_reward(slot, 2.5, shaped=True)
+    buf.set_reward(slot, 2.5)
     assert _entry(buf, slot).rewards[0] == 2.5
     assert _entry(buf, slot).originals[0] == 0.0
     assert _shaped(buf, [slot]) == [True]
-    # reverting restores the unshaped invariant
-    buf.set_reward(slot, 0.0, shaped=False)
+    # writing the original back unshapes the entry
+    buf.set_reward(slot, 0.0)
     assert _shaped(buf, [slot]) == [False]
-    with pytest.raises(ValueError):
-        buf.set_reward(slot, 9.0, shaped=False)
 
 
-def test_set_reward_batched_is_all_or_nothing():
-    buf = ReplayBuffer(4)
-    slots = [_push(buf, [float(i), 0.0]) for i in range(3)]
-    buf.set_reward(np.array(slots), np.array([1.5, 0.0, 2.0]),
-                   np.array([True, False, True]))
-    assert buf.batch_arrays(np.array(slots)).rewards.tolist() == [1.5, 0.0, 2.0]
-    assert _shaped(buf, slots) == [True, False, True]
-    with pytest.raises(ValueError):
-        buf.set_reward(np.array(slots), np.array([7.0, 3.0, 0.0]),
-                       np.array([True, False, False]))
-    assert buf.batch_arrays(np.array(slots)).rewards.tolist() == [1.5, 0.0, 2.0]
+def test_set_reward_batched_writes_each_slot():
+    # An entry is shaped exactly when its stored reward differs from its
+    # original, whatever the original is.
+    buf = ReplayBuffer(4, 2, 2)
+    slots = [_push(buf, [float(i), 0.0], reward=r)
+             for i, r in enumerate((0.0, 0.0, 3.0, 3.0))]
+    buf.set_reward(np.array(slots), np.array([1.5, 0.0, 2.0, 3.0]))
+    assert (buf.batch_arrays(np.array(slots)).rewards.tolist()
+            == [1.5, 0.0, 2.0, 3.0])
+    assert _shaped(buf, slots) == [True, False, True, False]
 
 
 def test_sample_single_entry():
-    buf = ReplayBuffer(3)
+    buf = ReplayBuffer(3, 2, 2)
     slot = _push(buf, [5.0, 5.0])
     slots = buf.sample_slots(3, np.random.default_rng(0))
     np.testing.assert_array_equal(slots, [slot] * 3)
@@ -214,7 +218,7 @@ def test_sample_single_entry():
 
 
 def test_sample_bounds_and_determinism():
-    buf = ReplayBuffer(16)
+    buf = ReplayBuffer(16, 2, 2)
     for i in range(10):
         _push(buf, [float(i), 0.0])
     a = buf.sample_slots(64, np.random.default_rng(3))
@@ -225,15 +229,15 @@ def test_sample_bounds_and_determinism():
 
 
 def test_empty_buffer_reads():
-    # The arrays are allocated on the first push; reads before it must not
-    # reach for them.
-    buf = ReplayBuffer(3)
+    # An empty buffer has no entry to read, sample or rewrite.
+    buf = ReplayBuffer(3, 2, 2)
     slots = buf.zero_reward_slots()
     assert slots.shape == (0,) and slots.dtype.kind == "i"
+    assert buf.to_rows().shape == (0, 2 * 2 + 2 + 4)
     with pytest.raises(ValueError, match="empty"):
         buf.batch_arrays(np.array([0]))
     with pytest.raises(ValueError, match="empty"):
-        buf.set_reward(np.array([0]), np.array([1.0]), np.array([True]))
+        buf.set_reward(np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError, match="empty"):
         buf.sample_slots(2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="empty"):
@@ -243,7 +247,7 @@ def test_empty_buffer_reads():
 def test_sample_consumes_one_generator_call():
     # Training interleaves several consumers on named streams, so the
     # draw count per operation is part of the contract.
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, 2, 2)
     for i in range(5):
         _push(buf, [float(i), 1.0])
     rng = np.random.default_rng(11)
@@ -258,12 +262,11 @@ def test_batch_arrays_returns_copies():
     # ring with shaped entries and repeated slots, and sharing no memory with
     # the buffer.
     rng = np.random.default_rng(5)
-    buf = ReplayBuffer(6)
+    buf = ReplayBuffer(6, 3, 2)
     for i in range(9):
         _push(buf, rng.uniform(0.0, 9.0, size=3), reward=float(i % 3 == 0),
               action=np.eye(2)[i % 2], terminal=i % 4 == 3)
-    buf.set_reward(np.array([1, 4]), np.array([0.25, -1.5]),
-                   np.array([True, True]))
+    buf.set_reward(np.array([1, 4]), np.array([0.25, -1.5]))
     slots = np.array([4, 0, 4, 5, 1, 2, 3, 1])
     batch = buf.batch_arrays(slots)
     # row layout: [state (3) | action (2) | reward | next state (3) |
@@ -300,7 +303,7 @@ def test_batch_arrays_returns_copies():
 @pytest.mark.parametrize("slots", [1, np.int64(0), np.array([[0, 1]])],
                          ids=["int", "numpy-scalar", "2-D"])
 def test_batch_arrays_rejects_non_vector_slots(slots):
-    buf = ReplayBuffer(4)
+    buf = ReplayBuffer(4, 2, 2)
     for i in range(3):
         _push(buf, [float(i), 0.0])
     with pytest.raises(ValueError, match="1-D"):
@@ -308,13 +311,15 @@ def test_batch_arrays_rejects_non_vector_slots(slots):
 
 
 def test_push_rejects_width_change():
-    buf = ReplayBuffer(4)
-    _push(buf, [1.0, 2.0])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        _push(buf, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        _push(buf, [1.0, 2.0], action=[1.0, 0.0, 0.0])
-    assert len(buf) == 1
+    # The widths are the buffer's from construction, the first push included.
+    buf = ReplayBuffer(4, 2, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _push(buf, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _push(buf, [1.0, 2.0], action=[1.0, 0.0, 0.0])
+        _push(buf, [1.0, 2.0])
+    assert len(buf) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +327,13 @@ def test_push_rejects_width_change():
 # ---------------------------------------------------------------------------
 
 def test_buffer_checkpoint_roundtrip(tmp_path):
-    buf = ReplayBuffer(5)
+    buf = ReplayBuffer(5, 3, 2)
     rng = np.random.default_rng(2)
     for i in range(7):  # wraps the ring
         _push(buf, rng.uniform(0, 255, size=3),
               reward=float(rng.integers(0, 2)), action=np.eye(2)[i % 2],
               terminal=(i == 6))
-    buf.set_reward(buf.zero_reward_slots()[0], 4.25, shaped=True)
+    buf.set_reward(buf.zero_reward_slots()[0], 4.25)
 
     path = tmp_path / "buf.bin"
     save_buffer(buf, path)
@@ -346,7 +351,7 @@ def test_buffer_checkpoint_roundtrip(tmp_path):
 def test_buffer_checkpoint_golden_bytes(tmp_path):
     # Pin the documented byte layout: 5 little-endian uint64 header fields,
     # then one float64 row per entry, oldest first.
-    buf = ReplayBuffer(2)
+    buf = ReplayBuffer(2, 2, 1)
     buf.push(np.array([1.0, 2.0]), np.array([1.0]), 0.5, np.array([3.0, 4.0]),
              False)
     buf.push(np.array([5.0, 6.0]), np.array([0.0]), 0.0, np.array([7.0, 8.0]),
@@ -370,10 +375,12 @@ def test_buffer_checkpoint_rejects_bad_version(tmp_path):
 
 def test_empty_buffer_roundtrip(tmp_path):
     path = tmp_path / "empty.bin"
-    save_buffer(ReplayBuffer(3), path)
+    save_buffer(ReplayBuffer(3, 2, 1), path)
+    assert path.read_bytes() == struct.pack("<5Q", BUFFER_FORMAT_VERSION, 2,
+                                            1, 3, 0)
     back = load_buffer(path)
     assert len(back) == 0
-    assert back.capacity == 3
+    assert (back.capacity, back.state_width, back.action_width) == (3, 2, 1)
 
 
 def _checkpoint_bytes(rows, m1=1, m2=1, capacity=4):
@@ -402,6 +409,23 @@ def test_load_buffer_rejects_bad_flags(tmp_path, column, value):
     path = tmp_path / "flags.bin"
     path.write_bytes(_checkpoint_bytes([_GOOD_ROW, row]))
     with pytest.raises(ValueError, match="flags.bin"):
+        load_buffer(path)
+
+
+def test_load_buffer_rejects_zero_widths(tmp_path):
+    # A header with width 0 describes no buffer, even an empty one.
+    path = tmp_path / "widthless.bin"
+    path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, 0, 0, 3, 0))
+    with pytest.raises(ValueError, match="widthless.bin.*widths must be"):
+        load_buffer(path)
+
+
+def test_load_buffer_rejects_shaped_flag_on_original_reward(tmp_path):
+    row = list(_GOOD_ROW)
+    row[6] = 1.0  # shaped flag 1, stored reward equal to the original
+    path = tmp_path / "shaped.bin"
+    path.write_bytes(_checkpoint_bytes([_GOOD_ROW, row]))
+    with pytest.raises(ValueError, match="shaped.bin.*shaped flag"):
         load_buffer(path)
 
 
@@ -436,7 +460,8 @@ def test_load_buffer_rejects_negative_states(tmp_path, edits, match):
 
 
 @pytest.mark.parametrize("rows", [[_GOOD_ROW[:-1]], [_GOOD_ROW + [0.0]],
-                                  _GOOD_ROW], ids=["narrow", "wide", "1-D"])
+                                  _GOOD_ROW, 5.0, np.zeros((0, 3))],
+                         ids=["narrow", "wide", "1-D", "0-D", "empty-narrow"])
 def test_from_rows_rejects_other_row_widths(rows):
     with pytest.raises(ValueError, match=r"7 values wide.*shape"):
         ReplayBuffer.from_rows(4, 1, 1, rows)
@@ -455,12 +480,12 @@ def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
     """Every single-bit flip of a small checkpoint either loads a buffer
     that push could have built or fails with a ValueError naming the file."""
     rng = np.random.default_rng(4)
-    buf = ReplayBuffer(8)
+    buf = ReplayBuffer(8, 3, 2)
     for i in range(7):
         _push(buf, rng.integers(0, 256, size=3) / 3.0,
               reward=float(i % 3 == 2), action=np.eye(2)[i % 2],
               terminal=i == 3)
-    buf.set_reward(buf.zero_reward_slots()[:2], 0.5, shaped=True)
+    buf.set_reward(buf.zero_reward_slots()[:2], 0.5)
     good = tmp_path / "good.bin"
     save_buffer(buf, good)
     data = good.read_bytes()
@@ -509,7 +534,7 @@ def _sorted_zero_slots(buf):
 def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
                                                    ops):
     path = tmp_path_factory.mktemp("prop") / "buf.bin"
-    buf = ReplayBuffer(capacity)
+    buf = ReplayBuffer(capacity, 2, 2)
     step = 0
     for op, a, b in ops:
         if op == "push":
@@ -520,7 +545,7 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             slots = rng.permutation(buf.slots())[:rng.integers(1, len(buf) + 1)]
             shaped = rng.random(slots.size) < 0.5
             originals = _originals(buf, slots)
-            buf.set_reward(slots, np.where(shaped, b, originals), shaped)
+            buf.set_reward(slots, np.where(shaped, b, originals))
         elif op == "reload":
             save_buffer(buf, path)
             data = path.read_bytes()
@@ -554,7 +579,7 @@ def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
     rng = np.random.default_rng(seed)
     capacity = int(rng.integers(1, 40))
     p_nonzero = rng.uniform(0.05, 0.6)
-    buf = ReplayBuffer(capacity)
+    buf = ReplayBuffer(capacity, 2, 2)
     handed_out = []
     for step in range(400):
         op = rng.random()
@@ -566,7 +591,7 @@ def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
             shaped = rng.random(slots.size) < 0.5
             originals = buf.batch_arrays(slots).originals
             buf.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
-                                           originals), shaped)
+                                           originals))
         else:
             # reload all entries, or the newest ones into a ring with room
             rows = buf.to_rows()[rng.integers(0, len(buf)):]

@@ -347,7 +347,7 @@ class TestSelection:
 # ---------------------------------------------------------------------------
 
 def _seed_buffer(n_zero=10, n_nonzero=2, m1=3, m2=2):
-    buf = ReplayBuffer(capacity=32)
+    buf = ReplayBuffer(32, m1, m2)
     rng = np.random.default_rng(0)
     for i in range(n_zero + n_nonzero):
         r = 3.0 if i < n_nonzero else 0.0
@@ -427,7 +427,7 @@ class TestShapeBuffer:
             q, *_ = confidence_batch(params, t.states, t.actions,
                                      t.next_states, 0.5)
             value = float(select(q, self.zset, 0.36)[0])
-            slow.set_reward(int(slot), value, shaped=value != 0.0)
+            slow.set_reward(int(slot), value)
             expected += value != 0.0
         assert shaped == expected
         assert fast.to_rows().tobytes() == slow.to_rows().tobytes()
@@ -454,7 +454,7 @@ def _reference_shape(params, buf, zset, threshold, fraction, rng, mix):
     q, *_ = confidence_batch(params, batch.states, batch.actions,
                              batch.next_states, mix)
     values = select(q, zset, threshold)
-    buf.set_reward(chosen, values, values != 0.0)
+    buf.set_reward(chosen, values)
     return int(np.count_nonzero(values))
 
 
@@ -474,7 +474,7 @@ class TestConfidenceCache:
     def test_push_over_a_scored_slot_rescores_it(self):
         params = self._params()
         rng = np.random.default_rng(0)
-        buf = ReplayBuffer(capacity=6)
+        buf = ReplayBuffer(6, 3, 2)
         for _ in range(5):
             _push_random(buf, rng)
         _push_random(buf, rng, reward=3.0)
@@ -522,7 +522,7 @@ class TestConfidenceCache:
         # rewards and threshold changes, with a shaping pass after each
         params = self._params(seed)
         rng = np.random.default_rng(seed)
-        cached, reference = ReplayBuffer(capacity=10), ReplayBuffer(capacity=10)
+        cached, reference = ReplayBuffer(10, 3, 2), ReplayBuffer(10, 3, 2)
         cache = _cache(cached)
         zset = update_reward_set(RewardSet.initial(3), 1.0)
         pass_cached = np.random.default_rng(100 + seed)

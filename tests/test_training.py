@@ -6,7 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ssrs.augment import PAIRINGS
 from ssrs.config import RunConfig, apply_overrides, parse_config
 from ssrs.core import ReplayBuffer, load_buffer
 from ssrs.envs import KeyDoorGrid, SparseChain, make_env
@@ -46,7 +49,7 @@ def _td_update(backbone, codes, rewards, lr, discount):
     """One TD batch over every entry of a buffer holding ``rewards``; row i
     of ``codes`` is entry i's (state id, action index, next-state id,
     terminal flag)."""
-    buffer = ReplayBuffer(len(rewards))
+    buffer = ReplayBuffer(len(rewards), 1, 1)
     for reward in rewards:
         buffer.push([0.0], [1.0], reward, [0.0], False)
     backbone_update(backbone, buffer, np.array(codes), buffer.slots(), lr,
@@ -167,7 +170,7 @@ def _per_row_update(table, state_id_of, batch, lr, discount):
 ], ids=["chain", "grid"])
 def test_backbone_update_matches_per_row_loop(env):
     rng = np.random.default_rng(11)
-    buffer = ReplayBuffer(400)
+    buffer = ReplayBuffer(400, env.obs_width, env.n_actions)
     codes = np.zeros((buffer.capacity, 4), dtype=np.int32)
 
     def push(obs, sid, action, reward, next_obs, next_sid, done):
@@ -183,7 +186,7 @@ def test_backbone_update_matches_per_row_loop(env):
     shaped = rng.random(slots.size) < 0.5
     originals = buffer.batch_arrays(slots).originals
     buffer.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
-                                      originals), shaped)
+                                      originals))
     backbone = BackboneQ.create(env.n_states, env.n_actions)
     reference = backbone.table.copy()
     saw_repeat = saw_terminal = False
@@ -279,7 +282,7 @@ class TestRunEpisode:
         # the step hook receives the step and pushes it, one slot per step
         env = SparseChain(length=4, max_steps=10)
         backbone = _chain_backbone(env, bias_right=True)
-        buffer = ReplayBuffer(capacity=16)
+        buffer = ReplayBuffer(16, env.obs_width, env.n_actions)
         seen = []
 
         def on_step(obs, sid, action, reward, next_obs, next_sid, done):
@@ -464,6 +467,20 @@ class TestTrain:
         assert coded[2].flat.tobytes() == reference[2].flat.tobytes()
         assert coded[3].to_rows().tobytes() == reference[3].to_rows().tobytes()
 
+    def test_one_hard_logging_pass_per_episode(self, monkeypatch):
+        # only the last estimator step's hard-mode breakdown is logged, so
+        # the logging pass runs once per episode, after that step
+        modes = []
+        total_loss = training.total_loss
+
+        def counting(*args, mode, **kwargs):
+            modes.append(mode)
+            return total_loss(*args, mode=mode, **kwargs)
+
+        monkeypatch.setattr(training, "total_loss", counting)
+        train(_quick_config("episodes=4", "estimator_steps=3"))
+        assert modes == ["smooth", "smooth", "smooth", "hard"] * 4
+
     def test_static_pu_uses_base_rate(self):
         record, *_ = train(_quick_config("static_pu=on", "p_u_base=0.25"))
         assert np.all(record.p_u == 0.25)
@@ -514,9 +531,10 @@ class TestRunOutputs:
 # sha256 over curve.csv, backbone_q.npy, params_final.txt and buffer_final.bin
 # of a 40-episode seed-0 run of the default config with these overrides.
 # Together they cover the smooth (training) and hard (logging) loss passes,
-# train-time dropout, the cutout and smooth strong views and the run without
+# train-time dropout, the cutout and smooth strong views, the run without
 # the head-ordering term, also under train-time dropout (where the ablation
-# removes the dropout-mode ordering gradient it added).
+# removes the dropout-mode ordering gradient it added), and several
+# estimator steps per episode (only the last one's hard pass is logged).
 _GOLDEN_RUNS = {
     "default": ((), "de4678460ff9617f2b16dc826c0620115018b709d40e389931f861a3f9f4b736"),
     "dropout": (("train_dropout=on",),
@@ -529,7 +547,14 @@ _GOLDEN_RUNS = {
                     "e78bde10812b6308d714940bd7d062ab61645bb7550fe1646d7066f4e30b8336"),
     "dropout_no_ordering": (("train_dropout=on", "monotonicity=off"),
                             "59d48dbb4ffde68c07445d9e2ec39ebfec10d5f6d50794d0ba6d0071c7168149"),
+    "estimator_steps_3": (("estimator_steps=3",),
+                          "396cb9e835cba945159b2bd5313b6e9bd4325c40a29ec11410d07663020f5e7e"),
 }
+
+
+# The artifacts the determinism contract fixes byte for byte.
+_HASHED = ("curve.csv", "backbone_q.npy", "params_final.txt",
+           "buffer_final.bin")
 
 
 def _golden_digest(config, out_dir):
@@ -537,8 +562,7 @@ def _golden_digest(config, out_dir):
     record, backbone, params, buffer = train(config)
     write_run_outputs(record, config, out_dir, backbone, params, buffer)
     sha = hashlib.sha256()
-    for artifact in ("curve.csv", "backbone_q.npy", "params_final.txt",
-                     "buffer_final.bin"):
+    for artifact in _HASHED:
         sha.update((out_dir / artifact).read_bytes())
     return record, sha.hexdigest()
 
@@ -565,3 +589,61 @@ def test_shaped_wrapping_run_matches_golden_hash(tmp_path):
     assert record.total_transitions > config.buffer_capacity
     assert digest == (
         "817dbe1b1a91eab804cfb4cedc4a22b106e3e159bfa52418b64327b68caa0d16")
+
+
+# ---------------------------------------------------------------------------
+# determinism contract
+# ---------------------------------------------------------------------------
+
+# The long chain is rarely solved in 12 random steps, so its runs mostly
+# end without a reward and compare whole Q tables.
+_ENVS = {
+    "chain": ("env.length=4", "env.max_steps=15"),
+    "long_chain": ("env.length=10", "env.max_steps=12"),
+    "grid": ("env.kind=key_door_grid", "env.width=3", "env.height=3",
+             "env.key_x=2", "env.key_y=0", "env.door_x=2", "env.door_y=2",
+             "env.max_steps=30"),
+}
+# The second shaping setting writes shaped rewards within a few episodes, so
+# the shaped run leaves its shaping=off twin after the first success.
+_SHAPING = (("p_u_base=0.01",),
+            ("n_z=2", "static_pu=on", "p_u_base=0.5", "estimator_lr=2.0"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), env=st.sampled_from(sorted(_ENVS)),
+       episodes=st.integers(1, 10), capacity=st.sampled_from([20, 500]),
+       steps=st.integers(0, 2), pairing=st.sampled_from(sorted(PAIRINGS)),
+       shaping=st.sampled_from(_SHAPING))
+def test_determinism_contract(tmp_path_factory, seed, env, episodes, capacity,
+                              steps, pairing, shaping):
+    # training.py's contract: a seed fixes every output byte, and shaping
+    # moves the backbone only once a real reward has been seen
+    config = _quick_config(f"seed={seed}", f"episodes={episodes}",
+                           f"buffer_capacity={capacity}",
+                           f"estimator_steps={steps}",
+                           f"augment.pairing={pairing}", *_ENVS[env], *shaping)
+    root = tmp_path_factory.mktemp("contract")
+    records = []
+    for name in ("a", "b"):
+        record, backbone, params, buffer = train(config)
+        write_run_outputs(record, config, root / name, backbone, params, buffer)
+        records.append((record, backbone))
+    for artifact in _HASHED:
+        assert ((root / "a" / artifact).read_bytes()
+                == (root / "b" / artifact).read_bytes()), artifact
+
+    shaped, shaped_backbone = records[0]
+    vanilla, vanilla_backbone, _, _ = train(
+        dataclasses.replace(config, shaping=False))
+    # Rewards are nonnegative, so the first positive return is the first
+    # reward; the backbones agree until the step that earns it.
+    cut = shaped.first_success_episode
+    assert cut == vanilla.first_success_episode
+    np.testing.assert_array_equal(shaped.returns[:cut], vanilla.returns[:cut])
+    np.testing.assert_array_equal(shaped.lengths[:cut], vanilla.lengths[:cut])
+    before = None if cut is None else cut - 1
+    np.testing.assert_array_equal(shaped.scores[:before],
+                                  vanilla.scores[:before])
+    if cut is None:
+        assert shaped_backbone.table.tobytes() == vanilla_backbone.table.tobytes()
