@@ -2,9 +2,11 @@
 
 The package is organized around a small set of numpy-based building blocks:
 
-- ``core``      shared containers: transitions, trajectory stacks, the reward
-                candidate set, replay batches, and a ring replay buffer with
-                binary checkpoints
+- ``core``      shared containers: trajectory stacks, the reward candidate
+                set, replay batches, and a ring replay buffer with binary
+                checkpoints
+- ``config``    the run configuration: each key's default and parser in one
+                field, strict text parsing and serialization
 - ``augment``   weak/strong trajectory transforms, including the
                 entropy-weighted state transform used as the strong view
 - ``estimator`` two softmax-headed MLPs producing a confidence vector over

@@ -18,11 +18,20 @@ error that the subcommand reports with its own usage line.  ``train`` and
 ``rollout`` take ``--config PATH`` and ``--set key=value`` (repeatable)
 for config overrides.  ``train`` and ``gradcheck`` take ``--seed LIST``;
 ``rollout``, ``augment-check`` and ``consensus`` take one ``--seed N``.
+List flags (``--seed LIST``, ``--epochs``) reject an empty entry.
+``consensus`` takes exactly one of ``--run`` and ``--buffer``.
 Every subcommand that writes files takes ``--out DIR`` (default from the
 ``SSRS_OUT`` environment variable, else the working directory) and
 ``--force`` to overwrite existing outputs; ``eval`` takes ``--run`` alone.
 All CSV outputs use RFC-4180 quoting, "\\n" line endings and
 17-significant-digit decimal floats.
+
+Errors: a flag argparse rejects exits 2 with the subcommand's usage line.
+Every invalid value, file or key ends the command with ``error: MESSAGE``
+on stderr and exit status 1: ``main`` reports each ValueError that way,
+whether it is a :class:`CliError`, a ``ConfigError`` or the library's own,
+whose messages name the file or key.  A wrapper here only adds context,
+such as the path a message would otherwise lack.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 from .analysis import best_score_series, reward_distribution, trajectory_consensus
 from .augment import KINDS, AugmentSpec, apply_augment, partition_entropies
 from .config import (ConfigError, RunConfig, apply_overrides, config_hash,
-                     parse_config)
+                     parse_config, parse_int_list)
 from .core import (Batch, RewardSet, format_cell, load_buffer, load_trajectory,
                    read_csv, save_trajectory, TrajectoryMatrix, write_csv,
                    write_json)
@@ -53,8 +62,9 @@ __all__ = ["main"]
 GRADCHECK_BOUND = 1e-4
 
 
-class CliError(Exception):
-    """A user-facing failure: printed to stderr, exit status 1."""
+class CliError(ValueError):
+    """A user-facing failure: ``main`` prints it, as it does every
+    ValueError, as ``error: MESSAGE`` and exits 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -74,28 +84,20 @@ def _load_config(args) -> RunConfig:
             raise CliError(f"{path}: {exc}") from None
     else:
         config = RunConfig()
+    return apply_overrides(config, args.set or [])
+
+
+def _int_list(flag: str, raw: str, lo: int) -> tuple:
+    """The comma-separated integers of ``flag``, each at least ``lo``."""
     try:
-        apply_overrides(config, args.set or [])
-    except ConfigError as exc:
-        raise CliError(str(exc))
-    return config
+        return parse_int_list(raw, lo)
+    except ValueError as exc:
+        raise CliError(f"{flag} {exc}") from None
 
 
-def _seed_list(args, default: list) -> list:
+def _seed_list(args, default):
     """The seeds of ``--seed``, or ``default`` when it was not given."""
-    raw = args.seed
-    if raw is None:
-        return default
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise CliError("--seed must list at least one integer")
-    try:
-        seeds = [int(p) for p in parts]
-    except ValueError:
-        raise CliError(f"--seed expects comma-separated integers, got {raw!r}")
-    if min(seeds) < 0:
-        raise CliError(f"--seed entries must be non-negative, got {raw!r}")
-    return seeds
+    return default if args.seed is None else _int_list("--seed", args.seed, 0)
 
 
 def _one_seed(args, default: int) -> int:
@@ -106,18 +108,17 @@ def _one_seed(args, default: int) -> int:
     return seeds[0]
 
 
-def _out_root(args) -> Path:
-    return Path(args.out or os.environ.get("SSRS_OUT") or ".")
-
-
-def _guard_outputs(paths, force: bool):
-    """Refuse to overwrite existing outputs unless --force was given."""
-    if force:
-        return
-    existing = [str(p) for p in paths if Path(p).exists()]
-    if existing:
+def _outputs(args, *names) -> list:
+    """The paths of ``names`` under ``--out`` (default ``$SSRS_OUT``, else
+    the working directory); one that exists is refused unless ``--force``
+    was given."""
+    root = Path(args.out or os.environ.get("SSRS_OUT") or ".")
+    paths = [root / name for name in names]
+    existing = [str(p) for p in paths if p.exists()]
+    if existing and not args.force:
         raise CliError("output already exists (pass --force to overwrite): "
                        + ", ".join(existing))
+    return paths
 
 
 def _positive_int(text: str) -> int:
@@ -130,10 +131,7 @@ def _positive_int(text: str) -> int:
 
 def _read_curve(path, columns) -> dict:
     """The named columns of a numeric CSV table with at least one data row."""
-    try:
-        header, data = read_csv(path)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    header, data = read_csv(path)
     missing = [name for name in columns if name not in header]
     if missing:
         raise CliError(f"{path}: no column {', '.join(missing)}")
@@ -170,27 +168,24 @@ def _cmd_train(args) -> int:
     seeds = _seed_list(args, [config.seed])
     if len(set(seeds)) != len(seeds):
         raise CliError("duplicate seeds in --seed list")
-    root = _out_root(args)
-    seed_dirs = [root / f"seed_{s}" for s in seeds]
-    _guard_outputs([d / "curve.csv" for d in seed_dirs]
-                   + [root / "aggregate.csv"], args.force)
+    *curves, aggregate = _outputs(
+        args, *(f"seed_{s}/curve.csv" for s in seeds), "aggregate.csv")
 
-    results = {seed: _train_seed(replace(config, seed=seed), seed_dir)
-               for seed, seed_dir in zip(seeds, seed_dirs)}
+    results = {seed: _train_seed(replace(config, seed=seed), curve.parent)
+               for seed, curve in zip(seeds, curves)}
     failed = [seed for seed, record in results.items() if record is None]
     records = [record for record in results.values() if record is not None]
 
-    write_json(root / "run.json", {
+    write_json(aggregate.parent / "run.json", {
         "config_hash": config_hash(config),
         "seeds": seeds,
         "failed": failed,
     })
     if records:
         episodes, mean, std = best_score_series(records)
-        write_csv(root / "aggregate.csv", ("episode", "mean_best", "std_best"),
+        write_csv(aggregate, ("episode", "mean_best", "std_best"),
                   zip(episodes, mean, std))
-        print(f"aggregate over {len(records)} seed(s) -> "
-              f"{root / 'aggregate.csv'}")
+        print(f"aggregate over {len(records)} seed(s) -> {aggregate}")
     if failed:
         print(f"failed seeds: {', '.join(map(str, failed))}", file=sys.stderr)
         return 1
@@ -327,30 +322,20 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_augment_check(args) -> int:
-    try:
-        traj = load_trajectory(args.traj)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
+    if not Path(args.traj).is_file():
+        raise CliError(f"trajectory file not found: {args.traj}")
+    traj = load_trajectory(args.traj)
     params = {name: getattr(args, name) for name in ("sigma", "n", "low", "high")
               if getattr(args, name) is not None}
-    try:
-        spec = AugmentSpec(args.kind, params)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    spec = AugmentSpec(args.kind, params)
     rng = np.random.default_rng(_one_seed(args, 0))
-    try:
-        out = apply_augment(spec, traj, rng)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    out = apply_augment(spec, traj, rng)
 
     m1 = traj.states.shape[1]
     n_parts = args.n if (args.n and args.kind == "double_entropy") else min(8, m1)
     entropies = partition_entropies(traj.states[None], n_parts)[0].tolist()
 
-    root = _out_root(args)
-    out_csv = root / "augmented.csv"
-    out_json = root / "augment_report.json"
-    _guard_outputs([out_csv, out_json], args.force)
+    out_csv, out_json = _outputs(args, "augmented.csv", "augment_report.json")
     save_trajectory(out, out_csv)
     write_json(out_json, {
         "kind": spec.kind,
@@ -387,9 +372,7 @@ def _cmd_rollout(args) -> int:
     traj = TrajectoryMatrix(states=np.array(states),
                             actions=np.array(action_rows),
                             rewards=np.array(rewards))
-    root = _out_root(args)
-    out_csv = root / "rollout.csv"
-    _guard_outputs([out_csv], args.force)
+    (out_csv,) = _outputs(args, "rollout.csv")
     save_trajectory(traj, out_csv)
     print(f"{len(traj)} steps, return {format_cell(traj.rewards.sum())} "
           f"-> {out_csv}")
@@ -400,37 +383,21 @@ def _cmd_rollout(args) -> int:
 # consensus
 # ---------------------------------------------------------------------------
 
-def _load_buffer_arg(args):
+def _cmd_consensus(args) -> int:
+    # argparse admits exactly one of --buffer and --run
     if args.buffer:
-        path = Path(args.buffer)
-        config = RunConfig()
-    elif args.run:
-        run_dir = Path(args.run)
-        config = _run_config_of(run_dir)
-        path = run_dir / "buffer_final.bin"
+        path, config = Path(args.buffer), RunConfig()
     else:
-        raise CliError("pass --run DIR or --buffer FILE")
+        config = _run_config_of(Path(args.run))
+        path = Path(args.run) / "buffer_final.bin"
     if not path.is_file():
         raise CliError(f"missing buffer checkpoint: {path}")
-    try:
-        return load_buffer(path), config
-    except ValueError as exc:  # malformed file; the message names it
-        raise CliError(str(exc)) from None
-
-
-def _cmd_consensus(args) -> int:
-    buffer, config = _load_buffer_arg(args)
+    buffer = load_buffer(path)
     k = args.k if args.k is not None else config.n_z
     seed = _one_seed(args, config.seed)
-    try:
-        matrix, n_traj = trajectory_consensus(buffer, k, runs=args.runs,
-                                              seed=seed)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    root = _out_root(args)
-    grid_path = root / "consensus_matrix.csv"
-    pairs_path = root / "consensus_pairs.csv"
-    _guard_outputs([grid_path, pairs_path], args.force)
+    matrix, n_traj = trajectory_consensus(buffer, k, runs=args.runs, seed=seed)
+    grid_path, pairs_path = _outputs(args, "consensus_matrix.csv",
+                                     "consensus_pairs.csv")
     write_csv(grid_path, [f"t{j}" for j in range(n_traj)], matrix)
     pairs = ((i, j, matrix[i, j])
              for i in range(n_traj) for j in range(n_traj))
@@ -448,27 +415,16 @@ def _cmd_consensus(args) -> int:
 def _cmd_dist(args) -> int:
     run_dir = Path(args.run)
     _run_config_of(run_dir)  # validates the directory
-    try:
-        epochs = [int(p) for p in args.epochs.split(",") if p.strip()]
-    except ValueError:
-        raise CliError(f"--epochs expects comma-separated integers, "
-                       f"got {args.epochs!r}")
-    if not epochs:
-        raise CliError("--epochs must list at least one checkpoint epoch")
+    epochs = _int_list("--epochs", args.epochs, 1)
     snapshots = {}
     for epoch in epochs:
         path = run_dir / f"buffer_ep{epoch}.bin"
         if not path.is_file():
             raise CliError(f"missing buffer checkpoint: {path} "
                            f"(train with checkpoint_interval set)")
-        try:
-            snapshots[epoch] = load_buffer(path)
-        except ValueError as exc:  # malformed file; the message names it
-            raise CliError(str(exc)) from None
+        snapshots[epoch] = load_buffer(path)
     _, rows = reward_distribution(snapshots, bins=args.bins)
-    root = _out_root(args)
-    out_csv = root / "dist.csv"
-    _guard_outputs([out_csv], args.force)
+    (out_csv,) = _outputs(args, "dist.csv")
     write_csv(out_csv, ("epoch", "bin_left", "bin_right", "probability"), rows)
     print(f"{len(epochs)} snapshot(s), {args.bins} bins -> {out_csv}")
     return 0
@@ -489,9 +445,7 @@ def _cmd_compare(args) -> int:
         rows.append((d.name, float(curve["mean_best"][-1]),
                      float(curve["std_best"][-1])))
 
-    root = _out_root(args)
-    out_csv = root / "compare.csv"
-    _guard_outputs([out_csv], args.force)
+    (out_csv,) = _outputs(args, "compare.csv")
     write_csv(out_csv, ("variant", "mean_best", "std_best"), rows)
 
     name_w = max(len("variant"), *(len(r[0]) for r in rows))
@@ -578,8 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consensus", parents=[seed, outputs],
                        help="co-assignment matrix over repeated clusterings")
-    p.add_argument("--run", help="run directory holding buffer_final.bin")
-    p.add_argument("--buffer", help="buffer checkpoint file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--run", help="run directory holding buffer_final.bin")
+    source.add_argument("--buffer", help="buffer checkpoint file")
     p.add_argument("--k", type=int, help="mixture components "
                    "(default: the run's candidate count)")
     p.add_argument("--runs", type=_positive_int, default=100,
@@ -608,7 +563,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ConfigError) as exc:
+    except ValueError as exc:  # CliError, ConfigError and the library's own
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,13 +4,19 @@ Config files are plain ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored.  Dotted keys address the nested sections
 (``env.…``, ``augment.…``).  Unknown keys, malformed values, non-finite
 numbers and out-of-range values are rejected with the offending line number.
+
+Each key is one dataclass field declared with :func:`_key`, which holds its
+default and the parser of its text together; the key table, and so the
+order of :func:`serialize_config`, follows the field order.  A section's
+keys are ``section.field``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .augment import PAIRINGS, AugmentSpec
 from .envs import KINDS as ENV_KINDS, make_env
@@ -21,6 +27,7 @@ __all__ = [
     "EnvConfig",
     "RunConfig",
     "parse_config",
+    "parse_int_list",
     "serialize_config",
     "apply_overrides",
     "config_hash",
@@ -37,86 +44,8 @@ class ConfigError(ValueError):
         self.line = line
 
 
-@dataclass
-class AugmentConfig:
-    pairing: str = "ssrs_s"
-    gaussian_sigma: float = 0.1
-    cutout_n: int = 0          # 0 derives the width from the state size
-    smooth_n: int = 3
-    partitions: int = 8
-
-
-@dataclass
-class EnvConfig:
-    kind: str = "sparse_chain"
-    length: int = 20
-    max_steps: int = 100
-    width: int = 5
-    height: int = 5
-    key_x: int = 4
-    key_y: int = 0
-    door_x: int = 4
-    door_y: int = 4
-
-
-@dataclass
-class RunConfig:
-    """Everything a training run needs, with conservative defaults."""
-
-    seed: int = 0
-    episodes: int = 500
-    buffer_capacity: int = 10000
-    batch_size: int = 32
-    discount: float = 0.99
-    backbone_lr: float = 0.1
-    q_init: float = 1.0
-    epsilon_start: float = 1.0
-    epsilon_final: float = 0.05
-    epsilon_decay_frac: float = 0.5
-
-    beta: float = 0.5
-    lambda_final: float = 0.9
-    alpha_final: float = 0.7
-    p_u_base: float = 0.01
-    n_z: int = 12
-    sigmoid_sharpness: float = 1.0
-    soft_select_temp: float = 0.1
-
-    estimator_lr: float = 0.05
-    estimator_steps: int = 1
-    estimator_hidden: tuple = (128, 64, 32)
-    estimator_dropout: float = 0.2
-    train_dropout: bool = False
-
-    shaping: bool = True
-    static_pu: bool = False
-    monotonicity: bool = True
-
-    eval_interval: int = 10
-    eval_episodes: int = 5
-    checkpoint_interval: int = 0
-
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-    env: EnvConfig = field(default_factory=EnvConfig)
-
-    # -- derived views ------------------------------------------------------
-
-    def augment_pair(self):
-        """(weak, strong) transform specs for the configured pairing."""
-        a = self.augment
-        params = {
-            "gaussian": {"sigma": a.gaussian_sigma},
-            "double_entropy": {"n": a.partitions},
-            "smooth": {"n": a.smooth_n},
-            "cutout": {"n": a.cutout_n},
-        }
-        weak_kind, strong_kind = PAIRINGS[a.pairing]
-        return (AugmentSpec(weak_kind, params[weak_kind]),
-                AugmentSpec(strong_kind, params[strong_kind]))
-
-
 # ---------------------------------------------------------------------------
-# field registry
+# value parsers
 # ---------------------------------------------------------------------------
 
 def _parse_int(lo=None, hi=None):
@@ -167,13 +96,20 @@ def _parse_choice(*choices):
     return parse
 
 
-def _parse_int_tuple(raw):
+def parse_int_list(raw: str, lo: int) -> tuple:
+    """The integers of comma-separated ``raw``, each at least ``lo``.
+
+    An empty entry (``"1,,2"``, ``"6,"``, ``","``) is an error, as is an
+    entry below ``lo``; the ValueError quotes ``raw``.
+    """
     try:
-        values = tuple(int(part) for part in raw.split(",") if part.strip())
+        values = tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise ValueError("layer sizes must be positive integers")
+        raise ValueError(f"expected a list of at least one integer, "
+                         f"comma-separated with no empty entry; got {raw!r}"
+                         ) from None
+    if min(values) < lo:
+        raise ValueError(f"entries must be >= {lo}; got {raw!r}")
     return values
 
 
@@ -187,56 +123,124 @@ def _fmt_value(value):
     return str(value)
 
 
-# key -> (section attr or None, field name, parser)
-_FIELDS = {
-    "seed": (None, "seed", _parse_int(lo=0)),
-    "episodes": (None, "episodes", _parse_int(lo=1)),
-    "buffer_capacity": (None, "buffer_capacity", _parse_int(lo=1)),
-    "batch_size": (None, "batch_size", _parse_int(lo=1)),
-    "discount": (None, "discount", _parse_float(lo=0, hi=1, lo_open=True, hi_open=True)),
-    "backbone_lr": (None, "backbone_lr", _parse_float(lo=0, lo_open=True)),
-    "q_init": (None, "q_init", _parse_float()),
-    "epsilon_start": (None, "epsilon_start", _parse_float(lo=0, hi=1)),
-    "epsilon_final": (None, "epsilon_final", _parse_float(lo=0, hi=1)),
-    "epsilon_decay_frac": (None, "epsilon_decay_frac", _parse_float(lo=0, hi=1)),
-    "beta": (None, "beta", _parse_float(lo=0, hi=1, lo_open=True, hi_open=True)),
-    "lambda_final": (None, "lambda_final", _parse_float(lo=0, hi=1, lo_open=True)),
-    "alpha_final": (None, "alpha_final", _parse_float(lo=0, hi=1)),
-    "p_u_base": (None, "p_u_base", _parse_float(lo=0, hi=1)),
-    "n_z": (None, "n_z", _parse_int(lo=2)),
-    "sigmoid_sharpness": (None, "sigmoid_sharpness", _parse_float(lo=0, lo_open=True)),
-    "soft_select_temp": (None, "soft_select_temp", _parse_float(lo=0, lo_open=True)),
-    "estimator_lr": (None, "estimator_lr", _parse_float(lo=0, lo_open=True)),
-    "estimator_steps": (None, "estimator_steps", _parse_int(lo=0)),
-    "estimator_hidden": (None, "estimator_hidden", _parse_int_tuple),
-    "estimator_dropout": (None, "estimator_dropout", _parse_float(lo=0, hi=1, hi_open=True)),
-    "train_dropout": (None, "train_dropout", _parse_bool),
-    "shaping": (None, "shaping", _parse_bool),
-    "static_pu": (None, "static_pu", _parse_bool),
-    "monotonicity": (None, "monotonicity", _parse_bool),
-    "eval_interval": (None, "eval_interval", _parse_int(lo=1)),
-    "eval_episodes": (None, "eval_episodes", _parse_int(lo=1)),
-    "checkpoint_interval": (None, "checkpoint_interval", _parse_int(lo=0)),
-    "augment.pairing": ("augment", "pairing", _parse_choice(*PAIRINGS)),
-    "augment.gaussian_sigma": ("augment", "gaussian_sigma", _parse_float(lo=0, lo_open=True)),
-    "augment.cutout_n": ("augment", "cutout_n", _parse_int(lo=0)),
-    "augment.smooth_n": ("augment", "smooth_n", _parse_int(lo=1)),
-    "augment.partitions": ("augment", "partitions", _parse_int(lo=1)),
-    "env.kind": ("env", "kind", _parse_choice(*ENV_KINDS)),
-    "env.length": ("env", "length", _parse_int(lo=2)),
-    "env.max_steps": ("env", "max_steps", _parse_int(lo=1)),
-    "env.width": ("env", "width", _parse_int(lo=2)),
-    "env.height": ("env", "height", _parse_int(lo=2)),
-    "env.key_x": ("env", "key_x", _parse_int(lo=0)),
-    "env.key_y": ("env", "key_y", _parse_int(lo=0)),
-    "env.door_x": ("env", "door_x", _parse_int(lo=0)),
-    "env.door_y": ("env", "door_y", _parse_int(lo=0)),
-}
+def _key(default, parse):
+    """A config key's field: its default and the parser of its text."""
+    return field(default=default, metadata={"parse": parse})
 
+
+# ---------------------------------------------------------------------------
+# the keys
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AugmentConfig:
+    pairing: str = _key("ssrs_s", _parse_choice(*PAIRINGS))
+    gaussian_sigma: float = _key(0.1, _parse_float(lo=0, lo_open=True))
+    # 0 derives the width from the state size
+    cutout_n: int = _key(0, _parse_int(lo=0))
+    smooth_n: int = _key(3, _parse_int(lo=1))
+    partitions: int = _key(8, _parse_int(lo=1))
+
+
+@dataclass
+class EnvConfig:
+    kind: str = _key("sparse_chain", _parse_choice(*ENV_KINDS))
+    length: int = _key(20, _parse_int(lo=2))
+    max_steps: int = _key(100, _parse_int(lo=1))
+    width: int = _key(5, _parse_int(lo=2))
+    height: int = _key(5, _parse_int(lo=2))
+    key_x: int = _key(4, _parse_int(lo=0))
+    key_y: int = _key(0, _parse_int(lo=0))
+    door_x: int = _key(4, _parse_int(lo=0))
+    door_y: int = _key(4, _parse_int(lo=0))
+
+
+_UNIT = _parse_float(lo=0, hi=1)
+_OPEN_UNIT = _parse_float(lo=0, hi=1, lo_open=True, hi_open=True)
+_POSITIVE = _parse_float(lo=0, lo_open=True)
+
+
+@dataclass
+class RunConfig:
+    """Everything a training run needs, with conservative defaults."""
+
+    seed: int = _key(0, _parse_int(lo=0))
+    episodes: int = _key(500, _parse_int(lo=1))
+    buffer_capacity: int = _key(10000, _parse_int(lo=1))
+    batch_size: int = _key(32, _parse_int(lo=1))
+    discount: float = _key(0.99, _OPEN_UNIT)
+    backbone_lr: float = _key(0.1, _POSITIVE)
+    q_init: float = _key(1.0, _parse_float())
+    epsilon_start: float = _key(1.0, _UNIT)
+    epsilon_final: float = _key(0.05, _UNIT)
+    epsilon_decay_frac: float = _key(0.5, _UNIT)
+
+    beta: float = _key(0.5, _OPEN_UNIT)
+    lambda_final: float = _key(0.9, _parse_float(lo=0, hi=1, lo_open=True))
+    alpha_final: float = _key(0.7, _UNIT)
+    p_u_base: float = _key(0.01, _UNIT)
+    n_z: int = _key(12, _parse_int(lo=2))
+    sigmoid_sharpness: float = _key(1.0, _POSITIVE)
+    soft_select_temp: float = _key(0.1, _POSITIVE)
+
+    estimator_lr: float = _key(0.05, _POSITIVE)
+    estimator_steps: int = _key(1, _parse_int(lo=0))
+    estimator_hidden: tuple = _key((128, 64, 32),
+                                   partial(parse_int_list, lo=1))
+    estimator_dropout: float = _key(0.2,
+                                    _parse_float(lo=0, hi=1, hi_open=True))
+    train_dropout: bool = _key(False, _parse_bool)
+
+    shaping: bool = _key(True, _parse_bool)
+    static_pu: bool = _key(False, _parse_bool)
+    monotonicity: bool = _key(True, _parse_bool)
+
+    eval_interval: int = _key(10, _parse_int(lo=1))
+    eval_episodes: int = _key(5, _parse_int(lo=1))
+    checkpoint_interval: int = _key(0, _parse_int(lo=0))
+
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    env: EnvConfig = field(default_factory=EnvConfig)
+
+    # -- derived views ------------------------------------------------------
+
+    def augment_pair(self):
+        """(weak, strong) transform specs for the configured pairing."""
+        a = self.augment
+        params = {
+            "gaussian": {"sigma": a.gaussian_sigma},
+            "double_entropy": {"n": a.partitions},
+            "smooth": {"n": a.smooth_n},
+            "cutout": {"n": a.cutout_n},
+        }
+        weak_kind, strong_kind = PAIRINGS[a.pairing]
+        return (AugmentSpec(weak_kind, params[weak_kind]),
+                AugmentSpec(strong_kind, params[strong_kind]))
+
+
+def _key_table() -> dict:
+    """key -> (section attribute or None, field name, parser), in field
+    order."""
+    table = {}
+    for f in fields(RunConfig):
+        if "parse" in f.metadata:
+            table[f.name] = (None, f.name, f.metadata["parse"])
+            continue
+        for g in fields(f.default_factory):
+            table[f"{f.name}.{g.name}"] = (f.name, g.name, g.metadata["parse"])
+    return table
+
+
+_KEYS = _key_table()
+
+
+# ---------------------------------------------------------------------------
+# parsing and serialization
+# ---------------------------------------------------------------------------
 
 def _assign(config: RunConfig, key: str, raw: str, line=None):
     try:
-        section, name, parse = _FIELDS[key]
+        section, name, parse = _KEYS[key]
     except KeyError:
         raise ConfigError(f"unknown key {key!r}", line) from None
     try:
@@ -287,10 +291,10 @@ def _cross_check(config: RunConfig):
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Render every key in registry order; parsing the result reproduces the
+    """Render every key in field order; parsing the result reproduces the
     config exactly (floats carry 17 significant digits)."""
     lines = []
-    for key, (section, name, _) in _FIELDS.items():
+    for key, (section, name, _) in _KEYS.items():
         target = config if section is None else getattr(config, section)
         lines.append(f"{key} = {_fmt_value(getattr(target, name))}")
     return "\n".join(lines) + "\n"

@@ -104,6 +104,17 @@ class TestTrain:
         assert code == 1
         assert "at least one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,", ",1", " , "])
+    def test_empty_seed_entry_rejected(self, tmp_path, capsys, seeds):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(QUICK)
+        code = main(["train", "--config", str(cfg), "--seed", seeds,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and repr(seeds) in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
@@ -329,7 +340,7 @@ REMOVED_FLAGS.append(("eval", "--episodes"))
 # What argparse needs before it reports an unrecognized flag.
 REQUIRED_ARGS = {"eval": ["--run", "r"], "dist": ["--run", "r"],
                  "augment-check": ["--traj", "t", "--kind", "flip"],
-                 "compare": ["a", "b"]}
+                 "consensus": ["--buffer", "b"], "compare": ["a", "b"]}
 
 
 def test_each_command_takes_exactly_the_flags_it_reads():
@@ -575,6 +586,22 @@ class TestRolloutAndAugmentCheck:
         assert err.startswith("error: ") and str(traj) in err
         assert "line 2" in err
 
+    def test_missing_trajectory_reported(self, tmp_path, capsys):
+        traj = tmp_path / "nope.csv"
+        code = main(["augment-check", "--traj", str(traj), "--kind", "flip",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: trajectory file not found: {traj}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_with_empty_entry_rejected(self, tmp_path, capsys):
+        code = main(["rollout", "--seed", "3,", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and "'3,'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_transform_params(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["rollout", "--seed", "0", "--out", str(out)]) == 0
@@ -611,8 +638,36 @@ class TestConsensus:
         assert (out / "consensus_matrix.csv").is_file()
 
     def test_requires_source(self, capsys):
-        assert main(["consensus"]) == 1
-        assert "--run" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["consensus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ssrs consensus ")
+        assert "one of the arguments --run --buffer is required" in err
+
+    def test_run_and_buffer_exclusive(self, trained_root, tmp_path, capsys):
+        # --run is not ignored beside --buffer, even when it names nothing
+        run = trained_root / "out" / "seed_0"
+        for run_arg in (str(tmp_path / "nonexistent"), str(run)):
+            with pytest.raises(SystemExit) as exc:
+                main(["consensus", "--run", run_arg,
+                      "--buffer", str(run / "buffer_final.bin"),
+                      "--runs", "2", "--out", str(tmp_path / "c")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ssrs consensus ")
+            assert "not allowed with argument" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_library_error_reaches_main(self, trained_root, tmp_path, capsys):
+        # the mixture fit's own ValueError, reported with no wrapper
+        buffer = trained_root / "out" / "seed_0" / "buffer_final.bin"
+        code = main(["consensus", "--buffer", str(buffer), "--k", "0",
+                     "--runs", "2", "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: need at least one component\n")
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("runs", ["0", "-3", "x"])
     def test_nonpositive_runs_rejected(self, tmp_path, capsys, runs):
@@ -644,6 +699,16 @@ class TestDist:
             main(["dist", "--run", str(worker_run), "--epochs", "6",
                   "--bins", "0", "--out", str(tmp_path / "d")])
         assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("epochs", ["6,", "6,,12", ",6", "0"])
+    def test_bad_epoch_list_rejected(self, worker_run, tmp_path, capsys,
+                                     epochs):
+        code = main(["dist", "--run", str(worker_run), "--epochs", epochs,
+                     "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --epochs ") and repr(epochs) in err
         assert not (tmp_path / "d").exists()
 
     def test_missing_checkpoint(self, worker_run, tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Config parsing, validation, overrides, serialization stability."""
 
+from dataclasses import fields
+
 import pytest
 
 from ssrs.config import (
+    AugmentConfig,
     ConfigError,
+    EnvConfig,
     RunConfig,
     apply_overrides,
     config_hash,
     parse_config,
+    parse_int_list,
     serialize_config,
 )
 from ssrs.envs import KeyDoorGrid, SparseChain, make_env
@@ -57,6 +62,14 @@ class TestParsing:
     def test_hidden_layer_tuple(self):
         cfg = parse_config("estimator_hidden = 16,8\n")
         assert cfg.estimator_hidden == (16, 8)
+
+    @pytest.mark.parametrize("raw", ["8,,16", "8,", ",8", ",", "", "8,0"])
+    def test_hidden_layer_empty_or_zero_entry_rejected(self, raw):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"seed = 1\nestimator_hidden = {raw}\n")
+        assert err.value.line == 2
+        assert str(err.value).startswith("line 2: estimator_hidden: ")
+        assert repr(raw) in str(err.value)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError) as err:
@@ -164,6 +177,25 @@ class TestCrossChecks:
         parse_config("env.door_x = 99\n")
 
 
+class TestIntList:
+    def test_values_and_whitespace(self):
+        assert parse_int_list("3", 0) == (3,)
+        assert parse_int_list(" 1, 2 ,3", 0) == (1, 2, 3)
+        assert parse_int_list("-2,5", -2) == (-2, 5)
+
+    @pytest.mark.parametrize("raw", ["", ",", "1,,2", "1,", ",1", "1,x",
+                                     "1.5"])
+    def test_empty_or_non_integer_entry_rejected(self, raw):
+        with pytest.raises(ValueError) as err:
+            parse_int_list(raw, 0)
+        assert repr(raw) in str(err.value)
+
+    def test_lower_bound(self):
+        with pytest.raises(ValueError) as err:
+            parse_int_list("4,2", 3)
+        assert ">= 3" in str(err.value) and "'4,2'" in str(err.value)
+
+
 class TestOverrides:
     def test_applied_in_order(self):
         cfg = parse_config("")
@@ -194,6 +226,23 @@ class TestSerialization:
         again = parse_config(text)
         assert serialize_config(again) == text
         assert again == cfg
+        # pinned: a change to key names, order or value format shows here
+        assert config_hash(cfg) == ("be29514f03ee5652541ec4788d298d53"
+                                    "472891519bb72e46bf2647d5fdec9ee1")
+
+    def test_default_hash_pinned(self):
+        assert config_hash(RunConfig()) == ("abbb7734233c7ad386d72cd73efbae3b"
+                                            "e752299941003c5a278f65f8c4c8586d")
+
+    def test_keys_follow_field_order(self):
+        keys = [line.split(" = ")[0]
+                for line in serialize_config(RunConfig()).splitlines()]
+        scalars = [f.name for f in fields(RunConfig)
+                   if f.name not in ("augment", "env")]
+        assert keys == (scalars
+                        + [f"augment.{f.name}" for f in fields(AugmentConfig)]
+                        + [f"env.{f.name}" for f in fields(EnvConfig)])
+        assert len(keys) == 42
 
     def test_every_key_present(self):
         text = serialize_config(RunConfig())
