@@ -416,6 +416,8 @@ def _cmd_dist(args) -> int:
     run_dir = Path(args.run)
     _run_config_of(run_dir)  # validates the directory
     epochs = _int_list("--epochs", args.epochs, 1)
+    if len(set(epochs)) != len(epochs):
+        raise CliError("duplicate epochs in --epochs list")
     snapshots = {}
     for epoch in epochs:
         path = run_dir / f"buffer_ep{epoch}.bin"

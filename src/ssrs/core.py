@@ -6,9 +6,14 @@ widths.  It keeps both the stored (possibly shaped) reward and the original
 environment reward for every entry, so shaping is always reversible; an
 entry is shaped exactly when the two differ.  Environment steps enter it
 through ``ReplayBuffer.push`` and checkpoints through
-``ReplayBuffer.from_rows``; both apply one entry check.  Every read of
-several whole entries at once (shaping, losses, analyses) is a ``Batch``; a
-TD update reads only stored rewards (``ReplayBuffer.rewards_at``).
+``ReplayBuffer.from_rows``; both apply one entry check.  The buffer stores
+each distinct observation, action vector and (state, action) pair once and
+each entry as ids into those tables.  Shaping reads the ids
+(``ReplayBuffer.ids_at``); every other read of several whole entries at
+once (losses, analyses, checkpoints) is a ``Batch`` or checkpoint rows
+gathered from the tables; a TD update reads only stored rewards
+(``ReplayBuffer.rewards_at``).  ``save_buffer`` streams the rows to the file
+a fixed-size chunk at a time.
 """
 
 from __future__ import annotations
@@ -220,6 +225,46 @@ def _check_entries(states, actions, rewards, next_states, m1, m2):
         raise ValueError("rewards must be finite")
 
 
+class _RowTable:
+    """Distinct rows of one width and dtype, each stored once.
+
+    ``ids`` maps a row's bytes to its id, its index in ``rows``; ids are
+    handed out from 0 in order of first appearance.  Rows are keyed by their
+    bytes, so ``0.0`` and ``-0.0`` are different rows.  ``rows`` grows by
+    doubling, up to ``limit`` rows; the owner keeps the count within it.
+    """
+
+    def __init__(self, width: int, limit: int, dtype=np.float64):
+        self.limit = limit
+        self.rows = np.zeros((min(64, limit), width), dtype=dtype)
+        self.ids = {}
+
+    def intern(self, row: np.ndarray) -> int:
+        """The id of a 1-D row of the table's dtype, stored first if it is
+        new."""
+        key = row.tobytes()
+        rid = self.ids.get(key)
+        if rid is None:
+            rid = self.ids[key] = len(self.ids)
+            if rid == len(self.rows):
+                grown = np.zeros((min(2 * rid, self.limit),
+                                  self.rows.shape[1]), dtype=self.rows.dtype)
+                grown[:rid] = self.rows
+                self.rows = grown
+            self.rows[rid] = row
+        return rid
+
+    def keep(self, live: np.ndarray, kept=None) -> np.ndarray:
+        """Keep only the rows of the ascending ids ``live``, renumbered from
+        0 in that order and replaced by the rows ``kept`` when given;
+        returns the map from old to new ids (-1 where a row was dropped)."""
+        remap = np.full(len(self.ids), -1, dtype=np.intp)
+        remap[live] = np.arange(live.size)
+        self.rows[:live.size] = self.rows[live] if kept is None else kept
+        self.ids = {self.rows[i].tobytes(): i for i in range(live.size)}
+        return remap
+
+
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with shaping bookkeeping.
 
@@ -229,6 +274,14 @@ class ReplayBuffer:
     environment reward.  An entry is shaped exactly when its stored reward
     differs from its original; the shaped flag of a checkpoint row is
     derived from that, not stored.
+
+    Each distinct observation is stored once, in one table shared by states
+    and next states, each distinct action vector once, and each distinct
+    (state id, action id) pair once; a slot holds the id of its pair and
+    of its next state (:meth:`ids_at`).  Ids are bytes-exact and stay fixed
+    while ``id_epoch`` does.  Each table holds at most ``2 * capacity``
+    rows: when a push might not fit, the tables are rebuilt from the live
+    slots, renumbering the ids, and ``id_epoch`` advances.
 
     Slots are physical ring positions; they are returned by :meth:`push` and
     :meth:`sample_slots` and stay valid until the slot is overwritten by
@@ -250,19 +303,23 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.state_width = int(state_width)
         self.action_width = int(action_width)
+        self.id_epoch = 0
         self._next = 0      # next physical slot to write
         self._size = 0
         try:
-            self._states = np.zeros((capacity, state_width))
-            self._actions = np.zeros((capacity, action_width))
+            self._pair_ids = np.zeros(capacity, dtype=np.intp)
+            self._next_state_ids = np.zeros(capacity, dtype=np.intp)
             self._rewards = np.zeros(capacity)
-            self._next_states = np.zeros((capacity, state_width))
             self._terminals = np.zeros(capacity, dtype=bool)
             self._originals = np.zeros(capacity)
             self._index_zero_slots()
         except (MemoryError, ValueError):  # numpy: "array is too big"
             raise ValueError(f"cannot allocate a buffer of capacity {capacity}"
                              ) from None
+        self._observations = _RowTable(self.state_width, 2 * self.capacity)
+        self._actions = _RowTable(self.action_width, 2 * self.capacity)
+        # (state id, action id) per pair id
+        self._pairs = _RowTable(2, 2 * self.capacity, dtype=np.intp)
 
     # -- sizing -------------------------------------------------------------
 
@@ -290,6 +347,32 @@ class ReplayBuffer:
         self._zero_slots[:found.size] = found
         self._zero_count = found.size
 
+    def _rebuild_tables(self, evicted: int | None):
+        """Keep only the table rows that the occupied slots but ``evicted``
+        refer to, renumbering the ids; a new epoch of ids begins."""
+        live = np.ones(self._size, dtype=bool)
+        if evicted is not None:
+            live[evicted] = False
+        pair_ids = self._pair_ids[:self._size]
+        next_ids = self._next_state_ids[:self._size]
+        live_pairs = np.unique(pair_ids[live])
+        states, actions = self._pairs.rows[live_pairs].T
+        observation_map = self._observations.keep(
+            np.unique(np.concatenate([states, next_ids[live]])))
+        action_map = self._actions.keep(np.unique(actions))
+        pair_map = self._pairs.keep(live_pairs, np.column_stack(
+            [observation_map[states], action_map[actions]]))
+        pair_ids[:] = pair_map[pair_ids]
+        next_ids[:] = observation_map[next_ids]
+        self.id_epoch += 1
+
+    def _write_ids(self, slot: int, state, action, next_state):
+        """Intern one entry's vectors and write its ids to ``slot``."""
+        pair = np.array([self._observations.intern(state),
+                         self._actions.intern(action)], dtype=np.intp)
+        self._pair_ids[slot] = self._pairs.intern(pair)
+        self._next_state_ids[slot] = self._observations.intern(next_state)
+
     # -- writing ------------------------------------------------------------
 
     def push(self, state, action, reward, next_state, terminal) -> int:
@@ -306,10 +389,12 @@ class ReplayBuffer:
         slot = self._next
         full = self._size == self.capacity
         flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
-        self._states[slot] = state
-        self._actions[slot] = action
+        # A push adds at most two rows to a table of at most 2 * capacity.
+        if max(len(self._observations.ids), len(self._actions.ids),
+               len(self._pairs.ids)) + 2 > 2 * self.capacity:
+            self._rebuild_tables(slot if full else None)
+        self._write_ids(slot, state, action, next_state)
         self._rewards[slot] = reward
-        self._next_states[slot] = next_state
         self._terminals[slot] = terminal
         self._originals[slot] = reward
         if flips:
@@ -351,15 +436,38 @@ class ReplayBuffer:
         self._require_entries("no reward to read")
         return self._rewards[slots]
 
+    def ids_at(self, slots: np.ndarray):
+        """(pair ids, next-state ids) of the entries at an array of slots,
+        as copies.  A pair id names one distinct (state, action) and a
+        next-state id one distinct observation, bytes-exact;
+        :meth:`state_action_rows` and :meth:`observations` read them."""
+        return self._pair_ids[slots], self._next_state_ids[slots]
+
+    def state_action_rows(self, pair_ids: np.ndarray) -> np.ndarray:
+        """The (state, action) of an array of pair ids, one row each: the
+        state followed by the action vector."""
+        return np.concatenate(self._state_actions(pair_ids), axis=1)
+
+    def observations(self, ids: np.ndarray) -> np.ndarray:
+        """The observations (states and next states) of an array of ids,
+        one row each, as a copy."""
+        return self._observations.rows[ids]
+
+    def _state_actions(self, pair_ids: np.ndarray):
+        """(states, action vectors) of an array of pair ids."""
+        states, actions = self._pairs.rows[pair_ids].T
+        return self._observations.rows[states], self._actions.rows[actions]
+
     def batch_arrays(self, slots: np.ndarray) -> Batch:
         """The entries at a 1-D array of slots, as a Batch of copies."""
         self._require_entries("nothing to gather")
         slots = np.asarray(slots)
         if slots.ndim != 1:
             raise ValueError(f"slots must be a 1-D array, got {slots.ndim}-D")
-        return Batch(self._states[slots], self._actions[slots],
-                     self._rewards[slots], self._next_states[slots],
-                     self._terminals[slots], self._originals[slots])
+        pairs, next_states = self.ids_at(slots)
+        return Batch(*self._state_actions(pairs), self._rewards[slots],
+                     self.observations(next_states), self._terminals[slots],
+                     self._originals[slots])
 
     # -- sampling -----------------------------------------------------------
 
@@ -381,15 +489,18 @@ class ReplayBuffer:
     def to_rows(self) -> np.ndarray:
         """Stored entries as checkpoint rows, oldest first (layout at
         :func:`save_buffer`); the shaped flag is ``rewards != originals``."""
-        order = self.slots()
-        rewards = self._rewards[order, None]
-        originals = self._originals[order, None]
+        return self._rows(self.slots())
+
+    def _rows(self, slots: np.ndarray) -> np.ndarray:
+        """Checkpoint rows of the entries at an array of slots."""
+        pairs, next_states = self.ids_at(slots)
+        rewards = self._rewards[slots, None]
+        originals = self._originals[slots, None]
         return np.hstack([
-            self._states[order],
-            self._actions[order],
+            *self._state_actions(pairs),
             rewards,
-            self._next_states[order],
-            self._terminals[order, None].astype(np.float64),
+            self.observations(next_states),
+            self._terminals[slots, None].astype(np.float64),
             originals,
             (rewards != originals).astype(np.float64),
         ])
@@ -427,10 +538,11 @@ class ReplayBuffer:
         if np.any((shaped == 1.0) != (rewards != originals)):
             raise ValueError("an entry's shaped flag must be 1.0 exactly when "
                              "its stored reward differs from its original")
-        buffer._states[:count] = states
-        buffer._actions[:count] = actions
+        # At most 2 * count <= 2 * capacity rows per table: no rebuild.
+        for slot in range(count):
+            buffer._write_ids(slot, states[slot], actions[slot],
+                              next_states[slot])
         buffer._rewards[:count] = rewards[:, 0]
-        buffer._next_states[:count] = next_states
         buffer._terminals[:count] = terminals[:, 0] == 1.0
         buffer._originals[:count] = originals[:, 0]
         buffer._size = count
@@ -453,13 +565,24 @@ class ReplayBuffer:
 #                 where shaped is 1.0 exactly when the stored reward differs
 #                 from the original reward.
 
+# Rows are built and written this many bytes at a time, so a checkpoint
+# write holds a bounded slice of the payload, not a full copy of it.
+_CHUNK_BYTES = 1 << 17
+
+
 def save_buffer(buffer: ReplayBuffer, path):
-    """Write a replay buffer checkpoint (see module comment for the layout)."""
+    """Write a replay buffer checkpoint (see module comment for the layout),
+    streaming its rows to the file in fixed-size chunks."""
     header = _HEADER.pack(BUFFER_FORMAT_VERSION, buffer.state_width,
                           buffer.action_width, buffer.capacity, len(buffer))
+    order = buffer.slots()
+    row_bytes = 8 * (2 * buffer.state_width + buffer.action_width + 4)
+    step = max(1, _CHUNK_BYTES // row_bytes)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(buffer.to_rows().astype("<f8").tobytes())
+        for start in range(0, order.size, step):
+            rows = buffer._rows(order[start:start + step])
+            fh.write(rows.astype("<f8", copy=False).data)
 
 
 def load_buffer(path) -> ReplayBuffer:

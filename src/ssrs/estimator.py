@@ -9,9 +9,11 @@ This module holds the single, row-batched definition of each estimator
 formula: the two-head forward (``forward_heads``), the confidence mix
 (``mix_heads``, ``confidence_batch``), hard selection (``select``), its soft
 surrogate (``soft_select``) and the confidence-gated pseudo-label
-(``pseudo_label``).  Buffer shaping and the losses both build on them;
-shaping keeps each slot's confidence vector in a ``ConfidenceCache`` until
-the slot is overwritten or the parameters change.
+(``pseudo_label``).  Buffer shaping and the losses both build on them.
+Shaping scores each distinct input of the replay buffer once per estimator
+version: a ``ConfidenceCache`` keeps the state-action head's output per
+(state id, action id) and the state head's per next-state id, and the heads
+are mixed per entry.
 
 The networks are plain numpy with hand-written backward passes so gradients
 can be audited against finite differences.  All parameters live in one
@@ -45,15 +47,12 @@ PARAMS_FORMAT_VERSION = 1
 _DEFAULT_HIDDEN = (128, 64, 32)
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
 def _softmax_rows(z):
-    # Stable row-wise softmax.
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # Stable row-wise softmax, into one new array.
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 class MlpNet:
@@ -116,13 +115,14 @@ class MlpNet:
         """
         h = np.asarray(x, dtype=np.float64) * self.input_scale
         dropout = rng is not None and self.dropout > 0.0
-        inputs, pre_acts, masks = [], [], []
+        inputs, acts, masks = [], [], []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            z = h @ w.T + b
-            pre_acts.append(z)
-            h = _relu(z)
+            h = h @ w.T
+            h += b
+            np.maximum(h, 0.0, out=h)
+            acts.append(h)
             if i < last and dropout:
                 keep = 1.0 - self.dropout
                 mask = (rng.random(h.shape) < keep) / keep
@@ -131,7 +131,7 @@ class MlpNet:
                 mask = None
             masks.append(mask)
         out = _softmax_rows(h)
-        cache = {"inputs": inputs, "pre_acts": pre_acts, "masks": masks, "out": out}
+        cache = {"inputs": inputs, "acts": acts, "masks": masks, "out": out}
         return out, cache
 
     def backward(self, cache, grad_out):
@@ -152,7 +152,8 @@ class MlpNet:
             mask = cache["masks"][i]
             if mask is not None:
                 dh = dh * mask
-            dz = dh * (cache["pre_acts"][i] > 0.0)
+            # relu(z) > 0 exactly where z > 0
+            dz = dh * (cache["acts"][i] > 0.0)
             grads_w[i] = dz.T @ cache["inputs"][i]
             grads_b[i] = dz.sum(axis=0)
             if i > 0:
@@ -296,26 +297,84 @@ def pseudo_label(q, threshold: float):
 # buffer shaping
 # ---------------------------------------------------------------------------
 
-class ConfidenceCache:
-    """Confidence vectors of a buffer's slots, kept while the estimator
-    parameters stay the same.
+class _HeadOutputs:
+    """One head's output vectors indexed by input id, each stamped with the
+    estimator version it was computed under.
 
-    A slot's vector depends only on the parameters, the confidence mix and
-    the slot's state, action and next state; not on its stored reward, the
-    threshold or the candidate set.  The owner calls :meth:`forget` when a
-    push overwrites a slot and :meth:`clear` after every parameter update,
-    and passes one mix to every :func:`shape_buffer` call.
+    The arrays grow with the largest id seen; a row never computed carries
+    version -1, so it is never fresh.
     """
 
-    def __init__(self, capacity: int, n_candidates: int):
-        self.values = np.zeros((capacity, n_candidates))
-        self.fresh = np.zeros(capacity, dtype=bool)
+    def __init__(self):
+        self.versions = np.empty(0, dtype=np.int64)
+        self.values = None
 
-    def forget(self, slot: int):
-        self.fresh[slot] = False
+    def outputs(self, ids: np.ndarray, version: int, score) -> np.ndarray:
+        """The vector of each entry of ``ids``.  ``score`` is called once,
+        on the ascending distinct ids without a vector of ``version``, and
+        returns one row per id it is given; nothing is called when there
+        are none."""
+        top = int(ids.max())
+        if top >= self.versions.size:
+            self._grow(top + 1)
+        stale = self.versions[ids] != version
+        if stale.any():
+            # np.unique, without its per-call overhead
+            distinct = np.sort(ids[stale])
+            first = np.empty(distinct.size, dtype=bool)
+            first[0] = True
+            np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+            distinct = distinct[first]
+            scored = score(distinct)
+            if self.values is None:
+                self.values = np.empty((self.versions.size, scored.shape[1]))
+            self.values[distinct] = scored
+            self.versions[distinct] = version
+        return self.values[ids]
+
+    def _grow(self, n: int):
+        size = max(n, 2 * self.versions.size)
+        versions = np.full(size, -1, dtype=np.int64)
+        versions[:self.versions.size] = self.versions
+        self.versions = versions
+        if self.values is not None:
+            values = np.empty((size, self.values.shape[1]))
+            values[:len(self.values)] = self.values
+            self.values = values
+
+
+class ConfidenceCache:
+    """Head outputs of a buffer's distinct shaping inputs, kept per
+    estimator version.
+
+    The state-action head's output is kept per (state id, action id), that
+    is per pair id, and the state head's per next-state id, as
+    ``ReplayBuffer.ids_at`` gives them.  A head output depends only on the
+    parameters and its input; not on the slot, its stored reward, the mix,
+    the threshold or the candidate set.  So every slot holding an input
+    shares one vector, and a push needs no bookkeeping.  Each vector
+    carries the version it was computed under and is fresh while that is
+    ``version``.  The owner calls :meth:`clear` after every parameter
+    update.  A rebuild of the buffer's id tables (a new
+    ``ReplayBuffer.id_epoch``) drops every vector.  One cache serves one
+    buffer.
+    """
+
+    def __init__(self):
+        self.version = 0
+        self._id_epoch = 0
+        self.q = _HeadOutputs()
+        self.v = _HeadOutputs()
 
     def clear(self):
-        self.fresh[:] = False
+        """Start a new estimator version: every stored vector is stale."""
+        self.version += 1
+
+    def follow(self, id_epoch: int):
+        """Drop every vector if the buffer's ids were renumbered."""
+        if id_epoch != self._id_epoch:
+            self._id_epoch = id_epoch
+            self.q, self.v = _HeadOutputs(), _HeadOutputs()
 
 
 def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
@@ -327,23 +386,25 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     floor(visit_fraction * #candidates) entries are drawn without
     replacement; each visited entry's stored reward becomes the hard
     selection of its confidence vector.  Entries whose selection is 0 are
-    reverted to unshaped.  Only visited entries without a fresh vector in
-    ``cache`` are scored (in draw order); their vectors are stored there.
-    Returns the number of entries left shaped.
+    reverted to unshaped.  Each head scores only the distinct inputs of the
+    draw without a fresh vector in ``cache``, in one forward pass, and
+    stores them there; the heads are mixed per entry.  Returns the number
+    of entries left shaped.
     """
     candidates = buffer.zero_reward_slots()
     k = int(visit_fraction * candidates.size)
     if k <= 0:
         return 0
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
-    stale = chosen[~cache.fresh[chosen]]
-    if stale.size:
-        batch = buffer.batch_arrays(stale)
-        q, _, _, _, _ = confidence_batch(params, batch.states, batch.actions,
-                                         batch.next_states, mix)
-        cache.values[stale] = q
-        cache.fresh[stale] = True
-    values = select(cache.values[chosen], zset, threshold)
+    pair_ids, next_ids = buffer.ids_at(chosen)
+    cache.follow(buffer.id_epoch)
+    q_out = cache.q.outputs(
+        pair_ids, cache.version,
+        lambda ids: params.q_net.forward(buffer.state_action_rows(ids))[0])
+    v_out = cache.v.outputs(
+        next_ids, cache.version,
+        lambda ids: params.v_net.forward(buffer.observations(ids))[0])
+    values = select(mix_heads(q_out, v_out, mix), zset, threshold)
     buffer.set_reward(chosen, values)
     return int(np.count_nonzero(values))
 

@@ -15,8 +15,9 @@ this order, pushes the step into the replay buffer and writes the slot's
 integer codes (state id, action index, next-state id, terminal flag),
 folds a nonzero reward into the candidate set, runs a shaping pass and
 applies one TD batch.  TD reads the drawn slots' codes and stored
-rewards, nothing else of the buffer.  Shaping reuses each slot's
-confidence vector until the slot is overwritten or the estimator steps.
+rewards, nothing else of the buffer.  Shaping scores each distinct
+(state, action) and next state of the buffer once per estimator step, keyed
+by the ids the buffer gives each distinct observation.
 Greedy evaluation runs on the same environment, passes no hook and stores
 nothing.  ``train`` appends one row of measured values per episode and
 builds its :class:`RunRecord` from them once.
@@ -276,7 +277,7 @@ def train(config: RunConfig, out_dir=None):
             streams["estimator_init"], hidden=config.estimator_hidden,
             dropout=config.estimator_dropout, input_scale=1.0 / 255.0,
         )
-        cache = ConfidenceCache(config.buffer_capacity, config.n_z)
+        cache = ConfidenceCache()
     pairing = config.augment_pair()
     horizon = config.episodes
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -293,8 +294,6 @@ def train(config: RunConfig, out_dir=None):
         slot = buffer.push(obs, env.action_vector(action), reward, next_obs,
                            done)
         codes[slot] = sid, action, next_sid, done
-        if cache is not None:
-            cache.forget(slot)
         if reward != 0.0:
             zset = update_reward_set(zset, reward)
         # Shaping cannot act before any genuine reward exists: the

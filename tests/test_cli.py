@@ -711,6 +711,14 @@ class TestDist:
         assert err.startswith("error: --epochs ") and repr(epochs) in err
         assert not (tmp_path / "d").exists()
 
+    def test_duplicate_epochs_rejected(self, worker_run, tmp_path, capsys):
+        code = main(["dist", "--run", str(worker_run), "--epochs", "6,12,6",
+                     "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: duplicate epochs in --epochs list\n"
+        assert not (tmp_path / "d").exists()
+
     def test_missing_checkpoint(self, worker_run, tmp_path, capsys):
         code = main(["dist", "--run", str(worker_run), "--epochs", "7",
                      "--out", str(tmp_path / "d")])

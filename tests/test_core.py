@@ -1,6 +1,7 @@
 """Containers: trajectory stacks, reward grids, replay ring."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,10 +508,15 @@ def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
     assert 0 < loaded < 8 * len(data)
 
 
+# Observations the random operations push; 0.0 and -0.0 differ in bytes.
+_POOL = [np.array(v) for v in ([0.0, 1.0], [-0.0, 1.0], [1.0, 0.0],
+                               [1.0, -0.0], [-0.0, -0.0], [2.0, 3.0])]
+
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.sampled_from([0.0, 0.0, 1.0, -2.5]),
-                  st.booleans()),
+                  st.tuples(st.booleans(), st.integers(0, len(_POOL) - 1),
+                            st.integers(0, len(_POOL) - 1))),
         st.tuples(st.just("shape"), st.integers(0, 2 ** 32 - 1),
                   st.sampled_from([0.0, 3.0, -1.0])),
         st.tuples(st.just("reload"), st.none(), st.none()),
@@ -535,11 +541,13 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
                                                    ops):
     path = tmp_path_factory.mktemp("prop") / "buf.bin"
     buf = ReplayBuffer(capacity, 2, 2)
-    step = 0
+    pushed = []  # (state, next state) of every push, oldest first
     for op, a, b in ops:
         if op == "push":
-            step += 1
-            _push(buf, [float(step), 1.0], reward=a, terminal=b)
+            terminal, state, next_state = b
+            _push(buf, _POOL[state], reward=a, terminal=terminal,
+                  next_state=_POOL[next_state])
+            pushed.append((_POOL[state], _POOL[next_state]))
         elif op == "shape" and len(buf):
             rng = np.random.default_rng(a)
             slots = rng.permutation(buf.slots())[:rng.integers(1, len(buf) + 1)]
@@ -554,6 +562,13 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             assert path.read_bytes() == data
             assert back.to_rows().tobytes() == buf.to_rows().tobytes()
             buf = back
+        # the stored observations are the pushed ones, bytes-exact
+        rows = buf.to_rows()
+        live = pushed[len(pushed) - len(buf):]
+        assert rows[:, 0:2].tobytes() == \
+            np.array([s for s, _ in live]).reshape(-1, 2).tobytes()
+        assert rows[:, 5:7].tobytes() == \
+            np.array([n for _, n in live]).reshape(-1, 2).tobytes()
         occupied = buf.slots()
         originals = _originals(buf, occupied)
         assert buf.nonzero_reward_count == int(np.count_nonzero(originals))
@@ -563,6 +578,53 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             assert np.array_equal(rewards[unshaped], originals[unshaped])
         np.testing.assert_array_equal(buf.zero_reward_slots(),
                                       _sorted_zero_slots(buf))
+
+
+def test_observation_table_stays_within_twice_the_capacity():
+    # every push brings two new observations; the table is rebuilt from the
+    # live slots whenever a push might not fit
+    capacity = 5
+    rng = np.random.default_rng(3)
+    buf = ReplayBuffer(capacity, 3, 2)
+    pushed = []
+    for i in range(8 * capacity):
+        state, next_state = rng.uniform(0.0, 9.0, size=(2, 3))
+        action = np.eye(2)[i % 2]
+        reward = float(i % 3 == 0)
+        buf.push(state, action, reward, next_state, i % 4 == 3)
+        pushed.append(np.concatenate([state, action, [reward], next_state,
+                                      [i % 4 == 3, reward, 0.0]]))
+        for table in buf._observations, buf._actions, buf._pairs:
+            assert len(table.ids) <= 2 * capacity
+        pairs, next_states = buf.ids_at(buf.slots())
+        assert max(pairs.max(), next_states.max()) < 2 * capacity
+        assert buf.to_rows().tobytes() == \
+            np.array(pushed[-capacity:]).tobytes()
+    assert buf.id_epoch > 0
+
+
+def test_save_buffer_streams_its_rows(tmp_path):
+    # a 10,000-entry checkpoint is written without a full-size copy of its
+    # 4,320,040 bytes
+    rng = np.random.default_rng(8)
+    buf = ReplayBuffer(10_000, 24, 2)
+    walk = rng.integers(0, 256, size=(10_001, 24)).astype(np.float64)
+    for i in range(10_000):
+        _push(buf, walk[i], reward=float(i % 7 == 0), action=np.eye(2)[i % 2],
+              next_state=walk[i + 1])
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        save_buffer(buf, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = path.stat().st_size
+    assert payload == 4_320_040
+    assert peak < payload / 4
+    assert path.read_bytes() == (
+        struct.pack("<5Q", BUFFER_FORMAT_VERSION, 24, 2, 10_000, 10_000)
+        + buf.to_rows().astype("<f8").tobytes())
 
 
 def _flatnonzero_zero_slots(buf):

@@ -356,10 +356,6 @@ def _seed_buffer(n_zero=10, n_nonzero=2, m1=3, m2=2):
     return buf
 
 
-def _cache(buf, n_candidates=3):
-    return ConfidenceCache(buf.capacity, n_candidates)
-
-
 def _stored(buf):
     """(stored rewards, shaped flags) of every entry, oldest first."""
     rows = buf.to_rows()
@@ -375,7 +371,7 @@ class TestShapeBuffer:
         buf = _seed_buffer(n_zero=10)
         shaped = shape_buffer(params, buf, self.zset, threshold=0.4,
                               visit_fraction=0.35, rng=np.random.default_rng(1),
-                              mix=1.0, cache=_cache(buf))
+                              mix=1.0, cache=ConfidenceCache())
         assert shaped == 3  # floor(0.35 * 10)
         rewards, shaped_flags = _stored(buf)
         assert (rewards == 4.0).sum() == 3
@@ -387,14 +383,14 @@ class TestShapeBuffer:
         params = _fixed_params()
         buf = _seed_buffer()
         assert shape_buffer(params, buf, self.zset, 0.4, 0.0,
-                            np.random.default_rng(0), 1.0, _cache(buf)) == 0
+                            np.random.default_rng(0), 1.0, ConfidenceCache()) == 0
 
     def test_below_threshold_reverts(self):
         params = _fixed_params()
         buf = _seed_buffer(n_zero=6)
         shaped = shape_buffer(params, buf, self.zset, threshold=0.6,
                               visit_fraction=1.0, rng=np.random.default_rng(2),
-                              mix=1.0, cache=_cache(buf))
+                              mix=1.0, cache=ConfidenceCache())
         assert shaped == 0
         assert buf.zero_reward_slots().size == 6
 
@@ -404,7 +400,7 @@ class TestShapeBuffer:
         for _ in range(2):
             buf = _seed_buffer(n_zero=8)
             shape_buffer(params, buf, self.zset, 0.4, 0.5,
-                         np.random.default_rng(11), 1.0, _cache(buf))
+                         np.random.default_rng(11), 1.0, ConfidenceCache())
             rewards, _ = _stored(buf)
             marks.append(tuple(buf.slots()[rewards != 0.0]))
         assert marks[0] == marks[1]
@@ -416,7 +412,7 @@ class TestShapeBuffer:
                                         hidden=(5,), dropout=0.0)
         fast, slow = _seed_buffer(n_zero=12), _seed_buffer(n_zero=12)
         shaped = shape_buffer(params, fast, self.zset, 0.36, 0.8,
-                              np.random.default_rng(5), 0.5, _cache(fast))
+                              np.random.default_rng(5), 0.5, ConfidenceCache())
         candidates = slow.zero_reward_slots()
         rng = np.random.default_rng(5)
         k = int(0.8 * candidates.size)
@@ -436,7 +432,7 @@ class TestShapeBuffer:
         params = _fixed_params()
         buf = _seed_buffer(n_zero=5, n_nonzero=3)
         shape_buffer(params, buf, self.zset, 0.4, 1.0,
-                     np.random.default_rng(3), 1.0, _cache(buf))
+                     np.random.default_rng(3), 1.0, ConfidenceCache())
         batch = buf.batch_arrays(buf.slots())
         nonzero = batch.originals != 0.0
         assert nonzero.sum() == 3
@@ -463,6 +459,40 @@ def _push_random(buf, rng, reward=0.0, m1=3, m2=2):
                     reward, rng.uniform(0, 4, size=m1), False)
 
 
+# Observations of the repeated-input tests; 0.0 and -0.0 differ in bytes.
+_POOL = [np.array(v) for v in ([0.0, 1.0, 2.0], [-0.0, 1.0, 2.0],
+                               [3.0, 0.0, 0.5], [3.0, -0.0, 0.5],
+                               [1.5, 1.5, 1.5])]
+
+
+def _push_pooled(buf, rng, reward=0.0):
+    """Push a step whose state and next state come from ``_POOL``."""
+    state, next_state = rng.integers(len(_POOL), size=2)
+    return buf.push(_POOL[state], np.eye(2)[rng.integers(2)], reward,
+                    _POOL[next_state], False)
+
+
+def _count_forward_rows(monkeypatch):
+    """Record the row count of every MlpNet.forward call, in call order."""
+    rows = []
+    forward = MlpNet.forward
+
+    def counting(net, x, *args, **kwargs):
+        rows.append(len(x))
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(MlpNet, "forward", counting)
+    return rows
+
+
+def _distinct_inputs(buf, slots):
+    """(distinct (state, action) pairs, distinct next states) by bytes."""
+    batch = buf.batch_arrays(slots)
+    pairs = {s.tobytes() + a.tobytes()
+             for s, a in zip(batch.states, batch.actions)}
+    return len(pairs), len({s.tobytes() for s in batch.next_states})
+
+
 class TestConfidenceCache:
     zset = TestShapeBuffer.zset
 
@@ -471,59 +501,65 @@ class TestConfidenceCache:
         return EstimatorParams.create(3, 2, 3, np.random.default_rng(seed),
                                       hidden=(5,), dropout=0.0)
 
-    def test_push_over_a_scored_slot_rescores_it(self):
+    def test_push_over_a_scored_slot_rescores_it(self, monkeypatch):
         params = self._params()
         rng = np.random.default_rng(0)
         buf = ReplayBuffer(6, 3, 2)
         for _ in range(5):
-            _push_random(buf, rng)
-        _push_random(buf, rng, reward=3.0)
-        cache = _cache(buf)
+            _push_pooled(buf, rng)
+        _push_pooled(buf, rng, reward=3.0)
+        cache = ConfidenceCache()
         shape_buffer(params, buf, self.zset, 0.0, 1.0,
                      np.random.default_rng(1), 0.5, cache)
-        # the ring is full: the next push overwrites scored slot 0
+        # the ring is full: the next push overwrites scored slot 0 with a
+        # new state, action and next state
         slot = _push_random(buf, rng)
-        old = cache.values[slot].copy()
-        cache.forget(slot)
+        assert slot == 0 and buf.id_epoch == 0
+        rows = _count_forward_rows(monkeypatch)
         shape_buffer(params, buf, self.zset, 0.0, 1.0,
                      np.random.default_rng(2), 0.5, cache)
+        assert rows == [1, 1]  # the new entry's two inputs, nothing else
         row = buf.batch_arrays(np.array([slot]))
         q, *_ = confidence_batch(params, row.states, row.actions,
                                  row.next_states, 0.5)
-        assert not np.array_equal(q[0], old)
-        assert cache.values[slot].tobytes() == q[0].tobytes()
-        assert buf.batch_arrays(np.array([slot])).rewards[0] == \
+        assert buf.rewards_at(np.array([slot]))[0] == \
             select(q, self.zset, 0.0)[0]
 
-    def test_clear_after_a_parameter_step_rescores_every_drawn_slot(self):
+    def test_clear_after_a_parameter_step_rescores_every_drawn_slot(
+            self, monkeypatch):
         params = self._params()
-        buf = _seed_buffer(n_zero=12)
-        cache = _cache(buf)
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(40, 3, 2)
+        _push_pooled(buf, rng, reward=3.0)
+        for _ in range(30):
+            _push_pooled(buf, rng)
+        cache = ConfidenceCache()
         shape_buffer(params, buf, self.zset, 0.0, 1.0,
                      np.random.default_rng(1), 0.5, cache)
-        slots = buf.zero_reward_slots()
-        before = cache.values[slots].copy()
         sgd_step(params, np.random.default_rng(3).normal(size=params.n_params),
                  0.5)
         cache.clear()
+        rows = _count_forward_rows(monkeypatch)
         shape_buffer(params, buf, self.zset, 0.0, 1.0,
                      np.random.default_rng(2), 0.5, cache)
+        slots = buf.zero_reward_slots()
+        assert rows == list(_distinct_inputs(buf, slots))
         batch = buf.batch_arrays(slots)
         q, *_ = confidence_batch(params, batch.states, batch.actions,
                                  batch.next_states, 0.5)
-        assert cache.fresh[slots].all()
-        assert not np.allclose(before, q)
-        np.testing.assert_allclose(cache.values[slots], q, rtol=1e-12,
-                                   atol=0.0)
+        assert buf.rewards_at(slots).tobytes() == \
+            select(q, self.zset, 0.0).tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_uncached_reference_over_random_operations(self, seed):
-        # pushes (overwriting a full ring), estimator steps, new observed
-        # rewards and threshold changes, with a shaping pass after each
+        # pushes (overwriting a full ring, mostly from a small pool of
+        # repeated observations, else fresh ones that make the buffer
+        # rebuild its id tables), estimator steps, new observed rewards and
+        # threshold changes, with a shaping pass after each
         params = self._params(seed)
         rng = np.random.default_rng(seed)
         cached, reference = ReplayBuffer(10, 3, 2), ReplayBuffer(10, 3, 2)
-        cache = _cache(cached)
+        cache = ConfidenceCache()
         zset = update_reward_set(RewardSet.initial(3), 1.0)
         pass_cached = np.random.default_rng(100 + seed)
         pass_reference = np.random.default_rng(100 + seed)
@@ -532,12 +568,13 @@ class TestConfidenceCache:
             op = rng.integers(4)
             if op == 0 or len(cached) == 0:
                 reward = float(rng.choice([0.0, 0.0, 0.0, 1.0, 2.5]))
-                state = rng.uniform(0, 4, size=3)
+                pooled = rng.random() < 0.5
+                state, next_state = (
+                    [_POOL[i] for i in rng.integers(len(_POOL), size=2)]
+                    if pooled else rng.uniform(0, 4, size=(2, 3)))
                 action = np.eye(2)[rng.integers(2)]
-                next_state = rng.uniform(0, 4, size=3)
-                slot = cached.push(state, action, reward, next_state, False)
+                cached.push(state, action, reward, next_state, False)
                 reference.push(state, action, reward, next_state, False)
-                cache.forget(slot)
                 if reward != 0.0:
                     zset = update_reward_set(zset, reward)
             elif op == 1:
@@ -554,28 +591,39 @@ class TestConfidenceCache:
                                          fraction, pass_reference, 0.5)
             assert cached.to_rows().tobytes() == reference.to_rows().tobytes()
         assert steps > 0
+        assert cached.id_epoch > 0
+
+    def test_forward_rows_count_distinct_inputs(self, monkeypatch):
+        # a draw over slots holding N distinct (state, action) pairs and M
+        # distinct next states runs one forward per head, N + M rows
+        params = self._params()
+        rng = np.random.default_rng(7)
+        buf = ReplayBuffer(50, 3, 2)
+        _push_pooled(buf, rng, reward=3.0)
+        for _ in range(49):
+            _push_pooled(buf, rng)
+        slots = buf.zero_reward_slots()
+        n_pairs, n_next = _distinct_inputs(buf, slots)
+        assert n_pairs < slots.size and n_next < slots.size
+        rows = _count_forward_rows(monkeypatch)
+        shape_buffer(params, buf, self.zset, 0.4, 1.0,
+                     np.random.default_rng(1), 0.5, ConfidenceCache())
+        assert rows == [n_pairs, n_next]
 
     def test_all_fresh_pass_runs_no_forward(self, monkeypatch):
         params = self._params()
         buf = _seed_buffer(n_zero=12)
-        cache = _cache(buf)
+        cache = ConfidenceCache()
         shape_buffer(params, buf, self.zset, 0.3, 1.0,
                      np.random.default_rng(1), 0.5, cache)
-        calls = []
-        forward = MlpNet.forward
-
-        def counting(net, *args, **kwargs):
-            calls.append(net)
-            return forward(net, *args, **kwargs)
-
-        monkeypatch.setattr(MlpNet, "forward", counting)
+        rows = _count_forward_rows(monkeypatch)
         shape_buffer(params, buf, self.zset, 0.4, 0.5,
                      np.random.default_rng(2), 0.5, cache)
-        assert calls == []
-        cache.forget(int(buf.zero_reward_slots()[0]))
+        assert rows == []
+        _push_random(buf, np.random.default_rng(9))
         shape_buffer(params, buf, self.zset, 0.4, 1.0,
                      np.random.default_rng(3), 0.5, cache)
-        assert len(calls) == 2  # one forward per head, for the one stale slot
+        assert rows == [1, 1]  # one forward per head, for the one new entry
 
 
 # ---------------------------------------------------------------------------

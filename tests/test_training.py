@@ -418,8 +418,9 @@ class TestTrain:
             assert params.q_net.layer_sizes[-1] == 3
 
     def test_cached_shaping_matches_scoring_every_drawn_row(self, monkeypatch):
-        # the window wraps and shaping writes, so a confidence vector kept
-        # across a push into its slot or an estimator step would show
+        # the window wraps and shaping writes, so a head output kept across
+        # an estimator step or under an input it was not computed for would
+        # show
         config = _quick_config("env.kind=key_door_grid", "env.max_steps=100",
                                "epsilon_final=1.0", "episodes=20",
                                "estimator_lr=2.0", "buffer_capacity=1000")
@@ -428,7 +429,7 @@ class TestTrain:
         def uncached(params, buffer, zset, threshold, fraction, rng, mix,
                      cache):
             return shape_buffer(params, buffer, zset, threshold, fraction, rng,
-                                mix, ConfidenceCache(buffer.capacity, zset.size))
+                                mix, ConfidenceCache())
 
         monkeypatch.setattr(training, "shape_buffer", uncached)
         reference = train(config)
