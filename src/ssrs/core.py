@@ -8,7 +8,8 @@ entry is shaped exactly when the two differ.  Environment steps enter it
 through ``ReplayBuffer.push`` and checkpoints through
 ``ReplayBuffer.from_rows``; both apply one entry check.  The buffer stores
 each distinct observation, action vector and (state, action) pair once and
-each entry as ids into those tables.  Shaping reads the ids
+each entry as ids into those tables; the tables keep no second copy of a
+row, and each holds at most ``4 * capacity`` rows.  Shaping reads the ids
 (``ReplayBuffer.ids_at``); every other read of several whole entries at
 once (losses, analyses, checkpoints) is a ``Batch`` or checkpoint rows
 gathered from the tables; a TD update reads only stored rewards
@@ -225,44 +226,100 @@ def _check_entries(states, actions, rewards, next_states, m1, m2):
         raise ValueError("rewards must be finite")
 
 
-class _RowTable:
-    """Distinct rows of one width and dtype, each stored once.
+# The dict key of a row's bytes in a ``_RowTable``.  Any function of the
+# bytes to an integer will do: every hit is checked against the stored row.
+_row_key = hash
 
-    ``ids`` maps a row's bytes to its id, its index in ``rows``; ids are
-    handed out from 0 in order of first appearance.  Rows are keyed by their
-    bytes, so ``0.0`` and ``-0.0`` are different rows.  ``rows`` grows by
-    doubling, up to ``limit`` rows; the owner keeps the count within it.
+
+class _Table:
+    """Rows of one width and dtype, ``rows[:count]``, with ids handed out
+    from 0 in order of first appearance; ``ids`` maps a key to an id.
+
+    The table holds at most ``limit`` rows, which is ``max(floor, 2 * the
+    rows kept by the last keep)``; the owner keeps ``count`` within it.
+    ``rows`` grows by doubling up to ``limit`` rows, and a keep that lowers
+    the limit shrinks it to fit.
     """
 
-    def __init__(self, width: int, limit: int, dtype=np.float64):
-        self.limit = limit
-        self.rows = np.zeros((min(64, limit), width), dtype=dtype)
+    def __init__(self, width: int, floor: int, dtype):
+        self.floor = self.limit = floor
+        self.count = 0
+        self.rows = np.zeros((min(64, floor), width), dtype=dtype)
         self.ids = {}
 
-    def intern(self, row: np.ndarray) -> int:
-        """The id of a 1-D row of the table's dtype, stored first if it is
-        new."""
-        key = row.tobytes()
-        rid = self.ids.get(key)
-        if rid is None:
-            rid = self.ids[key] = len(self.ids)
-            if rid == len(self.rows):
-                grown = np.zeros((min(2 * rid, self.limit),
-                                  self.rows.shape[1]), dtype=self.rows.dtype)
-                grown[:rid] = self.rows
-                self.rows = grown
-            self.rows[rid] = row
+    def _append(self, key, row) -> int:
+        rid = self.ids[key] = self.count
+        if rid == len(self.rows):
+            grown = np.zeros((min(2 * rid, self.limit), self.rows.shape[1]),
+                             dtype=self.rows.dtype)
+            grown[:rid] = self.rows
+            self.rows = grown
+        self.rows[rid] = row
+        self.count = rid + 1
         return rid
 
     def keep(self, live: np.ndarray, kept=None) -> np.ndarray:
         """Keep only the rows of the ascending ids ``live``, renumbered from
         0 in that order and replaced by the rows ``kept`` when given;
         returns the map from old to new ids (-1 where a row was dropped)."""
-        remap = np.full(len(self.ids), -1, dtype=np.intp)
+        remap = np.full(self.count, -1, dtype=np.intp)
         remap[live] = np.arange(live.size)
         self.rows[:live.size] = self.rows[live] if kept is None else kept
-        self.ids = {self.rows[i].tobytes(): i for i in range(live.size)}
+        self.limit = max(self.floor, 2 * live.size)
+        if len(self.rows) > self.limit:
+            self.rows = self.rows[:self.limit].copy()
+        self.count = 0
+        self.ids = {}
+        for row in self.rows[:live.size]:
+            self._insert(row)
         return remap
+
+
+class _RowTable(_Table):
+    """Distinct float64 rows of one width, each stored once.
+
+    A row is keyed by ``_row_key`` of its bytes, and a hit counts only if
+    the stored row has the same bytes; on a collision the lookup moves on
+    to the next integer key.  So ``0.0`` and ``-0.0`` are different rows,
+    no id depends on a hash value, and no copy of a row is kept but the
+    one in ``rows``.
+    """
+
+    def __init__(self, width: int, floor: int):
+        super().__init__(width, floor, np.float64)
+
+    def intern(self, row: np.ndarray) -> int:
+        """The id of a 1-D float64 row, stored first if it is new."""
+        data = row.tobytes()
+        key = _row_key(data)
+        while (rid := self.ids.get(key)) is not None:
+            if self.rows[rid].tobytes() == data:
+                return rid
+            key += 1
+        return self._append(key, row)
+
+    _insert = intern
+
+
+class _PairTable(_Table):
+    """Distinct (state id, action id) pairs, each stored once, keyed by the
+    exact integer ``state id << shift | action id`` (``shift`` bits hold
+    any action id)."""
+
+    def __init__(self, floor: int, shift: int):
+        super().__init__(2, floor, np.intp)
+        self.shift = shift
+
+    def intern(self, state_id: int, action_id: int) -> int:
+        """The id of a pair, stored first if it is new."""
+        key = state_id << self.shift | action_id
+        rid = self.ids.get(key)
+        if rid is None:
+            rid = self._append(key, (state_id, action_id))
+        return rid
+
+    def _insert(self, row):
+        self.intern(*row.tolist())
 
 
 class ReplayBuffer:
@@ -279,9 +336,14 @@ class ReplayBuffer:
     and next states, each distinct action vector once, and each distinct
     (state id, action id) pair once; a slot holds the id of its pair and
     of its next state (:meth:`ids_at`).  Ids are bytes-exact and stay fixed
-    while ``id_epoch`` does.  Each table holds at most ``2 * capacity``
-    rows: when a push might not fit, the tables are rebuilt from the live
-    slots, renumbering the ids, and ``id_epoch`` advances.
+    while ``id_epoch`` does.  Observation and action rows are keyed by a
+    hash of their bytes and checked against the stored row on a hit; pairs
+    are keyed by their two ids.  Each table holds at most ``max(2 *
+    capacity, 2 * the rows it kept at the last rebuild)`` rows, so never
+    more than ``4 * capacity``: when a push might not fit, the tables are
+    rebuilt from the live slots, renumbering the ids, and ``id_epoch``
+    advances.  A rebuild costs O(capacity) and comes at most once per
+    ``capacity / 2`` pushes, so amortised O(1) per push.
 
     Slots are physical ring positions; they are returned by :meth:`push` and
     :meth:`sample_slots` and stay valid until the slot is overwritten by
@@ -316,10 +378,12 @@ class ReplayBuffer:
         except (MemoryError, ValueError):  # numpy: "array is too big"
             raise ValueError(f"cannot allocate a buffer of capacity {capacity}"
                              ) from None
-        self._observations = _RowTable(self.state_width, 2 * self.capacity)
-        self._actions = _RowTable(self.action_width, 2 * self.capacity)
-        # (state id, action id) per pair id
-        self._pairs = _RowTable(2, 2 * self.capacity, dtype=np.intp)
+        floor = 2 * self.capacity
+        self._observations = _RowTable(self.state_width, floor)
+        self._actions = _RowTable(self.action_width, floor)
+        # At most capacity live action rows keep the action ceiling at
+        # floor, so every action id fits in floor.bit_length() bits.
+        self._pairs = _PairTable(floor, floor.bit_length())
 
     # -- sizing -------------------------------------------------------------
 
@@ -368,9 +432,8 @@ class ReplayBuffer:
 
     def _write_ids(self, slot: int, state, action, next_state):
         """Intern one entry's vectors and write its ids to ``slot``."""
-        pair = np.array([self._observations.intern(state),
-                         self._actions.intern(action)], dtype=np.intp)
-        self._pair_ids[slot] = self._pairs.intern(pair)
+        self._pair_ids[slot] = self._pairs.intern(
+            self._observations.intern(state), self._actions.intern(action))
         self._next_state_ids[slot] = self._observations.intern(next_state)
 
     # -- writing ------------------------------------------------------------
@@ -389,9 +452,10 @@ class ReplayBuffer:
         slot = self._next
         full = self._size == self.capacity
         flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
-        # A push adds at most two rows to a table of at most 2 * capacity.
-        if max(len(self._observations.ids), len(self._actions.ids),
-               len(self._pairs.ids)) + 2 > 2 * self.capacity:
+        # A push adds at most two rows to a table.
+        if (self._observations.count + 2 > self._observations.limit
+                or self._actions.count + 2 > self._actions.limit
+                or self._pairs.count + 2 > self._pairs.limit):
             self._rebuild_tables(slot if full else None)
         self._write_ids(slot, state, action, next_state)
         self._rewards[slot] = reward
@@ -538,7 +602,8 @@ class ReplayBuffer:
         if np.any((shaped == 1.0) != (rewards != originals)):
             raise ValueError("an entry's shaped flag must be 1.0 exactly when "
                              "its stored reward differs from its original")
-        # At most 2 * count <= 2 * capacity rows per table: no rebuild.
+        # At most 2 * count <= 2 * capacity rows per table, within every
+        # table's ceiling: no rebuild.
         for slot in range(count):
             buffer._write_ids(slot, states[slot], actions[slot],
                               next_states[slot])

@@ -19,7 +19,9 @@ Each loss takes a :class:`~ssrs.core.Batch` and a required ``mode``
 (``"hard"`` or ``"smooth"``; anything else raises a ValueError) and returns
 (value, gradient, gate count).  The gradient is a vector in ``params.flat``
 order; hard mode returns ``None`` instead and runs no backward pass.
-``sgd_step`` subtracts it from ``params.flat`` in place.  The confidence
+``sgd_step`` subtracts it from ``params.flat`` in place.  ``total_loss``
+sums the three term gradients into the consistency term's own vector, so
+an estimator step holds each gradient once.  The confidence
 mix, hard and soft selection and the confidence-gated pseudo-label come
 from :mod:`ssrs.estimator`, so shaping and training share one definition
 of each.
@@ -308,15 +310,22 @@ def total_loss(params: EstimatorParams, batch: Batch, weight: float,
     )
     if mode == "hard":
         return breakdown, None
-    grad = grad_qv + weight * grad_s + (1.0 - weight) * grad_r
+    bad = [name for name, g in zip(("l_r", "l_qv", "l_s"),
+                                   (grad_r, grad_qv, grad_s))
+           if not np.isfinite(g).all()]
+    if bad:
+        raise ValueError(f"non-finite gradient in {', '.join(bad)}")
+    # grad_qv + weight * grad_s + (1 - weight) * grad_r, summed in that order
+    # into grad_s: the same bits, as IEEE addition and product commute.
+    grad = grad_s
+    grad *= weight
+    grad += grad_qv
+    grad_r *= 1.0 - weight
+    grad += grad_r
     if not np.isfinite(grad).all():
-        # Any non-finite term makes the sum non-finite.
-        bad = [name for name, g in zip(("l_r", "l_qv", "l_s"),
-                                       (grad_r, grad_qv, grad_s))
-               if not np.isfinite(g).all()]
-        raise ValueError(f"non-finite gradient in {', '.join(bad) or 'the sum'}")
+        raise ValueError("non-finite gradient in the sum")
     if not ordering:
-        grad = grad - grad_qv
+        grad -= grad_qv
     return breakdown, grad
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssrs import core
 from ssrs.core import (
     BUFFER_FORMAT_VERSION,
     ReplayBuffer,
@@ -580,27 +581,116 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
                                       _sorted_zero_slots(buf))
 
 
-def test_observation_table_stays_within_twice_the_capacity():
-    # every push brings two new observations; the table is rebuilt from the
-    # live slots whenever a push might not fit
+def _push_fresh(buf, rng, i, chained_from=None):
+    """Push step ``i`` with a fresh next observation, and a fresh state too
+    unless ``chained_from`` gives it; returns the pushed checkpoint row."""
+    state = rng.uniform(0.0, 9.0, size=3) if chained_from is None \
+        else chained_from
+    next_state = rng.uniform(0.0, 9.0, size=3)
+    action = np.eye(2)[i % 2]
+    reward = float(i % 3 == 0)
+    buf.push(state, action, reward, next_state, i % 4 == 3)
+    return np.concatenate([state, action, [reward], next_state,
+                           [i % 4 == 3, reward, 0.0]])
+
+
+def test_tables_stay_within_their_ceiling():
+    # while every push brings two new observations, the live slots hold
+    # close to 2 * capacity of them; the tables are rebuilt from the live
+    # slots whenever a push might not fit under max(2 * capacity, 2 * the
+    # rows kept at the last rebuild), which never exceeds 4 * capacity.  A
+    # chained stretch then brings the ceiling and the rows back down.
     capacity = 5
     rng = np.random.default_rng(3)
     buf = ReplayBuffer(capacity, 3, 2)
     pushed = []
-    for i in range(8 * capacity):
-        state, next_state = rng.uniform(0.0, 9.0, size=(2, 3))
-        action = np.eye(2)[i % 2]
-        reward = float(i % 3 == 0)
-        buf.push(state, action, reward, next_state, i % 4 == 3)
-        pushed.append(np.concatenate([state, action, [reward], next_state,
-                                      [i % 4 == 3, reward, 0.0]]))
+    for i in range(16 * capacity):
+        chained_from = pushed[-1][-6:-3] if i >= 8 * capacity else None
+        pushed.append(_push_fresh(buf, rng, i, chained_from))
         for table in buf._observations, buf._actions, buf._pairs:
-            assert len(table.ids) <= 2 * capacity
+            assert len(table.ids) == table.count <= table.limit \
+                <= 4 * capacity
+            assert len(table.rows) <= table.limit
+        # at most capacity live actions and pairs: their ceiling stays put
+        assert buf._actions.limit == buf._pairs.limit == 2 * capacity
         pairs, next_states = buf.ids_at(buf.slots())
-        assert max(pairs.max(), next_states.max()) < 2 * capacity
+        assert pairs.max() < 2 * capacity
+        assert next_states.max() < 4 * capacity
         assert buf.to_rows().tobytes() == \
             np.array(pushed[-capacity:]).tobytes()
-    assert buf.id_epoch > 0
+        if i == 8 * capacity - 1:
+            assert buf._observations.limit > 2 * capacity
+    assert buf._observations.limit == 2 * capacity
+
+
+@pytest.mark.parametrize("capacity", [2, 5, 16])
+@pytest.mark.parametrize("chained", [False, True])
+def test_rebuilds_are_amortised_over_the_capacity(capacity, chained):
+    # a rebuild costs O(capacity), so n pushes may rebuild at most
+    # 2n / capacity + 1 times, even when every observation is fresh
+    n = 400
+    rng = np.random.default_rng(capacity)
+    buf = ReplayBuffer(capacity, 3, 2)
+    pushed = []
+    for i in range(n):
+        chained_from = pushed[-1][-6:-3] if chained and pushed else None
+        pushed.append(_push_fresh(buf, rng, i, chained_from))
+        if chained:
+            # a chained stream keeps the 2 * capacity ceiling
+            assert buf._observations.limit == 2 * capacity
+    assert 0 < buf.id_epoch <= 2 * n / capacity + 1
+    assert buf.to_rows().tobytes() == np.array(pushed[-capacity:]).tobytes()
+
+
+_SIGNED = np.array([0.0, -0.0, 1.0])
+
+
+@pytest.mark.parametrize("key", [lambda data: 0, lambda data: hash(data) % 3],
+                         ids=["all-collide", "three-keys"])
+def test_colliding_row_keys_change_no_id(monkeypatch, key):
+    # every hit is checked against the stored row, so keys that collide
+    # cost compares but never an id; 0.0 and -0.0 stay distinct rows
+    rng = np.random.default_rng(11)
+    picks = rng.integers(0, 3, size=(80, 3, 2))
+
+    def run():
+        buf = ReplayBuffer(4, 2, 2)
+        pushed, seen = [], []
+        for state, action, next_state in _SIGNED[picks]:
+            action[0] = np.copysign(1.0, action[0])  # one-hot up to sign
+            buf.push(state, action, 0.0, next_state, False)
+            pushed.append(np.concatenate([state, action, [0.0], next_state,
+                                          [0.0, 0.0, 0.0]]))
+            rows = buf.to_rows().tobytes()
+            assert rows == np.array(pushed[-4:]).tobytes()
+            seen.append((*(ids.tobytes() for ids in buf.ids_at(buf.slots())),
+                         rows, buf.id_epoch))
+        return seen
+
+    real = run()
+    assert real[-1][-1] > 0
+    monkeypatch.setattr(core, "_row_key", key)
+    assert run() == real
+
+
+def test_buffer_holds_each_observation_once():
+    # 10,000 distinct 24-wide observations take 1,920,000 bytes as rows;
+    # the whole buffer stays below 3.5 times that, where a bytes key per
+    # row took it to 4.01 times
+    rng = np.random.default_rng(8)
+    walk = rng.integers(0, 256, size=(10_001, 24)).astype(np.float64)
+    actions = np.eye(2)
+    tracemalloc.start()
+    try:
+        buf = ReplayBuffer(10_000, 24, 2)
+        for i in range(10_000):
+            buf.push(walk[i], actions[i % 2], float(i % 7 == 0), walk[i + 1],
+                     False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 10_000 and buf.id_epoch == 0
+    assert held < 3.5 * walk[:10_000].nbytes
 
 
 def test_save_buffer_streams_its_rows(tmp_path):
