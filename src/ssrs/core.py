@@ -4,17 +4,17 @@ replay.
 The replay buffer is built with its capacity and its state and action
 widths.  It keeps both the stored (possibly shaped) reward and the original
 environment reward for every entry, so shaping is always reversible; an
-entry is shaped exactly when the two differ.  Environment steps enter it
-through ``ReplayBuffer.push`` and checkpoints through
-``ReplayBuffer.from_rows``; both apply one entry check.  The buffer stores
-each distinct observation, action vector and (state, action) pair once and
-each entry as ids into those tables; the tables keep no second copy of a
-row, and each holds at most ``4 * capacity`` rows.  Shaping reads the ids
-(``ReplayBuffer.ids_at``); every other read of several whole entries at
-once (losses, analyses, checkpoints) is a ``Batch`` or checkpoint rows
-gathered from the tables; a TD update reads only stored rewards
-(``ReplayBuffer.rewards_at``).  ``save_buffer`` streams the rows to the file
-a fixed-size chunk at a time.
+entry is shaped exactly when the two differ.  Every entry enters it through
+``ReplayBuffer.push``: ``ReplayBuffer.from_rows`` pushes each checkpoint
+entry, so there is one check on the way in.  The buffer stores each
+distinct observation, action vector and (state, action) pair once, in
+tables keyed alike, and each entry as ids into those tables; the tables
+keep no second copy of a row, and each holds at most ``4 * capacity`` rows.
+Shaping reads the ids (``ReplayBuffer.ids_at``); every other read of several
+whole entries at once (losses, analyses, checkpoints) is a ``Batch`` or
+checkpoint rows gathered from the tables; a TD update reads only stored
+rewards (``ReplayBuffer.rewards_at``).  ``save_buffer`` streams the rows to
+the file a fixed-size chunk at a time.
 """
 
 from __future__ import annotations
@@ -194,46 +194,20 @@ def update_reward_set(zset: RewardSet, r_new: float) -> RewardSet:
 # replay buffer
 # ---------------------------------------------------------------------------
 
-def _check_entries(states, actions, rewards, next_states, m1, m2):
-    """Reject entries that no buffer may hold; the one check on the way in.
-
-    ``states``, ``actions`` and ``next_states`` hold one entry per row and
-    ``rewards`` is an iterable of their rewards.  The state and action widths
-    must be ``m1`` and ``m2``, states nonnegative (observations are RAM-like
-    values in [0, 255]) and rewards finite.
-    """
-    if states.ndim != 2 or next_states.ndim != 2:
-        raise ValueError("states must be 1-D vectors")
-    if actions.ndim != 2:
-        raise ValueError("action must be a 1-D vector")
-    if states.shape != next_states.shape:
-        raise ValueError(
-            f"state and next_state lengths differ: "
-            f"{states.shape[1]} vs {next_states.shape[1]}"
-        )
-    if (states.shape[1], actions.shape[1]) != (m1, m2):
-        raise ValueError(
-            f"dimension mismatch: buffer holds ({m1}, {m2}) vectors, "
-            f"got ({states.shape[1]}, {actions.shape[1]})"
-        )
-    # Counting the entries >= 0 fails NaN too, and costs push less than a
-    # reduction such as all().
-    if (np.count_nonzero(states >= 0) != states.size
-            or np.count_nonzero(next_states >= 0) != next_states.size):
-        raise ValueError("state components must be nonnegative")
-    # math.isfinite costs push a fraction of a ufunc call on one float.
-    if not all(map(math.isfinite, rewards)):
-        raise ValueError("rewards must be finite")
-
-
-# The dict key of a row's bytes in a ``_RowTable``.  Any function of the
-# bytes to an integer will do: every hit is checked against the stored row.
+# The dict key of a row's bytes in a ``_Table``.  Any function of the bytes
+# to an integer will do: every hit is checked against the stored row.
 _row_key = hash
 
 
 class _Table:
-    """Rows of one width and dtype, ``rows[:count]``, with ids handed out
-    from 0 in order of first appearance; ``ids`` maps a key to an id.
+    """Distinct 1-D rows of one width and dtype, each stored once in
+    ``rows[:count]``, with ids handed out from 0 in order of first appearance.
+
+    A row is keyed by ``_row_key`` of its bytes, and a hit counts only if
+    the stored row has the same bytes; on a collision the lookup moves on
+    to the next integer key.  So ``0.0`` and ``-0.0`` are different rows,
+    no id depends on a hash value, and no copy of a row is kept but the one
+    in ``rows``.
 
     The table holds at most ``limit`` rows, which is ``max(floor, 2 * the
     rows kept by the last keep)``; the owner keeps ``count`` within it.
@@ -247,7 +221,14 @@ class _Table:
         self.rows = np.zeros((min(64, floor), width), dtype=dtype)
         self.ids = {}
 
-    def _append(self, key, row) -> int:
+    def intern(self, row: np.ndarray) -> int:
+        """The id of a 1-D row of the table's dtype, stored first if new."""
+        data = row.tobytes()
+        key = _row_key(data)
+        while (rid := self.ids.get(key)) is not None:
+            if self.rows[rid].tobytes() == data:
+                return rid
+            key += 1
         rid = self.ids[key] = self.count
         if rid == len(self.rows):
             grown = np.zeros((min(2 * rid, self.limit), self.rows.shape[1]),
@@ -271,55 +252,8 @@ class _Table:
         self.count = 0
         self.ids = {}
         for row in self.rows[:live.size]:
-            self._insert(row)
+            self.intern(row)
         return remap
-
-
-class _RowTable(_Table):
-    """Distinct float64 rows of one width, each stored once.
-
-    A row is keyed by ``_row_key`` of its bytes, and a hit counts only if
-    the stored row has the same bytes; on a collision the lookup moves on
-    to the next integer key.  So ``0.0`` and ``-0.0`` are different rows,
-    no id depends on a hash value, and no copy of a row is kept but the
-    one in ``rows``.
-    """
-
-    def __init__(self, width: int, floor: int):
-        super().__init__(width, floor, np.float64)
-
-    def intern(self, row: np.ndarray) -> int:
-        """The id of a 1-D float64 row, stored first if it is new."""
-        data = row.tobytes()
-        key = _row_key(data)
-        while (rid := self.ids.get(key)) is not None:
-            if self.rows[rid].tobytes() == data:
-                return rid
-            key += 1
-        return self._append(key, row)
-
-    _insert = intern
-
-
-class _PairTable(_Table):
-    """Distinct (state id, action id) pairs, each stored once, keyed by the
-    exact integer ``state id << shift | action id`` (``shift`` bits hold
-    any action id)."""
-
-    def __init__(self, floor: int, shift: int):
-        super().__init__(2, floor, np.intp)
-        self.shift = shift
-
-    def intern(self, state_id: int, action_id: int) -> int:
-        """The id of a pair, stored first if it is new."""
-        key = state_id << self.shift | action_id
-        rid = self.ids.get(key)
-        if rid is None:
-            rid = self._append(key, (state_id, action_id))
-        return rid
-
-    def _insert(self, row):
-        self.intern(*row.tolist())
 
 
 class ReplayBuffer:
@@ -336,9 +270,9 @@ class ReplayBuffer:
     and next states, each distinct action vector once, and each distinct
     (state id, action id) pair once; a slot holds the id of its pair and
     of its next state (:meth:`ids_at`).  Ids are bytes-exact and stay fixed
-    while ``id_epoch`` does.  Observation and action rows are keyed by a
-    hash of their bytes and checked against the stored row on a hit; pairs
-    are keyed by their two ids.  Each table holds at most ``max(2 *
+    while ``id_epoch`` does.  Every table is keyed the same way: a row (a
+    pair is a row of its two ids) by a hash of its bytes, checked against
+    the stored row on a hit.  Each table holds at most ``max(2 *
     capacity, 2 * the rows it kept at the last rebuild)`` rows, so never
     more than ``4 * capacity``: when a push might not fit, the tables are
     rebuilt from the live slots, renumbering the ids, and ``id_epoch``
@@ -375,15 +309,14 @@ class ReplayBuffer:
             self._terminals = np.zeros(capacity, dtype=bool)
             self._originals = np.zeros(capacity)
             self._index_zero_slots()
+            floor = 2 * self.capacity
+            self._observations = _Table(self.state_width, floor, np.float64)
+            self._actions = _Table(self.action_width, floor, np.float64)
+            self._pairs = _Table(2, floor, np.intp)
         except (MemoryError, ValueError):  # numpy: "array is too big"
-            raise ValueError(f"cannot allocate a buffer of capacity {capacity}"
-                             ) from None
-        floor = 2 * self.capacity
-        self._observations = _RowTable(self.state_width, floor)
-        self._actions = _RowTable(self.action_width, floor)
-        # At most capacity live action rows keep the action ceiling at
-        # floor, so every action id fits in floor.bit_length() bits.
-        self._pairs = _PairTable(floor, floor.bit_length())
+            raise ValueError(
+                f"cannot allocate a buffer of capacity {capacity} and widths "
+                f"({state_width}, {action_width})") from None
 
     # -- sizing -------------------------------------------------------------
 
@@ -430,11 +363,31 @@ class ReplayBuffer:
         next_ids[:] = observation_map[next_ids]
         self.id_epoch += 1
 
-    def _write_ids(self, slot: int, state, action, next_state):
-        """Intern one entry's vectors and write its ids to ``slot``."""
-        self._pair_ids[slot] = self._pairs.intern(
-            self._observations.intern(state), self._actions.intern(action))
-        self._next_state_ids[slot] = self._observations.intern(next_state)
+    def _check_entry(self, state, action, reward, next_state):
+        """Reject an entry that no buffer may hold; the one check on the way
+        in.  The state and action widths must be the buffer's, states
+        nonnegative (observations are RAM-like values in [0, 255]) and the
+        reward finite."""
+        if state.ndim != 1 or next_state.ndim != 1:
+            raise ValueError("states must be 1-D vectors")
+        if action.ndim != 1:
+            raise ValueError("action must be a 1-D vector")
+        if state.shape != next_state.shape:
+            raise ValueError(f"state and next_state lengths differ: "
+                             f"{state.size} vs {next_state.size}")
+        if (state.size, action.size) != (self.state_width, self.action_width):
+            raise ValueError(
+                f"dimension mismatch: buffer holds ({self.state_width}, "
+                f"{self.action_width}) vectors, got ({state.size}, "
+                f"{action.size})")
+        # Counting the entries >= 0 fails NaN too, and costs push less than a
+        # reduction such as all().
+        if (np.count_nonzero(state >= 0) != state.size
+                or np.count_nonzero(next_state >= 0) != next_state.size):
+            raise ValueError("state components must be nonnegative")
+        # math.isfinite costs push a fraction of a ufunc call on one float.
+        if not math.isfinite(reward):
+            raise ValueError("rewards must be finite")
 
     # -- writing ------------------------------------------------------------
 
@@ -447,8 +400,7 @@ class ReplayBuffer:
         state = np.asarray(state, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         next_state = np.asarray(next_state, dtype=np.float64)
-        _check_entries(state[None], action[None], (reward,), next_state[None],
-                       self.state_width, self.action_width)
+        self._check_entry(state, action, reward, next_state)
         slot = self._next
         full = self._size == self.capacity
         flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
@@ -457,7 +409,10 @@ class ReplayBuffer:
                 or self._actions.count + 2 > self._actions.limit
                 or self._pairs.count + 2 > self._pairs.limit):
             self._rebuild_tables(slot if full else None)
-        self._write_ids(slot, state, action, next_state)
+        self._pair_ids[slot] = self._pairs.intern(np.array(
+            (self._observations.intern(state), self._actions.intern(action)),
+            dtype=np.intp))
+        self._next_state_ids[slot] = self._observations.intern(next_state)
         self._rewards[slot] = reward
         self._terminals[slot] = terminal
         self._originals[slot] = reward
@@ -576,10 +531,11 @@ class ReplayBuffer:
         ``[0, len(rows))``.
 
         Rejects anything but a 2-D array of rows ``2*m1 + m2 + 4`` values
-        wide, more rows than the capacity, entries that :meth:`push` would
-        reject (stored and original rewards alike), flags other than exactly
-        0.0 or 1.0, and a shaped flag that disagrees with "stored reward
-        differs from original".
+        wide, more rows than the capacity, flags other than exactly 0.0 or
+        1.0, a shaped flag that disagrees with "stored reward differs from
+        original", and stored rewards that are not finite.  Each entry then
+        goes in through :meth:`push` with its original reward, so it passes
+        the check a step does, and gets its stored reward after.
         """
         rows = np.asarray(rows, dtype=np.float64)
         width = 2 * m1 + m2 + 4
@@ -593,26 +549,20 @@ class ReplayBuffer:
         bounds = np.cumsum([m1, m2, 1, m1, 1, 1])
         (states, actions, rewards, next_states, terminals, originals,
          shaped) = np.split(rows, bounds, axis=1)
-        _check_entries(states, actions,
-                       np.hstack([rewards, originals]).ravel().tolist(),
-                       next_states, m1, m2)
         flags = np.hstack([terminals, shaped])
         if not np.all((flags == 0.0) | (flags == 1.0)):
             raise ValueError("terminal and shaped flags must be 0.0 or 1.0")
         if np.any((shaped == 1.0) != (rewards != originals)):
             raise ValueError("an entry's shaped flag must be 1.0 exactly when "
                              "its stored reward differs from its original")
+        if not np.all(np.isfinite(rewards)):
+            raise ValueError("rewards must be finite")
         # At most 2 * count <= 2 * capacity rows per table, within every
         # table's ceiling: no rebuild.
-        for slot in range(count):
-            buffer._write_ids(slot, states[slot], actions[slot],
-                              next_states[slot])
+        for entry in zip(states, actions, originals[:, 0].tolist(),
+                         next_states, (terminals[:, 0] == 1.0).tolist()):
+            buffer.push(*entry)
         buffer._rewards[:count] = rewards[:, 0]
-        buffer._terminals[:count] = terminals[:, 0] == 1.0
-        buffer._originals[:count] = originals[:, 0]
-        buffer._size = count
-        buffer._next = count % buffer.capacity
-        buffer._index_zero_slots()
         return buffer
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import struct
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import ssrs.cli
 from ssrs.augment import AugmentSpec, shannon_entropy
 from ssrs.cli import gradcheck_report, main
 from ssrs.config import ConfigError, RunConfig, serialize_config
-from ssrs.core import load_buffer, load_trajectory
+from ssrs.core import BUFFER_FORMAT_VERSION, load_buffer, load_trajectory
 
 QUICK = """\
 episodes = 12
@@ -462,6 +463,9 @@ BAD_BUFFERS = {
     "empty": lambda good: b"",
     "truncated": lambda good: good[:-1],
     "trailing_byte": lambda good: good + b"\0",
+    # an empty buffer whose state width no table can hold
+    "unallocatable_width": lambda good: struct.pack(
+        "<5Q", BUFFER_FORMAT_VERSION, 2 ** 40, 1, 32, 0),
 }
 
 

@@ -476,6 +476,14 @@ def test_load_buffer_names_unallocatable_capacity(tmp_path):
     path.write_bytes(_checkpoint_bytes([_GOOD_ROW], capacity=capacity))
     with pytest.raises(ValueError, match=f"huge.bin.*capacity {capacity}"):
         load_buffer(path)
+    # An empty buffer of capacity 32 starts each table at 64 rows, which
+    # at a width of 2**40 ask for 512 TiB: that allocation fails too.
+    for m1, m2 in (2 ** 40, 1), (1, 2 ** 40):
+        path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, m1, m2,
+                                     32, 0))
+        with pytest.raises(ValueError,
+                           match=rf"huge.bin.*widths \({m1}, {m2}\)"):
+            load_buffer(path)
 
 
 def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
@@ -581,6 +589,47 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
                                       _sorted_zero_slots(buf))
 
 
+# One entry per tuple: pool indices of the state, action and next state,
+# the reward, the terminal flag, and the value it is shaped to (or None).
+_ENTRIES = st.lists(
+    st.tuples(*[st.integers(0, len(_POOL) - 1)] * 3,
+              st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.booleans(),
+              st.sampled_from([None, 0.0, 3.0])),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=_ENTRIES, room=st.integers(0, 2),
+       last=st.integers(0, len(_POOL) - 1))
+def test_from_rows_builds_the_buffer_push_builds(entries, room, last):
+    # from_rows pushes each checkpoint entry, so the rebuilt buffer holds
+    # the same ids, zero-reward slots and counts, and takes one more push
+    # (which may evict and rebuild when room is 0) alike
+    capacity = max(1, len(entries) + room)
+    buf = ReplayBuffer(capacity, 2, 2)
+    for state, action, next_state, reward, terminal, shaped in entries:
+        slot = buf.push(_POOL[state], _POOL[action], reward,
+                        _POOL[next_state], terminal)
+        if shaped is not None:
+            buf.set_reward(slot, shaped)
+    back = ReplayBuffer.from_rows(capacity, 2, 2, buf.to_rows())
+    assert buf.id_epoch == back.id_epoch == 0
+    assert back.to_rows().tobytes() == buf.to_rows().tobytes()
+    assert back.nonzero_reward_count == buf.nonzero_reward_count
+    np.testing.assert_array_equal(back.zero_reward_slots(),
+                                  buf.zero_reward_slots())
+    every_slot = np.arange(capacity)
+    for theirs, ours in zip(back.ids_at(every_slot), buf.ids_at(every_slot)):
+        np.testing.assert_array_equal(theirs, ours)
+    slots = [b.push(_POOL[last], _POOL[last], 0.0, _POOL[last], False)
+             for b in (back, buf)]
+    assert slots[0] == slots[1]
+    assert back.id_epoch == buf.id_epoch
+    for theirs, ours in zip(back.ids_at(every_slot), buf.ids_at(every_slot)):
+        np.testing.assert_array_equal(theirs, ours)
+
+
 def _push_fresh(buf, rng, i, chained_from=None):
     """Push step ``i`` with a fresh next observation, and a fresh state too
     unless ``chained_from`` gives it; returns the pushed checkpoint row."""
@@ -649,7 +698,8 @@ _SIGNED = np.array([0.0, -0.0, 1.0])
                          ids=["all-collide", "three-keys"])
 def test_colliding_row_keys_change_no_id(monkeypatch, key):
     # every hit is checked against the stored row, so keys that collide
-    # cost compares but never an id; 0.0 and -0.0 stay distinct rows
+    # cost compares but never an id; 0.0 and -0.0 stay distinct rows, and
+    # pairs, keyed the same way, collide and resolve like observations
     rng = np.random.default_rng(11)
     picks = rng.integers(0, 3, size=(80, 3, 2))
 
@@ -664,7 +714,8 @@ def test_colliding_row_keys_change_no_id(monkeypatch, key):
             rows = buf.to_rows().tobytes()
             assert rows == np.array(pushed[-4:]).tobytes()
             seen.append((*(ids.tobytes() for ids in buf.ids_at(buf.slots())),
-                         rows, buf.id_epoch))
+                         buf._pairs.rows[:buf._pairs.count].tobytes(), rows,
+                         buf.id_epoch))
         return seen
 
     real = run()

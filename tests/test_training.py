@@ -559,20 +559,20 @@ _HASHED = ("curve.csv", "backbone_q.npy", "params_final.txt",
 
 
 def _golden_digest(config, out_dir):
-    """(record, sha256 over the four hashed artifacts) of one run."""
+    """(record, buffer, sha256 over the four hashed artifacts) of one run."""
     record, backbone, params, buffer = train(config)
     write_run_outputs(record, config, out_dir, backbone, params, buffer)
     sha = hashlib.sha256()
     for artifact in _HASHED:
         sha.update((out_dir / artifact).read_bytes())
-    return record, sha.hexdigest()
+    return record, buffer, sha.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
 def test_run_outputs_match_golden_hashes(tmp_path, name):
     overrides, digest = _GOLDEN_RUNS[name]
     config = apply_overrides(RunConfig(), ["episodes=40", "seed=0", *overrides])
-    assert _golden_digest(config, tmp_path)[1] == digest
+    assert _golden_digest(config, tmp_path)[-1] == digest
 
 
 def test_shaped_wrapping_run_matches_golden_hash(tmp_path):
@@ -585,11 +585,27 @@ def test_shaped_wrapping_run_matches_golden_hash(tmp_path):
         "n_z=3", "estimator_hidden=8", "estimator_dropout=0",
         "eval_interval=5", "eval_episodes=2", "batch_size=8",
     ])
-    record, digest = _golden_digest(config, tmp_path)
+    record, _, digest = _golden_digest(config, tmp_path)
     assert record.shaped_count.sum() > 0
     assert record.total_transitions > config.buffer_capacity
     assert digest == (
         "817dbe1b1a91eab804cfb4cedc4a22b106e3e159bfa52418b64327b68caa0d16")
+
+
+def test_shaped_rebuilding_run_matches_golden_hash(tmp_path):
+    # The runs above end at id_epoch 0.  This grid run shapes while its
+    # 300-slot window keeps rebuilding the id tables, so the shaping cache
+    # must follow each renumbering.  The digest holds under any
+    # PYTHONHASHSEED, so no id depends on a hash value.
+    config = apply_overrides(RunConfig(), [
+        "env.kind=key_door_grid", "episodes=40", "epsilon_final=1.0",
+        "estimator_lr=0.4", "buffer_capacity=300", "p_u_base=0.3", "seed=0",
+    ])
+    record, buffer, digest = _golden_digest(config, tmp_path)
+    assert buffer.id_epoch > 0
+    assert record.shaped_count.sum() > 0
+    assert digest == (
+        "6fc20a4658584ff8ef1bfa4ad9690702bdaf7ff9f5f6358a65348465e48246df")
 
 
 # ---------------------------------------------------------------------------
