@@ -10,10 +10,11 @@ formula: the two-head forward (``forward_heads``), the confidence mix
 (``mix_heads``, ``confidence_batch``), hard selection (``select``), its soft
 surrogate (``soft_select``) and the confidence-gated pseudo-label
 (``pseudo_label``).  Buffer shaping and the losses both build on them.
-Shaping scores each distinct input of the replay buffer once per estimator
-version: a ``ConfidenceCache`` keeps the state-action head's output per
-(state id, action id) and the state head's per next-state id, and the heads
-are mixed per entry.
+Shaping scores each distinct input of the replay buffer at most once per
+estimator version: a ``ConfidenceCache`` keeps the state-action head's
+output per (state id, action id) and the state head's per next-state id.
+The state head runs first, and the state-action head only on entries whose
+state-head bound leaves a candidate able to beat the threshold.
 
 The networks are plain numpy with hand-written backward passes so gradients
 can be audited against finite differences.  All parameters live in one
@@ -354,8 +355,10 @@ class ConfidenceCache:
     the threshold or the candidate set.  So every slot holding an input
     shares one vector, and a push needs no bookkeeping.  Each vector
     carries the version it was computed under and is fresh while that is
-    ``version``.  The owner calls :meth:`clear` after every parameter
-    update.  A rebuild of the buffer's id tables (a new
+    ``version``.  A vector is computed only when a pass asks for it, so a
+    pair whose entries the state-head bound prunes stays unscored until a
+    later pass needs it.  The owner calls :meth:`clear` after every
+    parameter update.  A rebuild of the buffer's id tables (a new
     ``ReplayBuffer.id_epoch``) drops every vector.  One cache serves one
     buffer.
     """
@@ -386,11 +389,24 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     floor(visit_fraction * #candidates) entries are drawn without
     replacement; each visited entry's stored reward becomes the hard
     selection of its confidence vector.  Entries whose selection is 0 are
-    reverted to unshaped.  Each head scores only the distinct inputs of the
-    draw without a fresh vector in ``cache``, in one forward pass, and
-    stores them there; the heads are mixed per entry.  Returns the number
-    of entries left shaped.
+    reverted to unshaped.  ``mix`` and ``visit_fraction`` must lie in
+    [0, 1].
+
+    The state head runs first.  A softmax output is at most 1, and float
+    rounding is monotone, so with mix in [0, 1] the mixed confidence of
+    every candidate is at most ``mix + (1 - mix) * max(V)`` as floats.  An
+    entry whose bound does not beat the threshold (or is NaN) selects 0
+    whatever its state-action output, so only the other entries run the
+    state-action head, and none does when none is left.  Each head scores
+    only the distinct inputs it is asked for that have no fresh vector in
+    ``cache``, in one forward pass, and stores them there.  Returns the
+    number of entries left shaped.
     """
+    if not 0.0 <= mix <= 1.0:
+        raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    if not 0.0 <= visit_fraction <= 1.0:
+        raise ValueError(
+            f"visit_fraction must lie in [0, 1], got {visit_fraction}")
     candidates = buffer.zero_reward_slots()
     k = int(visit_fraction * candidates.size)
     if k <= 0:
@@ -398,13 +414,17 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
     pair_ids, next_ids = buffer.ids_at(chosen)
     cache.follow(buffer.id_epoch)
-    q_out = cache.q.outputs(
-        pair_ids, cache.version,
-        lambda ids: params.q_net.forward(buffer.state_action_rows(ids))[0])
     v_out = cache.v.outputs(
         next_ids, cache.version,
         lambda ids: params.v_net.forward(buffer.observations(ids))[0])
-    values = select(mix_heads(q_out, v_out, mix), zset, threshold)
+    live = mix + (1.0 - mix) * v_out.max(axis=1) > threshold
+    values = np.zeros(k)
+    if live.any():
+        q_out = cache.q.outputs(
+            pair_ids[live], cache.version,
+            lambda ids: params.q_net.forward(buffer.state_action_rows(ids))[0])
+        values[live] = select(mix_heads(q_out, v_out[live], mix), zset,
+                              threshold)
     buffer.set_reward(chosen, values)
     return int(np.count_nonzero(values))
 

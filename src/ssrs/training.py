@@ -16,8 +16,8 @@ integer codes (state id, action index, next-state id, terminal flag),
 folds a nonzero reward into the candidate set, runs a shaping pass and
 applies one TD batch.  TD reads the drawn slots' codes and stored
 rewards, nothing else of the buffer.  Shaping scores each distinct
-(state, action) and next state of the buffer once per estimator step, keyed
-by the ids the buffer gives each distinct observation.
+(state, action) and next state of the buffer at most once per estimator
+step, keyed by the ids the buffer gives each distinct observation.
 Greedy evaluation runs on the same environment, passes no hook and stores
 nothing.  ``train`` appends one row of measured values per episode and
 builds its :class:`RunRecord` from them once.

@@ -438,20 +438,36 @@ class TestShapeBuffer:
         assert nonzero.sum() == 3
         assert np.all(batch.rewards[nonzero] == 3.0)
 
+    @pytest.mark.parametrize("name, mix, fraction", [
+        ("mix", -0.5, 0.5), ("mix", 1.5, 0.5), ("mix", math.nan, 0.5),
+        ("visit_fraction", 0.5, 1.5), ("visit_fraction", 0.5, -0.1),
+        ("visit_fraction", 0.5, math.nan)])
+    def test_rejects_mix_or_fraction_outside_unit_interval(self, name, mix,
+                                                           fraction):
+        buf = _seed_buffer()
+        before = buf.to_rows().tobytes()
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            shape_buffer(_fixed_params(), buf, self.zset, 0.4, fraction,
+                         np.random.default_rng(0), mix, ConfidenceCache())
+        assert buf.to_rows().tobytes() == before
+
 
 def _reference_shape(params, buf, zset, threshold, fraction, rng, mix):
-    """Uncached shaping: score every drawn row, then select and write back."""
+    """Uncached shaping: score every drawn row with both heads, then select
+    and write back.  Returns (entries left shaped, which drawn entries a
+    state-head bound of mix + (1 - mix) * V lets through)."""
     candidates = buf.zero_reward_slots()
     k = int(fraction * candidates.size)
     if k <= 0:
-        return 0
+        return 0, np.zeros(0, dtype=bool)
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
     batch = buf.batch_arrays(chosen)
-    q, *_ = confidence_batch(params, batch.states, batch.actions,
-                             batch.next_states, mix)
+    q, _, v_out, _, _ = confidence_batch(params, batch.states, batch.actions,
+                                         batch.next_states, mix)
     values = select(q, zset, threshold)
     buf.set_reward(chosen, values)
-    return int(np.count_nonzero(values))
+    live = (mix + (1.0 - mix) * v_out).max(axis=1) > threshold
+    return int(np.count_nonzero(values)), live
 
 
 def _push_random(buf, rng, reward=0.0, m1=3, m2=2):
@@ -497,9 +513,10 @@ class TestConfidenceCache:
     zset = TestShapeBuffer.zset
 
     @staticmethod
-    def _params(seed=4):
+    def _params(seed=4, input_scale=1.0):
         return EstimatorParams.create(3, 2, 3, np.random.default_rng(seed),
-                                      hidden=(5,), dropout=0.0)
+                                      hidden=(5,), dropout=0.0,
+                                      input_scale=input_scale)
 
     def test_push_over_a_scored_slot_rescores_it(self, monkeypatch):
         params = self._params()
@@ -543,7 +560,10 @@ class TestConfidenceCache:
         shape_buffer(params, buf, self.zset, 0.0, 1.0,
                      np.random.default_rng(2), 0.5, cache)
         slots = buf.zero_reward_slots()
-        assert rows == list(_distinct_inputs(buf, slots))
+        # threshold 0 prunes no entry: the state head scores every distinct
+        # next state, then the state-action head every distinct pair
+        n_pairs, n_next = _distinct_inputs(buf, slots)
+        assert rows == [n_next, n_pairs]
         batch = buf.batch_arrays(slots)
         q, *_ = confidence_batch(params, batch.states, batch.actions,
                                  batch.next_states, 0.5)
@@ -554,9 +574,12 @@ class TestConfidenceCache:
     def test_matches_uncached_reference_over_random_operations(self, seed):
         # pushes (overwriting a full ring, mostly from a small pool of
         # repeated observations, else fresh ones that make the buffer
-        # rebuild its id tables), estimator steps, new observed rewards and
-        # threshold changes, with a shaping pass after each
-        params = self._params(seed)
+        # rebuild its id tables), estimator steps, new observed rewards, a
+        # NaN weight put into or taken out of one head, and a shaping pass
+        # after each with a new threshold, mix and visit fraction.  The
+        # input scale and step size keep the state head's bounds spread
+        # over the thresholds, so a pass prunes none, some or all entries.
+        params = self._params(seed, input_scale=0.2)
         rng = np.random.default_rng(seed)
         cached, reference = ReplayBuffer(10, 3, 2), ReplayBuffer(10, 3, 2)
         cache = ConfidenceCache()
@@ -564,8 +587,10 @@ class TestConfidenceCache:
         pass_cached = np.random.default_rng(100 + seed)
         pass_reference = np.random.default_rng(100 + seed)
         steps = 0
-        for _ in range(120):
-            op = rng.integers(4)
+        saved = None  # the parameters before a NaN was put in
+        pruned = set()  # "none", "some" or "all" of a pass's entries
+        for _ in range(150):
+            op = rng.integers(5)
             if op == 0 or len(cached) == 0:
                 reward = float(rng.choice([0.0, 0.0, 0.0, 1.0, 2.5]))
                 pooled = rng.random() < 0.5
@@ -578,24 +603,42 @@ class TestConfidenceCache:
                 if reward != 0.0:
                     zset = update_reward_set(zset, reward)
             elif op == 1:
-                sgd_step(params, rng.normal(size=params.n_params), 2.0)
+                sgd_step(params, rng.normal(size=params.n_params), 0.5)
                 cache.clear()
                 steps += 1
             elif op == 2:
                 zset = update_reward_set(zset, float(rng.uniform(-2, 5)))
-            threshold = float(rng.uniform(0.3, 0.6))
+            elif op == 3:
+                if saved is None:
+                    saved = params.flat.copy()
+                    net = (params.q_net, params.v_net)[rng.integers(2)]
+                    net.flat[rng.integers(net.n_params)] = np.nan
+                else:
+                    params.flat[...] = saved
+                    saved = None
+                cache.clear()
+            threshold = float(rng.uniform(0.3, 0.95))
             fraction = float(rng.uniform(0.2, 1.0))
+            mix = float(rng.uniform(0.0, 1.0))
             n = shape_buffer(params, cached, zset, threshold, fraction,
-                             pass_cached, 0.5, cache)
-            assert n == _reference_shape(params, reference, zset, threshold,
-                                         fraction, pass_reference, 0.5)
+                             pass_cached, mix, cache)
+            expected, live = _reference_shape(
+                params, reference, zset, threshold, fraction, pass_reference,
+                mix)
+            assert n == expected
             assert cached.to_rows().tobytes() == reference.to_rows().tobytes()
+            if live.size:
+                pruned.add("none" if live.all() else
+                           "some" if live.any() else "all")
         assert steps > 0
         assert cached.id_epoch > 0
+        assert pruned == {"none", "some", "all"}
 
     def test_forward_rows_count_distinct_inputs(self, monkeypatch):
         # a draw over slots holding N distinct (state, action) pairs and M
-        # distinct next states runs one forward per head, N + M rows
+        # distinct next states, none of them pruned (mix 0.5 keeps every
+        # bound at 0.5 or more, above the threshold 0.4), runs the state
+        # head on M rows, then the state-action head on N rows
         params = self._params()
         rng = np.random.default_rng(7)
         buf = ReplayBuffer(50, 3, 2)
@@ -608,7 +651,39 @@ class TestConfidenceCache:
         rows = _count_forward_rows(monkeypatch)
         shape_buffer(params, buf, self.zset, 0.4, 1.0,
                      np.random.default_rng(1), 0.5, ConfidenceCache())
-        assert rows == [n_pairs, n_next]
+        assert rows == [n_next, n_pairs]
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_threshold_over_every_bound_runs_no_state_action_forward(
+            self, monkeypatch, step):
+        # a candidate's mixed confidence is at most mix + (1 - mix) * V, and
+        # the gate is strict, so a threshold at (step 0) or just above
+        # (step 1) the largest bound of the draw (0.7475 here) lets no
+        # entry through
+        params = self._params(input_scale=0.2)
+        rng = np.random.default_rng(7)
+        buf = ReplayBuffer(50, 3, 2)
+        _push_pooled(buf, rng, reward=3.0)
+        for _ in range(49):
+            _push_pooled(buf, rng)
+        cache = ConfidenceCache()
+        # shape every entry first, so a pass that writes nothing would show
+        assert shape_buffer(params, buf, self.zset, 0.0, 1.0,
+                            np.random.default_rng(1), 0.5, cache) == 49
+        slots = buf.zero_reward_slots()
+        next_ids = np.unique(buf.ids_at(slots)[1])
+        v_out = params.v_net.forward(buf.observations(next_ids))[0]
+        mix = 0.3
+        threshold = float((mix + (1.0 - mix) * v_out).max())
+        for _ in range(step):
+            threshold = float(np.nextafter(threshold, 1.0))
+        cache.clear()
+        rows = _count_forward_rows(monkeypatch)
+        assert shape_buffer(params, buf, self.zset, threshold, 1.0,
+                            np.random.default_rng(2), mix, cache) == 0
+        assert rows == [next_ids.size]  # the state head only
+        batch = buf.batch_arrays(slots)
+        assert batch.rewards.tobytes() == batch.originals.tobytes()
 
     def test_all_fresh_pass_runs_no_forward(self, monkeypatch):
         params = self._params()

@@ -14,7 +14,8 @@ from ssrs.config import RunConfig, apply_overrides, parse_config
 from ssrs.core import ReplayBuffer, load_buffer
 from ssrs.envs import KeyDoorGrid, SparseChain, make_env
 from ssrs import training
-from ssrs.estimator import ConfidenceCache, load_params, shape_buffer
+from ssrs.estimator import (ConfidenceCache, MlpNet, load_params,
+                            shape_buffer)
 from ssrs.training import (
     STREAM_NAMES,
     BackboneQ,
@@ -592,20 +593,50 @@ def test_shaped_wrapping_run_matches_golden_hash(tmp_path):
         "817dbe1b1a91eab804cfb4cedc4a22b106e3e159bfa52418b64327b68caa0d16")
 
 
+_REBUILDING_RUN = ("env.kind=key_door_grid", "episodes=40",
+                   "epsilon_final=1.0", "estimator_lr=0.4",
+                   "buffer_capacity=300", "p_u_base=0.3", "seed=0")
+
+
 def test_shaped_rebuilding_run_matches_golden_hash(tmp_path):
     # The runs above end at id_epoch 0.  This grid run shapes while its
     # 300-slot window keeps rebuilding the id tables, so the shaping cache
     # must follow each renumbering.  The digest holds under any
     # PYTHONHASHSEED, so no id depends on a hash value.
-    config = apply_overrides(RunConfig(), [
-        "env.kind=key_door_grid", "episodes=40", "epsilon_final=1.0",
-        "estimator_lr=0.4", "buffer_capacity=300", "p_u_base=0.3", "seed=0",
-    ])
+    config = apply_overrides(RunConfig(), list(_REBUILDING_RUN))
     record, buffer, digest = _golden_digest(config, tmp_path)
     assert buffer.id_epoch > 0
     assert record.shaped_count.sum() > 0
     assert digest == (
         "6fc20a4658584ff8ef1bfa4ad9690702bdaf7ff9f5f6358a65348465e48246df")
+
+
+def test_shaping_runs_the_state_action_head_only_where_a_bound_passes(
+        monkeypatch):
+    # The run of the golden above, counting the state-action forward calls
+    # made inside shape_buffer and their rows.  Running that head on every
+    # drawn entry (no state-head bound first) makes 426 calls over 2,371
+    # rows in this run; the bound leaves 233 calls over 1,443 rows.
+    rows, shaping_q = [], []
+    forward, shape = MlpNet.forward, training.shape_buffer
+
+    def shaping(params, *args):
+        shaping_q.append(params.q_net)
+        try:
+            return shape(params, *args)
+        finally:
+            shaping_q.pop()
+
+    def counting(net, x, *args, **kwargs):
+        if shaping_q and net is shaping_q[-1]:
+            rows.append(len(x))
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "shape_buffer", shaping)
+    monkeypatch.setattr(MlpNet, "forward", counting)
+    record, *_ = train(apply_overrides(RunConfig(), list(_REBUILDING_RUN)))
+    assert record.shaped_count.sum() == 4091
+    assert (len(rows), sum(rows)) == (233, 1443)
 
 
 # ---------------------------------------------------------------------------
