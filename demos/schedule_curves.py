@@ -7,7 +7,7 @@ holds, and the unsupervised-sample rate follows the gate.
 
 import numpy as np
 
-from ssrs.schedules import ScheduleState, alpha_at, lambda_at, p_u_at
+from ssrs.schedules import alpha_at, lambda_at, p_u_at
 
 HORIZON = 1000
 COLS = 61
@@ -36,10 +36,8 @@ mix = lambda ep: alpha_at(ep, HORIZON)
 def rate(ep):
     # pretend the buffer fills at 40 steps/episode and ~4% of steps pay out
     buffer_count = min(40 * ep, 10_000)
-    state = ScheduleState(t=ep, total=HORIZON,
-                          nonzero_count=int(0.04 * buffer_count),
-                          buffer_count=buffer_count)
-    return p_u_at(state, base=0.01)
+    return p_u_at(ep, HORIZON, int(0.04 * buffer_count), buffer_count,
+                  base=0.01)
 
 
 ascii_curve(gate, 0.55, 0.85, "confidence gate  ")

@@ -139,24 +139,23 @@ def gmm_predict(model: GmmModel, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _co_assignment(features, k: int, runs: int, seed: int,
-                   items=None) -> np.ndarray:
+                   items) -> np.ndarray:
     """Fraction of ``runs`` seeded mixture fits of ``features`` in which two
     items share a component.
 
-    Without ``items`` every feature row is an item.  Otherwise ``items``
-    gives each row's item index, ascending from 0 without gaps, and an item
-    takes the majority component of its rows (ties pick the lowest label).
+    ``items`` gives each row's item index, ascending from 0 without gaps,
+    and an item takes the majority component of its rows (ties pick the
+    lowest label).
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    n = features.shape[0] if items is None else int(items[-1]) + 1
+    n = int(items.max(initial=-1)) + 1
     matrix = np.zeros((n, n))
     for child in np.random.SeedSequence(seed).spawn(runs):
         run_seed = int(child.generate_state(1)[0])
         labels = gmm_predict(gmm_fit(features, k, run_seed), features)
-        if items is not None:
-            votes = np.bincount(items * k + labels, minlength=n * k)
-            labels = votes.reshape(n, k).argmax(axis=1)
+        votes = np.bincount(items * k + labels, minlength=n * k)
+        labels = votes.reshape(n, k).argmax(axis=1)
         matrix += labels[:, None] == labels[None, :]
     return matrix / runs
 
@@ -169,7 +168,9 @@ def consensus(features, k: int, runs: int = 100, seed: int = 0) -> np.ndarray:
     symmetric by construction.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return _co_assignment(features, k, runs, seed)
+    # each row is its own item, so its majority label is its own label
+    return _co_assignment(features, k, runs, seed,
+                          np.arange(features.shape[0]))
 
 
 def buffer_features(buffer: ReplayBuffer):

@@ -537,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--run", help="run directory holding buffer_final.bin")
     source.add_argument("--buffer", help="buffer checkpoint file")
-    p.add_argument("--k", type=int, help="mixture components "
+    p.add_argument("--k", type=_positive_int, help="mixture components "
                    "(default: the run's candidate count)")
     p.add_argument("--runs", type=_positive_int, default=100,
                    help="clustering repeats")

@@ -64,8 +64,8 @@ class TrajectoryMatrix:
     """A stacked episode: row t holds (state, action, reward) of step t.
 
     ``states`` is (N, m1) and nonnegative, ``actions`` is (N, m2), ``rewards``
-    is (N,).  Augmentations operate on ``states`` only and must leave the
-    other two blocks untouched.
+    is (N,); every value is finite.  Augmentations operate on ``states`` only
+    and must leave the other two blocks untouched.
     """
 
     states: np.ndarray
@@ -83,6 +83,9 @@ class TrajectoryMatrix:
         n = self.states.shape[0]
         if self.actions.shape[0] != n or self.rewards.shape[0] != n:
             raise ValueError("states, actions and rewards must have equal row counts")
+        for name in ("states", "actions", "rewards"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.states < 0):
             raise ValueError("state rows must be nonnegative")
 
@@ -459,21 +462,17 @@ class ReplayBuffer:
         """(pair ids, next-state ids) of the entries at an array of slots,
         as copies.  A pair id names one distinct (state, action) and a
         next-state id one distinct observation, bytes-exact;
-        :meth:`state_action_rows` and :meth:`observations` read them."""
+        :meth:`state_actions` and :meth:`observations` read them."""
         return self._pair_ids[slots], self._next_state_ids[slots]
-
-    def state_action_rows(self, pair_ids: np.ndarray) -> np.ndarray:
-        """The (state, action) of an array of pair ids, one row each: the
-        state followed by the action vector."""
-        return np.concatenate(self._state_actions(pair_ids), axis=1)
 
     def observations(self, ids: np.ndarray) -> np.ndarray:
         """The observations (states and next states) of an array of ids,
         one row each, as a copy."""
         return self._observations.rows[ids]
 
-    def _state_actions(self, pair_ids: np.ndarray):
-        """(states, action vectors) of an array of pair ids."""
+    def state_actions(self, pair_ids: np.ndarray):
+        """(states, action vectors) of an array of pair ids, one row each,
+        as copies."""
         states, actions = self._pairs.rows[pair_ids].T
         return self._observations.rows[states], self._actions.rows[actions]
 
@@ -484,7 +483,7 @@ class ReplayBuffer:
         if slots.ndim != 1:
             raise ValueError(f"slots must be a 1-D array, got {slots.ndim}-D")
         pairs, next_states = self.ids_at(slots)
-        return Batch(*self._state_actions(pairs), self._rewards[slots],
+        return Batch(*self.state_actions(pairs), self._rewards[slots],
                      self.observations(next_states), self._terminals[slots],
                      self._originals[slots])
 
@@ -516,7 +515,7 @@ class ReplayBuffer:
         rewards = self._rewards[slots, None]
         originals = self._originals[slots, None]
         return np.hstack([
-            *self._state_actions(pairs),
+            *self.state_actions(pairs),
             rewards,
             self.observations(next_states),
             self._terminals[slots, None].astype(np.float64),

@@ -229,6 +229,12 @@ class EstimatorParams:
 # confidence and selection (row-batched: q is (n, n_candidates))
 # ---------------------------------------------------------------------------
 
+def _state_action_input(states, actions):
+    """The state-action head's input rows: each state followed by its
+    action vector."""
+    return np.concatenate([states, actions], axis=1)
+
+
 def forward_heads(params: EstimatorParams, state_views, actions, v_states,
                   dropout_rng=None):
     """Forward of the state-action head on each state view, then of the state
@@ -239,8 +245,7 @@ def forward_heads(params: EstimatorParams, state_views, actions, v_states,
     view], (v_out, v_cache)).
     """
     q_heads = [
-        params.q_net.forward(np.concatenate([states, actions], axis=1),
-                             dropout_rng)
+        params.q_net.forward(_state_action_input(states, actions), dropout_rng)
         for states in state_views
     ]
     return q_heads, params.v_net.forward(v_states, dropout_rng)
@@ -394,7 +399,8 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
 
     The state head runs first.  A softmax output is at most 1, and float
     rounding is monotone, so with mix in [0, 1] the mixed confidence of
-    every candidate is at most ``mix + (1 - mix) * max(V)`` as floats.  An
+    every candidate is at most ``mix_heads(1.0, max(V), mix)`` as floats:
+    the mix with the state-action head at its ceiling.  An
     entry whose bound does not beat the threshold (or is NaN) selects 0
     whatever its state-action output, so only the other entries run the
     state-action head, and none does when none is left.  Each head scores
@@ -417,12 +423,13 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     v_out = cache.v.outputs(
         next_ids, cache.version,
         lambda ids: params.v_net.forward(buffer.observations(ids))[0])
-    live = mix + (1.0 - mix) * v_out.max(axis=1) > threshold
+    live = mix_heads(1.0, v_out.max(axis=1), mix) > threshold
     values = np.zeros(k)
     if live.any():
         q_out = cache.q.outputs(
             pair_ids[live], cache.version,
-            lambda ids: params.q_net.forward(buffer.state_action_rows(ids))[0])
+            lambda ids: params.q_net.forward(
+                _state_action_input(*buffer.state_actions(ids)))[0])
         values[live] = select(mix_heads(q_out, v_out[live], mix), zset,
                               threshold)
     buffer.set_reward(chosen, values)

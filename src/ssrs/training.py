@@ -37,7 +37,7 @@ from .envs import make_env
 from .estimator import (ConfidenceCache, EstimatorParams, save_params,
                         shape_buffer)
 from .losses import LossBreakdown, consistency_views, sgd_step, total_loss
-from .schedules import ScheduleState, alpha_at, lambda_at, p_u_at
+from .schedules import alpha_at, lambda_at, p_u_at
 
 __all__ = [
     "STREAM_NAMES",
@@ -53,6 +53,8 @@ __all__ = [
     "CURVE_COLUMNS",
 ]
 
+# Nothing draws from "eval"; it stays because its position fixes the seed
+# of "estimator_batch".
 STREAM_NAMES = (
     "action", "batch", "estimator_init", "dropout",
     "augment", "shaping", "eval", "estimator_batch",
@@ -312,11 +314,8 @@ def train(config: RunConfig, out_dir=None):
         if config.static_pu:
             p_u = config.p_u_base
         else:
-            p_u = p_u_at(
-                ScheduleState(ep, horizon, buffer.nonzero_reward_count,
-                              len(buffer)),
-                config.p_u_base,
-            )
+            p_u = p_u_at(ep, horizon, buffer.nonzero_reward_count,
+                         len(buffer), config.p_u_base)
         epsilon = epsilon_at(config, ep)
         shaped = 0
         steps, ep_return = run_episode(env, backbone, epsilon,

@@ -408,6 +408,19 @@ def test_augment_check_rejects_a_parameter_its_kind_does_not_read(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_augment_check_rejects_a_non_finite_trajectory_cell(tmp_path, capsys,
+                                                           cell):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(f"s0,s1,a0,r\n1,{cell},1,0\n2,3,1,1\n")
+    assert main(["augment-check", "--traj", str(traj), "--kind",
+                 "double_entropy", "--n", "2",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {traj}: states must be finite\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_rejects_a_key_on_the_start_cell_before_writing(tmp_path, capsys):
     code = main(["train", "--set", "env.kind=key_door_grid",
                  "--set", "env.key_x=0", "--set", "env.key_y=0",
@@ -666,11 +679,12 @@ class TestConsensus:
     def test_library_error_reaches_main(self, trained_root, tmp_path, capsys):
         # the mixture fit's own ValueError, reported with no wrapper
         buffer = trained_root / "out" / "seed_0" / "buffer_final.bin"
-        code = main(["consensus", "--buffer", str(buffer), "--k", "0",
+        n = len(load_buffer(buffer))
+        code = main(["consensus", "--buffer", str(buffer), "--k", str(n + 1),
                      "--runs", "2", "--out", str(tmp_path / "c")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: need at least one component\n")
+            f"error: {n} points cannot support {n + 1} components\n")
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("runs", ["0", "-3", "x"])
@@ -679,6 +693,15 @@ class TestConsensus:
             main(["consensus", "--buffer", str(tmp_path / "b.bin"),
                   "--runs", runs])
         assert "--runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-2", "x"])
+    def test_nonpositive_k_rejected(self, tmp_path, capsys, k):
+        # a usage error naming the flag, like --runs, before any file is read
+        with pytest.raises(SystemExit) as info:
+            main(["consensus", "--buffer", str(tmp_path / "b.bin"),
+                  "--k", k])
+        assert info.value.code == 2
+        assert "--k" in capsys.readouterr().err
 
 
 class TestDist:

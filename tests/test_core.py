@@ -846,6 +846,10 @@ def test_trajectory_file_rejects_malformed(tmp_path):
     ("s0,s1,a0,r\n1,2,0,1,5\n", "line 2"),           # long row
     ("s0,s1,a0,r\n1,two,0,1\n", "line 2"),           # non-numeric cell
     ("s0,s1,a0,r\n1,-2,0,1\n", "nonnegative"),        # negative state
+    ("s0,s1,a0,r\n1,nan,0,1\n", "states must be finite"),
+    ("s0,s1,a0,r\n1,inf,0,1\n", "states must be finite"),
+    ("s0,s1,a0,r\n1,2,-inf,1\n", "actions must be finite"),
+    ("s0,s1,a0,r\n1,2,0,nan\n", "rewards must be finite"),
     ("s0,a0,s1,r\n1,2,0,1\n", "header"),              # blocks out of order
     ("s0,s1,a0,r\n", "no steps"),
     ("", "empty"),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ssrs.schedules import ScheduleState, alpha_at, lambda_at, p_u_at
+from ssrs.schedules import alpha_at, lambda_at, p_u_at
 
 
 class TestConfidenceThreshold:
@@ -63,44 +63,32 @@ class TestMixingWeight:
 class TestShapingRate:
     def test_outer_phase_log_scaling(self):
         # one rewarded entry: ln(2) times the base rate
-        state = ScheduleState(t=10, total=100, nonzero_count=1,
-                              buffer_count=50)
-        assert p_u_at(state, 0.01) == pytest.approx(0.01 * math.log(2),
-                                                    abs=1e-15)
-        late = ScheduleState(t=90, total=100, nonzero_count=1,
-                             buffer_count=50)
-        assert p_u_at(late, 0.01) == p_u_at(state, 0.01)
+        early = p_u_at(10, 100, 1, 50, 0.01)
+        assert early == pytest.approx(0.01 * math.log(2), abs=1e-15)
+        assert p_u_at(90, 100, 1, 50, 0.01) == early
 
     def test_middle_phase_fraction_scaling(self):
-        state = ScheduleState(t=50, total=100, nonzero_count=5,
-                              buffer_count=40)
-        assert p_u_at(state, 0.08) == pytest.approx(0.08 * 5 / 40, abs=1e-15)
+        assert p_u_at(50, 100, 5, 40, 0.08) == pytest.approx(0.08 * 5 / 40,
+                                                            abs=1e-15)
 
     def test_phase_boundaries_inclusive_left(self):
         # frac == 0.2 belongs to the middle phase, frac == 0.8 to the tail
-        mid = ScheduleState(t=20, total=100, nonzero_count=3, buffer_count=30)
-        assert p_u_at(mid, 0.1) == pytest.approx(0.1 * 0.1, abs=1e-15)
-        tail = ScheduleState(t=80, total=100, nonzero_count=3, buffer_count=30)
-        assert p_u_at(tail, 0.1) == pytest.approx(0.1 * math.log(4), abs=1e-15)
+        assert p_u_at(20, 100, 3, 30, 0.1) == pytest.approx(0.1 * 0.1,
+                                                           abs=1e-15)
+        assert p_u_at(80, 100, 3, 30, 0.1) == pytest.approx(0.1 * math.log(4),
+                                                           abs=1e-15)
 
     def test_no_signal_means_no_shaping(self):
         for t in (5, 50, 95):
-            state = ScheduleState(t=t, total=100, nonzero_count=0,
-                                  buffer_count=20)
-            assert p_u_at(state, 0.5) == 0.0
+            assert p_u_at(t, 100, 0, 20, 0.5) == 0.0
 
     def test_empty_buffer_middle_phase(self):
-        state = ScheduleState(t=50, total=100, nonzero_count=0,
-                              buffer_count=0)
-        assert p_u_at(state, 0.5) == 0.0
+        assert p_u_at(50, 100, 0, 0, 0.5) == 0.0
 
     def test_clamped_to_unit_interval(self):
-        state = ScheduleState(t=1, total=100, nonzero_count=10_000,
-                              buffer_count=10_000)
-        assert p_u_at(state, 1.0) == 1.0
-        assert p_u_at(state, 0.0) == 0.0
+        assert p_u_at(1, 100, 10_000, 10_000, 1.0) == 1.0
+        assert p_u_at(1, 100, 10_000, 10_000, 0.0) == 0.0
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
-            p_u_at(ScheduleState(t=0, total=0, nonzero_count=1,
-                                 buffer_count=1), 0.1)
+            p_u_at(0, 0, 1, 1, 0.1)
