@@ -231,6 +231,8 @@ def _cmd_eval(args) -> int:
     if table.shape != (env.n_states, env.n_actions):
         raise CliError(f"value table shape {table.shape} does not match "
                        f"environment ({env.n_states}, {env.n_actions})")
+    if not np.isfinite(table).all():
+        raise CliError(f"{table_path}: value table holds a non-finite value")
     n = config.eval_episodes
     mean_return, success = evaluate(env, BackboneQ(table), n)
     print(f"episodes {n}")

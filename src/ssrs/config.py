@@ -157,6 +157,7 @@ class EnvConfig:
 
 _UNIT = _parse_float(lo=0, hi=1)
 _OPEN_UNIT = _parse_float(lo=0, hi=1, lo_open=True, hi_open=True)
+_HALF_OPEN_UNIT = _parse_float(lo=0, hi=1, lo_open=True)
 _POSITIVE = _parse_float(lo=0, lo_open=True)
 
 
@@ -169,14 +170,15 @@ class RunConfig:
     buffer_capacity: int = _key(10000, _parse_int(lo=1))
     batch_size: int = _key(32, _parse_int(lo=1))
     discount: float = _key(0.99, _OPEN_UNIT)
-    backbone_lr: float = _key(0.1, _POSITIVE)
+    # q += lr * (target - q) is a convex step only for lr in (0, 1]
+    backbone_lr: float = _key(0.1, _HALF_OPEN_UNIT)
     q_init: float = _key(1.0, _parse_float())
     epsilon_start: float = _key(1.0, _UNIT)
     epsilon_final: float = _key(0.05, _UNIT)
     epsilon_decay_frac: float = _key(0.5, _UNIT)
 
     beta: float = _key(0.5, _OPEN_UNIT)
-    lambda_final: float = _key(0.9, _parse_float(lo=0, hi=1, lo_open=True))
+    lambda_final: float = _key(0.9, _HALF_OPEN_UNIT)
     alpha_final: float = _key(0.7, _UNIT)
     p_u_base: float = _key(0.01, _UNIT)
     n_z: int = _key(12, _parse_int(lo=2))

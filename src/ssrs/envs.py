@@ -5,6 +5,8 @@ Observations are RAM-like: nonnegative integer-valued vectors scaled to
 augmentation partition count.  Both environments also decode an
 observation to the compact discrete state id the tabular backbone indexes
 (``state_id_of``); ``training.run_episode`` decodes each observation once.
+The episode rules they share (checks, step count, goal-or-time-out end and
+reward) live once, in ``_Episode``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,48 @@ __all__ = ["KINDS", "SparseChain", "KeyDoorGrid", "make_env"]
 _PAD_MULTIPLE = 8
 
 
-def _padded_width(raw: int, multiple: int = _PAD_MULTIPLE) -> int:
-    return math.ceil(raw / multiple) * multiple
+class _Episode:
+    """The episode both environments share: sparse reward 1.0 only upon
+    reaching the goal, and an end at the goal or after ``max_steps`` steps.
+
+    A subclass checks its geometry, places the walker (``_start``), moves it
+    (``_move``, which returns whether the goal was reached) and encodes it
+    (``_obs``, ``raw_width`` values zero-padded to the partition multiple).
+    """
+
+    def __init__(self, max_steps: int, n_actions: int, raw_width: int):
+        if max_steps < 1:
+            raise ValueError("max_steps must be positive")
+        self.max_steps = int(max_steps)
+        self.n_actions = n_actions
+        self.obs_width = math.ceil(raw_width / _PAD_MULTIPLE) * _PAD_MULTIPLE
+        self._start()
+        self._steps = 0
+        self._done = True
+
+    def reset(self) -> np.ndarray:
+        self._start()
+        self._steps = 0
+        self._done = False
+        return self._obs()
+
+    def action_vector(self, action: int) -> np.ndarray:
+        vec = np.zeros(self.n_actions)
+        vec[action] = 1.0
+        return vec
+
+    def step(self, action: int):
+        if self._done:
+            raise RuntimeError("step() called on a finished episode; reset first")
+        if not 0 <= action < self.n_actions:
+            raise ValueError(f"action {action} outside [0, {self.n_actions})")
+        goal = self._move(action)
+        self._steps += 1
+        self._done = goal or self._steps >= self.max_steps
+        return self._obs(), 1.0 if goal else 0.0, self._done
 
 
-class SparseChain:
+class SparseChain(_Episode):
     """Corridor of ``length`` cells; reward 1.0 only upon reaching the far end.
 
     Actions: 0 steps left, 1 steps right; bumping the left wall stays put.
@@ -32,25 +71,21 @@ class SparseChain:
     def __init__(self, length: int = 20, max_steps: int = 100):
         if length < 2:
             raise ValueError("chain length must be at least 2")
-        if max_steps < 1:
-            raise ValueError("max_steps must be positive")
         self.length = int(length)
-        self.max_steps = int(max_steps)
-        self.n_actions = 2
         self.n_states = self.length
         # one-hot position, scaled position, step counter, remaining steps,
         # constant marker; zero-padded to the partition multiple
-        self._raw_width = self.length + 4
-        self.obs_width = _padded_width(self._raw_width)
-        self._pos = 0
-        self._steps = 0
-        self._done = True
+        super().__init__(max_steps, n_actions=2, raw_width=self.length + 4)
 
-    def reset(self) -> np.ndarray:
+    def _start(self):
         self._pos = 0
-        self._steps = 0
-        self._done = False
-        return self._obs()
+
+    def _move(self, action: int) -> bool:
+        if action == 0:
+            self._pos = max(0, self._pos - 1)
+        else:
+            self._pos = min(self.length - 1, self._pos + 1)
+        return self._pos == self.length - 1
 
     def _obs(self) -> np.ndarray:
         obs = np.zeros(self.obs_width)
@@ -72,31 +107,8 @@ class SparseChain:
         """State id of an observation: the hot cell of its one-hot position."""
         return int(np.asarray(obs)[: self.length].argmax())
 
-    def action_vector(self, action: int) -> np.ndarray:
-        vec = np.zeros(self.n_actions)
-        vec[action] = 1.0
-        return vec
 
-    def step(self, action: int):
-        if self._done:
-            raise RuntimeError("step() called on a finished episode; reset first")
-        if not 0 <= action < self.n_actions:
-            raise ValueError(f"action {action} outside [0, {self.n_actions})")
-        if action == 0:
-            self._pos = max(0, self._pos - 1)
-        else:
-            self._pos = min(self.length - 1, self._pos + 1)
-        self._steps += 1
-        reward = 0.0
-        if self._pos == self.length - 1:
-            reward = 1.0
-            self._done = True
-        elif self._steps >= self.max_steps:
-            self._done = True
-        return self._obs(), reward, self._done
-
-
-class KeyDoorGrid:
+class KeyDoorGrid(_Episode):
     """Grid world: pick up the key, then unlock the door for reward 1.0.
 
     Actions: 0 up, 1 down, 2 left, 3 right; moves into walls stay put.
@@ -109,9 +121,11 @@ class KeyDoorGrid:
                  key_pos=(4, 0), door_pos=(4, 4), max_steps: int = 100):
         if width < 2 or height < 2:
             raise ValueError("grid must be at least 2x2")
-        if max_steps < 1:
-            raise ValueError("max_steps must be positive")
         self.width, self.height = int(width), int(height)
+        self.n_states = self.width * self.height * 2
+        # one-hot cell, key flag, step counter, constant marker; padded
+        super().__init__(max_steps, n_actions=4,
+                         raw_width=self.width * self.height + 3)
         self.key_pos = tuple(key_pos)
         self.door_pos = tuple(door_pos)
         for label, (x, y) in (("key", self.key_pos), ("door", self.door_pos)):
@@ -122,23 +136,18 @@ class KeyDoorGrid:
             raise ValueError("key and door must not sit on the start cell")
         if self.key_pos == self.door_pos:
             raise ValueError("key and door must occupy different cells")
-        self.max_steps = int(max_steps)
-        self.n_actions = 4
-        self.n_states = self.width * self.height * 2
-        # one-hot cell, key flag, step counter, constant marker; padded
-        self._raw_width = self.width * self.height + 3
-        self.obs_width = _padded_width(self._raw_width)
-        self._x = self._y = 0
-        self._has_key = False
-        self._steps = 0
-        self._done = True
 
-    def reset(self) -> np.ndarray:
+    def _start(self):
         self._x = self._y = 0
         self._has_key = False
-        self._steps = 0
-        self._done = False
-        return self._obs()
+
+    def _move(self, action: int) -> bool:
+        dx, dy = ((0, -1), (0, 1), (-1, 0), (1, 0))[action]
+        self._x = min(max(self._x + dx, 0), self.width - 1)
+        self._y = min(max(self._y + dy, 0), self.height - 1)
+        if (self._x, self._y) == self.key_pos:
+            self._has_key = True
+        return (self._x, self._y) == self.door_pos and self._has_key
 
     def _cell(self) -> int:
         return self._y * self.width + self._x
@@ -164,30 +173,6 @@ class KeyDoorGrid:
         obs = np.asarray(obs)
         cells = self.width * self.height
         return int(obs[:cells].argmax()) * 2 + int(obs[cells] > 0.0)
-
-    def action_vector(self, action: int) -> np.ndarray:
-        vec = np.zeros(self.n_actions)
-        vec[action] = 1.0
-        return vec
-
-    def step(self, action: int):
-        if self._done:
-            raise RuntimeError("step() called on a finished episode; reset first")
-        if not 0 <= action < self.n_actions:
-            raise ValueError(f"action {action} outside [0, {self.n_actions})")
-        dx, dy = ((0, -1), (0, 1), (-1, 0), (1, 0))[action]
-        self._x = min(max(self._x + dx, 0), self.width - 1)
-        self._y = min(max(self._y + dy, 0), self.height - 1)
-        self._steps += 1
-        if (self._x, self._y) == self.key_pos:
-            self._has_key = True
-        reward = 0.0
-        if (self._x, self._y) == self.door_pos and self._has_key:
-            reward = 1.0
-            self._done = True
-        elif self._steps >= self.max_steps:
-            self._done = True
-        return self._obs(), reward, self._done
 
 
 _CONSTRUCTORS = {

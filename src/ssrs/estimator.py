@@ -7,9 +7,9 @@ reward candidate grid; the confidence vector is their convex combination.
 
 This module holds the single, row-batched definition of each estimator
 formula: the two-head forward (``forward_heads``), the confidence mix
-(``mix_heads``, ``confidence_batch``), hard selection (``select``), its soft
-surrogate (``soft_select``) and the confidence-gated pseudo-label
-(``pseudo_label``).  Buffer shaping and the losses both build on them.
+(``mix_heads``), hard selection (``select``), its soft surrogate
+(``soft_select``) and the confidence-gated pseudo-label (``pseudo_label``).
+Buffer shaping and the losses both build on them.
 Shaping scores each distinct input of the replay buffer at most once per
 estimator version: a ``ConfidenceCache`` keeps the state-action head's
 output per (state id, action id) and the state head's per next-state id.
@@ -33,7 +33,6 @@ __all__ = [
     "EstimatorParams",
     "forward_heads",
     "mix_heads",
-    "confidence_batch",
     "select",
     "soft_select",
     "pseudo_label",
@@ -256,20 +255,6 @@ def mix_heads(q_out, v_out, mix: float):
     return mix * q_out + (1.0 - mix) * v_out
 
 
-def confidence_batch(params: EstimatorParams, states, actions, next_states,
-                     mix: float, dropout_rng=None):
-    """Confidence vectors for a batch, plus head outputs and caches.
-
-    mix is the convex weight on the state-action head:
-    q = mix * Q(s, a) + (1 - mix) * V(s').  Eval mode unless a dropout
-    generator is supplied.  Returns (q, q_head_out, v_head_out, q_cache,
-    v_cache).
-    """
-    [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
-        params, [states], actions, next_states, dropout_rng)
-    return mix_heads(q_out, v_out, mix), q_out, v_out, q_cache, v_cache
-
-
 def select(q, zset: RewardSet, threshold: float) -> np.ndarray:
     """Hard reward selection per row: the candidate at the confidence peak
     when the peak strictly exceeds the threshold, else 0 (ties pick the
@@ -405,8 +390,11 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     whatever its state-action output, so only the other entries run the
     state-action head, and none does when none is left.  Each head scores
     only the distinct inputs it is asked for that have no fresh vector in
-    ``cache``, in one forward pass, and stores them there.  Returns the
-    number of entries left shaped.
+    ``cache``, in one forward pass, and stores them there.  A forward's
+    last bits depend on how many rows it is given, so the selections match
+    scoring every drawn entry with both heads unless a confidence lies
+    within rounding of the threshold or of a tie.  Returns the number of
+    entries left shaped.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")

@@ -39,8 +39,8 @@ import numpy as np
 
 from .augment import row_views
 from .core import Batch, RewardSet
-from .estimator import (EstimatorParams, confidence_batch, forward_heads,
-                        mix_heads, pseudo_label, select, soft_select)
+from .estimator import (EstimatorParams, forward_heads, mix_heads,
+                        pseudo_label, select, soft_select)
 
 __all__ = [
     "LossBreakdown",
@@ -122,9 +122,10 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
     n = len(batch)
     if n == 0:
         return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
-    q, _, _, q_cache, v_cache = confidence_batch(
-        params, batch.states, batch.actions, batch.next_states, mix, dropout_rng
+    [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
+        params, [batch.states], batch.actions, batch.next_states, dropout_rng
     )
+    q = mix_heads(q_out, v_out, mix)
     arg, gate_on = pseudo_label(q, threshold)
     r = batch.originals
     gate_count = int(np.count_nonzero(gate_on))

@@ -20,8 +20,8 @@ from ssrs.cli import gradcheck_report, main
 from ssrs.config import RunConfig, apply_overrides
 from ssrs.core import (Batch, RewardSet, TrajectoryMatrix, load_buffer,
                        save_buffer, update_reward_set)
-from ssrs.estimator import (EstimatorParams, confidence_batch, load_params,
-                            save_params, select)
+from ssrs.estimator import (EstimatorParams, forward_heads, load_params,
+                            mix_heads, save_params, select)
 from ssrs.losses import (consistency_views, loss_qv, loss_r,
                          loss_s, sgd_step, total_loss)
 from ssrs.schedules import alpha_at, lambda_at
@@ -64,6 +64,13 @@ _SOFT_TEMP = 1e-3
 _CLEARANCE = 0.01  # well beyond the 1e-3 the check requires
 
 
+def _confidences(params, states, actions, next_states, mix):
+    """Eval-mode confidence vectors of a batch."""
+    [(q_out, _)], (v_out, _) = forward_heads(params, [states], actions,
+                                             next_states)
+    return mix_heads(q_out, v_out, mix)
+
+
 def _gate_separated_batch(seed):
     """A batch, reward grid and threshold with every confidence peak at
     least _CLEARANCE away from the gate boundary, and every gated-on row's
@@ -87,14 +94,14 @@ def _gate_separated_batch(seed):
         batch = Batch.from_arrays(states, actions, rewards,
                                       rng.uniform(0.0, 255.0, size=(n, 8)))
         aug_seed = 1000 * seed + attempt
-        q, *_ = confidence_batch(params, batch.states, batch.actions,
-                                 batch.next_states, 0.5)
+        q = _confidences(params, batch.states, batch.actions,
+                         batch.next_states, 0.5)
         zero = batch.originals == 0.0
         weak, strong = consistency_views(batch, _PAIRING, aug_seed)
-        q_w, *_ = confidence_batch(params, weak, batch.actions[zero],
-                                   batch.next_states[zero], 0.5)
-        q_s, *_ = confidence_batch(params, strong, batch.actions[zero],
-                                   batch.next_states[zero], 0.5)
+        q_w = _confidences(params, weak, batch.actions[zero],
+                           batch.next_states[zero], 0.5)
+        q_s = _confidences(params, strong, batch.actions[zero],
+                           batch.next_states[zero], 0.5)
         mats = (q, q_w, q_s)
         peaks = np.sort(np.concatenate([m.max(axis=1) for m in mats]))
         inside = peaks[(peaks > 0.45) & (peaks < 0.95)]
@@ -264,11 +271,11 @@ def _identifiability_accuracy(seed):
         _, grad = total_loss(params, batch, 0.0, zset, 0.6, 0.5,
                              temperature=0.3, views=views, mode="smooth")
         sgd_step(params, grad, 0.2)
-    q_train, *_ = confidence_batch(params, states, actions, states, 0.5)
+    q_train = _confidences(params, states, actions, states, 0.5)
     peaks = q_train.max(axis=1)
     zero_rows = rewards == 0.0
     threshold = 0.5 * (peaks[zero_rows].max() + peaks[~zero_rows].min())
-    q_held, *_ = confidence_batch(params, held_s, held_a, held_s, 0.5)
+    q_held = _confidences(params, held_s, held_a, held_s, 0.5)
     predicted = select(q_held, zset, threshold)
     return float(np.mean(predicted == held_r))
 

@@ -472,6 +472,21 @@ def test_value_table_not_a_float_array_named(trained_root, tmp_path, capsys,
     assert err.startswith(f"error: {table}: ") and message in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_value_table_named(trained_root, tmp_path, capsys, bad):
+    # a non-finite table used to be scored: success_rate 0, exit 0
+    run = _copy_run_json(trained_root, tmp_path / "run")
+    table = np.load(trained_root / "out" / "seed_0" / "backbone_q.npy")
+    table[1, 0] = bad
+    path = run / "backbone_q.npy"
+    np.save(path, table)
+    assert main(["eval", "--run", str(run)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "non-finite" in captured.err and captured.out == ""
+
+
 BAD_BUFFERS = {
     "empty": lambda good: b"",
     "truncated": lambda good: good[:-1],

@@ -142,8 +142,25 @@ class TestNonFinite:
         assert key in message and "finite" in message
 
     def test_large_finite_values_still_parse(self):
-        cfg = parse_config("q_init = -1e300\nbackbone_lr = 1e300\n")
-        assert (cfg.q_init, cfg.backbone_lr) == (-1e300, 1e300)
+        cfg = parse_config("q_init = -1e300\nestimator_lr = 1e300\n")
+        assert (cfg.q_init, cfg.estimator_lr) == (-1e300, 1e300)
+
+
+class TestBackboneLr:
+    # q += lr * (target - q) leaves the convex hull of q and its target
+    # above 1; 1.5 used to parse and end the run with a non-finite table
+    @pytest.mark.parametrize("value", ["1.5", "2", "0", "-0.1"])
+    def test_outside_half_open_unit_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(RunConfig(), [f"backbone_lr={value}"])
+        message = str(err.value)
+        assert message.startswith("override 1: backbone_lr: ")
+        assert "must be" in message
+
+    @pytest.mark.parametrize("value", ["1.0", "1", "0.5", "1e-9"])
+    def test_inside_half_open_unit_accepted(self, value):
+        cfg = apply_overrides(RunConfig(), [f"backbone_lr={value}"])
+        assert cfg.backbone_lr == float(value)
 
 
 class TestCrossChecks:

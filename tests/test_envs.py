@@ -1,5 +1,7 @@
 """Environment dynamics, observation encoding, termination rules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -252,3 +254,81 @@ def test_state_id_of_decodes_every_reached_observation(env):
     decoded = [env.state_id_of(obs) for obs in rows]
     assert all(type(sid) is int for sid in decoded)
     assert decoded == ids.tolist()
+
+
+# Transition digests of seeded random walks, computed before the two
+# environments shared one episode engine: every observation's bytes, dtype
+# and shape, the repr of each reward and done flag, and the error type and
+# message of the refused steps.  They cover geometries and error paths that
+# no golden run reaches.
+_TRANSITION_CASES = {
+    "chain_default": (
+        lambda: SparseChain(),
+        "172a203cc8cfeba298862e01fb1912da218d00166caca1aa00dac552e449aa8a"),
+    "chain_2_limit_1": (
+        lambda: SparseChain(length=2, max_steps=1),
+        "c9f92b9e09a7551124b0f22c4f7cf97f7ea88bf488f7b280a8da954797ed073b"),
+    "grid_default": (
+        lambda: KeyDoorGrid(),
+        "8201ccac472eb91e6fb6ffdb1bcb763c3865eb29ad1be503972256d9e82c4a42"),
+    "grid_2x3_moved": (
+        lambda: KeyDoorGrid(width=2, height=3, key_pos=(0, 2), door_pos=(1, 1),
+                            max_steps=9),
+        "e1049670ad268c78cb79dcc4756386117b06f19f8627bbf5eec4995469d62ddf"),
+}
+
+
+def _error_of(call):
+    try:
+        call()
+    except (RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+
+def _transition_digest(env, steps=3000, seed=11):
+    """Digest of ``steps`` uniform random steps (resetting after each end),
+    with the events the walk reached."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    events = {"goal": 0, "time_out": 0, "bump": 0, "key": 0, "keyless_door": 0}
+
+    def feed(*parts):
+        for part in parts:
+            digest.update(part if isinstance(part, bytes) else
+                          repr(part).encode())
+
+    feed("fresh", _error_of(lambda: env.step(0)))
+    obs = env.reset()
+    feed(obs.tobytes(), obs.dtype.str, obs.shape, env.state_id)
+    for _ in range(steps):
+        before = env.state_id
+        obs, reward, done = env.step(int(rng.integers(env.n_actions)))
+        feed(obs.tobytes(), obs.dtype.str, obs.shape, reward, done,
+             env.state_id)
+        events["bump"] += env.state_id == before
+        if isinstance(env, KeyDoorGrid):
+            cell = (env.state_id // 2 % env.width, env.state_id // 2 // env.width)
+            events["key"] += env.state_id % 2 == 1 and before % 2 == 0
+            events["keyless_door"] += (cell == env.door_pos
+                                       and env.state_id % 2 == 0)
+        if done:
+            events["goal" if reward > 0.0 else "time_out"] += 1
+            feed("ended", _error_of(lambda: env.step(0)))
+            obs = env.reset()
+            feed(obs.tobytes(), env.state_id)
+    for action in (env.n_actions, -1):
+        feed("range", _error_of(lambda: env.step(action)))
+    return digest.hexdigest(), events
+
+
+@pytest.mark.parametrize("name", list(_TRANSITION_CASES))
+def test_transitions_match_pinned_digest(name):
+    make, pinned = _TRANSITION_CASES[name]
+    env = make()
+    digest, events = _transition_digest(env)
+    assert events["goal"] > 0 and events["time_out"] > 0
+    assert events["bump"] > 0
+    if isinstance(env, KeyDoorGrid):
+        assert events["key"] > 0 and events["keyless_door"] > 0
+    assert digest == pinned

@@ -10,8 +10,9 @@ from ssrs.estimator import (
     ConfidenceCache,
     EstimatorParams,
     MlpNet,
-    confidence_batch,
+    forward_heads,
     load_params,
+    mix_heads,
     pseudo_label,
     save_params,
     select,
@@ -238,9 +239,16 @@ class TestParameterVector:
 # confidence
 # ---------------------------------------------------------------------------
 
+def _confidences(params, states, actions, next_states, mix):
+    """Eval-mode confidence vectors of a batch, with both head outputs."""
+    [(q_out, _)], (v_out, _) = forward_heads(params, [states], actions,
+                                             next_states)
+    return mix_heads(q_out, v_out, mix), q_out, v_out
+
+
 def _confidence_row(params, state, action, next_state, mix):
-    q, *_ = confidence_batch(params, state[None, :], action[None, :],
-                             next_state[None, :], mix)
+    q, _, _ = _confidences(params, state[None, :], action[None, :],
+                           next_state[None, :], mix)
     return q[0]
 
 
@@ -265,8 +273,7 @@ class TestConfidence:
         states = rng.uniform(size=(5, 4))
         actions = np.eye(2)[rng.integers(0, 2, size=5)]
         nexts = rng.uniform(size=(5, 4))
-        q, q_out, v_out, _, _ = confidence_batch(params, states, actions,
-                                                 nexts, mix=0.3)
+        q, q_out, v_out = _confidences(params, states, actions, nexts, 0.3)
         np.testing.assert_allclose(q, 0.3 * q_out + 0.7 * v_out, atol=1e-15)
         for i in range(5):
             np.testing.assert_allclose(
@@ -278,9 +285,9 @@ class TestConfidence:
         rng = np.random.default_rng(9)
         params = EstimatorParams.create(3, 2, 4, rng, hidden=(5,), dropout=0.0)
         for mix in (0.0, 0.25, 0.5, 0.9, 1.0):
-            q, *_ = confidence_batch(params, rng.uniform(size=(6, 3)),
-                                     np.eye(2)[rng.integers(0, 2, size=6)],
-                                     rng.uniform(size=(6, 3)), mix)
+            q, _, _ = _confidences(params, rng.uniform(size=(6, 3)),
+                                   np.eye(2)[rng.integers(0, 2, size=6)],
+                                   rng.uniform(size=(6, 3)), mix)
             np.testing.assert_allclose(q.sum(axis=1), np.ones(6), atol=1e-12)
             assert np.all(q >= 0)
 
@@ -420,8 +427,8 @@ class TestShapeBuffer:
         expected = 0
         for slot in chosen:
             t = slow.batch_arrays(np.array([slot]))
-            q, *_ = confidence_batch(params, t.states, t.actions,
-                                     t.next_states, 0.5)
+            q, _, _ = _confidences(params, t.states, t.actions,
+                                   t.next_states, 0.5)
             value = float(select(q, self.zset, 0.36)[0])
             slow.set_reward(int(slot), value)
             expected += value != 0.0
@@ -462,8 +469,8 @@ def _reference_shape(params, buf, zset, threshold, fraction, rng, mix):
         return 0, np.zeros(0, dtype=bool)
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
     batch = buf.batch_arrays(chosen)
-    q, _, v_out, _, _ = confidence_batch(params, batch.states, batch.actions,
-                                         batch.next_states, mix)
+    q, _, v_out = _confidences(params, batch.states, batch.actions,
+                               batch.next_states, mix)
     values = select(q, zset, threshold)
     buf.set_reward(chosen, values)
     live = (mix + (1.0 - mix) * v_out).max(axis=1) > threshold
@@ -537,8 +544,8 @@ class TestConfidenceCache:
                      np.random.default_rng(2), 0.5, cache)
         assert rows == [1, 1]  # the new entry's two inputs, nothing else
         row = buf.batch_arrays(np.array([slot]))
-        q, *_ = confidence_batch(params, row.states, row.actions,
-                                 row.next_states, 0.5)
+        q, _, _ = _confidences(params, row.states, row.actions,
+                               row.next_states, 0.5)
         assert buf.rewards_at(np.array([slot]))[0] == \
             select(q, self.zset, 0.0)[0]
 
@@ -565,8 +572,8 @@ class TestConfidenceCache:
         n_pairs, n_next = _distinct_inputs(buf, slots)
         assert rows == [n_next, n_pairs]
         batch = buf.batch_arrays(slots)
-        q, *_ = confidence_batch(params, batch.states, batch.actions,
-                                 batch.next_states, 0.5)
+        q, _, _ = _confidences(params, batch.states, batch.actions,
+                               batch.next_states, 0.5)
         assert buf.rewards_at(slots).tobytes() == \
             select(q, self.zset, 0.0).tobytes()
 

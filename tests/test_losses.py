@@ -8,7 +8,7 @@ import pytest
 
 from ssrs.augment import AugmentSpec
 from ssrs.core import Batch, RewardSet
-from ssrs.estimator import EstimatorParams, MlpNet, confidence_batch
+from ssrs.estimator import EstimatorParams, MlpNet, forward_heads, mix_heads
 from ssrs.losses import (
     consistency_views,
     finite_diff_gradient,
@@ -128,8 +128,9 @@ class TestLossR:
         batch = _batch([1.0, 2.0, 4.0, 2.0, 1.0], m1=4, seed=3)
         thr, mix = 0.36, 0.6
         value, _, _ = loss_r(params, batch, ZSET, thr, mix, mode="hard")
-        q, *_ = confidence_batch(params, batch.states, batch.actions,
-                                 batch.next_states, mix)
+        [(q_out, _)], (v_out, _) = forward_heads(
+            params, [batch.states], batch.actions, batch.next_states)
+        q = mix_heads(q_out, v_out, mix)
         acc = 0.0
         for row, r in zip(q, batch.originals):
             sel = ZSET.values[int(row.argmax())] if row.max() > thr else 0.0
