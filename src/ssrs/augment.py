@@ -24,7 +24,6 @@ __all__ = [
     "row_entropy",
     "shannon_entropy",
     "partition_entropies",
-    "double_entropy",
     "apply_augment",
     "weak_strong_pair",
     "row_views",
@@ -192,26 +191,6 @@ def partition_entropies(blocks, n: int) -> np.ndarray:
     return out
 
 
-def _double_entropy(blocks: np.ndarray, n: int) -> np.ndarray:
-    """Entropy-weight the column partitions of each trajectory in ``blocks``
-    (shape (G, T, m1)); see :func:`double_entropy`."""
-    columns = _partition_columns(blocks.shape[2], n)
-    return partition_entropies(blocks, n)[:, None, columns] * blocks
-
-
-def double_entropy(traj: TrajectoryMatrix, n: int) -> TrajectoryMatrix:
-    """Entropy-weight column partitions of the state block.
-
-    The state block is split column-wise into ``n`` contiguous partitions of
-    width floor(m1 / n); any remainder columns are absorbed by the last
-    partition.  Each partition is multiplied elementwise by its own Shannon
-    entropy.  Actions and rewards pass through untouched.
-    """
-    return TrajectoryMatrix(states=_double_entropy(traj.states[None], n)[0],
-                            actions=traj.actions.copy(),
-                            rewards=traj.rewards.copy())
-
-
 # ---------------------------------------------------------------------------
 # transform application
 # ---------------------------------------------------------------------------
@@ -261,7 +240,8 @@ def _augment(spec: AugmentSpec, blocks: np.ndarray, rngs) -> np.ndarray:
     if kind == "flip":
         return blocks[:, :, ::-1].copy()
     if kind == "double_entropy":
-        return _double_entropy(blocks, p["n"])
+        columns = _partition_columns(m1, p["n"])
+        return partition_entropies(blocks, p["n"])[:, None, columns] * blocks
     # AugmentSpec already validates the kind.
     raise ValueError(f"unknown augmentation kind: {kind!r}")  # pragma: no cover
 

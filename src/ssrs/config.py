@@ -287,9 +287,13 @@ def _cross_check(config: RunConfig):
     if config.epsilon_final > config.epsilon_start:
         raise ConfigError("epsilon_final must not exceed epsilon_start")
     try:
-        make_env(config.env)
+        width = make_env(config.env).obs_width
     except ValueError as exc:
         raise ConfigError(f"env: {exc}") from None
+    for key in ("partitions", "cutout_n"):
+        if (value := getattr(config.augment, key)) > width:
+            raise ConfigError(f"augment.{key}: value {value} above the env's "
+                              f"state width {width}")
 
 
 def serialize_config(config: RunConfig) -> str:

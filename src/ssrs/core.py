@@ -55,6 +55,12 @@ BUFFER_FORMAT_VERSION = 1
 _HEADER = struct.Struct("<5Q")
 
 
+def _row_widths(m1: int, m2: int) -> tuple:
+    """The checkpoint row layout for state and action widths ``m1``, ``m2``:
+    the width of each ``Batch`` field in field order, then the shaped flag."""
+    return (m1, m2, 1, m1, 1, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -108,17 +114,14 @@ class Batch(NamedTuple):
     originals: np.ndarray
 
     @classmethod
-    def from_arrays(cls, states, actions, rewards, next_states,
-                    originals=None) -> "Batch":
-        """Synthetic non-terminal entries; originals default to rewards."""
+    def from_arrays(cls, states, actions, rewards, next_states) -> "Batch":
+        """Synthetic non-terminal entries, their rewards unshaped."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-        originals = (rewards if originals is None
-                     else np.asarray(originals, dtype=np.float64).ravel())
         return cls(states, actions, rewards, next_states,
-                   np.zeros(states.shape[0], dtype=bool), originals)
+                   np.zeros(states.shape[0], dtype=bool), rewards)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -224,14 +227,21 @@ class _Table:
         self.rows = np.zeros((min(64, floor), width), dtype=dtype)
         self.ids = {}
 
-    def intern(self, row: np.ndarray) -> int:
-        """The id of a 1-D row of the table's dtype, stored first if new."""
+    def find(self, row: np.ndarray):
+        """(id of the stored row of ``row``'s bytes, or None if there is
+        none; the key of that row, or the free key a new one would take)."""
         data = row.tobytes()
         key = _row_key(data)
-        while (rid := self.ids.get(key)) is not None:
-            if self.rows[rid].tobytes() == data:
-                return rid
+        while ((rid := self.ids.get(key)) is not None
+               and self.rows[rid].tobytes() != data):
             key += 1
+        return rid, key
+
+    def intern(self, row: np.ndarray) -> int:
+        """The id of a 1-D row of the table's dtype, stored first if new."""
+        rid, key = self.find(row)
+        if rid is not None:
+            return rid
         rid = self.ids[key] = self.count
         if rid == len(self.rows):
             grown = np.zeros((min(2 * rid, self.limit), self.rows.shape[1]),
@@ -263,11 +273,9 @@ class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with shaping bookkeeping.
 
     Built with its capacity, state width and action width, and holds
-    entries of exactly those widths.  Entry layout per slot: state, action,
-    stored reward (possibly shaped), next state, terminal flag, original
-    environment reward.  An entry is shaped exactly when its stored reward
-    differs from its original; the shaped flag of a checkpoint row is
-    derived from that, not stored.
+    entries of exactly those widths; an entry holds the ``Batch`` fields.
+    An entry is shaped exactly when its stored reward differs from its
+    original; the shaped flag of a checkpoint row is derived from that.
 
     Each distinct observation is stored once, in one table shared by states
     and next states, each distinct action vector once, and each distinct
@@ -367,14 +375,11 @@ class ReplayBuffer:
         self.id_epoch += 1
 
     def _check_entry(self, state, action, reward, next_state):
-        """Reject an entry that no buffer may hold; the one check on the way
-        in.  The state and action widths must be the buffer's, states
-        nonnegative (observations are RAM-like values in [0, 255]) and the
-        reward finite."""
-        if state.ndim != 1 or next_state.ndim != 1:
-            raise ValueError("states must be 1-D vectors")
-        if action.ndim != 1:
-            raise ValueError("action must be a 1-D vector")
+        """Reject an entry that no buffer may hold: the widths must be the
+        buffer's, every value finite and states nonnegative (observations
+        are RAM-like values in [0, 255])."""
+        if state.ndim != 1 or next_state.ndim != 1 or action.ndim != 1:
+            raise ValueError("states and action must be 1-D vectors")
         if state.shape != next_state.shape:
             raise ValueError(f"state and next_state lengths differ: "
                              f"{state.size} vs {next_state.size}")
@@ -383,11 +388,15 @@ class ReplayBuffer:
                 f"dimension mismatch: buffer holds ({self.state_width}, "
                 f"{self.action_width}) vectors, got ({state.size}, "
                 f"{action.size})")
-        # Counting the entries >= 0 fails NaN too, and costs push less than a
-        # reduction such as all().
-        if (np.count_nonzero(state >= 0) != state.size
-                or np.count_nonzero(next_state >= 0) != next_state.size):
-            raise ValueError("state components must be nonnegative")
+        # A row a table stores passed this check, so only rows new to their
+        # table are checked.  NaN fails every comparison.
+        for vec in (state, next_state):
+            if (self._observations.find(vec)[0] is None
+                    and not (vec.min() >= 0.0 and vec.max() < math.inf)):
+                raise ValueError("states must be finite and nonnegative")
+        if (self._actions.find(action)[0] is None
+                and not -math.inf < action.min() <= action.max() < math.inf):
+            raise ValueError("actions must be finite")
         # math.isfinite costs push a fraction of a ufunc call on one float.
         if not math.isfinite(reward):
             raise ValueError("rewards must be finite")
@@ -440,10 +449,14 @@ class ReplayBuffer:
 
     # -- reading ------------------------------------------------------------
 
+    def _ring(self, ages: np.ndarray) -> np.ndarray:
+        """Physical slots of entries by age rank, 0 being the oldest."""
+        start = (self._next - self._size) % self.capacity
+        return (start + ages) % self.capacity
+
     def slots(self) -> np.ndarray:
         """Physical slots of all stored entries, oldest first."""
-        start = (self._next - self._size) % self.capacity
-        return (start + np.arange(self._size)) % self.capacity
+        return self._ring(np.arange(self._size))
 
     def zero_reward_slots(self) -> np.ndarray:
         """Slots whose original reward is zero, in ascending slot order, as
@@ -482,6 +495,10 @@ class ReplayBuffer:
         slots = np.asarray(slots)
         if slots.ndim != 1:
             raise ValueError(f"slots must be a 1-D array, got {slots.ndim}-D")
+        return self._gather(slots)
+
+    def _gather(self, slots: np.ndarray) -> Batch:
+        """The entries at an array of slots, as a Batch of copies."""
         pairs, next_states = self.ids_at(slots)
         return Batch(*self.state_actions(pairs), self._rewards[slots],
                      self.observations(next_states), self._terminals[slots],
@@ -498,9 +515,7 @@ class ReplayBuffer:
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
         self._require_entries("cannot sample")
-        logical = rng.integers(0, self._size, size=batch_size)
-        start = (self._next - self._size) % self.capacity
-        return (start + logical) % self.capacity
+        return self._ring(rng.integers(0, self._size, size=batch_size))
 
     # -- checkpoint rows ----------------------------------------------------
 
@@ -511,17 +526,8 @@ class ReplayBuffer:
 
     def _rows(self, slots: np.ndarray) -> np.ndarray:
         """Checkpoint rows of the entries at an array of slots."""
-        pairs, next_states = self.ids_at(slots)
-        rewards = self._rewards[slots, None]
-        originals = self._originals[slots, None]
-        return np.hstack([
-            *self.state_actions(pairs),
-            rewards,
-            self.observations(next_states),
-            self._terminals[slots, None].astype(np.float64),
-            originals,
-            (rewards != originals).astype(np.float64),
-        ])
+        batch = self._gather(slots)
+        return np.column_stack([*batch, batch.rewards != batch.originals])
 
     @classmethod
     def from_rows(cls, capacity: int, m1: int, m2: int, rows) -> "ReplayBuffer":
@@ -529,25 +535,24 @@ class ReplayBuffer:
         widths ``(m1, m2)`` holding the rows' entries, oldest first, in slots
         ``[0, len(rows))``.
 
-        Rejects anything but a 2-D array of rows ``2*m1 + m2 + 4`` values
-        wide, more rows than the capacity, flags other than exactly 0.0 or
-        1.0, a shaped flag that disagrees with "stored reward differs from
-        original", and stored rewards that are not finite.  Each entry then
-        goes in through :meth:`push` with its original reward, so it passes
-        the check a step does, and gets its stored reward after.
+        Rejects anything but a 2-D array of rows as wide as ``_row_widths``
+        lays them out, more rows than the capacity, flags other than exactly
+        0.0 or 1.0, a shaped flag that disagrees with "stored reward differs
+        from original", and stored rewards that are not finite.  Each entry
+        then goes in through :meth:`push` with its original reward, so it
+        passes the check a step does, and gets its stored reward after.
         """
         rows = np.asarray(rows, dtype=np.float64)
-        width = 2 * m1 + m2 + 4
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise ValueError(f"rows must be {width} values wide "
-                             f"(2*m1 + m2 + 4), got shape {rows.shape}")
+        widths = _row_widths(m1, m2)
+        if rows.ndim != 2 or rows.shape[1] != sum(widths):
+            raise ValueError(f"rows must be {sum(widths)} values wide for "
+                             f"widths ({m1}, {m2}), got shape {rows.shape}")
         count = rows.shape[0]
         if count > capacity:
             raise ValueError(f"{count} entries exceed the capacity {capacity}")
         buffer = cls(capacity, m1, m2)
-        bounds = np.cumsum([m1, m2, 1, m1, 1, 1])
         (states, actions, rewards, next_states, terminals, originals,
-         shaped) = np.split(rows, bounds, axis=1)
+         shaped) = np.split(rows, np.cumsum(widths[:-1]), axis=1)
         flags = np.hstack([terminals, shaped])
         if not np.all((flags == 0.0) | (flags == 1.0)):
             raise ValueError("terminal and shaped flags must be 0.0 or 1.0")
@@ -569,7 +574,7 @@ class ReplayBuffer:
 # buffer checkpoints
 # ---------------------------------------------------------------------------
 #
-# Binary layout (documented for external readers):
+# Binary layout (documented for external readers; ``_row_widths`` in code):
 #   bytes 0..39   header: five little-endian uint64 fields
 #                 (format_version, m1, m2, capacity, count)
 #   bytes 40..    count rows of (2*m1 + m2 + 4) little-endian float64 values,
@@ -590,7 +595,7 @@ def save_buffer(buffer: ReplayBuffer, path):
     header = _HEADER.pack(BUFFER_FORMAT_VERSION, buffer.state_width,
                           buffer.action_width, buffer.capacity, len(buffer))
     order = buffer.slots()
-    row_bytes = 8 * (2 * buffer.state_width + buffer.action_width + 4)
+    row_bytes = 8 * sum(_row_widths(buffer.state_width, buffer.action_width))
     step = max(1, _CHUNK_BYTES // row_bytes)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -611,7 +616,7 @@ def load_buffer(path) -> ReplayBuffer:
     version, m1, m2, capacity, count = _HEADER.unpack_from(raw)
     if version != BUFFER_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported buffer format version {version}")
-    row_width = 2 * m1 + m2 + 4
+    row_width = sum(_row_widths(m1, m2))
     expected = _HEADER.size + 8 * row_width * count
     if len(raw) != expected:
         raise ValueError(

@@ -74,6 +74,8 @@ class MlpNet:
             raise ValueError("need at least an input and an output size")
         if not 0.0 <= dropout < 1.0:
             raise ValueError("dropout probability must sit in [0, 1)")
+        if not np.isfinite(input_scale):
+            raise ValueError("input scale must be finite")
         self.layer_sizes = [int(n) for n in layer_sizes]
         self.dropout = float(dropout)
         self.input_scale = float(input_scale)
@@ -184,9 +186,6 @@ class MlpNet:
         return MlpNet(self.layer_sizes, dropout=self.dropout,
                       input_scale=self.input_scale, flat=flat)
 
-    def copy(self) -> "MlpNet":
-        return self.backed_by(self.flat.copy())
-
 
 class EstimatorParams:
     """The two estimator heads over one parameter vector.
@@ -218,10 +217,6 @@ class EstimatorParams:
     @property
     def n_params(self) -> int:
         return self.flat.size
-
-    def copy(self) -> "EstimatorParams":
-        """An independent copy (shares no memory with this one)."""
-        return EstimatorParams(q_net=self.q_net, v_net=self.v_net)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +454,9 @@ def save_params(params: EstimatorParams, path):
 def load_params(path) -> EstimatorParams:
     """Read a checkpoint written by :func:`save_params`.
 
-    Truncated or malformed input raises ValueError naming the file and the
-    line where parsing stopped.
+    Truncated or malformed input, a non-finite value among them, raises
+    ValueError naming the file and the line where parsing stopped; a net's
+    bad scale or dropout is reported at that net's header line.
     """
     try:
         with open(path) as fh:
@@ -474,8 +470,19 @@ def load_params(path) -> EstimatorParams:
         raise ValueError(f"{path}: unsupported parameter format version {version}")
     pos = 1
     nets = {}
+
+    def values(n):
+        """The n finite floats of the line at ``pos``, which moves past it."""
+        nonlocal pos
+        row = np.array([float(v) for v in lines[pos].split()])
+        if row.shape != (n,) or not np.isfinite(row).all():
+            raise ValueError(f"expected {n} finite values")
+        pos += 1
+        return row
+
     try:
         while pos < len(lines) and lines[pos]:
+            header = pos
             tag, name, _, input_scale, _, dropout, _, n_layers = lines[pos].split()
             if tag != "net" or int(n_layers) < 1:
                 raise ValueError("expected a net header with at least one layer")
@@ -489,21 +496,17 @@ def load_params(path) -> EstimatorParams:
                 if weights and in_n != weights[-1].shape[0]:
                     raise ValueError("layer width does not chain to the previous layer")
                 pos += 1
-                w = np.array(
-                    [[float(v) for v in lines[pos + r].split()] for r in range(out_n)]
-                ).reshape(out_n, in_n)
-                pos += out_n
+                weights.append(np.reshape([values(in_n) for _ in range(out_n)],
+                                          (out_n, in_n)))
                 if lines[pos] != "bias":
                     raise ValueError("expected a bias marker")
                 pos += 1
-                b = np.array([float(v) for v in lines[pos].split()])
-                if b.shape != (out_n,):
-                    raise ValueError(f"expected {out_n} bias values")
-                pos += 1
-                weights.append(w)
-                biases.append(b)
+                biases.append(values(out_n))
             sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+            # The net checks the scale and dropout of its header line.
+            pos, end = header, pos
             net = MlpNet(sizes, dropout=float(dropout), input_scale=float(input_scale))
+            pos = end
             for dst, src in zip(net.weights + net.biases, weights + biases):
                 dst[...] = src
             nets[name] = net

@@ -70,7 +70,9 @@ class LossBreakdown:
         return cls(0.0, 0.0, 0.0, 0.0, {"l_r": 0, "l_qv": 0, "l_s": 0})
 
 
-def _sigmoid(x):
+def _gate(q, threshold: float, sharpness: float):
+    """The smooth gate per row: sigmoid(sharpness * (max(q) - threshold))."""
+    x = sharpness * (q.max(axis=1) - threshold)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -82,6 +84,11 @@ def _sigmoid(x):
 def _check_mode(mode):
     if mode not in ("hard", "smooth"):
         raise ValueError(f"mode must be 'hard' or 'smooth', got {mode!r}")
+
+
+def _empty(params: EstimatorParams, mode: str):
+    """A term's (value, gradient, gate count) on an empty batch."""
+    return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
 
 
 def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
@@ -121,7 +128,7 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
         raise ValueError("supervised batch must contain only nonzero-reward transitions")
     n = len(batch)
     if n == 0:
-        return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
+        return _empty(params, mode)
     [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
         params, [batch.states], batch.actions, batch.next_states, dropout_rng
     )
@@ -135,7 +142,7 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
         value = float(np.mean(gate_on * (r - select(q, zset, threshold)) ** 2))
         return value, None, gate_count
 
-    gate = _sigmoid(sharpness * (q.max(axis=1) - threshold))
+    gate = _gate(q, threshold, sharpness)
     soft_sel, w = soft_select(q, zset, temperature)
     err = r - soft_sel
     value = float(np.mean(gate * err ** 2))
@@ -170,7 +177,7 @@ def loss_qv(params: EstimatorParams, batch: Batch, *, mode: str,
     _check_mode(mode)
     n = len(batch)
     if n == 0:
-        return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
+        return _empty(params, mode)
     # The ordering compares both heads on the *current* state.
     [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
         params, [batch.states], batch.actions, batch.states, dropout_rng
@@ -224,7 +231,7 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
         )
     n = len(batch)
     if n == 0:
-        return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
+        return _empty(params, mode)
     [(qh_w, cache_w), (qh_s, cache_s)], (vh, cache_v) = forward_heads(
         params, [weak_states, strong_states], batch.actions, batch.next_states,
         dropout_rng,
@@ -249,8 +256,8 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
         value = float(np.mean(both_on * cross_ent))
         return value, None, gate_count
 
-    gate_w = _sigmoid(sharpness * (q_w.max(axis=1) - threshold))
-    gate_s = _sigmoid(sharpness * (q_s.max(axis=1) - threshold))
+    gate_w = _gate(q_w, threshold, sharpness)
+    gate_s = _gate(q_s, threshold, sharpness)
     value = float(np.mean(gate_w * gate_s * cross_ent))
 
     # Gradients w.r.t. the two confidence vectors.  The pseudo-label index is

@@ -10,7 +10,6 @@ from ssrs.augment import (
     AugmentSpec,
     apply_augment,
     default_cutout_width,
-    double_entropy,
     partition_entropies,
     row_entropy,
     row_views,
@@ -26,6 +25,13 @@ def _random_traj(rng, n=6, m1=8, m2=3):
     return TrajectoryMatrix(states=rng.uniform(0, 255, size=(n, m1)),
                             actions=np.eye(m2)[rng.integers(0, m2, size=n)],
                             rewards=rng.normal(size=n))
+
+
+def _double_entropy(traj, n):
+    """The double-entropy transform of ``traj`` with ``n`` partitions; it
+    draws nothing from its generator."""
+    return apply_augment(AugmentSpec("double_entropy", {"n": n}), traj,
+                         np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +79,7 @@ class TestDoubleEntropy:
         traj = TrajectoryMatrix(states=np.ones((1, 4)),
                                 actions=np.ones((1, 2)),
                                 rewards=np.array([0.5]))
-        out = double_entropy(traj, 2)
+        out = _double_entropy(traj, 2)
         np.testing.assert_allclose(out.states[0], math.log(2) * np.ones(4),
                                    atol=1e-12)
         np.testing.assert_array_equal(out.actions, traj.actions)
@@ -83,7 +89,7 @@ class TestDoubleEntropy:
         traj = TrajectoryMatrix(states=np.zeros((3, 6)),
                                 actions=np.ones((3, 1)),
                                 rewards=np.zeros(3))
-        out = double_entropy(traj, 3)
+        out = _double_entropy(traj, 3)
         np.testing.assert_array_equal(out.states, np.zeros((3, 6)))
 
     def test_last_partition_absorbs_remainder(self):
@@ -92,7 +98,7 @@ class TestDoubleEntropy:
         states = rng.uniform(0, 1, size=(2, 5))
         traj = TrajectoryMatrix(states=states, actions=np.ones((2, 1)),
                                 rewards=np.zeros(2))
-        out = double_entropy(traj, 2)
+        out = _double_entropy(traj, 2)
         h_first = shannon_entropy(states[:, :2])
         h_last = shannon_entropy(states[:, 2:])
         np.testing.assert_allclose(out.states[:, :2], h_first * states[:, :2])
@@ -103,12 +109,12 @@ class TestDoubleEntropy:
                                 actions=np.ones((1, 1)),
                                 rewards=np.zeros(1))
         with pytest.raises(ValueError):
-            double_entropy(traj, 4)
+            _double_entropy(traj, 4)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            out = double_entropy(_random_traj(rng), 4)
+            out = _double_entropy(_random_traj(rng), 4)
             assert np.all(out.states >= 0)
 
 
@@ -337,7 +343,7 @@ def test_double_entropy_matches_per_partition_reference():
             lo, hi = i * width, (i + 1) * width if i < n - 1 else m1
             block = states[:, lo:hi]
             expected[:, lo:hi] = _entropy_reference(block) * block
-        assert double_entropy(traj, n).states.tobytes() == expected.tobytes()
+        assert _double_entropy(traj, n).states.tobytes() == expected.tobytes()
 
 
 def test_partition_entropies_match_per_partition_reference():

@@ -193,6 +193,21 @@ class TestCrossChecks:
         # out-of-grid positions are irrelevant for the chain environment
         parse_config("env.door_x = 99\n")
 
+    @pytest.mark.parametrize("key", ["partitions", "cutout_n"])
+    def test_augment_columns_within_the_state_width(self, key):
+        # The default chain's states are 24 values wide; the grid's 32.
+        apply_overrides(RunConfig(), [f"augment.{key}=24"])
+        for text in (f"augment.{key} = 25\n",
+                     f"env.length = 4\naugment.{key} = 9\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert str(err.value).startswith(f"augment.{key}: ")
+            assert "state width" in str(err.value)
+        with pytest.raises(ConfigError, match=f"augment.{key}"):
+            apply_overrides(RunConfig(), [f"augment.{key}=100"])
+        apply_overrides(RunConfig(), ["env.kind=key_door_grid",
+                                      f"augment.{key}=32"])
+
 
 class TestIntList:
     def test_values_and_whitespace(self):

@@ -133,15 +133,25 @@ def test_push_validates_shapes():
         (np.array([-1.0, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
         (np.ones(2), np.ones(1), 0.0, np.array([1.0, -2.0]), "nonnegative"),
         (np.array([np.nan, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
+        (np.array([np.inf, 2.0]), np.ones(1), 0.0, np.ones(2), "finite"),
+        (np.ones(2), np.ones(1), 0.0, np.array([1.0, np.inf]), "finite"),
+        (np.ones(2), np.array([np.nan]), 0.0, np.ones(2), "finite"),
+        (np.ones(2), np.array([-np.inf]), 0.0, np.ones(2), "finite"),
         (np.ones(2), np.ones(1), np.nan, np.ones(2), "finite"),
         (np.ones(2), np.ones(1), -np.inf, np.ones(2), "finite"),
     ]
+    # Into an empty buffer, and into one whose tables hold the valid rows
+    # ones(2) and ones(1), which the check does not look at again.
     for state, action, reward, next_state, match in cases:
-        buf = ReplayBuffer(2, 2, 1)
-        with pytest.raises(ValueError, match=match):
-            buf.push(state, action, reward, next_state, False)
-        assert len(buf) == 0 and (buf.state_width, buf.action_width) == (2, 1)
-        assert buf.nonzero_reward_count == 0
+        for held in (0, 1):
+            buf = ReplayBuffer(2, 2, 1)
+            if held:
+                buf.push(np.ones(2), np.ones(1), 0.0, np.ones(2), False)
+            with pytest.raises(ValueError, match=match):
+                buf.push(state, action, reward, next_state, False)
+            assert len(buf) == held
+            assert (buf.state_width, buf.action_width) == (2, 1)
+            assert buf.nonzero_reward_count == 0
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (2, -1, 1)])
@@ -302,6 +312,24 @@ def test_batch_arrays_returns_copies():
     assert not any(np.shares_memory(rewards, a) for a in stored)
 
 
+def test_to_rows_are_the_batch_fields_and_the_shaped_flag():
+    # A wrapped ring with shaped, unshaped and terminal entries.
+    rng = np.random.default_rng(6)
+    buf = ReplayBuffer(5, 3, 2)
+    for i in range(8):
+        _push(buf, rng.uniform(0.0, 9.0, size=3), reward=float(i % 3 == 0),
+              action=np.eye(2)[i % 2], terminal=i % 4 == 3)
+    buf.set_reward(np.array([1, 3]), np.array([0.25, 0.0]))
+    batch = buf.batch_arrays(buf.slots())
+    expected = np.column_stack([*batch, batch.rewards != batch.originals])
+    assert expected.dtype == np.float64 and expected.shape == (5, 12)
+    assert buf.to_rows().tobytes() == expected.tobytes()
+    # oldest first: pushes 3..7 sit in slots 3, 4, 0, 1, 2; slots 1 and 3
+    # hold the rewarded pushes 6 and 3, written away from their originals
+    assert buf.slots().tolist() == [3, 4, 0, 1, 2]
+    assert buf.to_rows()[:, -1].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+
+
 @pytest.mark.parametrize("slots", [1, np.int64(0), np.array([[0, 1]])],
                          ids=["int", "numpy-scalar", "2-D"])
 def test_batch_arrays_rejects_non_vector_slots(slots):
@@ -445,8 +473,10 @@ def test_load_buffer_rejects_unshaped_reward_off_original(tmp_path):
     ({0: np.nan}, "nonnegative"), ({3: -np.inf}, "nonnegative"),
     # shaped entries, so only the finite check can catch them
     ({2: np.nan, 6: 1.0}, "finite"), ({5: np.inf, 6: 1.0}, "finite"),
+    ({0: np.inf}, "finite"), ({1: np.nan}, "finite"), ({1: np.inf}, "finite"),
 ], ids=["state", "next-state", "nan-state", "inf-next-state",
-        "nan-shaped-reward", "inf-original"])
+        "nan-shaped-reward", "inf-original", "inf-state", "nan-action",
+        "inf-action"])
 def test_load_buffer_rejects_negative_states(tmp_path, edits, match):
     # The checks push makes on every step also guard every loaded row, and
     # cover stored and original rewards alike.

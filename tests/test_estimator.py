@@ -1,6 +1,7 @@
 """Estimator heads, confidence vectors, selection rules, buffer shaping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestMlpNet:
 
     def test_copy_is_independent(self):
         net = MlpNet.create([3, 4, 2], np.random.default_rng(5))
-        dup = net.copy()
+        dup = net.backed_by(net.flat.copy())
         dup.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != dup.weights[0][0, 0]
 
@@ -132,7 +133,7 @@ class TestMlpNet:
 
         flat0 = net.flat.copy()
         h = 1e-6
-        probe = net.copy()
+        probe = net.backed_by(net.flat.copy())
         for k in rng.choice(flat0.size, size=12, replace=False):
             bump = np.zeros_like(flat0)
             bump[k] = h
@@ -160,7 +161,7 @@ class TestEstimatorParams:
         np.testing.assert_array_equal(flat[split:], params.v_net.flat)
         np.testing.assert_array_equal(params.q_net.weights[0].ravel(),
                                       flat[:params.q_net.weights[0].size])
-        dup = params.copy()
+        dup = EstimatorParams(params.q_net, params.v_net)
         dup.flat[:] = 0.0
         assert np.all(dup.q_net.weights[0] == 0.0)
         np.testing.assert_array_equal(params.flat, flat)
@@ -197,16 +198,17 @@ class TestParameterVector:
         assert params.flat[-params.v_net.biases[-1].size] == 123.0
 
     def test_copy_shares_no_memory(self):
+        # Construction copies the given heads' values into a new vector.
         params = EstimatorParams.create(3, 2, 4, np.random.default_rng(22),
                                         hidden=(5,))
-        dup = params.copy()
+        dup = EstimatorParams(params.q_net, params.v_net)
         assert dup.flat.tobytes() == params.flat.tobytes()
         assert not np.shares_memory(dup.flat, params.flat)
         for net in (dup.q_net, dup.v_net):
             for layer in net.weights + net.biases:
                 assert np.shares_memory(layer, dup.flat)
                 assert not np.shares_memory(layer, params.flat)
-        net_dup = params.q_net.copy()
+        net_dup = params.q_net.backed_by(params.q_net.flat.copy())
         assert not np.shares_memory(net_dup.flat, params.flat)
 
     def test_rebinding_a_layer_raises(self):
@@ -797,6 +799,48 @@ class TestParamsIo:
             assert isinstance(back, EstimatorParams)
         # flips inside digits of a value still parse
         assert 0 < loaded < 8 * len(data)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_values_at_their_line(self, tmp_path, value):
+        params = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                        hidden=(3,))
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text().splitlines()
+        # line 2 heads net q, line 4 is its first weight row and line 8 its
+        # first bias row
+        assert lines[1].startswith("net q") and lines[6] == "bias"
+        for number, edit in ((2, lambda t: t.replace("scale 1 ",
+                                                     f"scale {value} ")),
+                             (4, lambda t: f"{value} {t.split(' ', 1)[1]}"),
+                             (8, lambda t: f"{t.rsplit(' ', 1)[0]} {value}")):
+            bad = list(lines)
+            bad[number - 1] = edit(bad[number - 1])
+            assert bad != lines
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(path))}: line "
+                                     f"{number}: .*finite"):
+                load_params(path)
+
+    def test_bad_dropout_named_at_its_net_header(self, tmp_path):
+        params = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                        hidden=(3,))
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text().splitlines()
+        v_header = next(i for i, t in enumerate(lines, start=1)
+                        if t.startswith("net v"))
+        for number in (2, v_header):
+            bad = list(lines)
+            tokens = bad[number - 1].split()
+            tokens[5] = "1.5"  # net <name> scale <s> dropout <p> layers <k>
+            bad[number - 1] = " ".join(tokens)
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(path))}: line "
+                                     f"{number}: dropout"):
+                load_params(path)
 
     @pytest.mark.parametrize("old, new", [
         ("layer 3 2", "layer 3 x"),      # non-integer width

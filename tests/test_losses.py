@@ -66,7 +66,7 @@ def _scripted(q_outputs, v_output=(1 / 3, 1 / 3, 1 / 3)):
                            v_net=_FixedNet(v_output))
 
 
-def _batch(rewards, m1=3, m2=2, seed=0, originals=None):
+def _batch(rewards, m1=3, m2=2, seed=0):
     rewards = np.asarray(rewards, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = rewards.size
@@ -75,7 +75,6 @@ def _batch(rewards, m1=3, m2=2, seed=0, originals=None):
         np.eye(m2)[rng.integers(0, m2, size=n)],
         rewards,
         rng.uniform(0.1, 1.0, size=(n, m1)),
-        originals=originals,
     )
 
 
