@@ -330,10 +330,16 @@ def _cmd_augment_check(args) -> int:
     params = {name: getattr(args, name) for name in ("sigma", "n", "low", "high")
               if getattr(args, name) is not None}
     spec = AugmentSpec(args.kind, params)
+    m1 = traj.states.shape[1]
+    # Cutout would clamp a larger count to the width, and double entropy
+    # cannot split the columns into more partitions than there are.
+    if (args.n is not None and args.kind in ("cutout", "double_entropy")
+            and args.n > m1):
+        raise CliError(f"--n: value {args.n} above the trajectory's state "
+                       f"width {m1}")
     rng = np.random.default_rng(_one_seed(args, 0))
     out = apply_augment(spec, traj, rng)
 
-    m1 = traj.states.shape[1]
     n_parts = args.n if (args.n and args.kind == "double_entropy") else min(8, m1)
     entropies = partition_entropies(traj.states[None], n_parts)[0].tolist()
 

@@ -237,9 +237,13 @@ class _Table:
             key += 1
         return rid, key
 
-    def intern(self, row: np.ndarray) -> int:
-        """The id of a 1-D row of the table's dtype, stored first if new."""
-        rid, key = self.find(row)
+    def intern(self, row: np.ndarray, found=None) -> int:
+        """The id of a 1-D row of the table's dtype, stored first if new.
+
+        ``found`` is :meth:`find`'s result for ``row``, passed only if the
+        table has not been rebuilt since that call and no row stored since
+        took its key."""
+        rid, key = self.find(row) if found is None else found
         if rid is not None:
             return rid
         rid = self.ids[key] = self.count
@@ -377,7 +381,8 @@ class ReplayBuffer:
     def _check_entry(self, state, action, reward, next_state):
         """Reject an entry that no buffer may hold: the widths must be the
         buffer's, every value finite and states nonnegative (observations
-        are RAM-like values in [0, 255])."""
+        are RAM-like values in [0, 255]).  Returns the tables' ``find``
+        results for the state, the action and the next state."""
         if state.ndim != 1 or next_state.ndim != 1 or action.ndim != 1:
             raise ValueError("states and action must be 1-D vectors")
         if state.shape != next_state.shape:
@@ -390,16 +395,19 @@ class ReplayBuffer:
                 f"{action.size})")
         # A row a table stores passed this check, so only rows new to their
         # table are checked.  NaN fails every comparison.
-        for vec in (state, next_state):
-            if (self._observations.find(vec)[0] is None
-                    and not (vec.min() >= 0.0 and vec.max() < math.inf)):
+        state_at = self._observations.find(state)
+        next_at = self._observations.find(next_state)
+        for vec, (rid, _) in ((state, state_at), (next_state, next_at)):
+            if rid is None and not (vec.min() >= 0.0 and vec.max() < math.inf):
                 raise ValueError("states must be finite and nonnegative")
-        if (self._actions.find(action)[0] is None
+        action_at = self._actions.find(action)
+        if (action_at[0] is None
                 and not -math.inf < action.min() <= action.max() < math.inf):
             raise ValueError("actions must be finite")
         # math.isfinite costs push a fraction of a ufunc call on one float.
         if not math.isfinite(reward):
             raise ValueError("rewards must be finite")
+        return state_at, action_at, next_at
 
     # -- writing ------------------------------------------------------------
 
@@ -412,19 +420,26 @@ class ReplayBuffer:
         state = np.asarray(state, dtype=np.float64)
         action = np.asarray(action, dtype=np.float64)
         next_state = np.asarray(next_state, dtype=np.float64)
-        self._check_entry(state, action, reward, next_state)
+        state_at, action_at, next_at = self._check_entry(
+            state, action, reward, next_state)
         slot = self._next
         full = self._size == self.capacity
         flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
+        observations = self._observations
         # A push adds at most two rows to a table.
-        if (self._observations.count + 2 > self._observations.limit
+        if (observations.count + 2 > observations.limit
                 or self._actions.count + 2 > self._actions.limit
                 or self._pairs.count + 2 > self._pairs.limit):
             self._rebuild_tables(slot if full else None)
+            # The rebuild renumbered every id: look each row up again.
+            state_at = action_at = next_at = None
+        elif state_at[0] is None and next_at == state_at:
+            # The new state takes the free key the next state's miss found.
+            next_at = None
         self._pair_ids[slot] = self._pairs.intern(np.array(
-            (self._observations.intern(state), self._actions.intern(action)),
-            dtype=np.intp))
-        self._next_state_ids[slot] = self._observations.intern(next_state)
+            (observations.intern(state, state_at),
+             self._actions.intern(action, action_at)), dtype=np.intp))
+        self._next_state_ids[slot] = observations.intern(next_state, next_at)
         self._rewards[slot] = reward
         self._terminals[slot] = terminal
         self._originals[slot] = reward
@@ -515,7 +530,9 @@ class ReplayBuffer:
         if batch_size <= 0:
             raise ValueError("batch size must be positive")
         self._require_entries("cannot sample")
-        return self._ring(rng.integers(0, self._size, size=batch_size))
+        ages = rng.integers(0, self._size, size=batch_size)
+        # Until the ring first fills, it starts at slot 0: an age is a slot.
+        return ages if self._size < self.capacity else self._ring(ages)
 
     # -- checkpoint rows ----------------------------------------------------
 

@@ -109,24 +109,33 @@ class BackboneQ:
         return row.index(max(row))
 
 
-def backbone_update(backbone: BackboneQ, buffer: ReplayBuffer,
-                    codes: np.ndarray, slots: np.ndarray, lr: float,
-                    discount: float):
+def backbone_update(backbone: BackboneQ, buffer: ReplayBuffer, codes: list,
+                    slots: np.ndarray, lr: float, discount: float):
     """Per-entry temporal-difference update of the entries at ``slots``,
     applied sequentially in the order of ``slots``.
 
-    ``codes[slot]`` holds the entry's state id, action index, next-state id
-    and terminal flag, written when the step was pushed; the reward is
+    ``codes[slot]`` is the entry's (state id, action index, next-state id,
+    terminal flag) tuple, written when the step was pushed; the reward is
     read from ``buffer`` (the stored reward, i.e. shaped where shaping has
     run).  Terminal entries use the reward alone as target.  The updates
     run on Python floats straight in ``backbone.rows``, which is the same
-    float64 arithmetic as updating an array entry by entry.
+    float64 arithmetic as updating an array entry by entry.  A two-wide
+    row's largest value is taken as ``b if b > a else a``, which is
+    builtin ``max``'s rule (a later value replaces only a smaller one), so
+    NaN and signed zeros come out the same.
     """
     rows = backbone.rows
-    for (sid, aid, next_id, terminal), reward in zip(
-            codes[slots].tolist(), buffer.rewards_at(slots).tolist()):
+    two_wide = len(rows[0]) == 2
+    for slot, reward in zip(slots.tolist(), buffer.rewards_at(slots).tolist()):
+        sid, aid, next_id, terminal = codes[slot]
+        if terminal:
+            target = reward
+        elif two_wide:
+            a, b = rows[next_id]
+            target = reward + discount * (b if b > a else a)
+        else:
+            target = reward + discount * max(rows[next_id])
         row = rows[sid]
-        target = reward if terminal else reward + discount * max(rows[next_id])
         row[aid] += lr * (target - row[aid])
 
 
@@ -147,17 +156,18 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("exploratory episodes need a generator")
+    state_id_of, greedy_action = env.state_id_of, backbone.greedy_action
     obs = env.reset()
-    sid = env.state_id_of(obs)
+    sid = state_id_of(obs)
     steps = 0
     total = 0.0
     while True:
         if epsilon > 0.0 and rng.random() < epsilon:
             action = int(rng.integers(env.n_actions))
         else:
-            action = backbone.greedy_action(sid)
+            action = greedy_action(sid)
         next_obs, reward, done = env.step(action)
-        next_sid = env.state_id_of(next_obs)
+        next_sid = state_id_of(next_obs)
         steps += 1
         total += reward
         if on_step is not None:
@@ -168,7 +178,10 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
 
 
 def evaluate(env, backbone: BackboneQ, n_episodes: int):
-    """Mean return and success rate over greedy episodes."""
+    """Mean return and success rate over ``n_episodes`` (at least 1) greedy
+    episodes."""
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     returns = []
     for _ in range(n_episodes):
         _, ret = run_episode(env, backbone, 0.0, None)
@@ -269,8 +282,11 @@ def train(config: RunConfig, out_dir=None):
     streams = spawn_streams(config.seed)
     backbone = BackboneQ.create(env.n_states, env.n_actions, config.q_init)
     buffer = ReplayBuffer(config.buffer_capacity, env.obs_width, env.n_actions)
-    # Per slot: state id, action index, next-state id, terminal flag.
-    codes = np.zeros((config.buffer_capacity, 4), dtype=np.int32)
+    # Per slot: (state id, action index, next-state id, terminal flag).
+    codes = [None] * config.buffer_capacity
+    # The buffer copies an action vector into its table, so one per action
+    # serves every push.
+    action_vectors = [env.action_vector(a) for a in range(env.n_actions)]
     zset = RewardSet.initial(config.n_z)
     params = cache = None
     if config.shaping:
@@ -289,12 +305,13 @@ def train(config: RunConfig, out_dir=None):
     rows = []
     last_score = 0.0
     final_success = 0.0
+    batch_size, batch_rng = config.batch_size, streams["batch"]
+    lr, discount = config.backbone_lr, config.discount
 
     def on_step(obs, sid, action, reward, next_obs, next_sid, done):
         # lam and p_u are the current episode's; shaped counts its writes.
         nonlocal zset, shaped
-        slot = buffer.push(obs, env.action_vector(action), reward, next_obs,
-                           done)
+        slot = buffer.push(obs, action_vectors[action], reward, next_obs, done)
         codes[slot] = sid, action, next_sid, done
         if reward != 0.0:
             zset = update_reward_set(zset, reward)
@@ -304,9 +321,8 @@ def train(config: RunConfig, out_dir=None):
                 and buffer.nonzero_reward_count > 0):
             shaped += shape_buffer(params, buffer, zset, lam, p_u,
                                    streams["shaping"], config.beta, cache)
-        slots = buffer.sample_slots(config.batch_size, streams["batch"])
-        backbone_update(backbone, buffer, codes, slots, config.backbone_lr,
-                        config.discount)
+        slots = buffer.sample_slots(batch_size, batch_rng)
+        backbone_update(backbone, buffer, codes, slots, lr, discount)
 
     for ep in range(horizon):
         lam = lambda_at(ep, horizon)

@@ -408,6 +408,23 @@ def test_augment_check_rejects_a_parameter_its_kind_does_not_read(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", ["cutout", "double_entropy"])
+def test_augment_check_rejects_n_above_the_state_width(tmp_path, capsys, kind):
+    # cutout would clamp 25 columns to the 24 there are and double entropy
+    # cannot make 25 partitions of them; both name --n and write nothing
+    assert main(["rollout", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    traj = str(tmp_path / "rollout.csv")
+    assert main(["augment-check", "--traj", traj, "--kind", kind, "--n", "25",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: --n: value 25 above the trajectory's state width 24\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["augment-check", "--traj", traj, "--kind", kind, "--n", "24",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "augmented.csv").is_file()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_augment_check_rejects_a_non_finite_trajectory_cell(tmp_path, capsys,
                                                            cell):

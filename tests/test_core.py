@@ -22,6 +22,7 @@ from ssrs.core import (
     save_trajectory,
     update_reward_set,
 )
+from ssrs.envs import KeyDoorGrid, SparseChain
 
 
 def _push(buf, state, reward=0.0, action=(1.0, 0.0), terminal=False,
@@ -267,6 +268,29 @@ def test_sample_consumes_one_generator_call():
     mirror = np.random.default_rng(11)
     mirror.integers(0, len(buf), size=7)
     assert rng.random() == mirror.random()
+
+
+@pytest.mark.parametrize("phase", ["before", "at", "past"])
+@settings(max_examples=40, deadline=None)
+@given(capacity=st.integers(1, 12), offset=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 32 - 1), batch_size=st.integers(1, 40))
+def test_sample_slots_are_the_ring_positions_of_the_draws(
+        phase, capacity, offset, seed, batch_size):
+    # a ring that has not wrapped starts at slot 0, so sample_slots may hand
+    # back its draws as slots; before, at and past the first wrap, the slots
+    # equal _ring of the same draws, dtype included
+    pushes = {"before": capacity - 1 - offset % capacity, "at": capacity,
+              "past": capacity + 1 + offset}[phase]
+    if pushes < 1:
+        return
+    buf = ReplayBuffer(capacity, 1, 1)
+    for i in range(pushes):
+        buf.push([float(i)], [1.0], 0.0, [float(i + 1)], False)
+    slots = buf.sample_slots(batch_size, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed).integers(0, len(buf), size=batch_size)
+    ring = buf._ring(draws)
+    assert slots.dtype == ring.dtype
+    assert slots.tobytes() == ring.tobytes()
 
 
 def test_batch_arrays_returns_copies():
@@ -752,6 +776,46 @@ def test_colliding_row_keys_change_no_id(monkeypatch, key):
     assert real[-1][-1] > 0
     monkeypatch.setattr(core, "_row_key", key)
     assert run() == real
+
+
+def _recorded_walk(env, steps, seed):
+    """(state, action vector, reward, next state, terminal) of ``steps``
+    uniformly random steps on ``env``, resetting after each episode."""
+    rng = np.random.default_rng(seed)
+    walk, obs = [], env.reset()
+    while len(walk) < steps:
+        action = int(rng.integers(env.n_actions))
+        next_obs, reward, done = env.step(action)
+        walk.append((obs, env.action_vector(action), reward, next_obs, done))
+        obs = env.reset() if done else next_obs
+    return walk
+
+
+@pytest.mark.parametrize("env, capacity", [
+    (SparseChain(length=6, max_steps=14), 3000),
+    (KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2),
+                 max_steps=15), 40),
+], ids=["chain", "grid-rebuilding"])
+def test_push_looks_each_row_up_once(monkeypatch, env, capacity):
+    # outside a rebuild, a push finds its state, action and next state once
+    # each and its (state, action) pair once: 4 row keys, where reusing no
+    # lookup takes 7
+    walk = _recorded_walk(env, 1500, seed=4)
+    calls = []
+    monkeypatch.setattr(core, "_row_key",
+                        lambda data: calls.append(None) or hash(data))
+    buf = ReplayBuffer(capacity, env.obs_width, env.n_actions)
+    per_push, rebuilds = [], 0
+    for entry in walk:
+        before, epoch = len(calls), buf.id_epoch
+        buf.push(*entry)
+        if buf.id_epoch == epoch:
+            per_push.append(len(calls) - before)
+        else:
+            rebuilds += 1
+    assert rebuilds == 0 if capacity > len(walk) else rebuilds > 5
+    assert len(per_push) == len(walk) - rebuilds
+    assert set(per_push) == {4}
 
 
 def test_buffer_holds_each_observation_once():

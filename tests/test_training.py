@@ -53,8 +53,8 @@ def _td_update(backbone, codes, rewards, lr, discount):
     buffer = ReplayBuffer(len(rewards), 1, 1)
     for reward in rewards:
         buffer.push([0.0], [1.0], reward, [0.0], False)
-    backbone_update(backbone, buffer, np.array(codes), buffer.slots(), lr,
-                    discount)
+    backbone_update(backbone, buffer, [tuple(code) for code in codes],
+                    buffer.slots(), lr, discount)
 
 
 def _chain_backbone(env, bias_right=True, init=0.0):
@@ -172,7 +172,7 @@ def _per_row_update(table, state_id_of, batch, lr, discount):
 def test_backbone_update_matches_per_row_loop(env):
     rng = np.random.default_rng(11)
     buffer = ReplayBuffer(400, env.obs_width, env.n_actions)
-    codes = np.zeros((buffer.capacity, 4), dtype=np.int32)
+    codes = [None] * buffer.capacity
 
     def push(obs, sid, action, reward, next_obs, next_sid, done):
         slot = buffer.push(obs, env.action_vector(action), reward, next_obs,
@@ -203,6 +203,47 @@ def test_backbone_update_matches_per_row_loop(env):
         _per_row_update(reference, env.state_id_of, batch, 0.3, 0.97)
     assert saw_repeat and saw_terminal
     assert backbone.table.tobytes() == reference.tobytes()
+
+
+# Ties, both signed zeros and NaN, so the order in which a row's largest
+# value is picked shows in the bytes.
+_TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, float("nan")])
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_backbone_update_matches_builtin_max_per_entry(width, data):
+    # backbone_update takes a two-wide row's largest value inline, and any
+    # other row's with max; on tied rows and signed zeros both must give the
+    # bytes of a per-entry loop that calls builtin max on every row
+    n_states = data.draw(st.integers(1, 5))
+    table = data.draw(st.lists(st.lists(_TIED, min_size=width,
+                                        max_size=width),
+                               min_size=n_states, max_size=n_states))
+    n_entries = data.draw(st.integers(1, 6))
+    codes = data.draw(st.lists(st.tuples(
+        st.integers(0, n_states - 1), st.integers(0, width - 1),
+        st.integers(0, n_states - 1), st.booleans()),
+        min_size=n_entries, max_size=n_entries))
+    rewards = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 0.3]),
+                                 min_size=n_entries, max_size=n_entries))
+    slots = np.array(data.draw(st.lists(st.integers(0, n_entries - 1),
+                                        min_size=1, max_size=12)))
+    lr, discount = data.draw(st.sampled_from([(0.5, 0.9), (1.0, 1.0)]))
+    buffer = ReplayBuffer(n_entries, 1, 1)
+    for reward in rewards:
+        buffer.push([0.0], [1.0], reward, [0.0], False)
+    backbone = BackboneQ(table)
+    backbone_update(backbone, buffer, codes, slots, lr, discount)
+    reference = [list(row) for row in table]
+    for slot in slots.tolist():
+        sid, aid, next_id, terminal = codes[slot]
+        reward = rewards[slot]
+        target = reward if terminal else reward + discount * max(
+            reference[next_id])
+        reference[sid][aid] += lr * (target - reference[sid][aid])
+    assert backbone.table.tobytes() == np.array(reference).tobytes()
 
 
 class TestEpsilonSchedule:
@@ -345,6 +386,13 @@ class TestEvaluate:
         assert evaluate(env, _chain_backbone(env, bias_right=True), 3) == (
             1.0, 1.0)
         assert calls == []
+
+    @pytest.mark.parametrize("n_episodes", [0, -1, -5])
+    def test_needs_at_least_one_episode(self, n_episodes):
+        # a mean over no episode would be NaN
+        env = SparseChain(length=5, max_steps=12)
+        with pytest.raises(ValueError, match="n_episodes must be at least 1"):
+            evaluate(env, _chain_backbone(env), n_episodes)
 
 
 class TestTrain:
