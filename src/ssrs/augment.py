@@ -80,8 +80,9 @@ class AugmentSpec:
         p = {**defaults, **self.params}
         if self.kind == "gaussian":
             p["sigma"] = float(p["sigma"])
-            if p["sigma"] < 0:
-                raise ValueError("gaussian sigma must be nonnegative")
+            if not 0.0 <= p["sigma"] < math.inf:  # NaN fails both
+                raise ValueError(f"gaussian sigma must be finite and "
+                                 f"nonnegative, got {p['sigma']}")
         elif self.kind in ("scale", "translate"):
             lo, hi = defaults["low"], defaults["high"]
             p["low"], p["high"] = float(p["low"]), float(p["high"])

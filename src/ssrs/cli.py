@@ -40,6 +40,7 @@ import argparse
 import json
 import os
 import sys
+import tokenize
 from dataclasses import replace
 from pathlib import Path
 
@@ -223,7 +224,9 @@ def _cmd_eval(args) -> int:
     try:
         with open(table_path, "rb") as fh:
             table = np.lib.format.read_array(fh)
-    except ValueError as exc:  # empty, truncated or not .npy
+    # empty, truncated or not .npy; a header with an unclosed bracket fails
+    # numpy's tokenizer
+    except (ValueError, tokenize.TokenError) as exc:
         raise CliError(f"{table_path}: {exc}") from None
     if table.dtype != np.float64:
         raise CliError(f"{table_path}: dtype {table.dtype} is not float64")
@@ -369,16 +372,16 @@ def _cmd_rollout(args) -> int:
     rng = np.random.default_rng(_one_seed(args, config.seed))
     env = make_env(config.env)
     obs = env.reset()
-    states, action_rows, rewards = [], [], []
+    states, actions, rewards = [], [], []
     done = False
     while not done:
         action = int(rng.integers(0, env.n_actions))
         states.append(obs)
-        action_rows.append(env.action_vector(action))
+        actions.append(action)
         obs, reward, done = env.step(action)
         rewards.append(reward)
     traj = TrajectoryMatrix(states=np.array(states),
-                            actions=np.array(action_rows),
+                            actions=env.action_vectors(actions),
                             rewards=np.array(rewards))
     (out_csv,) = _outputs(args, "rollout.csv")
     save_trajectory(traj, out_csv)

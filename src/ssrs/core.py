@@ -1,20 +1,19 @@
 """Shared domain containers: trajectory stacks, reward sets, replay batches,
 replay.
 
-The replay buffer is built with its capacity and its state and action
-widths.  It keeps both the stored (possibly shaped) reward and the original
-environment reward for every entry, so shaping is always reversible; an
-entry is shaped exactly when the two differ.  Every entry enters it through
-``ReplayBuffer.push``: ``ReplayBuffer.from_rows`` pushes each checkpoint
-entry, so there is one check on the way in.  The buffer stores each
-distinct observation, action vector and (state, action) pair once, in
-tables keyed alike, and each entry as ids into those tables; the tables
-keep no second copy of a row, and each holds at most ``4 * capacity`` rows.
-Shaping reads the ids (``ReplayBuffer.ids_at``); every other read of several
-whole entries at once (losses, analyses, checkpoints) is a ``Batch`` or
-checkpoint rows gathered from the tables; a TD update reads only stored
-rewards (``ReplayBuffer.rewards_at``).  ``save_buffer`` streams the rows to
-the file a fixed-size chunk at a time.
+The replay buffer is built with its capacity and a row source: the
+environment, which names each observation by a code and decodes codes to
+rows, or a ``RowTable`` of explicit rows.  A slot holds its entry as codes
+(state, action index, next state) next to its stored reward, original
+reward and terminal flag; it keeps both rewards, so shaping is always
+reversible, and an entry is shaped exactly when the two differ.  Every step
+enters through ``ReplayBuffer.push``, which takes codes; a checkpoint's
+entries enter through ``ReplayBuffer.from_rows``, over a ``RowTable`` of
+their distinct rows.  Shaping reads the codes (``ReplayBuffer.codes_at``);
+every other read of several whole entries at once (losses, analyses,
+checkpoints) is a ``Batch`` or checkpoint rows decoded from them; a TD
+update reads only stored rewards (``ReplayBuffer.rewards_at``).
+``save_buffer`` streams the rows to the file a fixed-size chunk at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ __all__ = [
     "RewardSet",
     "update_reward_set",
     "ReplayBuffer",
+    "RowTable",
     "save_buffer",
     "load_buffer",
     "save_trajectory",
@@ -200,99 +200,61 @@ def update_reward_set(zset: RewardSet, r_new: float) -> RewardSet:
 # replay buffer
 # ---------------------------------------------------------------------------
 
-# The dict key of a row's bytes in a ``_Table``.  Any function of the bytes
-# to an integer will do: every hit is checked against the stored row.
-_row_key = hash
+class RowTable:
+    """The row source of a buffer without an environment: observation code
+    ``i`` names ``states[i]`` and action index ``a`` names ``actions[a]``.
 
-
-class _Table:
-    """Distinct 1-D rows of one width and dtype, each stored once in
-    ``rows[:count]``, with ids handed out from 0 in order of first appearance.
-
-    A row is keyed by ``_row_key`` of its bytes, and a hit counts only if
-    the stored row has the same bytes; on a collision the lookup moves on
-    to the next integer key.  So ``0.0`` and ``-0.0`` are different rows,
-    no id depends on a hash value, and no copy of a row is kept but the one
-    in ``rows``.
-
-    The table holds at most ``limit`` rows, which is ``max(floor, 2 * the
-    rows kept by the last keep)``; the owner keeps ``count`` within it.
-    ``rows`` grows by doubling up to ``limit`` rows, and a keep that lowers
-    the limit shrinks it to fit.
+    The rows pass the checks every observation passes: states finite and
+    nonnegative (RAM-like values in [0, 255]), actions finite.
     """
 
-    def __init__(self, width: int, floor: int, dtype):
-        self.floor = self.limit = floor
-        self.count = 0
-        self.rows = np.zeros((min(64, floor), width), dtype=dtype)
-        self.ids = {}
+    def __init__(self, states, actions):
+        self.states = np.asarray(states, dtype=np.float64)
+        self.actions = np.asarray(actions, dtype=np.float64)
+        if self.states.ndim != 2 or self.actions.ndim != 2:
+            raise ValueError("state and action rows must be 2-D tables")
+        # NaN fails every comparison.
+        if not np.all((self.states >= 0.0) & (self.states < math.inf)):
+            raise ValueError("states must be finite and nonnegative")
+        if not np.isfinite(self.actions).all():
+            raise ValueError("actions must be finite")
+        self.n_codes, self.obs_width = self.states.shape
+        self.n_actions, self.action_width = self.actions.shape
 
-    def find(self, row: np.ndarray):
-        """(id of the stored row of ``row``'s bytes, or None if there is
-        none; the key of that row, or the free key a new one would take)."""
-        data = row.tobytes()
-        key = _row_key(data)
-        while ((rid := self.ids.get(key)) is not None
-               and self.rows[rid].tobytes() != data):
-            key += 1
-        return rid, key
+    def observations(self, codes) -> np.ndarray:
+        return self.states[codes]
 
-    def intern(self, row: np.ndarray, found=None) -> int:
-        """The id of a 1-D row of the table's dtype, stored first if new.
+    def action_vectors(self, actions) -> np.ndarray:
+        return self.actions[actions]
 
-        ``found`` is :meth:`find`'s result for ``row``, passed only if the
-        table has not been rebuilt since that call and no row stored since
-        took its key."""
-        rid, key = self.find(row) if found is None else found
-        if rid is not None:
-            return rid
-        rid = self.ids[key] = self.count
-        if rid == len(self.rows):
-            grown = np.zeros((min(2 * rid, self.limit), self.rows.shape[1]),
-                             dtype=self.rows.dtype)
-            grown[:rid] = self.rows
-            self.rows = grown
-        self.rows[rid] = row
-        self.count = rid + 1
-        return rid
 
-    def keep(self, live: np.ndarray, kept=None) -> np.ndarray:
-        """Keep only the rows of the ascending ids ``live``, renumbered from
-        0 in that order and replaced by the rows ``kept`` when given;
-        returns the map from old to new ids (-1 where a row was dropped)."""
-        remap = np.full(self.count, -1, dtype=np.intp)
-        remap[live] = np.arange(live.size)
-        self.rows[:live.size] = self.rows[live] if kept is None else kept
-        self.limit = max(self.floor, 2 * live.size)
-        if len(self.rows) > self.limit:
-            self.rows = self.rows[:self.limit].copy()
-        self.count = 0
-        self.ids = {}
-        for row in self.rows[:live.size]:
-            self.intern(row)
-        return remap
+def _distinct_rows(rows: np.ndarray):
+    """(the distinct rows of a 2-D float64 array in order of first
+    appearance, told apart by their bytes so that 0.0 and -0.0 differ; the
+    index of each row among them).
+
+    Keyed per row, not by ``np.unique(axis=0)``, which builds one
+    structured field per column: a header's width alone could exhaust
+    memory.
+    """
+    index, first, codes = {}, [], []
+    for i, row in enumerate(rows):
+        code = index.setdefault(row.tobytes(), len(first))
+        if code == len(first):
+            first.append(i)
+        codes.append(code)
+    return rows[first], np.array(codes, dtype=np.intp)
 
 
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with shaping bookkeeping.
 
-    Built with its capacity, state width and action width, and holds
-    entries of exactly those widths; an entry holds the ``Batch`` fields.
-    An entry is shaped exactly when its stored reward differs from its
+    Built with its capacity and a row source (the environment, or a
+    ``RowTable``) that names each observation by a code.  A slot holds the
+    codes of its state and next state and its action index, and the
+    source decodes them to the entry's rows.  An entry holds the ``Batch``
+    fields, and is shaped exactly when its stored reward differs from its
     original; the shaped flag of a checkpoint row is derived from that.
-
-    Each distinct observation is stored once, in one table shared by states
-    and next states, each distinct action vector once, and each distinct
-    (state id, action id) pair once; a slot holds the id of its pair and
-    of its next state (:meth:`ids_at`).  Ids are bytes-exact and stay fixed
-    while ``id_epoch`` does.  Every table is keyed the same way: a row (a
-    pair is a row of its two ids) by a hash of its bytes, checked against
-    the stored row on a hit.  Each table holds at most ``max(2 *
-    capacity, 2 * the rows it kept at the last rebuild)`` rows, so never
-    more than ``4 * capacity``: when a push might not fit, the tables are
-    rebuilt from the live slots, renumbering the ids, and ``id_epoch``
-    advances.  A rebuild costs O(capacity) and comes at most once per
-    ``capacity / 2`` pushes, so amortised O(1) per push.
 
     Slots are physical ring positions; they are returned by :meth:`push` and
     :meth:`sample_slots` and stay valid until the slot is overwritten by
@@ -305,33 +267,28 @@ class ReplayBuffer:
     zero and nonzero original reward.
     """
 
-    def __init__(self, capacity: int, state_width: int, action_width: int):
+    def __init__(self, capacity: int, rows):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if state_width < 1 or action_width < 1:
-            raise ValueError(f"state and action widths must be positive, "
-                             f"got ({state_width}, {action_width})")
         self.capacity = int(capacity)
-        self.state_width = int(state_width)
-        self.action_width = int(action_width)
-        self.id_epoch = 0
+        self.rows = rows
+        self.state_width, self.action_width = rows.obs_width, rows.action_width
+        if self.state_width < 1 or self.action_width < 1:
+            raise ValueError(f"state and action widths must be positive, "
+                             f"got ({self.state_width}, {self.action_width})")
         self._next = 0      # next physical slot to write
         self._size = 0
         try:
-            self._pair_ids = np.zeros(capacity, dtype=np.intp)
-            self._next_state_ids = np.zeros(capacity, dtype=np.intp)
+            self._states = np.zeros(capacity, dtype=np.intp)
+            self._actions = np.zeros(capacity, dtype=np.intp)
+            self._next_states = np.zeros(capacity, dtype=np.intp)
             self._rewards = np.zeros(capacity)
             self._terminals = np.zeros(capacity, dtype=bool)
             self._originals = np.zeros(capacity)
             self._index_zero_slots()
-            floor = 2 * self.capacity
-            self._observations = _Table(self.state_width, floor, np.float64)
-            self._actions = _Table(self.action_width, floor, np.float64)
-            self._pairs = _Table(2, floor, np.intp)
         except (MemoryError, ValueError):  # numpy: "array is too big"
             raise ValueError(
-                f"cannot allocate a buffer of capacity {capacity} and widths "
-                f"({state_width}, {action_width})") from None
+                f"cannot allocate a buffer of capacity {capacity}") from None
 
     # -- sizing -------------------------------------------------------------
 
@@ -359,87 +316,29 @@ class ReplayBuffer:
         self._zero_slots[:found.size] = found
         self._zero_count = found.size
 
-    def _rebuild_tables(self, evicted: int | None):
-        """Keep only the table rows that the occupied slots but ``evicted``
-        refer to, renumbering the ids; a new epoch of ids begins."""
-        live = np.ones(self._size, dtype=bool)
-        if evicted is not None:
-            live[evicted] = False
-        pair_ids = self._pair_ids[:self._size]
-        next_ids = self._next_state_ids[:self._size]
-        live_pairs = np.unique(pair_ids[live])
-        states, actions = self._pairs.rows[live_pairs].T
-        observation_map = self._observations.keep(
-            np.unique(np.concatenate([states, next_ids[live]])))
-        action_map = self._actions.keep(np.unique(actions))
-        pair_map = self._pairs.keep(live_pairs, np.column_stack(
-            [observation_map[states], action_map[actions]]))
-        pair_ids[:] = pair_map[pair_ids]
-        next_ids[:] = observation_map[next_ids]
-        self.id_epoch += 1
-
-    def _check_entry(self, state, action, reward, next_state):
-        """Reject an entry that no buffer may hold: the widths must be the
-        buffer's, every value finite and states nonnegative (observations
-        are RAM-like values in [0, 255]).  Returns the tables' ``find``
-        results for the state, the action and the next state."""
-        if state.ndim != 1 or next_state.ndim != 1 or action.ndim != 1:
-            raise ValueError("states and action must be 1-D vectors")
-        if state.shape != next_state.shape:
-            raise ValueError(f"state and next_state lengths differ: "
-                             f"{state.size} vs {next_state.size}")
-        if (state.size, action.size) != (self.state_width, self.action_width):
-            raise ValueError(
-                f"dimension mismatch: buffer holds ({self.state_width}, "
-                f"{self.action_width}) vectors, got ({state.size}, "
-                f"{action.size})")
-        # A row a table stores passed this check, so only rows new to their
-        # table are checked.  NaN fails every comparison.
-        state_at = self._observations.find(state)
-        next_at = self._observations.find(next_state)
-        for vec, (rid, _) in ((state, state_at), (next_state, next_at)):
-            if rid is None and not (vec.min() >= 0.0 and vec.max() < math.inf):
-                raise ValueError("states must be finite and nonnegative")
-        action_at = self._actions.find(action)
-        if (action_at[0] is None
-                and not -math.inf < action.min() <= action.max() < math.inf):
-            raise ValueError("actions must be finite")
-        # math.isfinite costs push a fraction of a ufunc call on one float.
-        if not math.isfinite(reward):
-            raise ValueError("rewards must be finite")
-        return state_at, action_at, next_at
-
     # -- writing ------------------------------------------------------------
 
     def push(self, state, action, reward, next_state, terminal) -> int:
         """Append one environment step, evicting the oldest entry when full.
 
-        ``action`` is vector-encoded (one-hot for discrete action spaces).
-        Returns the physical slot the step was written to.
+        ``state`` and ``next_state`` are integer observation codes of the
+        row source and ``action`` an action index.  Returns the physical
+        slot the step was written to.
         """
-        state = np.asarray(state, dtype=np.float64)
-        action = np.asarray(action, dtype=np.float64)
-        next_state = np.asarray(next_state, dtype=np.float64)
-        state_at, action_at, next_at = self._check_entry(
-            state, action, reward, next_state)
+        rows = self.rows
+        if not (0 <= state < rows.n_codes and 0 <= next_state < rows.n_codes
+                and 0 <= action < rows.n_actions):
+            raise ValueError(f"codes ({state}, {action}, {next_state}) "
+                             f"outside the row source")
+        # math.isfinite costs push a fraction of a ufunc call on one float.
+        if not math.isfinite(reward):
+            raise ValueError("rewards must be finite")
         slot = self._next
         full = self._size == self.capacity
         flips = full and (self._originals[slot] == 0.0) != (reward == 0.0)
-        observations = self._observations
-        # A push adds at most two rows to a table.
-        if (observations.count + 2 > observations.limit
-                or self._actions.count + 2 > self._actions.limit
-                or self._pairs.count + 2 > self._pairs.limit):
-            self._rebuild_tables(slot if full else None)
-            # The rebuild renumbered every id: look each row up again.
-            state_at = action_at = next_at = None
-        elif state_at[0] is None and next_at == state_at:
-            # The new state takes the free key the next state's miss found.
-            next_at = None
-        self._pair_ids[slot] = self._pairs.intern(np.array(
-            (observations.intern(state, state_at),
-             self._actions.intern(action, action_at)), dtype=np.intp))
-        self._next_state_ids[slot] = observations.intern(next_state, next_at)
+        self._states[slot] = state
+        self._actions[slot] = action
+        self._next_states[slot] = next_state
         self._rewards[slot] = reward
         self._terminals[slot] = terminal
         self._originals[slot] = reward
@@ -486,23 +385,10 @@ class ReplayBuffer:
         self._require_entries("no reward to read")
         return self._rewards[slots]
 
-    def ids_at(self, slots: np.ndarray):
-        """(pair ids, next-state ids) of the entries at an array of slots,
-        as copies.  A pair id names one distinct (state, action) and a
-        next-state id one distinct observation, bytes-exact;
-        :meth:`state_actions` and :meth:`observations` read them."""
-        return self._pair_ids[slots], self._next_state_ids[slots]
-
-    def observations(self, ids: np.ndarray) -> np.ndarray:
-        """The observations (states and next states) of an array of ids,
-        one row each, as a copy."""
-        return self._observations.rows[ids]
-
-    def state_actions(self, pair_ids: np.ndarray):
-        """(states, action vectors) of an array of pair ids, one row each,
-        as copies."""
-        states, actions = self._pairs.rows[pair_ids].T
-        return self._observations.rows[states], self._actions.rows[actions]
+    def codes_at(self, slots: np.ndarray):
+        """(state codes, action indices, next-state codes) of the entries at
+        an array of slots, as copies; the row source decodes them."""
+        return self._states[slots], self._actions[slots], self._next_states[slots]
 
     def batch_arrays(self, slots: np.ndarray) -> Batch:
         """The entries at a 1-D array of slots, as a Batch of copies."""
@@ -514,10 +400,11 @@ class ReplayBuffer:
 
     def _gather(self, slots: np.ndarray) -> Batch:
         """The entries at an array of slots, as a Batch of copies."""
-        pairs, next_states = self.ids_at(slots)
-        return Batch(*self.state_actions(pairs), self._rewards[slots],
-                     self.observations(next_states), self._terminals[slots],
-                     self._originals[slots])
+        states, actions, next_states = self.codes_at(slots)
+        rows = self.rows
+        return Batch(rows.observations(states), rows.action_vectors(actions),
+                     self._rewards[slots], rows.observations(next_states),
+                     self._terminals[slots], self._originals[slots])
 
     # -- sampling -----------------------------------------------------------
 
@@ -548,16 +435,18 @@ class ReplayBuffer:
 
     @classmethod
     def from_rows(cls, capacity: int, m1: int, m2: int, rows) -> "ReplayBuffer":
-        """Inverse of :meth:`to_rows`: a buffer of capacity ``capacity`` and
-        widths ``(m1, m2)`` holding the rows' entries, oldest first, in slots
-        ``[0, len(rows))``.
+        """Inverse of :meth:`to_rows`: a buffer of capacity ``capacity``
+        holding the rows' entries, oldest first, in slots ``[0, len(rows))``,
+        over a ``RowTable`` of their distinct observations and actions, told
+        apart by their bytes.
 
         Rejects anything but a 2-D array of rows as wide as ``_row_widths``
-        lays them out, more rows than the capacity, flags other than exactly
-        0.0 or 1.0, a shaped flag that disagrees with "stored reward differs
-        from original", and stored rewards that are not finite.  Each entry
-        then goes in through :meth:`push` with its original reward, so it
-        passes the check a step does, and gets its stored reward after.
+        lays them out for widths ``(m1, m2)``, more rows than the capacity,
+        flags other than exactly 0.0 or 1.0, a shaped flag that disagrees
+        with "stored reward differs from original", rewards that are not
+        finite, and rows the ``RowTable`` rejects.  Each entry then goes in
+        through :meth:`push` with its original reward, and gets its stored
+        reward after.
         """
         rows = np.asarray(rows, dtype=np.float64)
         widths = _row_widths(m1, m2)
@@ -567,7 +456,6 @@ class ReplayBuffer:
         count = rows.shape[0]
         if count > capacity:
             raise ValueError(f"{count} entries exceed the capacity {capacity}")
-        buffer = cls(capacity, m1, m2)
         (states, actions, rewards, next_states, terminals, originals,
          shaped) = np.split(rows, np.cumsum(widths[:-1]), axis=1)
         flags = np.hstack([terminals, shaped])
@@ -576,12 +464,14 @@ class ReplayBuffer:
         if np.any((shaped == 1.0) != (rewards != originals)):
             raise ValueError("an entry's shaped flag must be 1.0 exactly when "
                              "its stored reward differs from its original")
-        if not np.all(np.isfinite(rewards)):
+        if not np.all(np.isfinite(np.hstack([rewards, originals]))):
             raise ValueError("rewards must be finite")
-        # At most 2 * count <= 2 * capacity rows per table, within every
-        # table's ceiling: no rebuild.
-        for entry in zip(states, actions, originals[:, 0].tolist(),
-                         next_states, (terminals[:, 0] == 1.0).tolist()):
+        observations, codes = _distinct_rows(np.vstack([states, next_states]))
+        action_rows, action_ids = _distinct_rows(actions)
+        buffer = cls(capacity, RowTable(observations, action_rows))
+        for entry in zip(codes[:count].tolist(), action_ids.tolist(),
+                         originals[:, 0].tolist(), codes[count:].tolist(),
+                         (terminals[:, 0] == 1.0).tolist()):
             buffer.push(*entry)
         buffer._rewards[:count] = rewards[:, 0]
         return buffer

@@ -2,11 +2,15 @@
 
 Observations are RAM-like: nonnegative integer-valued vectors scaled to
 [0, 255], padded so the state width is a multiple of the default
-augmentation partition count.  Both environments also decode an
-observation to the compact discrete state id the tabular backbone indexes
-(``state_id_of``); ``training.run_episode`` decodes each observation once.
-The episode rules they share (checks, step count, goal-or-time-out end and
-reward) live once, in ``_Episode``.
+augmentation partition count.  An observation is a function of the
+walker's state id (the row the tabular backbone indexes) and the quantised
+step counters, so the environment names it by a code built from exactly
+those, ``state id * n_levels + level``: codes and observations are
+one-to-one.  ``code`` and ``state_id`` name the observation ``reset`` or
+``step`` last returned; ``observations`` decodes codes to rows through the
+formulas the step writes with.  The episode rules both environments share
+(checks, step count, goal-or-time-out end and reward) live once, in
+``_Episode``.
 """
 
 from __future__ import annotations
@@ -25,16 +29,32 @@ class _Episode:
     reaching the goal, and an end at the goal or after ``max_steps`` steps.
 
     A subclass checks its geometry, places the walker (``_start``), moves it
-    (``_move``, which returns whether the goal was reached) and encodes it
-    (``_obs``, ``raw_width`` values zero-padded to the partition multiple).
+    (``_move``, which returns whether the goal was reached), names its state
+    (``_state_id``), quantises the step count (``_counters``) and lays out
+    an observation (``_fields``: (column, value) pairs of ``raw_width``
+    values, zero-padded to the partition multiple; scalars or arrays).
     """
 
     def __init__(self, max_steps: int, n_actions: int, raw_width: int):
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         self.max_steps = int(max_steps)
-        self.n_actions = n_actions
+        # actions are one-hot vectors
+        self.n_actions = self.action_width = n_actions
         self.obs_width = math.ceil(raw_width / _PAD_MULTIPLE) * _PAD_MULTIPLE
+        # A counter is 255 * steps // max_steps or 255 * (max_steps - steps)
+        # // max_steps, so a counter tuple first shows at the step where the
+        # first counter reaches some k (ceil(k * max_steps / 255)) or at the
+        # step after it: these at most 512 steps meet every tuple.  Levels
+        # number the tuples in step order.
+        firsts = (-(-k * self.max_steps // 255) for k in range(256))
+        steps = sorted({min(s + d, self.max_steps) for s in firsts
+                        for d in (0, 1)})
+        tuples = dict.fromkeys(self._counters(s) for s in steps)
+        self._level_of = {c: level for level, c in enumerate(tuples)}
+        self._level_counters = np.array(list(tuples))
+        self.n_levels = len(tuples)
+        self.n_codes = self.n_states * self.n_levels
         self._start()
         self._steps = 0
         self._done = True
@@ -43,12 +63,12 @@ class _Episode:
         self._start()
         self._steps = 0
         self._done = False
-        return self._obs()
+        return self._observe()
 
-    def action_vector(self, action: int) -> np.ndarray:
-        vec = np.zeros(self.n_actions)
-        vec[action] = 1.0
-        return vec
+    def action_vectors(self, actions) -> np.ndarray:
+        """The one-hot vector of an action index, or one row per index of
+        an array of them."""
+        return np.eye(self.n_actions)[actions]
 
     def step(self, action: int):
         if self._done:
@@ -58,7 +78,29 @@ class _Episode:
         goal = self._move(action)
         self._steps += 1
         self._done = goal or self._steps >= self.max_steps
-        return self._obs(), 1.0 if goal else 0.0, self._done
+        return self._observe(), 1.0 if goal else 0.0, self._done
+
+    def _observe(self) -> np.ndarray:
+        """The current observation, after setting ``state_id`` and ``code``
+        to name it."""
+        self.state_id = sid = self._state_id()
+        counters = self._counters(self._steps)
+        self.code = sid * self.n_levels + self._level_of[counters]
+        obs = np.zeros(self.obs_width)
+        for column, value in self._fields(sid, counters):
+            obs[column] = value
+        return obs
+
+    def observations(self, codes) -> np.ndarray:
+        """The observation rows of a 1-D array of codes this environment
+        gave, one row per code, written field by field; no table of every
+        code is kept."""
+        sids, levels = np.divmod(np.asarray(codes), self.n_levels)
+        rows = np.zeros((sids.size, self.obs_width))
+        index = np.arange(sids.size)
+        for column, value in self._fields(sids, self._level_counters[levels].T):
+            rows[index, column] = value
+        return rows
 
 
 class SparseChain(_Episode):
@@ -87,21 +129,19 @@ class SparseChain(_Episode):
             self._pos = min(self.length - 1, self._pos + 1)
         return self._pos == self.length - 1
 
-    def _obs(self) -> np.ndarray:
-        obs = np.zeros(self.obs_width)
-        obs[self._pos] = 255.0
-        base = self.length
-        obs[base] = float(round(255.0 * self._pos / (self.length - 1)))
-        obs[base + 1] = float(255 * self._steps // self.max_steps)
-        obs[base + 2] = float(255 * (self.max_steps - self._steps) // self.max_steps)
-        obs[base + 3] = 255.0
-        return obs
-
-    @property
-    def state_id(self) -> int:
-        """Id of the current state, read from the walker's position rather
-        than decoded; the independent reference for ``state_id_of``."""
+    def _state_id(self) -> int:
         return self._pos
+
+    def _counters(self, steps):
+        return (255 * steps // self.max_steps,
+                255 * (self.max_steps - steps) // self.max_steps)
+
+    def _fields(self, pos, counters):
+        base = self.length
+        elapsed, remaining = counters
+        scaled = np.rint(255.0 * pos / (self.length - 1))
+        return ((pos, 255.0), (base, scaled), (base + 1, elapsed),
+                (base + 2, remaining), (base + 3, 255.0))
 
     def state_id_of(self, obs) -> int:
         """State id of an observation: the hot cell of its one-hot position."""
@@ -114,7 +154,8 @@ class KeyDoorGrid(_Episode):
     Actions: 0 up, 1 down, 2 left, 3 right; moves into walls stay put.
     Walking onto the key cell (silently) grants the key; the door cell
     terminates with reward only while holding the key.  The episode also
-    ends after ``max_steps`` steps.
+    ends after ``max_steps`` steps.  A state id is the cell index doubled,
+    plus one while the key is held.
     """
 
     def __init__(self, width: int = 5, height: int = 5,
@@ -149,23 +190,16 @@ class KeyDoorGrid(_Episode):
             self._has_key = True
         return (self._x, self._y) == self.door_pos and self._has_key
 
-    def _cell(self) -> int:
-        return self._y * self.width + self._x
+    def _state_id(self) -> int:
+        return (self._y * self.width + self._x) * 2 + int(self._has_key)
 
-    def _obs(self) -> np.ndarray:
-        obs = np.zeros(self.obs_width)
-        obs[self._cell()] = 255.0
-        base = self.width * self.height
-        obs[base] = 255.0 if self._has_key else 0.0
-        obs[base + 1] = float(255 * self._steps // self.max_steps)
-        obs[base + 2] = 255.0
-        return obs
+    def _counters(self, steps):
+        return (255 * steps // self.max_steps,)
 
-    @property
-    def state_id(self) -> int:
-        """Id of the current state, read from the walker's cell and key flag
-        rather than decoded; the independent reference for ``state_id_of``."""
-        return self._cell() * 2 + int(self._has_key)
+    def _fields(self, sid, counters):
+        cells = self.width * self.height
+        return ((sid // 2, 255.0), (cells, 255.0 * (sid % 2)),
+                (cells + 1, counters[0]), (cells + 2, 255.0))
 
     def state_id_of(self, obs) -> int:
         """State id of an observation: the cell index doubled, plus one while

@@ -12,9 +12,10 @@ formula: the two-head forward (``forward_heads``), the confidence mix
 Buffer shaping and the losses both build on them.
 Shaping scores each distinct input of the replay buffer at most once per
 estimator version: a ``ConfidenceCache`` keeps the state-action head's
-output per (state id, action id) and the state head's per next-state id.
-The state head runs first, and the state-action head only on entries whose
-state-head bound leaves a candidate able to beat the threshold.
+output per (state code, action index) and the state head's per next-state
+code, the codes the buffer stores.  The state head runs first, and the
+state-action head only on entries whose state-head bound leaves a
+candidate able to beat the threshold.
 
 The networks are plain numpy with hand-written backward passes so gradients
 can be audited against finite differences.  All parameters live in one
@@ -284,29 +285,29 @@ def pseudo_label(q, threshold: float):
 # ---------------------------------------------------------------------------
 
 class _HeadOutputs:
-    """One head's output vectors indexed by input id, each stamped with the
-    estimator version it was computed under.
+    """One head's output vectors indexed by input code, each stamped with
+    the estimator version it was computed under.
 
-    The arrays grow with the largest id seen; a row never computed carries
-    version -1, so it is never fresh.
+    The arrays grow with the largest code seen; a row never computed
+    carries version -1, so it is never fresh.
     """
 
     def __init__(self):
         self.versions = np.empty(0, dtype=np.int64)
         self.values = None
 
-    def outputs(self, ids: np.ndarray, version: int, score) -> np.ndarray:
-        """The vector of each entry of ``ids``.  ``score`` is called once,
-        on the ascending distinct ids without a vector of ``version``, and
-        returns one row per id it is given; nothing is called when there
+    def outputs(self, codes: np.ndarray, version: int, score) -> np.ndarray:
+        """The vector of each entry of ``codes``.  ``score`` is called once,
+        on the ascending distinct codes without a vector of ``version``, and
+        returns one row per code it is given; nothing is called when there
         are none."""
-        top = int(ids.max())
+        top = int(codes.max())
         if top >= self.versions.size:
             self._grow(top + 1)
-        stale = self.versions[ids] != version
+        stale = self.versions[codes] != version
         if stale.any():
             # np.unique, without its per-call overhead
-            distinct = np.sort(ids[stale])
+            distinct = np.sort(codes[stale])
             first = np.empty(distinct.size, dtype=bool)
             first[0] = True
             np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
@@ -316,7 +317,7 @@ class _HeadOutputs:
                 self.values = np.empty((self.versions.size, scored.shape[1]))
             self.values[distinct] = scored
             self.versions[distinct] = version
-        return self.values[ids]
+        return self.values[codes]
 
     def _grow(self, n: int):
         size = max(n, 2 * self.versions.size)
@@ -333,36 +334,28 @@ class ConfidenceCache:
     """Head outputs of a buffer's distinct shaping inputs, kept per
     estimator version.
 
-    The state-action head's output is kept per (state id, action id), that
-    is per pair id, and the state head's per next-state id, as
-    ``ReplayBuffer.ids_at`` gives them.  A head output depends only on the
+    The state head's output is kept per next-state code, and the
+    state-action head's per ``state code * n_actions + action index``, as
+    ``ReplayBuffer.codes_at`` gives them.  A head output depends only on the
     parameters and its input; not on the slot, its stored reward, the mix,
-    the threshold or the candidate set.  So every slot holding an input
-    shares one vector, and a push needs no bookkeeping.  Each vector
-    carries the version it was computed under and is fresh while that is
-    ``version``.  A vector is computed only when a pass asks for it, so a
-    pair whose entries the state-head bound prunes stays unscored until a
-    later pass needs it.  The owner calls :meth:`clear` after every
-    parameter update.  A rebuild of the buffer's id tables (a new
-    ``ReplayBuffer.id_epoch``) drops every vector.  One cache serves one
-    buffer.
+    the threshold or the candidate set.  A code names one input for as long
+    as the buffer's row source lives, so every slot holding an input shares
+    one vector, and a push needs no bookkeeping.  Each vector carries the
+    version it was computed under and is fresh while that is ``version``.
+    A vector is computed only when a pass asks for it, so a pair whose
+    entries the state-head bound prunes stays unscored until a later pass
+    needs it.  The owner calls :meth:`clear` after every parameter update.
+    One cache serves one buffer.
     """
 
     def __init__(self):
         self.version = 0
-        self._id_epoch = 0
         self.q = _HeadOutputs()
         self.v = _HeadOutputs()
 
     def clear(self):
         """Start a new estimator version: every stored vector is stale."""
         self.version += 1
-
-    def follow(self, id_epoch: int):
-        """Drop every vector if the buffer's ids were renumbered."""
-        if id_epoch != self._id_epoch:
-            self._id_epoch = id_epoch
-            self.q, self.v = _HeadOutputs(), _HeadOutputs()
 
 
 def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
@@ -401,18 +394,20 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     if k <= 0:
         return 0
     chosen = candidates[rng.choice(candidates.size, size=k, replace=False)]
-    pair_ids, next_ids = buffer.ids_at(chosen)
-    cache.follow(buffer.id_epoch)
+    states, actions, next_states = buffer.codes_at(chosen)
+    rows = buffer.rows
     v_out = cache.v.outputs(
-        next_ids, cache.version,
-        lambda ids: params.v_net.forward(buffer.observations(ids))[0])
+        next_states, cache.version,
+        lambda codes: params.v_net.forward(rows.observations(codes))[0])
     live = mix_heads(1.0, v_out.max(axis=1), mix) > threshold
     values = np.zeros(k)
     if live.any():
+        n_actions = rows.n_actions
         q_out = cache.q.outputs(
-            pair_ids[live], cache.version,
-            lambda ids: params.q_net.forward(
-                _state_action_input(*buffer.state_actions(ids)))[0])
+            states[live] * n_actions + actions[live], cache.version,
+            lambda pairs: params.q_net.forward(_state_action_input(
+                rows.observations(pairs // n_actions),
+                rows.action_vectors(pairs % n_actions)))[0])
         values[live] = select(mix_heads(q_out, v_out[live], mix), zset,
                               threshold)
     buffer.set_reward(chosen, values)

@@ -9,15 +9,15 @@ its own streams, so disabling shaping never shifts the backbone's draws and
 a shaped run's trajectory is bit-identical to vanilla until the first
 nonzero reward has been observed.
 
-``run_episode`` only acts, and decodes each observation to its state id
-once; ``train`` hands it a step hook that, per environment step and in
-this order, pushes the step into the replay buffer and writes the slot's
-integer codes (state id, action index, next-state id, terminal flag),
-folds a nonzero reward into the candidate set, runs a shaping pass and
-applies one TD batch.  TD reads the drawn slots' codes and stored
-rewards, nothing else of the buffer.  Shaping scores each distinct
-(state, action) and next state of the buffer at most once per estimator
-step, keyed by the ids the buffer gives each distinct observation.
+``run_episode`` only acts, and reads each observation's code and state
+id from the environment, which names them as it steps; ``train`` hands it
+a step hook that, per environment step and in this order, pushes the
+step's codes into the replay buffer and writes the slot's TD codes (state
+id, action index, next-state id, terminal flag), folds a nonzero reward
+into the candidate set, runs a shaping pass and applies one TD batch.  TD
+reads the drawn slots' TD codes and stored rewards, nothing else of the
+buffer.  Shaping scores each distinct (state, action) and next state of
+the buffer at most once per estimator step, keyed by their codes.
 Greedy evaluation runs on the same environment, passes no hook and stores
 nothing.  ``train`` appends one row of measured values per episode and
 builds its :class:`RunRecord` from them once.
@@ -149,16 +149,16 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
 
     While epsilon > 0, each step consumes one uniform draw (plus one integer
     draw when exploring); greedy runs (epsilon == 0) consume nothing.
-    ``on_step(state, sid, action, reward, next_state, next_sid, terminal)``
-    fires after each environment step, with the action index and the ids
-    ``env.state_id_of`` gave: each observation is decoded once.
-    Returns (steps, episode return).
+    ``on_step(code, sid, action, reward, next_code, next_sid, terminal)``
+    fires after each environment step, with the observation codes and state
+    ids the environment gave (``env.code``, ``env.state_id``) and the action
+    index.  Returns (steps, episode return).
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("exploratory episodes need a generator")
-    state_id_of, greedy_action = env.state_id_of, backbone.greedy_action
-    obs = env.reset()
-    sid = state_id_of(obs)
+    greedy_action = backbone.greedy_action
+    env.reset()
+    code, sid = env.code, env.state_id
     steps = 0
     total = 0.0
     while True:
@@ -166,13 +166,13 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
             action = int(rng.integers(env.n_actions))
         else:
             action = greedy_action(sid)
-        next_obs, reward, done = env.step(action)
-        next_sid = state_id_of(next_obs)
+        _, reward, done = env.step(action)
+        next_code, next_sid = env.code, env.state_id
         steps += 1
         total += reward
         if on_step is not None:
-            on_step(obs, sid, action, reward, next_obs, next_sid, done)
-        obs, sid = next_obs, next_sid
+            on_step(code, sid, action, reward, next_code, next_sid, done)
+        code, sid = next_code, next_sid
         if done:
             return steps, total
 
@@ -281,12 +281,11 @@ def train(config: RunConfig, out_dir=None):
     env = make_env(config.env)
     streams = spawn_streams(config.seed)
     backbone = BackboneQ.create(env.n_states, env.n_actions, config.q_init)
-    buffer = ReplayBuffer(config.buffer_capacity, env.obs_width, env.n_actions)
-    # Per slot: (state id, action index, next-state id, terminal flag).
+    buffer = ReplayBuffer(config.buffer_capacity, env)
+    # TD codes per slot: (state id, action index, next-state id, terminal
+    # flag).  TD reads them as one tuple per entry, which costs less than
+    # reading the buffer's codes and mapping them to state ids per batch.
     codes = [None] * config.buffer_capacity
-    # The buffer copies an action vector into its table, so one per action
-    # serves every push.
-    action_vectors = [env.action_vector(a) for a in range(env.n_actions)]
     zset = RewardSet.initial(config.n_z)
     params = cache = None
     if config.shaping:
@@ -308,10 +307,10 @@ def train(config: RunConfig, out_dir=None):
     batch_size, batch_rng = config.batch_size, streams["batch"]
     lr, discount = config.backbone_lr, config.discount
 
-    def on_step(obs, sid, action, reward, next_obs, next_sid, done):
+    def on_step(code, sid, action, reward, next_code, next_sid, done):
         # lam and p_u are the current episode's; shaped counts its writes.
         nonlocal zset, shaped
-        slot = buffer.push(obs, action_vectors[action], reward, next_obs, done)
+        slot = buffer.push(code, action, reward, next_code, done)
         codes[slot] = sid, action, next_sid, done
         if reward != 0.0:
             zset = update_reward_set(zset, reward)

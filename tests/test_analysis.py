@@ -14,7 +14,8 @@ from ssrs.analysis import (
     reward_distribution,
     trajectory_consensus,
 )
-from ssrs.core import ReplayBuffer
+
+from row_buffer import RowBuffer
 
 
 def _two_clouds(n_per=30, d=2, gap=10.0, seed=0):
@@ -126,7 +127,7 @@ class TestConsensus:
 
 class TestBufferFeatures:
     def test_layout_and_trajectory_ids(self):
-        buf = ReplayBuffer(64, 3, 2)
+        buf = RowBuffer(64, 3, 2)
         _push_episode(buf, anchor=0.0, length=3)
         _push_episode(buf, anchor=5.0, length=2)
         features, traj_ids = buffer_features(buf)
@@ -136,7 +137,7 @@ class TestBufferFeatures:
         np.testing.assert_array_equal(features[:, -1], [0, 0, 1, 0, 1])
 
     def test_trajectory_consensus_blocks(self):
-        buf = ReplayBuffer(256, 3, 2)
+        buf = RowBuffer(256, 3, 2)
         for anchor in (0.0, 0.1, 7.0, 7.1):
             _push_episode(buf, anchor=anchor, length=4)
         matrix, n_traj = trajectory_consensus(buf, k=2, runs=15, seed=0)
@@ -147,10 +148,10 @@ class TestBufferFeatures:
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            trajectory_consensus(ReplayBuffer(8, 3, 2), k=2, runs=2)
+            trajectory_consensus(RowBuffer(8, 3, 2), k=2, runs=2)
 
     def test_requires_runs(self):
-        buf = ReplayBuffer(16, 3, 2)
+        buf = RowBuffer(16, 3, 2)
         _push_episode(buf, anchor=0.0, length=3)
         with pytest.raises(ValueError, match="at least one run"):
             trajectory_consensus(buf, k=2, runs=0)
@@ -158,9 +159,9 @@ class TestBufferFeatures:
 
 class TestRewardDistribution:
     def test_probabilities_sum_to_one(self):
-        buf = ReplayBuffer(64, 3, 2)
+        buf = RowBuffer(64, 3, 2)
         _push_episode(buf, anchor=1.0, length=6, reward=3.0)
-        other = ReplayBuffer(64, 3, 2)
+        other = RowBuffer(64, 3, 2)
         _push_episode(other, anchor=2.0, length=5, reward=-2.0)
         edges, rows = reward_distribution({"a": buf, "b": other}, bins=8)
         assert edges.size == 9
@@ -169,7 +170,7 @@ class TestRewardDistribution:
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_signed_log_bin_support(self):
-        buf = ReplayBuffer(16, 3, 2)
+        buf = RowBuffer(16, 3, 2)
         _push_episode(buf, anchor=0.5, length=2, reward=np.e - 1.0)
         edges, rows = reward_distribution({"only": buf}, bins=4)
         # transformed rewards are 0 and ln(e) = 1
@@ -177,7 +178,7 @@ class TestRewardDistribution:
         assert edges[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_equal_rewards_single_bin(self):
-        buf = ReplayBuffer(16, 2, 1)
+        buf = RowBuffer(16, 2, 1)
         for _ in range(4):
             buf.push(np.ones(2), np.ones(1), 0.0, np.ones(2), False)
         edges, rows = reward_distribution({"flat": buf}, bins=10)
@@ -185,9 +186,9 @@ class TestRewardDistribution:
         assert rows == [("flat", -0.5, 0.5, 1.0)]
 
     def test_shared_edges_across_snapshots(self):
-        small = ReplayBuffer(16, 3, 2)
+        small = RowBuffer(16, 3, 2)
         _push_episode(small, anchor=0.2, length=3, reward=1.0)
-        large = ReplayBuffer(16, 3, 2)
+        large = RowBuffer(16, 3, 2)
         _push_episode(large, anchor=0.3, length=3, reward=50.0)
         edges, rows = reward_distribution({"s": small, "l": large}, bins=6)
         lefts_s = [l for e, l, _, _ in rows if e == "s"]
@@ -198,7 +199,7 @@ class TestRewardDistribution:
         with pytest.raises(ValueError):
             reward_distribution({})
         with pytest.raises(ValueError):
-            reward_distribution({"empty": ReplayBuffer(4, 3, 2)})
+            reward_distribution({"empty": RowBuffer(4, 3, 2)})
 
 
 class TestBestScoreSeries:

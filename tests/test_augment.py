@@ -135,6 +135,12 @@ def test_spec_validation():
     assert AugmentSpec("double_entropy").params["n"] == 8
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_gaussian_sigma_must_be_finite_and_nonnegative(sigma):
+    with pytest.raises(ValueError, match="gaussian sigma must be finite"):
+        AugmentSpec("gaussian", {"sigma": sigma})
+
+
 @pytest.mark.parametrize("kind, params, unread", [
     ("flip", {"sigma": 0.5}, "sigma"),
     ("gaussian", {"sigma": 0.2, "n": 3}, "n"),

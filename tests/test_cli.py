@@ -425,6 +425,19 @@ def test_augment_check_rejects_n_above_the_state_width(tmp_path, capsys, kind):
     assert (tmp_path / "o" / "augmented.csv").is_file()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_augment_check_names_a_non_finite_sigma(tmp_path, capsys, sigma):
+    # it used to reach the trajectory and fail with "states must be finite"
+    assert main(["rollout", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["augment-check", "--traj", str(tmp_path / "rollout.csv"),
+                 "--kind", "gaussian", "--sigma", sigma,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: gaussian sigma must be finite and nonnegative, got {sigma}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_augment_check_rejects_a_non_finite_trajectory_cell(tmp_path, capsys,
                                                            cell):
@@ -461,6 +474,9 @@ BAD_TABLES = {
     "truncated_data": lambda good: good[:-5],
     "truncated_header": lambda good: good[:20],
     "not_npy": lambda good: b"not an array\n",
+    # 'shape': (20, 2, in place of (20, 2): numpy's header parse raises
+    # tokenize.TokenError, not ValueError
+    "unclosed_shape": lambda good: good.replace(b")", b",", 1),
 }
 
 
@@ -508,9 +524,9 @@ BAD_BUFFERS = {
     "empty": lambda good: b"",
     "truncated": lambda good: good[:-1],
     "trailing_byte": lambda good: good + b"\0",
-    # an empty buffer whose state width no table can hold
-    "unallocatable_width": lambda good: struct.pack(
-        "<5Q", BUFFER_FORMAT_VERSION, 2 ** 40, 1, 32, 0),
+    # an empty buffer whose capacity no slot array can hold
+    "unallocatable_capacity": lambda good: struct.pack(
+        "<5Q", BUFFER_FORMAT_VERSION, 2, 1, 2 ** 58, 0),
 }
 
 

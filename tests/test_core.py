@@ -2,17 +2,18 @@
 
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrs import core
 from ssrs.core import (
     BUFFER_FORMAT_VERSION,
     ReplayBuffer,
     RewardSet,
+    RowTable,
     TrajectoryMatrix,
     format_cell,
     format_floats,
@@ -22,7 +23,8 @@ from ssrs.core import (
     save_trajectory,
     update_reward_set,
 )
-from ssrs.envs import KeyDoorGrid, SparseChain
+
+from row_buffer import RowBuffer
 
 
 def _push(buf, state, reward=0.0, action=(1.0, 0.0), terminal=False,
@@ -123,31 +125,22 @@ def test_reward_set_rejects_degenerate_grids():
 # ---------------------------------------------------------------------------
 
 def test_push_validates_shapes():
+    # push takes codes of its row source: a code outside the source's
+    # observations or actions, or a non-finite reward, is refused, into an
+    # empty buffer and into one holding an entry, and leaves it as it was
+    table = RowTable([[1.0, 2.0], [0.0, 3.0]], [[1.0]])
     cases = [
-        # 2-D state
-        (np.zeros((2, 2)), np.ones(1), 0.0, np.zeros(4), "1-D"),
-        # 2-D action
-        (np.ones(2), np.ones((1, 1)), 0.0, np.ones(2), "1-D"),
-        (np.ones(2), np.ones(1), 0.0, np.zeros(3), "lengths differ"),
-        (np.zeros(0), np.ones(1), 0.0, np.zeros(0), "dimension mismatch"),
-        (np.ones(2), np.zeros(0), 0.0, np.ones(2), "dimension mismatch"),
-        (np.array([-1.0, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
-        (np.ones(2), np.ones(1), 0.0, np.array([1.0, -2.0]), "nonnegative"),
-        (np.array([np.nan, 2.0]), np.ones(1), 0.0, np.ones(2), "nonnegative"),
-        (np.array([np.inf, 2.0]), np.ones(1), 0.0, np.ones(2), "finite"),
-        (np.ones(2), np.ones(1), 0.0, np.array([1.0, np.inf]), "finite"),
-        (np.ones(2), np.array([np.nan]), 0.0, np.ones(2), "finite"),
-        (np.ones(2), np.array([-np.inf]), 0.0, np.ones(2), "finite"),
-        (np.ones(2), np.ones(1), np.nan, np.ones(2), "finite"),
-        (np.ones(2), np.ones(1), -np.inf, np.ones(2), "finite"),
+        (-1, 0, 0.0, 0, "outside"), (2, 0, 0.0, 0, "outside"),
+        (0, -1, 0.0, 0, "outside"), (0, 1, 0.0, 0, "outside"),
+        (0, 0, 0.0, -1, "outside"), (0, 0, 0.0, 2, "outside"),
+        (0, 0, np.nan, 1, "finite"), (0, 0, -np.inf, 1, "finite"),
+        (0, 0, np.inf, 1, "finite"),
     ]
-    # Into an empty buffer, and into one whose tables hold the valid rows
-    # ones(2) and ones(1), which the check does not look at again.
     for state, action, reward, next_state, match in cases:
         for held in (0, 1):
-            buf = ReplayBuffer(2, 2, 1)
+            buf = ReplayBuffer(2, table)
             if held:
-                buf.push(np.ones(2), np.ones(1), 0.0, np.ones(2), False)
+                buf.push(1, 0, 0.0, 0, False)
             with pytest.raises(ValueError, match=match):
                 buf.push(state, action, reward, next_state, False)
             assert len(buf) == held
@@ -155,25 +148,46 @@ def test_push_validates_shapes():
             assert buf.nonzero_reward_count == 0
 
 
+@pytest.mark.parametrize("states, actions, match", [
+    (np.ones(2), np.ones((1, 1)), "2-D"),
+    (np.ones((1, 2)), np.ones(1), "2-D"),
+    ([[-1.0, 2.0]], [[1.0]], "nonnegative"),
+    ([[1.0, 2.0], [1.0, -0.5]], [[1.0]], "nonnegative"),
+    ([[np.nan, 2.0]], [[1.0]], "nonnegative"),
+    ([[np.inf, 2.0]], [[1.0]], "finite"),
+    ([[1.0, 2.0]], [[np.nan]], "finite"),
+    ([[1.0, 2.0]], [[1.0], [-np.inf]], "finite"),
+], ids=["1-D-states", "1-D-actions", "negative", "negative-second-row",
+        "nan-state", "inf-state", "nan-action", "inf-action"])
+def test_row_table_checks_its_rows(states, actions, match):
+    # the rows of a buffer without an environment pass the checks every
+    # observation passes: states finite and nonnegative, actions finite
+    with pytest.raises(ValueError, match=match):
+        RowTable(states, actions)
+
+
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (2, -1, 1)])
 def test_buffer_needs_positive_capacity_and_widths(args):
+    capacity, m1, m2 = args
+    # the buffer reads only the widths of its row source when built
+    source = SimpleNamespace(obs_width=m1, action_width=m2)
     with pytest.raises(ValueError, match="must be positive"):
-        ReplayBuffer(*args)
+        ReplayBuffer(capacity, source)
 
 
 def test_push_and_fraction():
-    buf = ReplayBuffer(2, 2, 2)
+    buf = RowBuffer(2, 2, 2)
     _push(buf, [1.0, 0.0], reward=1.0)
     assert len(buf) == 1
     assert buf.nonzero_reward_count / len(buf) == 1.0
 
-    buf = ReplayBuffer(2, 2, 2)
+    buf = RowBuffer(2, 2, 2)
     _push(buf, [1.0, 0.0], reward=0.0)
     assert buf.nonzero_reward_count / len(buf) == 0.0
 
 
 def test_ring_drops_oldest():
-    buf = ReplayBuffer(2, 2, 2)
+    buf = RowBuffer(2, 2, 2)
     for i in range(3):
         _push(buf, [float(i), 0.0])
     assert len(buf) == 2
@@ -182,7 +196,7 @@ def test_ring_drops_oldest():
 
 
 def test_nonzero_fraction_quarter():
-    buf = ReplayBuffer(4, 2, 2)
+    buf = RowBuffer(4, 2, 2)
     for r in (0.0, 0.0, 5.0, 0.0):
         _push(buf, [1.0, 1.0], reward=r)
     assert buf.nonzero_reward_count / len(buf) == 0.25
@@ -191,7 +205,7 @@ def test_nonzero_fraction_quarter():
 
 
 def test_eviction_updates_nonzero_cache():
-    buf = ReplayBuffer(2, 1, 1)
+    buf = RowBuffer(2, 1, 1)
     _push(buf, [1.0], action=[1.0], reward=3.0)
     _push(buf, [2.0], action=[1.0], reward=0.0)
     _push(buf, [3.0], action=[1.0], reward=0.0)  # evicts the reward-3 entry
@@ -199,7 +213,7 @@ def test_eviction_updates_nonzero_cache():
 
 
 def test_set_reward_shaping_bookkeeping():
-    buf = ReplayBuffer(4, 2, 2)
+    buf = RowBuffer(4, 2, 2)
     slot = _push(buf, [1.0, 2.0], reward=0.0)
     buf.set_reward(slot, 2.5)
     assert _entry(buf, slot).rewards[0] == 2.5
@@ -213,7 +227,7 @@ def test_set_reward_shaping_bookkeeping():
 def test_set_reward_batched_writes_each_slot():
     # An entry is shaped exactly when its stored reward differs from its
     # original, whatever the original is.
-    buf = ReplayBuffer(4, 2, 2)
+    buf = RowBuffer(4, 2, 2)
     slots = [_push(buf, [float(i), 0.0], reward=r)
              for i, r in enumerate((0.0, 0.0, 3.0, 3.0))]
     buf.set_reward(np.array(slots), np.array([1.5, 0.0, 2.0, 3.0]))
@@ -223,7 +237,7 @@ def test_set_reward_batched_writes_each_slot():
 
 
 def test_sample_single_entry():
-    buf = ReplayBuffer(3, 2, 2)
+    buf = RowBuffer(3, 2, 2)
     slot = _push(buf, [5.0, 5.0])
     slots = buf.sample_slots(3, np.random.default_rng(0))
     np.testing.assert_array_equal(slots, [slot] * 3)
@@ -231,7 +245,7 @@ def test_sample_single_entry():
 
 
 def test_sample_bounds_and_determinism():
-    buf = ReplayBuffer(16, 2, 2)
+    buf = RowBuffer(16, 2, 2)
     for i in range(10):
         _push(buf, [float(i), 0.0])
     a = buf.sample_slots(64, np.random.default_rng(3))
@@ -243,7 +257,7 @@ def test_sample_bounds_and_determinism():
 
 def test_empty_buffer_reads():
     # An empty buffer has no entry to read, sample or rewrite.
-    buf = ReplayBuffer(3, 2, 2)
+    buf = RowBuffer(3, 2, 2)
     slots = buf.zero_reward_slots()
     assert slots.shape == (0,) and slots.dtype.kind == "i"
     assert buf.to_rows().shape == (0, 2 * 2 + 2 + 4)
@@ -260,7 +274,7 @@ def test_empty_buffer_reads():
 def test_sample_consumes_one_generator_call():
     # Training interleaves several consumers on named streams, so the
     # draw count per operation is part of the contract.
-    buf = ReplayBuffer(8, 2, 2)
+    buf = RowBuffer(8, 2, 2)
     for i in range(5):
         _push(buf, [float(i), 1.0])
     rng = np.random.default_rng(11)
@@ -283,7 +297,7 @@ def test_sample_slots_are_the_ring_positions_of_the_draws(
               "past": capacity + 1 + offset}[phase]
     if pushes < 1:
         return
-    buf = ReplayBuffer(capacity, 1, 1)
+    buf = RowBuffer(capacity, 1, 1)
     for i in range(pushes):
         buf.push([float(i)], [1.0], 0.0, [float(i + 1)], False)
     slots = buf.sample_slots(batch_size, np.random.default_rng(seed))
@@ -298,7 +312,7 @@ def test_batch_arrays_returns_copies():
     # ring with shaped entries and repeated slots, and sharing no memory with
     # the buffer.
     rng = np.random.default_rng(5)
-    buf = ReplayBuffer(6, 3, 2)
+    buf = RowBuffer(6, 3, 2)
     for i in range(9):
         _push(buf, rng.uniform(0.0, 9.0, size=3), reward=float(i % 3 == 0),
               action=np.eye(2)[i % 2], terminal=i % 4 == 3)
@@ -339,7 +353,7 @@ def test_batch_arrays_returns_copies():
 def test_to_rows_are_the_batch_fields_and_the_shaped_flag():
     # A wrapped ring with shaped, unshaped and terminal entries.
     rng = np.random.default_rng(6)
-    buf = ReplayBuffer(5, 3, 2)
+    buf = RowBuffer(5, 3, 2)
     for i in range(8):
         _push(buf, rng.uniform(0.0, 9.0, size=3), reward=float(i % 3 == 0),
               action=np.eye(2)[i % 2], terminal=i % 4 == 3)
@@ -357,7 +371,7 @@ def test_to_rows_are_the_batch_fields_and_the_shaped_flag():
 @pytest.mark.parametrize("slots", [1, np.int64(0), np.array([[0, 1]])],
                          ids=["int", "numpy-scalar", "2-D"])
 def test_batch_arrays_rejects_non_vector_slots(slots):
-    buf = ReplayBuffer(4, 2, 2)
+    buf = RowBuffer(4, 2, 2)
     for i in range(3):
         _push(buf, [float(i), 0.0])
     with pytest.raises(ValueError, match="1-D"):
@@ -365,15 +379,17 @@ def test_batch_arrays_rejects_non_vector_slots(slots):
 
 
 def test_push_rejects_width_change():
-    # The widths are the buffer's from construction, the first push included.
-    buf = ReplayBuffer(4, 2, 2)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            _push(buf, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            _push(buf, [1.0, 2.0], action=[1.0, 0.0, 0.0])
-        _push(buf, [1.0, 2.0])
-    assert len(buf) == 2
+    # The widths are the row source's from construction: every entry
+    # gathers to rows of exactly those widths.
+    table = RowTable(np.arange(6.0).reshape(2, 3), np.eye(2))
+    buf = ReplayBuffer(4, table)
+    assert (buf.state_width, buf.action_width) == (3, 2)
+    for i in range(6):
+        buf.push(i % 2, (i + 1) % 2, 0.0, (i + 1) % 2, False)
+    batch = buf.batch_arrays(buf.slots())
+    assert batch.states.shape == batch.next_states.shape == (4, 3)
+    assert batch.actions.shape == (4, 2)
+    assert buf.to_rows().shape == (4, 2 * 3 + 2 + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +397,7 @@ def test_push_rejects_width_change():
 # ---------------------------------------------------------------------------
 
 def test_buffer_checkpoint_roundtrip(tmp_path):
-    buf = ReplayBuffer(5, 3, 2)
+    buf = RowBuffer(5, 3, 2)
     rng = np.random.default_rng(2)
     for i in range(7):  # wraps the ring
         _push(buf, rng.uniform(0, 255, size=3),
@@ -405,7 +421,7 @@ def test_buffer_checkpoint_roundtrip(tmp_path):
 def test_buffer_checkpoint_golden_bytes(tmp_path):
     # Pin the documented byte layout: 5 little-endian uint64 header fields,
     # then one float64 row per entry, oldest first.
-    buf = ReplayBuffer(2, 2, 1)
+    buf = RowBuffer(2, 2, 1)
     buf.push(np.array([1.0, 2.0]), np.array([1.0]), 0.5, np.array([3.0, 4.0]),
              False)
     buf.push(np.array([5.0, 6.0]), np.array([0.0]), 0.0, np.array([7.0, 8.0]),
@@ -429,7 +445,7 @@ def test_buffer_checkpoint_rejects_bad_version(tmp_path):
 
 def test_empty_buffer_roundtrip(tmp_path):
     path = tmp_path / "empty.bin"
-    save_buffer(ReplayBuffer(3, 2, 1), path)
+    save_buffer(RowBuffer(3, 2, 1), path)
     assert path.read_bytes() == struct.pack("<5Q", BUFFER_FORMAT_VERSION, 2,
                                             1, 3, 0)
     back = load_buffer(path)
@@ -524,27 +540,45 @@ def test_from_rows_rejects_other_row_widths(rows):
 
 
 def test_load_buffer_names_unallocatable_capacity(tmp_path):
-    # 2**58 slots of one float64 ask for 2 EiB: the allocation fails.
+    # 2**58 slots of one float64 ask for 2 EiB: the allocation fails, for a
+    # checkpoint with entries and for an empty one.
     capacity = 2 ** 58
     path = tmp_path / "huge.bin"
     path.write_bytes(_checkpoint_bytes([_GOOD_ROW], capacity=capacity))
     with pytest.raises(ValueError, match=f"huge.bin.*capacity {capacity}"):
         load_buffer(path)
-    # An empty buffer of capacity 32 starts each table at 64 rows, which
-    # at a width of 2**40 ask for 512 TiB: that allocation fails too.
-    for m1, m2 in (2 ** 40, 1), (1, 2 ** 40):
-        path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, m1, m2,
-                                     32, 0))
-        with pytest.raises(ValueError,
-                           match=rf"huge.bin.*widths \({m1}, {m2}\)"):
-            load_buffer(path)
+    path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, 1, 1,
+                                 capacity, 0))
+    with pytest.raises(ValueError, match=f"huge.bin.*capacity {capacity}"):
+        load_buffer(path)
+
+
+@pytest.mark.parametrize("m1, m2", [(2 ** 16, 1), (1, 2 ** 16)])
+def test_empty_checkpoint_of_any_width_loads_in_small_memory(tmp_path, m1, m2):
+    # an empty checkpoint holds no row, so its widths allocate nothing: it
+    # loads and writes back the same bytes.  Telling rows apart by one
+    # structured field per column (np.unique over axis 0) peaks at 28 MB
+    # at this width, and exhausts memory at a header width of 2**40.
+    path = tmp_path / "wide.bin"
+    data = struct.pack("<5Q", BUFFER_FORMAT_VERSION, m1, m2, 32, 0)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        buf = load_buffer(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert (len(buf), buf.state_width, buf.action_width) == (0, m1, m2)
+    save_buffer(buf, path)
+    assert path.read_bytes() == data
 
 
 def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
     """Every single-bit flip of a small checkpoint either loads a buffer
     that push could have built or fails with a ValueError naming the file."""
     rng = np.random.default_rng(4)
-    buf = ReplayBuffer(8, 3, 2)
+    buf = RowBuffer(8, 3, 2)
     for i in range(7):
         _push(buf, rng.integers(0, 256, size=3) / 3.0,
               reward=float(i % 3 == 2), action=np.eye(2)[i % 2],
@@ -571,9 +605,12 @@ def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
     assert 0 < loaded < 8 * len(data)
 
 
-# Observations the random operations push; 0.0 and -0.0 differ in bytes.
+# Observations the random operations push, and action rows, as the rows
+# of a test table; 0.0 and -0.0 differ in bytes.
 _POOL = [np.array(v) for v in ([0.0, 1.0], [-0.0, 1.0], [1.0, 0.0],
                                [1.0, -0.0], [-0.0, -0.0], [2.0, 3.0])]
+_TABLE = RowTable(_POOL, _POOL)
+_ACTION = 2  # the action row (1.0, 0.0)
 
 _OPS = st.lists(
     st.one_of(
@@ -598,18 +635,30 @@ def _sorted_zero_slots(buf):
     return occupied[_originals(buf, occupied) == 0.0]
 
 
+def _check_books(buf):
+    """The reward books of a buffer agree with its entries."""
+    occupied = buf.slots()
+    originals = _originals(buf, occupied)
+    assert buf.nonzero_reward_count == int(np.count_nonzero(originals))
+    if len(buf):
+        unshaped = ~np.array(_shaped(buf, occupied))
+        rewards = buf.batch_arrays(occupied).rewards
+        assert np.array_equal(rewards[unshaped], originals[unshaped])
+    np.testing.assert_array_equal(buf.zero_reward_slots(),
+                                  _sorted_zero_slots(buf))
+
+
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.integers(1, 6), ops=_OPS)
 def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
                                                    ops):
     path = tmp_path_factory.mktemp("prop") / "buf.bin"
-    buf = ReplayBuffer(capacity, 2, 2)
+    buf = ReplayBuffer(capacity, _TABLE)
     pushed = []  # (state, next state) of every push, oldest first
     for op, a, b in ops:
         if op == "push":
             terminal, state, next_state = b
-            _push(buf, _POOL[state], reward=a, terminal=terminal,
-                  next_state=_POOL[next_state])
+            buf.push(state, _ACTION, a, next_state, terminal)
             pushed.append((_POOL[state], _POOL[next_state]))
         elif op == "shape" and len(buf):
             rng = np.random.default_rng(a)
@@ -618,13 +667,15 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             originals = _originals(buf, slots)
             buf.set_reward(slots, np.where(shaped, b, originals))
         elif op == "reload":
+            # the loaded buffer lives on a table of the rows it loaded; the
+            # operations go on over the test table
             save_buffer(buf, path)
             data = path.read_bytes()
             back = load_buffer(path)
             save_buffer(back, path)
             assert path.read_bytes() == data
             assert back.to_rows().tobytes() == buf.to_rows().tobytes()
-            buf = back
+            _check_books(back)
         # the stored observations are the pushed ones, bytes-exact
         rows = buf.to_rows()
         live = pushed[len(pushed) - len(buf):]
@@ -632,18 +683,10 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             np.array([s for s, _ in live]).reshape(-1, 2).tobytes()
         assert rows[:, 5:7].tobytes() == \
             np.array([n for _, n in live]).reshape(-1, 2).tobytes()
-        occupied = buf.slots()
-        originals = _originals(buf, occupied)
-        assert buf.nonzero_reward_count == int(np.count_nonzero(originals))
-        if len(buf):
-            unshaped = ~np.array(_shaped(buf, occupied))
-            rewards = buf.batch_arrays(occupied).rewards
-            assert np.array_equal(rewards[unshaped], originals[unshaped])
-        np.testing.assert_array_equal(buf.zero_reward_slots(),
-                                      _sorted_zero_slots(buf))
+        _check_books(buf)
 
 
-# One entry per tuple: pool indices of the state, action and next state,
+# One entry per tuple: table codes of the state, action and next state,
 # the reward, the terminal flag, and the value it is shaped to (or None).
 _ENTRIES = st.lists(
     st.tuples(*[st.integers(0, len(_POOL) - 1)] * 3,
@@ -654,199 +697,71 @@ _ENTRIES = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=_ENTRIES, room=st.integers(0, 2),
-       last=st.integers(0, len(_POOL) - 1))
-def test_from_rows_builds_the_buffer_push_builds(entries, room, last):
-    # from_rows pushes each checkpoint entry, so the rebuilt buffer holds
-    # the same ids, zero-reward slots and counts, and takes one more push
-    # (which may evict and rebuild when room is 0) alike
+@given(entries=_ENTRIES, room=st.integers(0, 2))
+def test_from_rows_builds_the_buffer_push_builds(entries, room):
+    # from_rows fills the slots pushes fill, over a table of the entries'
+    # distinct rows told apart by bytes: the rebuilt buffer holds the same
+    # rows, zero-reward slots and counts, and takes one more push of its
+    # newest entry's codes (which evicts when room is 0) alike
     capacity = max(1, len(entries) + room)
-    buf = ReplayBuffer(capacity, 2, 2)
+    buf = ReplayBuffer(capacity, _TABLE)
     for state, action, next_state, reward, terminal, shaped in entries:
-        slot = buf.push(_POOL[state], _POOL[action], reward,
-                        _POOL[next_state], terminal)
+        slot = buf.push(state, action, reward, next_state, terminal)
         if shaped is not None:
             buf.set_reward(slot, shaped)
     back = ReplayBuffer.from_rows(capacity, 2, 2, buf.to_rows())
-    assert buf.id_epoch == back.id_epoch == 0
     assert back.to_rows().tobytes() == buf.to_rows().tobytes()
     assert back.nonzero_reward_count == buf.nonzero_reward_count
     np.testing.assert_array_equal(back.zero_reward_slots(),
                                   buf.zero_reward_slots())
-    every_slot = np.arange(capacity)
-    for theirs, ours in zip(back.ids_at(every_slot), buf.ids_at(every_slot)):
-        np.testing.assert_array_equal(theirs, ours)
-    slots = [b.push(_POOL[last], _POOL[last], 0.0, _POOL[last], False)
-             for b in (back, buf)]
+    seen = {_POOL[c].tobytes() for entry in entries for c in (entry[0],
+                                                              entry[2])}
+    assert back.rows.n_codes == len(seen)
+    assert back.rows.n_actions == len({entry[1] for entry in entries})
+    if not entries:
+        return
+    slots = []
+    for b in (back, buf):
+        state, action, next_state = (int(c[0]) for c in
+                                     b.codes_at(b.slots()[-1:]))
+        slots.append(b.push(state, action, 0.0, next_state, False))
     assert slots[0] == slots[1]
-    assert back.id_epoch == buf.id_epoch
-    for theirs, ours in zip(back.ids_at(every_slot), buf.ids_at(every_slot)):
-        np.testing.assert_array_equal(theirs, ours)
-
-
-def _push_fresh(buf, rng, i, chained_from=None):
-    """Push step ``i`` with a fresh next observation, and a fresh state too
-    unless ``chained_from`` gives it; returns the pushed checkpoint row."""
-    state = rng.uniform(0.0, 9.0, size=3) if chained_from is None \
-        else chained_from
-    next_state = rng.uniform(0.0, 9.0, size=3)
-    action = np.eye(2)[i % 2]
-    reward = float(i % 3 == 0)
-    buf.push(state, action, reward, next_state, i % 4 == 3)
-    return np.concatenate([state, action, [reward], next_state,
-                           [i % 4 == 3, reward, 0.0]])
-
-
-def test_tables_stay_within_their_ceiling():
-    # while every push brings two new observations, the live slots hold
-    # close to 2 * capacity of them; the tables are rebuilt from the live
-    # slots whenever a push might not fit under max(2 * capacity, 2 * the
-    # rows kept at the last rebuild), which never exceeds 4 * capacity.  A
-    # chained stretch then brings the ceiling and the rows back down.
-    capacity = 5
-    rng = np.random.default_rng(3)
-    buf = ReplayBuffer(capacity, 3, 2)
-    pushed = []
-    for i in range(16 * capacity):
-        chained_from = pushed[-1][-6:-3] if i >= 8 * capacity else None
-        pushed.append(_push_fresh(buf, rng, i, chained_from))
-        for table in buf._observations, buf._actions, buf._pairs:
-            assert len(table.ids) == table.count <= table.limit \
-                <= 4 * capacity
-            assert len(table.rows) <= table.limit
-        # at most capacity live actions and pairs: their ceiling stays put
-        assert buf._actions.limit == buf._pairs.limit == 2 * capacity
-        pairs, next_states = buf.ids_at(buf.slots())
-        assert pairs.max() < 2 * capacity
-        assert next_states.max() < 4 * capacity
-        assert buf.to_rows().tobytes() == \
-            np.array(pushed[-capacity:]).tobytes()
-        if i == 8 * capacity - 1:
-            assert buf._observations.limit > 2 * capacity
-    assert buf._observations.limit == 2 * capacity
-
-
-@pytest.mark.parametrize("capacity", [2, 5, 16])
-@pytest.mark.parametrize("chained", [False, True])
-def test_rebuilds_are_amortised_over_the_capacity(capacity, chained):
-    # a rebuild costs O(capacity), so n pushes may rebuild at most
-    # 2n / capacity + 1 times, even when every observation is fresh
-    n = 400
-    rng = np.random.default_rng(capacity)
-    buf = ReplayBuffer(capacity, 3, 2)
-    pushed = []
-    for i in range(n):
-        chained_from = pushed[-1][-6:-3] if chained and pushed else None
-        pushed.append(_push_fresh(buf, rng, i, chained_from))
-        if chained:
-            # a chained stream keeps the 2 * capacity ceiling
-            assert buf._observations.limit == 2 * capacity
-    assert 0 < buf.id_epoch <= 2 * n / capacity + 1
-    assert buf.to_rows().tobytes() == np.array(pushed[-capacity:]).tobytes()
-
-
-_SIGNED = np.array([0.0, -0.0, 1.0])
-
-
-@pytest.mark.parametrize("key", [lambda data: 0, lambda data: hash(data) % 3],
-                         ids=["all-collide", "three-keys"])
-def test_colliding_row_keys_change_no_id(monkeypatch, key):
-    # every hit is checked against the stored row, so keys that collide
-    # cost compares but never an id; 0.0 and -0.0 stay distinct rows, and
-    # pairs, keyed the same way, collide and resolve like observations
-    rng = np.random.default_rng(11)
-    picks = rng.integers(0, 3, size=(80, 3, 2))
-
-    def run():
-        buf = ReplayBuffer(4, 2, 2)
-        pushed, seen = [], []
-        for state, action, next_state in _SIGNED[picks]:
-            action[0] = np.copysign(1.0, action[0])  # one-hot up to sign
-            buf.push(state, action, 0.0, next_state, False)
-            pushed.append(np.concatenate([state, action, [0.0], next_state,
-                                          [0.0, 0.0, 0.0]]))
-            rows = buf.to_rows().tobytes()
-            assert rows == np.array(pushed[-4:]).tobytes()
-            seen.append((*(ids.tobytes() for ids in buf.ids_at(buf.slots())),
-                         buf._pairs.rows[:buf._pairs.count].tobytes(), rows,
-                         buf.id_epoch))
-        return seen
-
-    real = run()
-    assert real[-1][-1] > 0
-    monkeypatch.setattr(core, "_row_key", key)
-    assert run() == real
-
-
-def _recorded_walk(env, steps, seed):
-    """(state, action vector, reward, next state, terminal) of ``steps``
-    uniformly random steps on ``env``, resetting after each episode."""
-    rng = np.random.default_rng(seed)
-    walk, obs = [], env.reset()
-    while len(walk) < steps:
-        action = int(rng.integers(env.n_actions))
-        next_obs, reward, done = env.step(action)
-        walk.append((obs, env.action_vector(action), reward, next_obs, done))
-        obs = env.reset() if done else next_obs
-    return walk
-
-
-@pytest.mark.parametrize("env, capacity", [
-    (SparseChain(length=6, max_steps=14), 3000),
-    (KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2),
-                 max_steps=15), 40),
-], ids=["chain", "grid-rebuilding"])
-def test_push_looks_each_row_up_once(monkeypatch, env, capacity):
-    # outside a rebuild, a push finds its state, action and next state once
-    # each and its (state, action) pair once: 4 row keys, where reusing no
-    # lookup takes 7
-    walk = _recorded_walk(env, 1500, seed=4)
-    calls = []
-    monkeypatch.setattr(core, "_row_key",
-                        lambda data: calls.append(None) or hash(data))
-    buf = ReplayBuffer(capacity, env.obs_width, env.n_actions)
-    per_push, rebuilds = [], 0
-    for entry in walk:
-        before, epoch = len(calls), buf.id_epoch
-        buf.push(*entry)
-        if buf.id_epoch == epoch:
-            per_push.append(len(calls) - before)
-        else:
-            rebuilds += 1
-    assert rebuilds == 0 if capacity > len(walk) else rebuilds > 5
-    assert len(per_push) == len(walk) - rebuilds
-    assert set(per_push) == {4}
+    assert back.to_rows().tobytes() == buf.to_rows().tobytes()
+    np.testing.assert_array_equal(back.zero_reward_slots(),
+                                  buf.zero_reward_slots())
 
 
 def test_buffer_holds_each_observation_once():
-    # 10,000 distinct 24-wide observations take 1,920,000 bytes as rows;
-    # the whole buffer stays below 3.5 times that, where a bytes key per
-    # row took it to 4.01 times
+    # 10,000 distinct 24-wide observations take 1,920,000 bytes as rows.
+    # The buffer holds each entry as codes of its row source, 49 bytes a
+    # slot whatever the observation width, so it stays below a third of
+    # the rows.
     rng = np.random.default_rng(8)
     walk = rng.integers(0, 256, size=(10_001, 24)).astype(np.float64)
-    actions = np.eye(2)
+    table = RowTable(walk, np.eye(2))
     tracemalloc.start()
     try:
-        buf = ReplayBuffer(10_000, 24, 2)
+        buf = ReplayBuffer(10_000, table)
         for i in range(10_000):
-            buf.push(walk[i], actions[i % 2], float(i % 7 == 0), walk[i + 1],
-                     False)
+            buf.push(i, i % 2, float(i % 7 == 0), i + 1, False)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(buf) == 10_000 and buf.id_epoch == 0
-    assert held < 3.5 * walk[:10_000].nbytes
+    assert len(buf) == 10_000
+    assert held < walk[:10_000].nbytes / 3
+    batch = buf.batch_arrays(buf.slots())
+    assert batch.states.tobytes() == walk[:10_000].tobytes()
+    assert batch.next_states.tobytes() == walk[1:].tobytes()
 
 
 def test_save_buffer_streams_its_rows(tmp_path):
     # a 10,000-entry checkpoint is written without a full-size copy of its
     # 4,320,040 bytes
     rng = np.random.default_rng(8)
-    buf = ReplayBuffer(10_000, 24, 2)
     walk = rng.integers(0, 256, size=(10_001, 24)).astype(np.float64)
+    buf = ReplayBuffer(10_000, RowTable(walk, np.eye(2)))
     for i in range(10_000):
-        _push(buf, walk[i], reward=float(i % 7 == 0), action=np.eye(2)[i % 2],
-              next_state=walk[i + 1])
+        buf.push(i, i % 2, float(i % 7 == 0), i + 1, False)
     path = tmp_path / "big.bin"
     tracemalloc.start()
     try:
@@ -876,13 +791,16 @@ def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
     rng = np.random.default_rng(seed)
     capacity = int(rng.integers(1, 40))
     p_nonzero = rng.uniform(0.05, 0.6)
-    buf = ReplayBuffer(capacity, 2, 2)
+    # step i observes [i, 1.0]; one action
+    table = RowTable(np.column_stack([np.arange(401.0), np.ones(401)]),
+                     [[1.0, 0.0]])
+    buf = ReplayBuffer(capacity, table)
     handed_out = []
     for step in range(400):
         op = rng.random()
         if op < 0.8 or not len(buf):
             reward = float(rng.normal()) if rng.random() < p_nonzero else 0.0
-            _push(buf, [float(step), 1.0], reward=reward)
+            buf.push(step, 0, reward, step + 1, False)
         elif op < 0.9:
             slots = rng.permutation(buf.slots())[:rng.integers(1, len(buf) + 1)]
             shaped = rng.random(slots.size) < 0.5
@@ -890,9 +808,21 @@ def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
             buf.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
                                            originals))
         else:
-            # reload all entries, or the newest ones into a ring with room
-            rows = buf.to_rows()[rng.integers(0, len(buf)):]
-            buf = ReplayBuffer.from_rows(capacity, 2, 2, rows)
+            # reload all entries, or the newest ones into a ring with room:
+            # from their checkpoint rows, and by pushing their codes again
+            newest = buf.slots()[rng.integers(0, len(buf)):]
+            rows = buf.to_rows()[len(buf) - newest.size:]
+            back = ReplayBuffer.from_rows(capacity, 2, 2, rows)
+            codes, batch = buf.codes_at(newest), buf.batch_arrays(newest)
+            buf = ReplayBuffer(capacity, table)
+            for state, action, next_state, original, terminal in zip(
+                    *codes, batch.originals, batch.terminals):
+                buf.push(state, action, original, next_state, terminal)
+            buf.set_reward(np.arange(newest.size), batch.rewards)
+            assert buf.to_rows().tobytes() == back.to_rows().tobytes() \
+                == rows.tobytes()
+            np.testing.assert_array_equal(back.zero_reward_slots(),
+                                          buf.zero_reward_slots())
         slots = buf.zero_reward_slots()
         reference = _flatnonzero_zero_slots(buf)
         assert slots.dtype == reference.dtype

@@ -1,11 +1,13 @@
 """Environment dynamics, observation encoding, termination rules."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssrs.config import EnvConfig
+from ssrs.core import ReplayBuffer
 from ssrs.envs import KINDS, KeyDoorGrid, SparseChain, make_env
 
 
@@ -89,8 +91,10 @@ class TestSparseChain:
 
     def test_action_vector_one_hot(self):
         env = SparseChain()
-        np.testing.assert_array_equal(env.action_vector(0), [1.0, 0.0])
-        np.testing.assert_array_equal(env.action_vector(1), [0.0, 1.0])
+        np.testing.assert_array_equal(env.action_vectors(0), [1.0, 0.0])
+        np.testing.assert_array_equal(env.action_vectors(1), [0.0, 1.0])
+        np.testing.assert_array_equal(env.action_vectors(np.array([1, 0, 1])),
+                                      [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_observation_stays_nonnegative_bounded(self):
         env = SparseChain(length=12, max_steps=30)
@@ -332,3 +336,79 @@ def test_transitions_match_pinned_digest(name):
     if isinstance(env, KeyDoorGrid):
         assert events["key"] > 0 and events["keyless_door"] > 0
     assert digest == pinned
+
+
+# The geometries of the pinned digests, and a chain whose 301 step counts
+# quantise to 271 counter levels, so some observations recur at two
+# different steps of an episode.
+_CODE_CASES = {
+    **{name: make for name, (make, _) in _TRANSITION_CASES.items()},
+    "chain_limit_300": lambda: SparseChain(max_steps=300),
+}
+
+
+@pytest.mark.parametrize("name", list(_CODE_CASES))
+def test_codes_and_observations_are_one_to_one(name):
+    # over seeded random walks, two observations share a code exactly when
+    # they share their bytes, every code decodes to the bytes the step
+    # returned, and its state id is the walker's
+    env = _CODE_CASES[name]()
+    rng = np.random.default_rng(5)
+    rows, codes, ids, steps = [], [], [], []
+    obs, t = env.reset(), 0
+    for _ in range(6000):
+        rows.append(obs)
+        codes.append(env.code)
+        ids.append(env.state_id)
+        steps.append(t)
+        obs, _, done = env.step(int(rng.integers(env.n_actions)))
+        t += 1
+        if done:
+            rows.append(obs)
+            codes.append(env.code)
+            ids.append(env.state_id)
+            steps.append(t)
+            obs, t = env.reset(), 0
+    assert all(type(code) is int and 0 <= code < env.n_codes
+               for code in codes)
+    data = [row.tobytes() for row in rows]
+    assert len(set(codes)) == len(set(data)) == len(set(zip(codes, data)))
+    decoded = env.observations(np.array(codes))
+    assert decoded.dtype == np.float64
+    assert decoded.tobytes() == np.array(rows).tobytes()
+    assert [env.state_id_of(row) for row in decoded] == ids
+    if name == "chain_limit_300":
+        assert env.n_levels == 271
+        assert len(set(zip(ids, steps))) > len(set(codes))
+
+
+def test_a_large_grid_decodes_codes_without_a_table_of_every_code():
+    # a 60x60 grid has 7,200 states and 101 counter levels, so a table of
+    # every code's 3,608-wide row would take 21 GB; the grid, a buffer over
+    # it and a walk decode their rows on demand
+    tracemalloc.start()
+    try:
+        env = KeyDoorGrid(width=60, height=60, key_pos=(59, 0),
+                          door_pos=(59, 59))
+        buffer = ReplayBuffer(1000, env)
+        rng = np.random.default_rng(2)
+        slots = np.array([0, 7, 150, 299])
+        walk = {}  # the rows of the slots read back
+        obs = env.reset()
+        for slot in range(300):
+            code = env.code
+            action = int(rng.integers(env.n_actions))
+            next_obs, reward, done = env.step(action)
+            buffer.push(code, action, reward, env.code, done)
+            if slot in slots:
+                walk[slot] = obs, next_obs
+            obs = env.reset() if done else next_obs
+        batch = buffer.batch_arrays(slots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert env.n_codes * env.obs_width * 8 > 2e10
+    assert peak < 4e6
+    for i, slot in enumerate(slots.tolist()):
+        assert batch.states[i].tobytes() == walk[slot][0].tobytes()
+        assert batch.next_states[i].tobytes() == walk[slot][1].tobytes()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ssrs.core import ReplayBuffer, RewardSet, format_cell, update_reward_set
+from ssrs.core import RewardSet, format_cell, update_reward_set
 from ssrs.estimator import (
     ConfidenceCache,
     EstimatorParams,
@@ -21,6 +21,8 @@ from ssrs.estimator import (
     soft_select,
 )
 from ssrs.losses import sgd_step
+
+from row_buffer import RowBuffer
 
 
 def _bias_net(in_width, probs):
@@ -356,7 +358,7 @@ class TestSelection:
 # ---------------------------------------------------------------------------
 
 def _seed_buffer(n_zero=10, n_nonzero=2, m1=3, m2=2):
-    buf = ReplayBuffer(32, m1, m2)
+    buf = RowBuffer(32, m1, m2)
     rng = np.random.default_rng(0)
     for i in range(n_zero + n_nonzero):
         r = 3.0 if i < n_nonzero else 0.0
@@ -530,7 +532,7 @@ class TestConfidenceCache:
     def test_push_over_a_scored_slot_rescores_it(self, monkeypatch):
         params = self._params()
         rng = np.random.default_rng(0)
-        buf = ReplayBuffer(6, 3, 2)
+        buf = RowBuffer(6, 3, 2)
         for _ in range(5):
             _push_pooled(buf, rng)
         _push_pooled(buf, rng, reward=3.0)
@@ -540,7 +542,7 @@ class TestConfidenceCache:
         # the ring is full: the next push overwrites scored slot 0 with a
         # new state, action and next state
         slot = _push_random(buf, rng)
-        assert slot == 0 and buf.id_epoch == 0
+        assert slot == 0
         rows = _count_forward_rows(monkeypatch)
         shape_buffer(params, buf, self.zset, 0.0, 1.0,
                      np.random.default_rng(2), 0.5, cache)
@@ -555,7 +557,7 @@ class TestConfidenceCache:
             self, monkeypatch):
         params = self._params()
         rng = np.random.default_rng(5)
-        buf = ReplayBuffer(40, 3, 2)
+        buf = RowBuffer(40, 3, 2)
         _push_pooled(buf, rng, reward=3.0)
         for _ in range(30):
             _push_pooled(buf, rng)
@@ -582,15 +584,16 @@ class TestConfidenceCache:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_uncached_reference_over_random_operations(self, seed):
         # pushes (overwriting a full ring, mostly from a small pool of
-        # repeated observations, else fresh ones that make the buffer
-        # rebuild its id tables), estimator steps, new observed rewards, a
-        # NaN weight put into or taken out of one head, and a shaping pass
+        # repeated observations, else fresh ones, so the ring holds far
+        # fewer observations than it has coded), estimator steps, new
+        # observed rewards, a NaN weight put into or taken out of one
+        # head, and a shaping pass
         # after each with a new threshold, mix and visit fraction.  The
         # input scale and step size keep the state head's bounds spread
         # over the thresholds, so a pass prunes none, some or all entries.
         params = self._params(seed, input_scale=0.2)
         rng = np.random.default_rng(seed)
-        cached, reference = ReplayBuffer(10, 3, 2), ReplayBuffer(10, 3, 2)
+        cached, reference = RowBuffer(10, 3, 2), RowBuffer(10, 3, 2)
         cache = ConfidenceCache()
         zset = update_reward_set(RewardSet.initial(3), 1.0)
         pass_cached = np.random.default_rng(100 + seed)
@@ -640,7 +643,8 @@ class TestConfidenceCache:
                 pruned.add("none" if live.all() else
                            "some" if live.any() else "all")
         assert steps > 0
-        assert cached.id_epoch > 0
+        # more observations were coded than the ring can hold at once
+        assert cached.rows.n_codes > 2 * cached.capacity
         assert pruned == {"none", "some", "all"}
 
     def test_forward_rows_count_distinct_inputs(self, monkeypatch):
@@ -650,7 +654,7 @@ class TestConfidenceCache:
         # head on M rows, then the state-action head on N rows
         params = self._params()
         rng = np.random.default_rng(7)
-        buf = ReplayBuffer(50, 3, 2)
+        buf = RowBuffer(50, 3, 2)
         _push_pooled(buf, rng, reward=3.0)
         for _ in range(49):
             _push_pooled(buf, rng)
@@ -671,7 +675,7 @@ class TestConfidenceCache:
         # entry through
         params = self._params(input_scale=0.2)
         rng = np.random.default_rng(7)
-        buf = ReplayBuffer(50, 3, 2)
+        buf = RowBuffer(50, 3, 2)
         _push_pooled(buf, rng, reward=3.0)
         for _ in range(49):
             _push_pooled(buf, rng)
@@ -680,8 +684,8 @@ class TestConfidenceCache:
         assert shape_buffer(params, buf, self.zset, 0.0, 1.0,
                             np.random.default_rng(1), 0.5, cache) == 49
         slots = buf.zero_reward_slots()
-        next_ids = np.unique(buf.ids_at(slots)[1])
-        v_out = params.v_net.forward(buf.observations(next_ids))[0]
+        next_codes = np.unique(buf.codes_at(slots)[2])
+        v_out = params.v_net.forward(buf.rows.observations(next_codes))[0]
         mix = 0.3
         threshold = float((mix + (1.0 - mix) * v_out).max())
         for _ in range(step):
@@ -690,7 +694,7 @@ class TestConfidenceCache:
         rows = _count_forward_rows(monkeypatch)
         assert shape_buffer(params, buf, self.zset, threshold, 1.0,
                             np.random.default_rng(2), mix, cache) == 0
-        assert rows == [next_ids.size]  # the state head only
+        assert rows == [next_codes.size]  # the state head only
         batch = buf.batch_arrays(slots)
         assert batch.rewards.tobytes() == batch.originals.tobytes()
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ssrs.augment import PAIRINGS
 from ssrs.config import RunConfig, apply_overrides, parse_config
-from ssrs.core import ReplayBuffer, load_buffer
+from ssrs.core import ReplayBuffer, RowTable, load_buffer
 from ssrs.envs import KeyDoorGrid, SparseChain, make_env
 from ssrs import training
 from ssrs.estimator import (ConfidenceCache, MlpNet, load_params,
@@ -46,13 +46,17 @@ def _quick_config(*overrides):
     return apply_overrides(parse_config(QUICK_CONFIG), list(overrides))
 
 
+# One observation row and one action row: TD reads only stored rewards.
+_ONE_ROW = RowTable([[0.0]], [[1.0]])
+
+
 def _td_update(backbone, codes, rewards, lr, discount):
     """One TD batch over every entry of a buffer holding ``rewards``; row i
     of ``codes`` is entry i's (state id, action index, next-state id,
     terminal flag)."""
-    buffer = ReplayBuffer(len(rewards), 1, 1)
+    buffer = ReplayBuffer(len(rewards), _ONE_ROW)
     for reward in rewards:
-        buffer.push([0.0], [1.0], reward, [0.0], False)
+        buffer.push(0, 0, reward, 0, False)
     backbone_update(backbone, buffer, [tuple(code) for code in codes],
                     buffer.slots(), lr, discount)
 
@@ -171,12 +175,11 @@ def _per_row_update(table, state_id_of, batch, lr, discount):
 ], ids=["chain", "grid"])
 def test_backbone_update_matches_per_row_loop(env):
     rng = np.random.default_rng(11)
-    buffer = ReplayBuffer(400, env.obs_width, env.n_actions)
+    buffer = ReplayBuffer(400, env)
     codes = [None] * buffer.capacity
 
-    def push(obs, sid, action, reward, next_obs, next_sid, done):
-        slot = buffer.push(obs, env.action_vector(action), reward, next_obs,
-                           done)
+    def push(code, sid, action, reward, next_code, next_sid, done):
+        slot = buffer.push(code, action, reward, next_code, done)
         codes[slot] = sid, action, next_sid, done
 
     walker = BackboneQ.create(env.n_states, env.n_actions)
@@ -231,9 +234,9 @@ def test_backbone_update_matches_builtin_max_per_entry(width, data):
     slots = np.array(data.draw(st.lists(st.integers(0, n_entries - 1),
                                         min_size=1, max_size=12)))
     lr, discount = data.draw(st.sampled_from([(0.5, 0.9), (1.0, 1.0)]))
-    buffer = ReplayBuffer(n_entries, 1, 1)
+    buffer = ReplayBuffer(n_entries, _ONE_ROW)
     for reward in rewards:
-        buffer.push([0.0], [1.0], reward, [0.0], False)
+        buffer.push(0, 0, reward, 0, False)
     backbone = BackboneQ(table)
     backbone_update(backbone, buffer, codes, slots, lr, discount)
     reference = [list(row) for row in table]
@@ -324,49 +327,63 @@ class TestRunEpisode:
         # the step hook receives the step and pushes it, one slot per step
         env = SparseChain(length=4, max_steps=10)
         backbone = _chain_backbone(env, bias_right=True)
-        buffer = ReplayBuffer(16, env.obs_width, env.n_actions)
+        buffer = ReplayBuffer(16, env)
         seen = []
 
-        def on_step(obs, sid, action, reward, next_obs, next_sid, done):
-            seen.append(buffer.push(obs, env.action_vector(action), reward,
-                                    next_obs, done))
+        def on_step(code, sid, action, reward, next_code, next_sid, done):
+            seen.append(buffer.push(code, action, reward, next_code, done))
 
         n_steps, _ = run_episode(env, backbone, 0.0, None, on_step=on_step)
         assert len(buffer) == n_steps == len(seen)
         assert seen == list(range(n_steps))
         batch = buffer.batch_arrays(buffer.slots())
         np.testing.assert_array_equal(batch.actions,
-                                      [env.action_vector(1)] * n_steps)
+                                      [env.action_vectors(1)] * n_steps)
         assert batch.terminals.tolist() == [False] * (n_steps - 1) + [True]
 
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.0],
                              ids=["exploring", "greedy"])
-    def test_decodes_each_observation_once(self, monkeypatch, epsilon):
-        # the reset observation and every next observation are decoded
-        # once, and the hook gets those ids
+    def test_hook_gets_the_codes_the_environment_gave(self, monkeypatch,
+                                                      epsilon):
+        # the environment names each observation as it steps, so no row is
+        # decoded: the hook gets the code and state id of the reset
+        # observation and of every next observation, and each code decodes
+        # to the observation the step returned
         env = KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2),
                           max_steps=25)
         rng = np.random.default_rng(4)
         backbone = BackboneQ(rng.random((env.n_states, env.n_actions)))
-        decode, truth = env.state_id_of, []
+        decodes, observed = [], []
+        monkeypatch.setattr(env, "state_id_of",
+                            lambda obs: decodes.append(obs))
+        reset, step = env.reset, env.step
 
-        def counting(obs):
-            truth.append(env.state_id)
-            return decode(obs)
+        def recording_reset():
+            observed.append((reset(), env.code, env.state_id))
+            return observed[-1][0]
 
-        monkeypatch.setattr(env, "state_id_of", counting)
+        def recording_step(action):
+            result = step(action)
+            observed.append((result[0], env.code, env.state_id))
+            return result
+
+        monkeypatch.setattr(env, "reset", recording_reset)
+        monkeypatch.setattr(env, "step", recording_step)
         seen = []
 
-        def on_step(obs, sid, action, reward, next_obs, next_sid, done):
-            assert next_sid == env.state_id
-            seen.append((sid, next_sid))
+        def on_step(code, sid, action, reward, next_code, next_sid, done):
+            seen.append((code, sid))
+            assert (next_code, next_sid) == observed[len(seen)][1:]
 
         n_steps, _ = run_episode(env, backbone, epsilon,
                                  rng if epsilon else None, on_step=on_step)
-        assert n_steps > 1
-        assert len(truth) == n_steps + 1
-        assert seen == list(zip(truth[:-1], truth[1:]))
+        assert n_steps > 1 and decodes == []
+        assert len(observed) == n_steps + 1
+        assert seen == [(code, sid) for _, code, sid in observed[:-1]]
+        rows = np.array([obs for obs, _, _ in observed])
+        codes = np.array([code for _, code, _ in observed])
+        assert env.observations(codes).tobytes() == rows.tobytes()
 
 
 class TestEvaluate:
@@ -381,7 +398,7 @@ class TestEvaluate:
         # greedy evaluation stores nothing, so it encodes no action
         env = SparseChain(length=5, max_steps=12)
         calls = []
-        monkeypatch.setattr(env, "action_vector",
+        monkeypatch.setattr(env, "action_vectors",
                             lambda action: calls.append(action))
         assert evaluate(env, _chain_backbone(env, bias_right=True), 3) == (
             1.0, 1.0)
@@ -647,13 +664,11 @@ _REBUILDING_RUN = ("env.kind=key_door_grid", "episodes=40",
 
 
 def test_shaped_rebuilding_run_matches_golden_hash(tmp_path):
-    # The runs above end at id_epoch 0.  This grid run shapes while its
-    # 300-slot window keeps rebuilding the id tables, so the shaping cache
-    # must follow each renumbering.  The digest holds under any
-    # PYTHONHASHSEED, so no id depends on a hash value.
+    # This grid run shapes while its 300-slot window wraps many times over
+    # far more distinct observations than it holds.  The digest holds
+    # under any PYTHONHASHSEED, so no code depends on a hash value.
     config = apply_overrides(RunConfig(), list(_REBUILDING_RUN))
     record, buffer, digest = _golden_digest(config, tmp_path)
-    assert buffer.id_epoch > 0
     assert record.shaped_count.sum() > 0
     assert digest == (
         "6fc20a4658584ff8ef1bfa4ad9690702bdaf7ff9f5f6358a65348465e48246df")
@@ -663,8 +678,8 @@ def test_shaping_runs_the_state_action_head_only_where_a_bound_passes(
         monkeypatch):
     # The run of the golden above, counting the state-action forward calls
     # made inside shape_buffer and their rows.  Running that head on every
-    # drawn entry (no state-head bound first) makes 426 calls over 2,371
-    # rows in this run; the bound leaves 233 calls over 1,443 rows.
+    # drawn entry (no state-head bound first) makes 420 calls over 2,086
+    # rows in this run; the bound leaves 227 calls over 1,164 rows.
     rows, shaping_q = [], []
     forward, shape = MlpNet.forward, training.shape_buffer
 
@@ -684,7 +699,7 @@ def test_shaping_runs_the_state_action_head_only_where_a_bound_passes(
     monkeypatch.setattr(MlpNet, "forward", counting)
     record, *_ = train(apply_overrides(RunConfig(), list(_REBUILDING_RUN)))
     assert record.shaped_count.sum() == 4091
-    assert (len(rows), sum(rows)) == (233, 1443)
+    assert (len(rows), sum(rows)) == (227, 1164)
 
 
 # ---------------------------------------------------------------------------
