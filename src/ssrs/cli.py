@@ -8,7 +8,8 @@ train          train one or more seeds, one after another in this process,
 eval           greedy evaluation of a trained run directory
 gradcheck      verify analytic loss gradients against finite differences
 augment-check  apply a named transform to a trajectory file, report entropies
-rollout        dump one random-policy episode as a trajectory file
+rollout        dump one random-policy episode as a trajectory file; the
+               episode's codes are decoded to rows in one call
 consensus      co-assignment matrix over repeated clusterings of a buffer
 dist           shaped-reward histograms across buffer checkpoints
 compare        mean/std of best scores across aggregated run directories
@@ -371,16 +372,15 @@ def _cmd_rollout(args) -> int:
     config = _load_config(args)
     rng = np.random.default_rng(_one_seed(args, config.seed))
     env = make_env(config.env)
-    obs = env.reset()
-    states, actions, rewards = [], [], []
-    done = False
+    code, done = env.reset(), False
+    codes, actions, rewards = [], [], []
     while not done:
         action = int(rng.integers(0, env.n_actions))
-        states.append(obs)
+        codes.append(code)
         actions.append(action)
-        obs, reward, done = env.step(action)
+        code, reward, done = env.step(action)
         rewards.append(reward)
-    traj = TrajectoryMatrix(states=np.array(states),
+    traj = TrajectoryMatrix(states=env.observations(np.array(codes)),
                             actions=env.action_vectors(actions),
                             rewards=np.array(rewards))
     (out_csv,) = _outputs(args, "rollout.csv")
@@ -405,10 +405,12 @@ def _cmd_consensus(args) -> int:
         raise CliError(f"missing buffer checkpoint: {path}")
     buffer = load_buffer(path)
     k = args.k if args.k is not None else config.n_z
+    if k > len(buffer):
+        raise CliError(f"--k {k} exceeds the {len(buffer)} entries of {path}")
     seed = _one_seed(args, config.seed)
-    matrix, n_traj = trajectory_consensus(buffer, k, runs=args.runs, seed=seed)
     grid_path, pairs_path = _outputs(args, "consensus_matrix.csv",
                                      "consensus_pairs.csv")
+    matrix, n_traj = trajectory_consensus(buffer, k, runs=args.runs, seed=seed)
     write_csv(grid_path, [f"t{j}" for j in range(n_traj)], matrix)
     pairs = ((i, j, matrix[i, j])
              for i in range(n_traj) for j in range(n_traj))
@@ -436,8 +438,8 @@ def _cmd_dist(args) -> int:
             raise CliError(f"missing buffer checkpoint: {path} "
                            f"(train with checkpoint_interval set)")
         snapshots[epoch] = load_buffer(path)
-    _, rows = reward_distribution(snapshots, bins=args.bins)
     (out_csv,) = _outputs(args, "dist.csv")
+    _, rows = reward_distribution(snapshots, bins=args.bins)
     write_csv(out_csv, ("epoch", "bin_left", "bin_right", "probability"), rows)
     print(f"{len(epochs)} snapshot(s), {args.bins} bins -> {out_csv}")
     return 0

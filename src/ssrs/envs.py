@@ -6,10 +6,10 @@ augmentation partition count.  An observation is a function of the
 walker's state id (the row the tabular backbone indexes) and the quantised
 step counters, so the environment names it by a code built from exactly
 those, ``state id * n_levels + level``: codes and observations are
-one-to-one.  ``code`` and ``state_id`` name the observation ``reset`` or
-``step`` last returned; ``observations`` decodes codes to rows through the
-formulas the step writes with.  The episode rules both environments share
-(checks, step count, goal-or-time-out end and reward) live once, in
+one-to-one.  ``reset`` and ``step`` return the code and set ``state_id``;
+they build no row.  A row is laid out in one place, ``observations``,
+which decodes an array of codes.  The episode rules both environments
+share (checks, step count, goal-or-time-out end and reward) live once, in
 ``_Episode``.
 """
 
@@ -31,16 +31,18 @@ class _Episode:
     A subclass checks its geometry, places the walker (``_start``), moves it
     (``_move``, which returns whether the goal was reached), names its state
     (``_state_id``), quantises the step count (``_counters``) and lays out
-    an observation (``_fields``: (column, value) pairs of ``raw_width``
-    values, zero-padded to the partition multiple; scalars or arrays).
+    observations (``_fields``: (column, value) pairs of ``raw_width``
+    values, zero-padded to the partition multiple).
     """
 
     def __init__(self, max_steps: int, n_actions: int, raw_width: int):
         if max_steps < 1:
             raise ValueError("max_steps must be positive")
         self.max_steps = int(max_steps)
-        # actions are one-hot vectors
+        # actions are one-hot vectors, the rows of one read-only identity
         self.n_actions = self.action_width = n_actions
+        self._one_hot = np.eye(n_actions)
+        self._one_hot.flags.writeable = False
         self.obs_width = math.ceil(raw_width / _PAD_MULTIPLE) * _PAD_MULTIPLE
         # A counter is 255 * steps // max_steps or 255 * (max_steps - steps)
         # // max_steps, so a counter tuple first shows at the step where the
@@ -55,22 +57,22 @@ class _Episode:
         self._level_counters = np.array(list(tuples))
         self.n_levels = len(tuples)
         self.n_codes = self.n_states * self.n_levels
-        self._start()
-        self._steps = 0
-        self._done = True
+        self._done = True  # no episode runs until the first reset
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> int:
+        """Start an episode; returns the start observation's code."""
         self._start()
         self._steps = 0
         self._done = False
         return self._observe()
 
     def action_vectors(self, actions) -> np.ndarray:
-        """The one-hot vector of an action index, or one row per index of
-        an array of them."""
-        return np.eye(self.n_actions)[actions]
+        """The one-hot vector of an action index (a read-only view), or one
+        row per index of an array of them."""
+        return self._one_hot[actions]
 
     def step(self, action: int):
+        """Take one action; returns (next observation's code, reward, done)."""
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset first")
         if not 0 <= action < self.n_actions:
@@ -80,16 +82,10 @@ class _Episode:
         self._done = goal or self._steps >= self.max_steps
         return self._observe(), 1.0 if goal else 0.0, self._done
 
-    def _observe(self) -> np.ndarray:
-        """The current observation, after setting ``state_id`` and ``code``
-        to name it."""
+    def _observe(self) -> int:
+        """Set ``state_id`` and return the current observation's code."""
         self.state_id = sid = self._state_id()
-        counters = self._counters(self._steps)
-        self.code = sid * self.n_levels + self._level_of[counters]
-        obs = np.zeros(self.obs_width)
-        for column, value in self._fields(sid, counters):
-            obs[column] = value
-        return obs
+        return sid * self.n_levels + self._level_of[self._counters(self._steps)]
 
     def observations(self, codes) -> np.ndarray:
         """The observation rows of a 1-D array of codes this environment

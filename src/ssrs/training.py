@@ -9,16 +9,16 @@ its own streams, so disabling shaping never shifts the backbone's draws and
 a shaped run's trajectory is bit-identical to vanilla until the first
 nonzero reward has been observed.
 
-``run_episode`` only acts, and reads each observation's code and state
-id from the environment, which names them as it steps; ``train`` hands it
+``run_episode`` only acts, on the codes ``reset`` and ``step`` return and
+the state ids they set; it builds no observation row.  ``train`` hands it
 a step hook that, per environment step and in this order, pushes the
 step's codes into the replay buffer and writes the slot's TD codes (state
 id, action index, next-state id, terminal flag), folds a nonzero reward
 into the candidate set, runs a shaping pass and applies one TD batch.  TD
 reads the drawn slots' TD codes and stored rewards, nothing else of the
 buffer.  Shaping scores each distinct (state, action) and next state of
-the buffer at most once per estimator step, keyed by their codes.
-Greedy evaluation runs on the same environment, passes no hook and stores
+the buffer at most once per estimator step, keyed by their codes.  Greedy
+evaluation runs on the same environment, passes no hook and stores
 nothing.  ``train`` appends one row of measured values per episode and
 builds its :class:`RunRecord` from them once.
 """
@@ -150,15 +150,15 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
     While epsilon > 0, each step consumes one uniform draw (plus one integer
     draw when exploring); greedy runs (epsilon == 0) consume nothing.
     ``on_step(code, sid, action, reward, next_code, next_sid, terminal)``
-    fires after each environment step, with the observation codes and state
-    ids the environment gave (``env.code``, ``env.state_id``) and the action
-    index.  Returns (steps, episode return).
+    fires after each environment step, with the codes ``reset`` and
+    ``step`` returned, the state ids they set (``env.state_id``) and the
+    action index.  Returns (steps, episode return).
     """
     if epsilon > 0.0 and rng is None:
         raise ValueError("exploratory episodes need a generator")
     greedy_action = backbone.greedy_action
-    env.reset()
-    code, sid = env.code, env.state_id
+    code = env.reset()
+    sid = env.state_id
     steps = 0
     total = 0.0
     while True:
@@ -166,8 +166,8 @@ def run_episode(env, backbone: BackboneQ, epsilon: float,
             action = int(rng.integers(env.n_actions))
         else:
             action = greedy_action(sid)
-        _, reward, done = env.step(action)
-        next_code, next_sid = env.code, env.state_id
+        next_code, reward, done = env.step(action)
+        next_sid = env.state_id
         steps += 1
         total += reward
         if on_step is not None:

@@ -392,13 +392,13 @@ def _per_row_views(pairing, states, seed):
 
 def _chain_rows(rng, n):
     env = SparseChain(length=20, max_steps=100)
-    rows, obs = [], env.reset()
-    while len(rows) < n:
-        rows.append(obs)
-        obs, _, done = env.step(int(rng.integers(2)))
+    codes, code = [], env.reset()
+    while len(codes) < n:
+        codes.append(code)
+        code, _, done = env.step(int(rng.integers(2)))
         if done:
-            obs = env.reset()
-    return np.array(rows)
+            code = env.reset()
+    return env.observations(np.array(codes))
 
 
 @pytest.mark.parametrize("pairing", ["ssrs_s", "ssrs_m", "ssrs_c"])

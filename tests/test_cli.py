@@ -1,6 +1,7 @@
 """Command-line entry points: orchestration, outputs, guards, plumbing."""
 
 import argparse
+import hashlib
 import json
 import struct
 import weakref
@@ -626,6 +627,19 @@ class TestRolloutAndAugmentCheck:
             outs.append((out / "rollout.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    # sha256 of rollout.csv, computed when the steps still returned rows
+    @pytest.mark.parametrize("overrides, pinned", [
+        ([], "1a640c68e0838f505fbb69fa4ae80c9ac48be7d7a91c132f45712c6d81894f05"),
+        (["--set", "env.kind=key_door_grid"],
+         "1c9b2fe7c3f8a1839305621cf0e56bc9156af307d800de436fd462ac4630d518"),
+    ], ids=["chain", "grid"])
+    def test_rollout_matches_pinned_digest(self, tmp_path, overrides, pinned):
+        out = tmp_path / "r"
+        assert main(["rollout", "--seed", "4", "--out", str(out),
+                     *overrides]) == 0
+        data = (out / "rollout.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == pinned
+
     def test_guard_and_force(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["rollout", "--seed", "1", "--out", str(out)]) == 0
@@ -724,16 +738,44 @@ class TestConsensus:
             assert "not allowed with argument" in err
         assert not (tmp_path / "c").exists()
 
-    def test_library_error_reaches_main(self, trained_root, tmp_path, capsys):
-        # the mixture fit's own ValueError, reported with no wrapper
+    def test_k_above_the_entry_count_named(self, trained_root, tmp_path,
+                                           capsys, monkeypatch):
+        # refused before any clustering, naming the flag, the entry count
+        # and the checkpoint; as many components as entries pass
+        calls = []
+
+        def clustering(buffer, k, runs, seed):
+            calls.append(k)
+            return np.ones((1, 1)), 1
+
+        monkeypatch.setattr(ssrs.cli, "trajectory_consensus", clustering)
         buffer = trained_root / "out" / "seed_0" / "buffer_final.bin"
         n = len(load_buffer(buffer))
         code = main(["consensus", "--buffer", str(buffer), "--k", str(n + 1),
                      "--runs", "2", "--out", str(tmp_path / "c")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {n} points cannot support {n + 1} components\n")
-        assert not (tmp_path / "c").exists()
+            f"error: --k {n + 1} exceeds the {n} entries of {buffer}\n")
+        assert not (tmp_path / "c").exists() and calls == []
+        assert main(["consensus", "--buffer", str(buffer), "--k", str(n),
+                     "--runs", "2", "--out", str(tmp_path / "c")]) == 0
+        assert calls == [n]
+
+    def test_existing_output_refused_before_clustering(self, worker_run,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        out = tmp_path / "c"
+        out.mkdir()
+        (out / "consensus_matrix.csv").write_text("kept\n")
+        calls = []
+        monkeypatch.setattr(ssrs.cli, "trajectory_consensus",
+                            lambda *args, **kwargs: calls.append(args))
+        code = main(["consensus", "--run", str(worker_run), "--k", "2",
+                     "--out", str(out)])
+        assert code == 1
+        assert "output already exists" in capsys.readouterr().err
+        assert calls == []
+        assert (out / "consensus_matrix.csv").read_text() == "kept\n"
 
     @pytest.mark.parametrize("runs", ["0", "-3", "x"])
     def test_nonpositive_runs_rejected(self, tmp_path, capsys, runs):
@@ -768,6 +810,22 @@ class TestDist:
         assert set(by_epoch) == {"6", "12"}
         for total in by_epoch.values():
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_existing_output_refused_before_histograms(self, worker_run,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "dist.csv").write_text("kept\n")
+        calls = []
+        monkeypatch.setattr(ssrs.cli, "reward_distribution",
+                            lambda *args, **kwargs: calls.append(args))
+        code = main(["dist", "--run", str(worker_run), "--epochs", "6,12",
+                     "--out", str(out)])
+        assert code == 1
+        assert "output already exists" in capsys.readouterr().err
+        assert calls == []
+        assert (out / "dist.csv").read_text() == "kept\n"
 
     def test_zero_bins_rejected(self, worker_run, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -11,10 +11,15 @@ from ssrs.core import ReplayBuffer
 from ssrs.envs import KINDS, KeyDoorGrid, SparseChain, make_env
 
 
+def _row(env, code):
+    """The observation row of one code."""
+    return env.observations(np.array([code]))[0]
+
+
 class TestSparseChain:
     def test_initial_observation(self):
         env = SparseChain(length=20, max_steps=100)
-        obs = env.reset()
+        obs = _row(env, env.reset())
         assert obs.shape == (env.obs_width,)
         assert env.obs_width == 24  # 20 + 4 extras, padded to a multiple of 8
         assert obs[0] == 255.0
@@ -28,11 +33,12 @@ class TestSparseChain:
         env.reset()
         rewards = []
         for _ in range(4):
-            obs, r, done = env.step(1)
+            code, r, done = env.step(1)
             rewards.append(r)
         assert rewards == [0.0, 0.0, 0.0, 1.0]
         assert done
         assert env.state_id == 4
+        obs = _row(env, code)
         assert obs[4] == 255.0
         assert obs[5] == 255.0  # scaled position at the far end
 
@@ -75,19 +81,18 @@ class TestSparseChain:
 
     def test_reset_deterministic(self):
         env = SparseChain(length=8)
-        a = env.reset()
+        a = _row(env, env.reset())
         env.step(1)
         env.step(1)
-        b = env.reset()
+        b = _row(env, env.reset())
         np.testing.assert_array_equal(a, b)
 
     def test_state_id_roundtrip(self):
         env = SparseChain(length=6, max_steps=20)
-        obs = env.reset()
-        assert env.state_id_of(obs) == 0
+        assert env.state_id_of(_row(env, env.reset())) == 0
         for _ in range(3):
-            obs, _, _ = env.step(1)
-        assert env.state_id_of(obs) == env.state_id == 3
+            code, _, _ = env.step(1)
+        assert env.state_id_of(_row(env, code)) == env.state_id == 3
 
     def test_action_vector_one_hot(self):
         env = SparseChain()
@@ -96,13 +101,27 @@ class TestSparseChain:
         np.testing.assert_array_equal(env.action_vectors(np.array([1, 0, 1])),
                                       [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("env", [SparseChain(), KeyDoorGrid()],
+                             ids=["chain", "grid"])
+    def test_action_vector_is_read_only(self, env):
+        # every call indexes one shared identity, so a write into the
+        # vector of one action index raises instead of changing the next
+        vector = env.action_vectors(0)
+        with pytest.raises(ValueError, match="read-only"):
+            vector[1] = 1.0
+        eye = np.eye(env.n_actions)
+        assert env.action_vectors(0).tobytes() == eye[0].tobytes()
+        assert (env.action_vectors(np.array([1, 0])).tobytes()
+                == eye[[1, 0]].tobytes())
+
     def test_observation_stays_nonnegative_bounded(self):
         env = SparseChain(length=12, max_steps=30)
-        obs = env.reset()
+        code = env.reset()
         rng = np.random.default_rng(0)
         while True:
+            obs = _row(env, code)
             assert np.all(obs >= 0.0) and np.all(obs <= 255.0)
-            obs, _, done = env.step(int(rng.integers(0, 2)))
+            code, _, done = env.step(int(rng.integers(0, 2)))
             if done:
                 break
 
@@ -116,7 +135,7 @@ class TestSparseChain:
 class TestKeyDoorGrid:
     def test_initial_observation(self):
         env = KeyDoorGrid(width=5, height=5)
-        obs = env.reset()
+        obs = _row(env, env.reset())
         assert env.obs_width == 32  # 25 cells + 3 extras, padded
         assert obs[0] == 255.0
         assert obs[25] == 0.0   # key flag
@@ -134,21 +153,20 @@ class TestKeyDoorGrid:
     def test_key_then_door_rewards(self):
         env = KeyDoorGrid(width=3, height=3, key_pos=(2, 0), door_pos=(2, 2),
                           max_steps=20)
-        obs = env.reset()
-        obs, _, _ = env.step(3)
-        obs, _, _ = env.step(3)        # key cell
-        assert obs[9] == 255.0         # key flag set
-        obs, _, _ = env.step(1)
-        obs, r, done = env.step(1)     # door cell
+        env.reset()
+        env.step(3)
+        code, _, _ = env.step(3)       # key cell
+        assert _row(env, code)[9] == 255.0  # key flag set
+        env.step(1)
+        _, r, done = env.step(1)       # door cell
         assert (r, done) == (1.0, True)
 
     def test_key_flag_in_state_id(self):
         env = KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2))
-        obs = env.reset()
-        assert env.state_id_of(obs) == 0
-        obs, _, _ = env.step(3)  # onto the key
+        assert env.state_id_of(_row(env, env.reset())) == 0
+        code, _, _ = env.step(3)  # onto the key
         assert env.state_id == 1 * 2 + 1
-        assert env.state_id_of(obs) == env.state_id
+        assert env.state_id_of(_row(env, code)) == env.state_id
 
     def test_wall_bump_stays_put(self):
         env = KeyDoorGrid(width=4, height=4, key_pos=(3, 0), door_pos=(3, 3))
@@ -197,7 +215,7 @@ class TestKeyDoorGrid:
         env.reset()
         env.step(3)
         assert env.state_id % 2 == 1
-        obs = env.reset()
+        obs = _row(env, env.reset())
         assert env.state_id == 0
         assert obs[9] == 0.0
 
@@ -231,12 +249,12 @@ def _random_walk(env, rng, episodes):
     id of each."""
     observations, ids = [], []
     for _ in range(episodes):
-        obs, done = env.reset(), False
+        code, done = env.reset(), False
         while not done:
-            observations.append(obs)
+            observations.append(_row(env, code))
             ids.append(env.state_id)
-            obs, _, done = env.step(int(rng.integers(env.n_actions)))
-        observations.append(obs)
+            code, _, done = env.step(int(rng.integers(env.n_actions)))
+        observations.append(_row(env, code))
         ids.append(env.state_id)
     return np.stack(observations), np.array(ids)
 
@@ -261,10 +279,11 @@ def test_state_id_of_decodes_every_reached_observation(env):
 
 
 # Transition digests of seeded random walks, computed before the two
-# environments shared one episode engine: every observation's bytes, dtype
-# and shape, the repr of each reward and done flag, and the error type and
-# message of the refused steps.  They cover geometries and error paths that
-# no golden run reaches.
+# environments shared one episode engine, when the step still returned
+# rows: every observation's bytes, dtype and shape (now decoded from the
+# code the step returns), the repr of each reward and done flag, and the
+# error type and message of the refused steps.  They cover geometries and
+# error paths that no golden run reaches.
 _TRANSITION_CASES = {
     "chain_default": (
         lambda: SparseChain(),
@@ -303,11 +322,12 @@ def _transition_digest(env, steps=3000, seed=11):
                           repr(part).encode())
 
     feed("fresh", _error_of(lambda: env.step(0)))
-    obs = env.reset()
+    obs = _row(env, env.reset())
     feed(obs.tobytes(), obs.dtype.str, obs.shape, env.state_id)
     for _ in range(steps):
         before = env.state_id
-        obs, reward, done = env.step(int(rng.integers(env.n_actions)))
+        code, reward, done = env.step(int(rng.integers(env.n_actions)))
+        obs = _row(env, code)
         feed(obs.tobytes(), obs.dtype.str, obs.shape, reward, done,
              env.state_id)
         events["bump"] += env.state_id == before
@@ -319,8 +339,7 @@ def _transition_digest(env, steps=3000, seed=11):
         if done:
             events["goal" if reward > 0.0 else "time_out"] += 1
             feed("ended", _error_of(lambda: env.step(0)))
-            obs = env.reset()
-            feed(obs.tobytes(), env.state_id)
+            feed(_row(env, env.reset()).tobytes(), env.state_id)
     for action in (env.n_actions, -1):
         feed("range", _error_of(lambda: env.step(action)))
     return digest.hexdigest(), events
@@ -350,27 +369,26 @@ _CODE_CASES = {
 @pytest.mark.parametrize("name", list(_CODE_CASES))
 def test_codes_and_observations_are_one_to_one(name):
     # over seeded random walks, two observations share a code exactly when
-    # they share their bytes, every code decodes to the bytes the step
-    # returned, and its state id is the walker's
+    # they share their bytes, a code decodes to the same bytes alone and in
+    # a batch, and its state id is the walker's
     env = _CODE_CASES[name]()
     rng = np.random.default_rng(5)
-    rows, codes, ids, steps = [], [], [], []
-    obs, t = env.reset(), 0
+    codes, ids, steps = [], [], []
+    code, t = env.reset(), 0
     for _ in range(6000):
-        rows.append(obs)
-        codes.append(env.code)
+        codes.append(code)
         ids.append(env.state_id)
         steps.append(t)
-        obs, _, done = env.step(int(rng.integers(env.n_actions)))
+        code, _, done = env.step(int(rng.integers(env.n_actions)))
         t += 1
         if done:
-            rows.append(obs)
-            codes.append(env.code)
+            codes.append(code)
             ids.append(env.state_id)
             steps.append(t)
-            obs, t = env.reset(), 0
+            code, t = env.reset(), 0
     assert all(type(code) is int and 0 <= code < env.n_codes
                for code in codes)
+    rows = [_row(env, code) for code in codes]
     data = [row.tobytes() for row in rows]
     assert len(set(codes)) == len(set(data)) == len(set(zip(codes, data)))
     decoded = env.observations(np.array(codes))
@@ -394,15 +412,14 @@ def test_a_large_grid_decodes_codes_without_a_table_of_every_code():
         rng = np.random.default_rng(2)
         slots = np.array([0, 7, 150, 299])
         walk = {}  # the rows of the slots read back
-        obs = env.reset()
+        code = env.reset()
         for slot in range(300):
-            code = env.code
             action = int(rng.integers(env.n_actions))
-            next_obs, reward, done = env.step(action)
-            buffer.push(code, action, reward, env.code, done)
+            next_code, reward, done = env.step(action)
+            buffer.push(code, action, reward, next_code, done)
             if slot in slots:
-                walk[slot] = obs, next_obs
-            obs = env.reset() if done else next_obs
+                walk[slot] = _row(env, code), _row(env, next_code)
+            code = env.reset() if done else next_code
         batch = buffer.batch_arrays(slots)
         _, peak = tracemalloc.get_traced_memory()
     finally:

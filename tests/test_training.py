@@ -94,7 +94,7 @@ class TestBackbone:
     def test_greedy_action_reads_the_state_row(self):
         env = SparseChain(length=4)
         backbone = _chain_backbone(env, bias_right=True)
-        obs = env.reset()
+        obs = env.observations(np.array([env.reset()]))[0]
         assert backbone.greedy_action(env.state_id_of(obs)) == 1
 
     def test_terminal_update(self):
@@ -347,9 +347,8 @@ class TestRunEpisode:
     def test_hook_gets_the_codes_the_environment_gave(self, monkeypatch,
                                                       epsilon):
         # the environment names each observation as it steps, so no row is
-        # decoded: the hook gets the code and state id of the reset
-        # observation and of every next observation, and each code decodes
-        # to the observation the step returned
+        # decoded: the hook gets exactly the codes reset and step returned,
+        # each with the state id the environment set beside it
         env = KeyDoorGrid(width=3, height=3, key_pos=(1, 0), door_pos=(2, 2),
                           max_steps=25)
         rng = np.random.default_rng(4)
@@ -357,15 +356,17 @@ class TestRunEpisode:
         decodes, observed = [], []
         monkeypatch.setattr(env, "state_id_of",
                             lambda obs: decodes.append(obs))
+        monkeypatch.setattr(env, "observations",
+                            lambda codes: decodes.append(codes))
         reset, step = env.reset, env.step
 
         def recording_reset():
-            observed.append((reset(), env.code, env.state_id))
+            observed.append((reset(), env.state_id))
             return observed[-1][0]
 
         def recording_step(action):
             result = step(action)
-            observed.append((result[0], env.code, env.state_id))
+            observed.append((result[0], env.state_id))
             return result
 
         monkeypatch.setattr(env, "reset", recording_reset)
@@ -374,16 +375,14 @@ class TestRunEpisode:
 
         def on_step(code, sid, action, reward, next_code, next_sid, done):
             seen.append((code, sid))
-            assert (next_code, next_sid) == observed[len(seen)][1:]
+            assert (next_code, next_sid) == observed[len(seen)]
 
         n_steps, _ = run_episode(env, backbone, epsilon,
                                  rng if epsilon else None, on_step=on_step)
         assert n_steps > 1 and decodes == []
         assert len(observed) == n_steps + 1
-        assert seen == [(code, sid) for _, code, sid in observed[:-1]]
-        rows = np.array([obs for obs, _, _ in observed])
-        codes = np.array([code for _, code, _ in observed])
-        assert env.observations(codes).tobytes() == rows.tobytes()
+        assert seen == observed[:-1]
+        assert all(type(code) is int for code, _ in observed)
 
 
 class TestEvaluate:
@@ -461,6 +460,29 @@ class TestTrain:
         for column in (record.l_qv, record.l_s, record.gate_r, record.gate_qv,
                        record.gate_s):
             assert np.all(column == 0)
+
+    @pytest.mark.parametrize("env_kind", ["sparse_chain", "key_door_grid"])
+    def test_shaping_off_lays_out_no_observation_row(self, monkeypatch,
+                                                     env_kind):
+        # without shaping nothing gathers a batch, and the steps return
+        # codes, so no observation row is ever laid out
+        calls = []
+
+        def counted(fields):
+            def wrapper(self, *args):
+                calls.append(args)
+                return fields(self, *args)
+            return wrapper
+
+        for cls in (SparseChain, KeyDoorGrid):
+            monkeypatch.setattr(cls, "_fields", counted(cls._fields))
+        config = _quick_config("shaping=off", f"env.kind={env_kind}")
+        record, *_ = train(config)
+        assert record.total_transitions > 100
+        assert calls == []
+        # a decode still lays rows out, through the counted formulas
+        make_env(config.env).observations(np.array([0, 1]))
+        assert len(calls) == 1
 
     def test_trajectories_match_vanilla_until_first_success(self):
         # estimator streams are separate, and shaping waits for a real
