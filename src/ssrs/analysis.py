@@ -3,7 +3,9 @@
 The Gaussian mixture here is a compact diagonal-covariance EM used to
 cluster transition or trajectory features; the consensus matrix reports how
 often pairs of items land in the same component across independently seeded
-fits.
+fits.  The buffer analyses read a ``core.Batch`` of stored entries, oldest
+first: the entries of a checkpoint as ``core.load_buffer`` returns them, or
+``buffer.batch_arrays(buffer.slots())`` of a live buffer.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import ReplayBuffer
 
 __all__ = [
     "GmmModel",
@@ -173,28 +173,26 @@ def consensus(features, k: int, runs: int = 100, seed: int = 0) -> np.ndarray:
                           np.arange(features.shape[0]))
 
 
-def buffer_features(buffer: ReplayBuffer):
+def buffer_features(batch):
     """Per-transition feature rows [state | action | stored reward] plus the
     trajectory index of each transition (episodes split at terminal flags),
-    in buffer storage order (oldest first)."""
-    if len(buffer) == 0:
+    in the batch's order (oldest first)."""
+    if len(batch) == 0:
         raise ValueError("buffer holds no transitions")
-    batch = buffer.batch_arrays(buffer.slots())
     features = np.hstack([batch.states, batch.actions, batch.rewards[:, None]])
     traj_ids = np.cumsum(batch.terminals) - batch.terminals
     return features, traj_ids
 
 
-def trajectory_consensus(buffer: ReplayBuffer, k: int, runs: int = 100,
-                         seed: int = 0):
-    """Consensus over the trajectories stored in a replay buffer.
+def trajectory_consensus(batch, k: int, runs: int = 100, seed: int = 0):
+    """Consensus over the trajectories of a batch of stored entries.
 
     Entries are clustered per run; each trajectory takes the majority
     component of its entries (ties pick the lowest label), and the
     co-assignment matrix is accumulated over trajectories.  Returns
     (matrix, trajectory count).
     """
-    features, traj_ids = buffer_features(buffer)
+    features, traj_ids = buffer_features(batch)
     matrix = _co_assignment(features, k, runs, seed, traj_ids)
     return matrix, matrix.shape[0]
 
@@ -210,20 +208,19 @@ def _signed_log(values):
 def reward_distribution(snapshots: dict, bins: int = 20):
     """Normalized histograms of stored rewards across buffer snapshots.
 
-    ``snapshots`` maps an epoch label to a ReplayBuffer.  Rewards are
-    transformed to signed-log scale (ln(1 + |r|) * sign(r)); bin edges are
-    shared across snapshots so rows are comparable.  Returns (edges, rows)
-    where rows are (epoch, bin_left, bin_right, probability) tuples and
-    each epoch's probabilities sum to 1.
+    ``snapshots`` maps an epoch label to a Batch of stored entries.
+    Rewards are transformed to signed-log scale (ln(1 + |r|) * sign(r)); bin
+    edges are shared across snapshots so rows are comparable.  Returns
+    (edges, rows) where rows are (epoch, bin_left, bin_right, probability)
+    tuples and each epoch's probabilities sum to 1.
     """
     if not snapshots:
         raise ValueError("need at least one snapshot")
     transformed = {}
-    for epoch, buffer in snapshots.items():
-        if len(buffer) == 0:
-            raise ValueError(f"snapshot {epoch!r} holds an empty buffer")
-        transformed[epoch] = _signed_log(
-            buffer.batch_arrays(buffer.slots()).rewards)
+    for epoch, batch in snapshots.items():
+        if len(batch) == 0:
+            raise ValueError(f"snapshot {epoch!r} holds no entries")
+        transformed[epoch] = _signed_log(batch.rewards)
     merged = np.concatenate(list(transformed.values()))
     lo, hi = merged.min(), merged.max()
     if lo == hi:

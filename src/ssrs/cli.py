@@ -403,14 +403,17 @@ def _cmd_consensus(args) -> int:
         path = Path(args.run) / "buffer_final.bin"
     if not path.is_file():
         raise CliError(f"missing buffer checkpoint: {path}")
-    buffer = load_buffer(path)
+    entries = load_buffer(path)
+    if not len(entries):
+        raise CliError(f"{path}: the checkpoint holds no entries")
     k = args.k if args.k is not None else config.n_z
-    if k > len(buffer):
-        raise CliError(f"--k {k} exceeds the {len(buffer)} entries of {path}")
+    if k > len(entries):
+        raise CliError(f"--k {k} exceeds the {len(entries)} entries of {path}")
     seed = _one_seed(args, config.seed)
     grid_path, pairs_path = _outputs(args, "consensus_matrix.csv",
                                      "consensus_pairs.csv")
-    matrix, n_traj = trajectory_consensus(buffer, k, runs=args.runs, seed=seed)
+    matrix, n_traj = trajectory_consensus(entries, k, runs=args.runs,
+                                          seed=seed)
     write_csv(grid_path, [f"t{j}" for j in range(n_traj)], matrix)
     pairs = ((i, j, matrix[i, j])
              for i in range(n_traj) for j in range(n_traj))
@@ -438,6 +441,8 @@ def _cmd_dist(args) -> int:
             raise CliError(f"missing buffer checkpoint: {path} "
                            f"(train with checkpoint_interval set)")
         snapshots[epoch] = load_buffer(path)
+        if not len(snapshots[epoch]):
+            raise CliError(f"{path}: the checkpoint holds no entries")
     (out_csv,) = _outputs(args, "dist.csv")
     _, rows = reward_distribution(snapshots, bins=args.bins)
     write_csv(out_csv, ("epoch", "bin_left", "bin_right", "probability"), rows)

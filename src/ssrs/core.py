@@ -1,19 +1,19 @@
 """Shared domain containers: trajectory stacks, reward sets, replay batches,
 replay.
 
-The replay buffer is built with its capacity and a row source: the
+The replay buffer is built with its capacity and a row source, the
 environment, which names each observation by a code and decodes codes to
-rows, or a ``RowTable`` of explicit rows.  A slot holds its entry as codes
-(state, action index, next state) next to its stored reward, original
-reward and terminal flag; it keeps both rewards, so shaping is always
-reversible, and an entry is shaped exactly when the two differ.  Every step
-enters through ``ReplayBuffer.push``, which takes codes; a checkpoint's
-entries enter through ``ReplayBuffer.from_rows``, over a ``RowTable`` of
-their distinct rows.  Shaping reads the codes (``ReplayBuffer.codes_at``);
-every other read of several whole entries at once (losses, analyses,
-checkpoints) is a ``Batch`` or checkpoint rows decoded from them; a TD
-update reads only stored rewards (``ReplayBuffer.rewards_at``).
-``save_buffer`` streams the rows to the file a fixed-size chunk at a time.
+rows.  A slot holds its entry as codes (state, action index, next state)
+next to its stored reward, original reward and terminal flag; it keeps both
+rewards, so shaping is always reversible, and an entry is shaped exactly
+when the two differ.  Every step enters through ``ReplayBuffer.push``,
+which takes codes.  Shaping reads the codes (``ReplayBuffer.codes_at``);
+every other read of several whole entries at once (losses, checkpoints) is
+a ``Batch`` or checkpoint rows decoded from them; a TD update reads only
+stored rewards (``ReplayBuffer.rewards_at``).  ``save_buffer`` streams the
+rows to the file a fixed-size chunk at a time, and ``load_buffer`` reads
+them back as the ``Batch`` of the stored entries, which is what the
+analyses read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "RewardSet",
     "update_reward_set",
     "ReplayBuffer",
-    "RowTable",
     "save_buffer",
     "load_buffer",
     "save_trajectory",
@@ -120,6 +119,9 @@ class Batch(NamedTuple):
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         rewards = np.asarray(rewards, dtype=np.float64).ravel()
         next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
+        if not len(states) == len(actions) == rewards.size == len(next_states):
+            raise ValueError("states, actions, rewards and next states must "
+                             "have equal row counts")
         return cls(states, actions, rewards, next_states,
                    np.zeros(states.shape[0], dtype=bool), rewards)
 
@@ -200,61 +202,15 @@ def update_reward_set(zset: RewardSet, r_new: float) -> RewardSet:
 # replay buffer
 # ---------------------------------------------------------------------------
 
-class RowTable:
-    """The row source of a buffer without an environment: observation code
-    ``i`` names ``states[i]`` and action index ``a`` names ``actions[a]``.
-
-    The rows pass the checks every observation passes: states finite and
-    nonnegative (RAM-like values in [0, 255]), actions finite.
-    """
-
-    def __init__(self, states, actions):
-        self.states = np.asarray(states, dtype=np.float64)
-        self.actions = np.asarray(actions, dtype=np.float64)
-        if self.states.ndim != 2 or self.actions.ndim != 2:
-            raise ValueError("state and action rows must be 2-D tables")
-        # NaN fails every comparison.
-        if not np.all((self.states >= 0.0) & (self.states < math.inf)):
-            raise ValueError("states must be finite and nonnegative")
-        if not np.isfinite(self.actions).all():
-            raise ValueError("actions must be finite")
-        self.n_codes, self.obs_width = self.states.shape
-        self.n_actions, self.action_width = self.actions.shape
-
-    def observations(self, codes) -> np.ndarray:
-        return self.states[codes]
-
-    def action_vectors(self, actions) -> np.ndarray:
-        return self.actions[actions]
-
-
-def _distinct_rows(rows: np.ndarray):
-    """(the distinct rows of a 2-D float64 array in order of first
-    appearance, told apart by their bytes so that 0.0 and -0.0 differ; the
-    index of each row among them).
-
-    Keyed per row, not by ``np.unique(axis=0)``, which builds one
-    structured field per column: a header's width alone could exhaust
-    memory.
-    """
-    index, first, codes = {}, [], []
-    for i, row in enumerate(rows):
-        code = index.setdefault(row.tobytes(), len(first))
-        if code == len(first):
-            first.append(i)
-        codes.append(code)
-    return rows[first], np.array(codes, dtype=np.intp)
-
-
 class ReplayBuffer:
     """Fixed-capacity ring buffer of transitions with shaping bookkeeping.
 
-    Built with its capacity and a row source (the environment, or a
-    ``RowTable``) that names each observation by a code.  A slot holds the
-    codes of its state and next state and its action index, and the
-    source decodes them to the entry's rows.  An entry holds the ``Batch``
-    fields, and is shaped exactly when its stored reward differs from its
-    original; the shaped flag of a checkpoint row is derived from that.
+    Built with its capacity and a row source (the environment) that names
+    each observation by a code.  A slot holds the codes of its state and
+    next state and its action index, and the source decodes them to the
+    entry's rows.  An entry holds the ``Batch`` fields, and is shaped
+    exactly when its stored reward differs from its original; the shaped
+    flag of a checkpoint row is derived from that.
 
     Slots are physical ring positions; they are returned by :meth:`push` and
     :meth:`sample_slots` and stay valid until the slot is overwritten by
@@ -278,17 +234,13 @@ class ReplayBuffer:
                              f"got ({self.state_width}, {self.action_width})")
         self._next = 0      # next physical slot to write
         self._size = 0
-        try:
-            self._states = np.zeros(capacity, dtype=np.intp)
-            self._actions = np.zeros(capacity, dtype=np.intp)
-            self._next_states = np.zeros(capacity, dtype=np.intp)
-            self._rewards = np.zeros(capacity)
-            self._terminals = np.zeros(capacity, dtype=bool)
-            self._originals = np.zeros(capacity)
-            self._index_zero_slots()
-        except (MemoryError, ValueError):  # numpy: "array is too big"
-            raise ValueError(
-                f"cannot allocate a buffer of capacity {capacity}") from None
+        self._states = np.zeros(capacity, dtype=np.intp)
+        self._actions = np.zeros(capacity, dtype=np.intp)
+        self._next_states = np.zeros(capacity, dtype=np.intp)
+        self._rewards = np.zeros(capacity)
+        self._terminals = np.zeros(capacity, dtype=bool)
+        self._originals = np.zeros(capacity)
+        self._index_zero_slots()
 
     # -- sizing -------------------------------------------------------------
 
@@ -423,58 +375,10 @@ class ReplayBuffer:
 
     # -- checkpoint rows ----------------------------------------------------
 
-    def to_rows(self) -> np.ndarray:
-        """Stored entries as checkpoint rows, oldest first (layout at
-        :func:`save_buffer`); the shaped flag is ``rewards != originals``."""
-        return self._rows(self.slots())
-
     def _rows(self, slots: np.ndarray) -> np.ndarray:
         """Checkpoint rows of the entries at an array of slots."""
         batch = self._gather(slots)
         return np.column_stack([*batch, batch.rewards != batch.originals])
-
-    @classmethod
-    def from_rows(cls, capacity: int, m1: int, m2: int, rows) -> "ReplayBuffer":
-        """Inverse of :meth:`to_rows`: a buffer of capacity ``capacity``
-        holding the rows' entries, oldest first, in slots ``[0, len(rows))``,
-        over a ``RowTable`` of their distinct observations and actions, told
-        apart by their bytes.
-
-        Rejects anything but a 2-D array of rows as wide as ``_row_widths``
-        lays them out for widths ``(m1, m2)``, more rows than the capacity,
-        flags other than exactly 0.0 or 1.0, a shaped flag that disagrees
-        with "stored reward differs from original", rewards that are not
-        finite, and rows the ``RowTable`` rejects.  Each entry then goes in
-        through :meth:`push` with its original reward, and gets its stored
-        reward after.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        widths = _row_widths(m1, m2)
-        if rows.ndim != 2 or rows.shape[1] != sum(widths):
-            raise ValueError(f"rows must be {sum(widths)} values wide for "
-                             f"widths ({m1}, {m2}), got shape {rows.shape}")
-        count = rows.shape[0]
-        if count > capacity:
-            raise ValueError(f"{count} entries exceed the capacity {capacity}")
-        (states, actions, rewards, next_states, terminals, originals,
-         shaped) = np.split(rows, np.cumsum(widths[:-1]), axis=1)
-        flags = np.hstack([terminals, shaped])
-        if not np.all((flags == 0.0) | (flags == 1.0)):
-            raise ValueError("terminal and shaped flags must be 0.0 or 1.0")
-        if np.any((shaped == 1.0) != (rewards != originals)):
-            raise ValueError("an entry's shaped flag must be 1.0 exactly when "
-                             "its stored reward differs from its original")
-        if not np.all(np.isfinite(np.hstack([rewards, originals]))):
-            raise ValueError("rewards must be finite")
-        observations, codes = _distinct_rows(np.vstack([states, next_states]))
-        action_rows, action_ids = _distinct_rows(actions)
-        buffer = cls(capacity, RowTable(observations, action_rows))
-        for entry in zip(codes[:count].tolist(), action_ids.tolist(),
-                         originals[:, 0].tolist(), codes[count:].tolist(),
-                         (terminals[:, 0] == 1.0).tolist()):
-            buffer.push(*entry)
-        buffer._rewards[:count] = rewards[:, 0]
-        return buffer
 
 
 # ---------------------------------------------------------------------------
@@ -511,31 +415,61 @@ def save_buffer(buffer: ReplayBuffer, path):
             fh.write(rows.astype("<f8", copy=False).data)
 
 
-def load_buffer(path) -> ReplayBuffer:
-    """Read a checkpoint written by :func:`save_buffer` (bit-exact round trip).
+def load_buffer(path) -> Batch:
+    """The entries of a checkpoint written by :func:`save_buffer`, oldest
+    first, as a Batch: every field holds the stored values bit-exactly and
+    the terminal flags are booleans.  Nothing is allocated for the capacity
+    the header names.
 
     Malformed input raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated buffer checkpoint")
-    version, m1, m2, capacity, count = _HEADER.unpack_from(raw)
-    if version != BUFFER_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported buffer format version {version}")
-    row_width = sum(_row_widths(m1, m2))
-    expected = _HEADER.size + 8 * row_width * count
-    if len(raw) != expected:
-        raise ValueError(
-            f"{path}: payload size mismatch (expected {expected} bytes, "
-            f"got {len(raw)})"
-        )
-    rows = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     try:
-        return ReplayBuffer.from_rows(capacity, m1, m2,
-                                      rows.reshape(count, row_width))
+        return _checkpoint_entries(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _checkpoint_entries(raw: bytes) -> Batch:
+    """The entries of a checkpoint's bytes (see :func:`load_buffer`)."""
+    if len(raw) < _HEADER.size:
+        raise ValueError("truncated buffer checkpoint")
+    version, m1, m2, capacity, count = _HEADER.unpack_from(raw)
+    if version != BUFFER_FORMAT_VERSION:
+        raise ValueError(f"unsupported buffer format version {version}")
+    if m1 < 1 or m2 < 1:
+        raise ValueError(f"state and action widths must be positive, "
+                         f"got ({m1}, {m2})")
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
+    if count > capacity:
+        raise ValueError(f"{count} entries exceed the capacity {capacity}")
+    widths = _row_widths(m1, m2)
+    expected = _HEADER.size + 8 * sum(widths) * count
+    if len(raw) != expected:
+        raise ValueError(f"payload size mismatch (expected {expected} bytes, "
+                         f"got {len(raw)})")
+    rows = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    (states, actions, rewards, next_states, terminals, originals,
+     shaped) = np.split(rows.reshape(count, sum(widths)).astype(np.float64),
+                        np.cumsum(widths[:-1]), axis=1)
+    flags = np.hstack([terminals, shaped])
+    if not np.all((flags == 0.0) | (flags == 1.0)):
+        raise ValueError("terminal and shaped flags must be 0.0 or 1.0")
+    if np.any((shaped == 1.0) != (rewards != originals)):
+        raise ValueError("an entry's shaped flag must be 1.0 exactly when "
+                         "its stored reward differs from its original")
+    if not np.all(np.isfinite(np.hstack([rewards, originals]))):
+        raise ValueError("rewards must be finite")
+    # NaN fails every comparison.
+    observations = np.hstack([states, next_states])
+    if not np.all((observations >= 0.0) & (observations < math.inf)):
+        raise ValueError("states must be finite and nonnegative")
+    if not np.isfinite(actions).all():
+        raise ValueError("actions must be finite")
+    return Batch(states, actions, rewards[:, 0], next_states,
+                 terminals[:, 0] == 1.0, originals[:, 0])
 
 
 # ---------------------------------------------------------------------------

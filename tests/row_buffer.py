@@ -1,6 +1,8 @@
-"""A replay buffer that takes rows, for tests written in rows.
+"""Row sources for replay buffers built without an environment, and a
+replay buffer that takes rows, for tests written in rows.
 
 ``ReplayBuffer.push`` takes observation codes and action indices.
+``FixedRows`` names the rows of two given tables by their indices.
 ``RowBuffer`` codes each row it is handed through ``GrowingRows``, which
 names each distinct row by the next code, told apart by its bytes (so 0.0
 and -0.0 are different rows), and then pushes the codes.
@@ -9,6 +11,35 @@ and -0.0 are different rows), and then pushes the codes.
 import numpy as np
 
 from ssrs.core import ReplayBuffer
+
+
+def checkpoint_rows(buffer) -> np.ndarray:
+    """The rows ``save_buffer`` writes for a buffer's entries, oldest first:
+    the ``Batch`` fields, then the shaped flag."""
+    return buffer._rows(buffer.slots())
+
+
+def batch_rows(batch) -> np.ndarray:
+    """A ``Batch`` laid out as checkpoint rows: its fields, then the shaped
+    flag (stored reward differs from original)."""
+    return np.column_stack([*batch, batch.rewards != batch.originals])
+
+
+class FixedRows:
+    """A row source over fixed tables: observation code ``i`` names
+    ``states[i]`` and action index ``a`` names ``actions[a]``."""
+
+    def __init__(self, states, actions):
+        self.states = np.asarray(states, dtype=np.float64)
+        self.actions = np.asarray(actions, dtype=np.float64)
+        self.n_codes, self.obs_width = self.states.shape
+        self.n_actions, self.action_width = self.actions.shape
+
+    def observations(self, codes) -> np.ndarray:
+        return self.states[codes]
+
+    def action_vectors(self, actions) -> np.ndarray:
+        return self.actions[actions]
 
 
 class GrowingRows:

@@ -15,6 +15,8 @@ from ssrs.analysis import (
     trajectory_consensus,
 )
 
+from ssrs.core import Batch
+
 from row_buffer import RowBuffer
 
 
@@ -23,6 +25,16 @@ def _two_clouds(n_per=30, d=2, gap=10.0, seed=0):
     a = rng.normal(0.0, 0.5, size=(n_per, d))
     b = rng.normal(gap, 0.5, size=(n_per, d))
     return np.vstack([a, b])
+
+
+def _entries(buf):
+    """A buffer's stored entries, oldest first, as the analyses read them."""
+    return buf.batch_arrays(buf.slots())
+
+
+# No stored entry, with state and action widths 3 and 2.
+_NO_ENTRIES = Batch.from_arrays(np.zeros((0, 3)), np.zeros((0, 2)), [],
+                                np.zeros((0, 3)))
 
 
 def _push_episode(buf, anchor, length=4, reward=1.0, m1=3, m2=2):
@@ -130,7 +142,7 @@ class TestBufferFeatures:
         buf = RowBuffer(64, 3, 2)
         _push_episode(buf, anchor=0.0, length=3)
         _push_episode(buf, anchor=5.0, length=2)
-        features, traj_ids = buffer_features(buf)
+        features, traj_ids = buffer_features(_entries(buf))
         assert features.shape == (5, 3 + 2 + 1)
         np.testing.assert_array_equal(traj_ids, [0, 0, 0, 1, 1])
         # last column is the stored reward
@@ -140,7 +152,8 @@ class TestBufferFeatures:
         buf = RowBuffer(256, 3, 2)
         for anchor in (0.0, 0.1, 7.0, 7.1):
             _push_episode(buf, anchor=anchor, length=4)
-        matrix, n_traj = trajectory_consensus(buf, k=2, runs=15, seed=0)
+        matrix, n_traj = trajectory_consensus(_entries(buf), k=2, runs=15,
+                                              seed=0)
         assert n_traj == 4
         assert matrix.shape == (4, 4)
         np.testing.assert_allclose(np.diag(matrix), np.ones(4), atol=1e-12)
@@ -148,13 +161,13 @@ class TestBufferFeatures:
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            trajectory_consensus(RowBuffer(8, 3, 2), k=2, runs=2)
+            trajectory_consensus(_NO_ENTRIES, k=2, runs=2)
 
     def test_requires_runs(self):
         buf = RowBuffer(16, 3, 2)
         _push_episode(buf, anchor=0.0, length=3)
         with pytest.raises(ValueError, match="at least one run"):
-            trajectory_consensus(buf, k=2, runs=0)
+            trajectory_consensus(_entries(buf), k=2, runs=0)
 
 
 class TestRewardDistribution:
@@ -163,7 +176,8 @@ class TestRewardDistribution:
         _push_episode(buf, anchor=1.0, length=6, reward=3.0)
         other = RowBuffer(64, 3, 2)
         _push_episode(other, anchor=2.0, length=5, reward=-2.0)
-        edges, rows = reward_distribution({"a": buf, "b": other}, bins=8)
+        edges, rows = reward_distribution({"a": _entries(buf),
+                                           "b": _entries(other)}, bins=8)
         assert edges.size == 9
         for epoch in ("a", "b"):
             total = sum(p for e, *_, p in rows if e == epoch)
@@ -172,7 +186,7 @@ class TestRewardDistribution:
     def test_signed_log_bin_support(self):
         buf = RowBuffer(16, 3, 2)
         _push_episode(buf, anchor=0.5, length=2, reward=np.e - 1.0)
-        edges, rows = reward_distribution({"only": buf}, bins=4)
+        edges, rows = reward_distribution({"only": _entries(buf)}, bins=4)
         # transformed rewards are 0 and ln(e) = 1
         assert edges[0] == pytest.approx(0.0, abs=1e-12)
         assert edges[-1] == pytest.approx(1.0, abs=1e-12)
@@ -181,7 +195,7 @@ class TestRewardDistribution:
         buf = RowBuffer(16, 2, 1)
         for _ in range(4):
             buf.push(np.ones(2), np.ones(1), 0.0, np.ones(2), False)
-        edges, rows = reward_distribution({"flat": buf}, bins=10)
+        edges, rows = reward_distribution({"flat": _entries(buf)}, bins=10)
         np.testing.assert_allclose(edges, [-0.5, 0.5], atol=1e-12)
         assert rows == [("flat", -0.5, 0.5, 1.0)]
 
@@ -190,7 +204,8 @@ class TestRewardDistribution:
         _push_episode(small, anchor=0.2, length=3, reward=1.0)
         large = RowBuffer(16, 3, 2)
         _push_episode(large, anchor=0.3, length=3, reward=50.0)
-        edges, rows = reward_distribution({"s": small, "l": large}, bins=6)
+        edges, rows = reward_distribution({"s": _entries(small),
+                                           "l": _entries(large)}, bins=6)
         lefts_s = [l for e, l, _, _ in rows if e == "s"]
         lefts_l = [l for e, l, _, _ in rows if e == "l"]
         assert lefts_s == lefts_l
@@ -198,8 +213,8 @@ class TestRewardDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
             reward_distribution({})
-        with pytest.raises(ValueError):
-            reward_distribution({"empty": RowBuffer(4, 3, 2)})
+        with pytest.raises(ValueError, match="'empty' holds no entries"):
+            reward_distribution({"empty": _NO_ENTRIES})
 
 
 class TestBestScoreSeries:

@@ -525,7 +525,8 @@ BAD_BUFFERS = {
     "empty": lambda good: b"",
     "truncated": lambda good: good[:-1],
     "trailing_byte": lambda good: good + b"\0",
-    # an empty buffer whose capacity no slot array can hold
+    # an empty buffer whose header names 2**58 slots: it loads, as no
+    # entries, and the commands refuse it naming the file
     "unallocatable_capacity": lambda good: struct.pack(
         "<5Q", BUFFER_FORMAT_VERSION, 2, 1, 2 ** 58, 0),
 }
@@ -546,11 +547,34 @@ def test_malformed_buffer_named(trained_root, tmp_path, capsys, source,
         argv = (["consensus", "--run", str(run)] if source == "consensus_run"
                 else ["consensus", "--buffer", str(path)])
     path.write_bytes(BAD_BUFFERS[content](good))
-    with pytest.raises(ValueError):
-        load_buffer(path)
+    if content == "unallocatable_capacity":
+        assert len(load_buffer(path)) == 0
+    else:
+        with pytest.raises(ValueError):
+            load_buffer(path)
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("capacity", [2, 2 ** 58])
+def test_dist_names_an_empty_checkpoint(worker_run, tmp_path, capsys,
+                                        monkeypatch, capacity):
+    # a checkpoint that holds no entry loads, whatever capacity its header
+    # names, and dist refuses it naming the file, before any histogram
+    path = worker_run / "buffer_ep6.bin"
+    path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, 2, 1,
+                                 capacity, 0))
+    assert len(load_buffer(path)) == 0
+    calls = []
+    monkeypatch.setattr(ssrs.cli, "reward_distribution",
+                        lambda *args, **kwargs: calls.append(args))
+    code = main(["dist", "--run", str(worker_run), "--epochs", "6,12",
+                 "--out", str(tmp_path / "d")])
+    assert code == 1 and calls == []
+    assert capsys.readouterr().err == \
+        f"error: {path}: the checkpoint holds no entries\n"
+    assert not (tmp_path / "d").exists()
 
 
 class TestGradcheck:
@@ -857,6 +881,40 @@ class TestDist:
                      "--out", str(tmp_path / "d")])
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
+
+
+# A shaped run whose ring wraps: at the end 204 of its 300 entries hold a
+# shaped reward.  The digests were computed before the checkpoint loader
+# returned its entries as a Batch, so they pin that the analyses read the
+# same values through either loader.
+SHAPED_WRAPPED_RUN = ["episodes=20", "checkpoint_interval=5", "env.length=6",
+                      "env.max_steps=30", "p_u_base=0.3", "estimator_lr=1.0",
+                      "buffer_capacity=300", "static_pu=on"]
+ANALYSIS_DIGESTS = {
+    "consensus_matrix.csv":
+        "8ca9bd2e661bdeee5a47a3e970abf7b33e83f983072ddf95fddff9d32fc1dfcf",
+    "consensus_pairs.csv":
+        "7bc562b328df7a1a5670068d7ec3e47e7ed04bfb793bb65c2a59b85535e0168c",
+    "dist.csv":
+        "c7cc8cc186e70f2aebffbadcc566110f97e17196444e2513a117cf1a7d7e117c",
+}
+
+
+def test_analysis_outputs_match_golden_hashes(tmp_path):
+    sets = [arg for key in SHAPED_WRAPPED_RUN for arg in ("--set", key)]
+    assert main(["train", "--seed", "3", "--out", str(tmp_path / "run"),
+                 *sets]) == 0
+    run = tmp_path / "run" / "seed_3"
+    entries = load_buffer(run / "buffer_final.bin")
+    assert len(entries) == 300
+    assert np.count_nonzero(entries.rewards != entries.originals) == 204
+    assert main(["consensus", "--run", str(run), "--runs", "10",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert main(["dist", "--run", str(run), "--epochs", "5,10,15,20",
+                 "--out", str(tmp_path / "out")]) == 0
+    for name, digest in ANALYSIS_DIGESTS.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 class TestCompare:

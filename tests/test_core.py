@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from ssrs.core import (
     BUFFER_FORMAT_VERSION,
+    Batch,
     ReplayBuffer,
     RewardSet,
-    RowTable,
     TrajectoryMatrix,
     format_cell,
     format_floats,
@@ -24,7 +24,7 @@ from ssrs.core import (
     update_reward_set,
 )
 
-from row_buffer import RowBuffer
+from row_buffer import FixedRows, RowBuffer, batch_rows, checkpoint_rows
 
 
 def _push(buf, state, reward=0.0, action=(1.0, 0.0), terminal=False,
@@ -45,7 +45,7 @@ def _shaped(buf, slots):
     """Shaped flags of physical slots, read from the checkpoint rows (where
     they are derived: stored reward differs from original)."""
     flags = np.zeros(buf.capacity, dtype=bool)
-    flags[buf.slots()] = buf.to_rows()[:, -1] == 1.0
+    flags[buf.slots()] = checkpoint_rows(buf)[:, -1] == 1.0
     return flags[np.asarray(slots)].tolist()
 
 
@@ -128,7 +128,7 @@ def test_push_validates_shapes():
     # push takes codes of its row source: a code outside the source's
     # observations or actions, or a non-finite reward, is refused, into an
     # empty buffer and into one holding an entry, and leaves it as it was
-    table = RowTable([[1.0, 2.0], [0.0, 3.0]], [[1.0]])
+    table = FixedRows([[1.0, 2.0], [0.0, 3.0]], [[1.0]])
     cases = [
         (-1, 0, 0.0, 0, "outside"), (2, 0, 0.0, 0, "outside"),
         (0, -1, 0.0, 0, "outside"), (0, 1, 0.0, 0, "outside"),
@@ -146,24 +146,6 @@ def test_push_validates_shapes():
             assert len(buf) == held
             assert (buf.state_width, buf.action_width) == (2, 1)
             assert buf.nonzero_reward_count == 0
-
-
-@pytest.mark.parametrize("states, actions, match", [
-    (np.ones(2), np.ones((1, 1)), "2-D"),
-    (np.ones((1, 2)), np.ones(1), "2-D"),
-    ([[-1.0, 2.0]], [[1.0]], "nonnegative"),
-    ([[1.0, 2.0], [1.0, -0.5]], [[1.0]], "nonnegative"),
-    ([[np.nan, 2.0]], [[1.0]], "nonnegative"),
-    ([[np.inf, 2.0]], [[1.0]], "finite"),
-    ([[1.0, 2.0]], [[np.nan]], "finite"),
-    ([[1.0, 2.0]], [[1.0], [-np.inf]], "finite"),
-], ids=["1-D-states", "1-D-actions", "negative", "negative-second-row",
-        "nan-state", "inf-state", "nan-action", "inf-action"])
-def test_row_table_checks_its_rows(states, actions, match):
-    # the rows of a buffer without an environment pass the checks every
-    # observation passes: states finite and nonnegative, actions finite
-    with pytest.raises(ValueError, match=match):
-        RowTable(states, actions)
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0), (2, -1, 1)])
@@ -260,7 +242,7 @@ def test_empty_buffer_reads():
     buf = RowBuffer(3, 2, 2)
     slots = buf.zero_reward_slots()
     assert slots.shape == (0,) and slots.dtype.kind == "i"
-    assert buf.to_rows().shape == (0, 2 * 2 + 2 + 4)
+    assert checkpoint_rows(buf).shape == (0, 2 * 2 + 2 + 4)
     with pytest.raises(ValueError, match="empty"):
         buf.batch_arrays(np.array([0]))
     with pytest.raises(ValueError, match="empty"):
@@ -321,7 +303,7 @@ def test_batch_arrays_returns_copies():
     batch = buf.batch_arrays(slots)
     # row layout: [state (3) | action (2) | reward | next state (3) |
     # terminal | original | shaped]
-    row_of = dict(zip(buf.slots().tolist(), buf.to_rows()))
+    row_of = dict(zip(buf.slots().tolist(), checkpoint_rows(buf)))
     reads = [row_of[s] for s in slots.tolist()]
     expected = {
         "states": np.array([r[0:3] for r in reads]),
@@ -350,7 +332,7 @@ def test_batch_arrays_returns_copies():
     assert not any(np.shares_memory(rewards, a) for a in stored)
 
 
-def test_to_rows_are_the_batch_fields_and_the_shaped_flag():
+def test_checkpoint_rows_are_the_batch_fields_and_the_shaped_flag(tmp_path):
     # A wrapped ring with shaped, unshaped and terminal entries.
     rng = np.random.default_rng(6)
     buf = RowBuffer(5, 3, 2)
@@ -358,14 +340,15 @@ def test_to_rows_are_the_batch_fields_and_the_shaped_flag():
         _push(buf, rng.uniform(0.0, 9.0, size=3), reward=float(i % 3 == 0),
               action=np.eye(2)[i % 2], terminal=i % 4 == 3)
     buf.set_reward(np.array([1, 3]), np.array([0.25, 0.0]))
-    batch = buf.batch_arrays(buf.slots())
-    expected = np.column_stack([*batch, batch.rewards != batch.originals])
+    expected = batch_rows(buf.batch_arrays(buf.slots()))
     assert expected.dtype == np.float64 and expected.shape == (5, 12)
-    assert buf.to_rows().tobytes() == expected.tobytes()
+    path = tmp_path / "buf.bin"
+    save_buffer(buf, path)
+    assert path.read_bytes()[40:] == expected.astype("<f8").tobytes()
     # oldest first: pushes 3..7 sit in slots 3, 4, 0, 1, 2; slots 1 and 3
     # hold the rewarded pushes 6 and 3, written away from their originals
     assert buf.slots().tolist() == [3, 4, 0, 1, 2]
-    assert buf.to_rows()[:, -1].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+    assert expected[:, -1].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("slots", [1, np.int64(0), np.array([[0, 1]])],
@@ -378,10 +361,25 @@ def test_batch_arrays_rejects_non_vector_slots(slots):
         buf.batch_arrays(slots)
 
 
+@pytest.mark.parametrize("sizes", [(1, 1, 3, 2), (2, 1, 2, 2), (2, 2, 2, 1),
+                                   (0, 1, 1, 1)])
+def test_batch_from_arrays_rejects_unequal_row_counts(sizes):
+    states, actions, rewards, next_states = sizes
+    with pytest.raises(ValueError, match="equal row counts"):
+        Batch.from_arrays(np.ones((states, 2)), np.ones((actions, 1)),
+                          np.zeros(rewards), np.ones((next_states, 2)))
+    # the example that used to pass, and then fail in subset
+    with pytest.raises(ValueError, match="equal row counts"):
+        Batch.from_arrays([[1, 2]], [[1]], [0, 0, 0], [[1, 2], [3, 4]])
+    batch = Batch.from_arrays(np.ones((3, 2)), np.ones((3, 1)), np.zeros(3),
+                              np.ones((3, 2)))
+    assert len(batch.subset(np.array([True, False, True]))) == 2
+
+
 def test_push_rejects_width_change():
     # The widths are the row source's from construction: every entry
     # gathers to rows of exactly those widths.
-    table = RowTable(np.arange(6.0).reshape(2, 3), np.eye(2))
+    table = FixedRows(np.arange(6.0).reshape(2, 3), np.eye(2))
     buf = ReplayBuffer(4, table)
     assert (buf.state_width, buf.action_width) == (3, 2)
     for i in range(6):
@@ -389,7 +387,7 @@ def test_push_rejects_width_change():
     batch = buf.batch_arrays(buf.slots())
     assert batch.states.shape == batch.next_states.shape == (4, 3)
     assert batch.actions.shape == (4, 2)
-    assert buf.to_rows().shape == (4, 2 * 3 + 2 + 4)
+    assert checkpoint_rows(buf).shape == (4, 2 * 3 + 2 + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +407,14 @@ def test_buffer_checkpoint_roundtrip(tmp_path):
     save_buffer(buf, path)
     back = load_buffer(path)
 
-    assert len(back) == len(buf)
-    assert back.capacity == buf.capacity
-    assert back.nonzero_reward_count == buf.nonzero_reward_count
-    ours, theirs = buf.batch_arrays(buf.slots()), back.batch_arrays(back.slots())
-    for name, a, b in zip(ours._fields, ours, theirs):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert _shaped(buf, buf.slots()) == _shaped(back, back.slots())
+    assert isinstance(back, Batch) and len(back) == len(buf)
+    assert np.count_nonzero(back.originals) == buf.nonzero_reward_count
+    ours = buf.batch_arrays(buf.slots())
+    for name, a, b in zip(ours._fields, ours, back):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (back.rewards != back.originals).tolist() == _shaped(buf,
+                                                                buf.slots())
 
 
 def test_buffer_checkpoint_golden_bytes(tmp_path):
@@ -450,7 +449,8 @@ def test_empty_buffer_roundtrip(tmp_path):
                                             1, 3, 0)
     back = load_buffer(path)
     assert len(back) == 0
-    assert (back.capacity, back.state_width, back.action_width) == (3, 2, 1)
+    assert back.states.shape == back.next_states.shape == (0, 2)
+    assert back.actions.shape == (0, 1) and back.terminals.dtype == bool
 
 
 def _checkpoint_bytes(rows, m1=1, m2=1, capacity=4):
@@ -527,56 +527,69 @@ def test_load_buffer_rejects_negative_states(tmp_path, edits, match):
     path.write_bytes(_checkpoint_bytes([_GOOD_ROW, row]))
     with pytest.raises(ValueError, match=f"negative.bin.*{match}"):
         load_buffer(path)
-    with pytest.raises(ValueError, match=match):
-        ReplayBuffer.from_rows(4, 1, 1, [_GOOD_ROW, row])
 
 
-@pytest.mark.parametrize("rows", [[_GOOD_ROW[:-1]], [_GOOD_ROW + [0.0]],
-                                  _GOOD_ROW, 5.0, np.zeros((0, 3))],
-                         ids=["narrow", "wide", "1-D", "0-D", "empty-narrow"])
-def test_from_rows_rejects_other_row_widths(rows):
-    with pytest.raises(ValueError, match=r"7 values wide.*shape"):
-        ReplayBuffer.from_rows(4, 1, 1, rows)
+def test_load_buffer_rejects_zero_capacity(tmp_path):
+    path = tmp_path / "ringless.bin"
+    path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, 1, 1, 0, 0))
+    with pytest.raises(ValueError, match="ringless.bin.*capacity must be"):
+        load_buffer(path)
 
 
-def test_load_buffer_names_unallocatable_capacity(tmp_path):
-    # 2**58 slots of one float64 ask for 2 EiB: the allocation fails, for a
-    # checkpoint with entries and for an empty one.
+@pytest.mark.parametrize("extra", [-8, -1, 1, 8], ids=["short-row", "short",
+                                                         "long", "long-row"])
+def test_load_buffer_rejects_a_payload_of_another_size(tmp_path, extra):
+    # a row of another width than the header names is a payload of another
+    # size
+    data = _checkpoint_bytes([_GOOD_ROW, _GOOD_ROW])
+    path = tmp_path / "sized.bin"
+    path.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
+    with pytest.raises(ValueError, match="sized.bin.*payload size mismatch"):
+        load_buffer(path)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_load_buffer_allocates_nothing_for_the_header_capacity(tmp_path,
+                                                               count):
+    # 2**58 slots of one float64 would take 2 EiB; the loader reads the
+    # entries the file holds, and nothing of the size the header names.
     capacity = 2 ** 58
     path = tmp_path / "huge.bin"
-    path.write_bytes(_checkpoint_bytes([_GOOD_ROW], capacity=capacity))
-    with pytest.raises(ValueError, match=f"huge.bin.*capacity {capacity}"):
-        load_buffer(path)
-    path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, 1, 1,
-                                 capacity, 0))
-    with pytest.raises(ValueError, match=f"huge.bin.*capacity {capacity}"):
-        load_buffer(path)
+    path.write_bytes(_checkpoint_bytes([_GOOD_ROW] * count, capacity=capacity))
+    tracemalloc.start()
+    try:
+        back = load_buffer(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(back) == count
+    assert batch_rows(back).tolist() == [_GOOD_ROW] * count
 
 
 @pytest.mark.parametrize("m1, m2", [(2 ** 16, 1), (1, 2 ** 16)])
 def test_empty_checkpoint_of_any_width_loads_in_small_memory(tmp_path, m1, m2):
     # an empty checkpoint holds no row, so its widths allocate nothing: it
-    # loads and writes back the same bytes.  Telling rows apart by one
+    # loads as entries of those widths.  Telling rows apart by one
     # structured field per column (np.unique over axis 0) peaks at 28 MB
     # at this width, and exhausts memory at a header width of 2**40.
     path = tmp_path / "wide.bin"
-    data = struct.pack("<5Q", BUFFER_FORMAT_VERSION, m1, m2, 32, 0)
-    path.write_bytes(data)
+    path.write_bytes(struct.pack("<5Q", BUFFER_FORMAT_VERSION, m1, m2, 32, 0))
     tracemalloc.start()
     try:
-        buf = load_buffer(path)
+        back = load_buffer(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert (len(buf), buf.state_width, buf.action_width) == (0, m1, m2)
-    save_buffer(buf, path)
-    assert path.read_bytes() == data
+    assert len(back) == 0
+    assert back.states.shape == back.next_states.shape == (0, m1)
+    assert back.actions.shape == (0, m2)
 
 
 def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
-    """Every single-bit flip of a small checkpoint either loads a buffer
-    that push could have built or fails with a ValueError naming the file."""
+    """Every single-bit flip of a small checkpoint either loads entries
+    that push could have stored or fails with a ValueError naming the file."""
     rng = np.random.default_rng(4)
     buf = RowBuffer(8, 3, 2)
     for i in range(7):
@@ -599,8 +612,8 @@ def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
             assert str(path) in str(exc)
             continue
         loaded += 1
-        batch = back.batch_arrays(back.slots())
-        assert np.all(batch.states >= 0) and np.all(batch.next_states >= 0)
+        assert np.all(back.states >= 0) and np.all(back.next_states >= 0)
+        assert np.all(np.isfinite(back.actions)) and back.terminals.dtype == bool
     # flips of actions and of the rewards of shaped entries still load
     assert 0 < loaded < 8 * len(data)
 
@@ -609,7 +622,7 @@ def test_load_buffer_bit_flips_load_or_name_the_file(tmp_path):
 # of a test table; 0.0 and -0.0 differ in bytes.
 _POOL = [np.array(v) for v in ([0.0, 1.0], [-0.0, 1.0], [1.0, 0.0],
                                [1.0, -0.0], [-0.0, -0.0], [2.0, 3.0])]
-_TABLE = RowTable(_POOL, _POOL)
+_TABLE = FixedRows(_POOL, _POOL)
 _ACTION = 2  # the action row (1.0, 0.0)
 
 _OPS = st.lists(
@@ -667,17 +680,13 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
             originals = _originals(buf, slots)
             buf.set_reward(slots, np.where(shaped, b, originals))
         elif op == "reload":
-            # the loaded buffer lives on a table of the rows it loaded; the
-            # operations go on over the test table
+            # the loaded entries lay out as the rows saved; the operations
+            # go on over the buffer
             save_buffer(buf, path)
-            data = path.read_bytes()
             back = load_buffer(path)
-            save_buffer(back, path)
-            assert path.read_bytes() == data
-            assert back.to_rows().tobytes() == buf.to_rows().tobytes()
-            _check_books(back)
+            assert batch_rows(back).tobytes() == checkpoint_rows(buf).tobytes()
         # the stored observations are the pushed ones, bytes-exact
-        rows = buf.to_rows()
+        rows = checkpoint_rows(buf)
         live = pushed[len(pushed) - len(buf):]
         assert rows[:, 0:2].tobytes() == \
             np.array([s for s, _ in live]).reshape(-1, 2).tobytes()
@@ -691,44 +700,33 @@ def test_buffer_invariants_under_random_operations(tmp_path_factory, capacity,
 _ENTRIES = st.lists(
     st.tuples(*[st.integers(0, len(_POOL) - 1)] * 3,
               st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.booleans(),
-              st.sampled_from([None, 0.0, 3.0])),
+              st.sampled_from([None, 0.0, -0.0, 3.0])),
     max_size=12,
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=_ENTRIES, room=st.integers(0, 2))
-def test_from_rows_builds_the_buffer_push_builds(entries, room):
-    # from_rows fills the slots pushes fill, over a table of the entries'
-    # distinct rows told apart by bytes: the rebuilt buffer holds the same
-    # rows, zero-reward slots and counts, and takes one more push of its
-    # newest entry's codes (which evicts when room is 0) alike
-    capacity = max(1, len(entries) + room)
+@given(entries=_ENTRIES, capacity=st.integers(1, 14))
+def test_load_buffer_gives_back_the_saved_entries(tmp_path_factory, entries,
+                                                  capacity):
+    # save then load gives back every stored entry, oldest first, each field
+    # bit-exact (0.0 and -0.0 kept apart), also after the ring evicts
     buf = ReplayBuffer(capacity, _TABLE)
     for state, action, next_state, reward, terminal, shaped in entries:
         slot = buf.push(state, action, reward, next_state, terminal)
         if shaped is not None:
             buf.set_reward(slot, shaped)
-    back = ReplayBuffer.from_rows(capacity, 2, 2, buf.to_rows())
-    assert back.to_rows().tobytes() == buf.to_rows().tobytes()
-    assert back.nonzero_reward_count == buf.nonzero_reward_count
-    np.testing.assert_array_equal(back.zero_reward_slots(),
-                                  buf.zero_reward_slots())
-    seen = {_POOL[c].tobytes() for entry in entries for c in (entry[0],
-                                                              entry[2])}
-    assert back.rows.n_codes == len(seen)
-    assert back.rows.n_actions == len({entry[1] for entry in entries})
+    path = tmp_path_factory.mktemp("entries") / "buf.bin"
+    save_buffer(buf, path)
+    back = load_buffer(path)
+    assert len(back) == len(buf) == min(len(entries), capacity)
     if not entries:
+        assert back.states.shape == back.next_states.shape == (0, 2)
         return
-    slots = []
-    for b in (back, buf):
-        state, action, next_state = (int(c[0]) for c in
-                                     b.codes_at(b.slots()[-1:]))
-        slots.append(b.push(state, action, 0.0, next_state, False))
-    assert slots[0] == slots[1]
-    assert back.to_rows().tobytes() == buf.to_rows().tobytes()
-    np.testing.assert_array_equal(back.zero_reward_slots(),
-                                  buf.zero_reward_slots())
+    ours = buf.batch_arrays(buf.slots())
+    for name, a, b in zip(ours._fields, ours, back):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_buffer_holds_each_observation_once():
@@ -738,7 +736,7 @@ def test_buffer_holds_each_observation_once():
     # the rows.
     rng = np.random.default_rng(8)
     walk = rng.integers(0, 256, size=(10_001, 24)).astype(np.float64)
-    table = RowTable(walk, np.eye(2))
+    table = FixedRows(walk, np.eye(2))
     tracemalloc.start()
     try:
         buf = ReplayBuffer(10_000, table)
@@ -759,7 +757,7 @@ def test_save_buffer_streams_its_rows(tmp_path):
     # 4,320,040 bytes
     rng = np.random.default_rng(8)
     walk = rng.integers(0, 256, size=(10_001, 24)).astype(np.float64)
-    buf = ReplayBuffer(10_000, RowTable(walk, np.eye(2)))
+    buf = ReplayBuffer(10_000, FixedRows(walk, np.eye(2)))
     for i in range(10_000):
         buf.push(i, i % 2, float(i % 7 == 0), i + 1, False)
     path = tmp_path / "big.bin"
@@ -774,7 +772,7 @@ def test_save_buffer_streams_its_rows(tmp_path):
     assert peak < payload / 4
     assert path.read_bytes() == (
         struct.pack("<5Q", BUFFER_FORMAT_VERSION, 24, 2, 10_000, 10_000)
-        + buf.to_rows().astype("<f8").tobytes())
+        + checkpoint_rows(buf).astype("<f8").tobytes())
 
 
 def _flatnonzero_zero_slots(buf):
@@ -782,7 +780,7 @@ def _flatnonzero_zero_slots(buf):
     per physical slot: the scan ``zero_reward_slots`` keeps incrementally."""
     originals = np.zeros(len(buf))
     if len(buf):
-        originals[buf.slots()] = buf.to_rows()[:, -2]
+        originals[buf.slots()] = checkpoint_rows(buf)[:, -2]
     return np.flatnonzero(originals == 0.0)
 
 
@@ -792,8 +790,8 @@ def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
     capacity = int(rng.integers(1, 40))
     p_nonzero = rng.uniform(0.05, 0.6)
     # step i observes [i, 1.0]; one action
-    table = RowTable(np.column_stack([np.arange(401.0), np.ones(401)]),
-                     [[1.0, 0.0]])
+    table = FixedRows(np.column_stack([np.arange(401.0), np.ones(401)]),
+                      [[1.0, 0.0]])
     buf = ReplayBuffer(capacity, table)
     handed_out = []
     for step in range(400):
@@ -808,21 +806,18 @@ def test_zero_reward_slots_match_flatnonzero_under_random_sequences(seed):
             buf.set_reward(slots, np.where(shaped, rng.normal(size=slots.size),
                                            originals))
         else:
-            # reload all entries, or the newest ones into a ring with room:
-            # from their checkpoint rows, and by pushing their codes again
+            # push all entries, or the newest ones, again into a ring with
+            # room: their codes, original rewards and flags, then their
+            # stored rewards
             newest = buf.slots()[rng.integers(0, len(buf)):]
-            rows = buf.to_rows()[len(buf) - newest.size:]
-            back = ReplayBuffer.from_rows(capacity, 2, 2, rows)
+            rows = checkpoint_rows(buf)[len(buf) - newest.size:]
             codes, batch = buf.codes_at(newest), buf.batch_arrays(newest)
             buf = ReplayBuffer(capacity, table)
             for state, action, next_state, original, terminal in zip(
                     *codes, batch.originals, batch.terminals):
                 buf.push(state, action, original, next_state, terminal)
             buf.set_reward(np.arange(newest.size), batch.rewards)
-            assert buf.to_rows().tobytes() == back.to_rows().tobytes() \
-                == rows.tobytes()
-            np.testing.assert_array_equal(back.zero_reward_slots(),
-                                          buf.zero_reward_slots())
+            assert checkpoint_rows(buf).tobytes() == rows.tobytes()
         slots = buf.zero_reward_slots()
         reference = _flatnonzero_zero_slots(buf)
         assert slots.dtype == reference.dtype

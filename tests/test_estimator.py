@@ -22,7 +22,7 @@ from ssrs.estimator import (
 )
 from ssrs.losses import sgd_step
 
-from row_buffer import RowBuffer
+from row_buffer import RowBuffer, checkpoint_rows
 
 
 def _bias_net(in_width, probs):
@@ -369,7 +369,7 @@ def _seed_buffer(n_zero=10, n_nonzero=2, m1=3, m2=2):
 
 def _stored(buf):
     """(stored rewards, shaped flags) of every entry, oldest first."""
-    rows = buf.to_rows()
+    rows = checkpoint_rows(buf)
     return buf.batch_arrays(buf.slots()).rewards, rows[:, -1] == 1.0
 
 
@@ -437,7 +437,8 @@ class TestShapeBuffer:
             slow.set_reward(int(slot), value)
             expected += value != 0.0
         assert shaped == expected
-        assert fast.to_rows().tobytes() == slow.to_rows().tobytes()
+        assert (checkpoint_rows(fast).tobytes()
+                == checkpoint_rows(slow).tobytes())
 
     def test_nonzero_originals_untouched(self):
         params = _fixed_params()
@@ -456,11 +457,11 @@ class TestShapeBuffer:
     def test_rejects_mix_or_fraction_outside_unit_interval(self, name, mix,
                                                            fraction):
         buf = _seed_buffer()
-        before = buf.to_rows().tobytes()
+        before = checkpoint_rows(buf).tobytes()
         with pytest.raises(ValueError, match=f"^{name} must lie in"):
             shape_buffer(_fixed_params(), buf, self.zset, 0.4, fraction,
                          np.random.default_rng(0), mix, ConfidenceCache())
-        assert buf.to_rows().tobytes() == before
+        assert checkpoint_rows(buf).tobytes() == before
 
 
 def _reference_shape(params, buf, zset, threshold, fraction, rng, mix):
@@ -638,7 +639,8 @@ class TestConfidenceCache:
                 params, reference, zset, threshold, fraction, pass_reference,
                 mix)
             assert n == expected
-            assert cached.to_rows().tobytes() == reference.to_rows().tobytes()
+            assert (checkpoint_rows(cached).tobytes()
+                    == checkpoint_rows(reference).tobytes())
             if live.size:
                 pruned.add("none" if live.all() else
                            "some" if live.any() else "all")

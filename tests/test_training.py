@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ssrs.augment import PAIRINGS
 from ssrs.config import RunConfig, apply_overrides, parse_config
-from ssrs.core import ReplayBuffer, RowTable, load_buffer
+from ssrs.core import ReplayBuffer, load_buffer
 from ssrs.envs import KeyDoorGrid, SparseChain, make_env
 from ssrs import training
 from ssrs.estimator import (ConfidenceCache, MlpNet, load_params,
@@ -27,6 +27,8 @@ from ssrs.training import (
     train,
     write_run_outputs,
 )
+
+from row_buffer import FixedRows, checkpoint_rows
 
 QUICK_CONFIG = """
 episodes = 30
@@ -47,7 +49,7 @@ def _quick_config(*overrides):
 
 
 # One observation row and one action row: TD reads only stored rewards.
-_ONE_ROW = RowTable([[0.0]], [[1.0]])
+_ONE_ROW = FixedRows([[0.0]], [[1.0]])
 
 
 def _td_update(backbone, codes, rewards, lr, discount):
@@ -526,7 +528,8 @@ class TestTrain:
         np.testing.assert_array_equal(cached[0].shaped_count,
                                       reference[0].shaped_count)
         assert cached[2].flat.tobytes() == reference[2].flat.tobytes()
-        assert cached[3].to_rows().tobytes() == reference[3].to_rows().tobytes()
+        assert (checkpoint_rows(cached[3]).tobytes()
+                == checkpoint_rows(reference[3]).tobytes())
 
     def test_codes_written_at_push_match_reencoding_every_batch(
             self, monkeypatch):
@@ -554,7 +557,8 @@ class TestTrain:
                                           getattr(reference[0], field.name))
         assert coded[1].table.tobytes() == reference[1].table.tobytes()
         assert coded[2].flat.tobytes() == reference[2].flat.tobytes()
-        assert coded[3].to_rows().tobytes() == reference[3].to_rows().tobytes()
+        assert (checkpoint_rows(coded[3]).tobytes()
+                == checkpoint_rows(reference[3]).tobytes())
 
     def test_one_hard_logging_pass_per_episode(self, monkeypatch):
         # only the last estimator step's hard-mode breakdown is logged, so
@@ -605,8 +609,11 @@ class TestRunOutputs:
         np.testing.assert_array_equal(table, backbone.table)
         loaded = load_params(tmp_path / "params_final.txt")
         np.testing.assert_array_equal(loaded.flat, params.flat)
-        buf = load_buffer(tmp_path / "buffer_final.bin")
-        assert len(buf) == len(buffer)
+        entries = load_buffer(tmp_path / "buffer_final.bin")
+        stored = buffer.batch_arrays(buffer.slots())
+        assert len(entries) == len(buffer)
+        for name, a, b in zip(stored._fields, stored, entries):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_run_json_is_byte_stable(self, tmp_path):
         cfg = _quick_config("episodes=5")
