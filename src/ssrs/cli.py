@@ -90,11 +90,15 @@ def _load_config(args) -> RunConfig:
 
 
 def _int_list(flag: str, raw: str, lo: int) -> tuple:
-    """The comma-separated integers of ``flag``, each at least ``lo``."""
+    """The comma-separated distinct integers of ``flag``, each at least
+    ``lo``."""
     try:
-        return parse_int_list(raw, lo)
+        values = parse_int_list(raw, lo)
     except ValueError as exc:
         raise CliError(f"{flag} {exc}") from None
+    if len(set(values)) != len(values):
+        raise CliError(f"{flag} holds a duplicate entry; got {raw!r}")
+    return values
 
 
 def _seed_list(args, default):
@@ -168,8 +172,6 @@ def _run_config_of(run_dir: Path) -> RunConfig:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     seeds = _seed_list(args, [config.seed])
-    if len(set(seeds)) != len(seeds):
-        raise CliError("duplicate seeds in --seed list")
     *curves, aggregate = _outputs(
         args, *(f"seed_{s}/curve.csv" for s in seeds), "aggregate.csv")
 
@@ -432,8 +434,6 @@ def _cmd_dist(args) -> int:
     run_dir = Path(args.run)
     _run_config_of(run_dir)  # validates the directory
     epochs = _int_list("--epochs", args.epochs, 1)
-    if len(set(epochs)) != len(epochs):
-        raise CliError("duplicate epochs in --epochs list")
     snapshots = {}
     for epoch in epochs:
         path = run_dir / f"buffer_ep{epoch}.bin"
@@ -462,6 +462,11 @@ def _cmd_compare(args) -> int:
         if not agg.is_file():
             raise CliError(f"missing aggregate.csv in {d}")
         curve = _read_curve(agg, ("mean_best", "std_best"))
+        for name, column in curve.items():
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise CliError(f"{agg}: non-finite {name} in data row "
+                               f"{bad[0] + 1}")
         rows.append((d.name, float(curve["mean_best"][-1]),
                      float(curve["std_best"][-1])))
 

@@ -13,7 +13,9 @@ Buffer shaping and the losses both build on them.
 Shaping scores each distinct input of the replay buffer at most once per
 estimator version: a ``ConfidenceCache`` keeps the state-action head's
 output per (state code, action index) and the state head's per next-state
-code, the codes the buffer stores.  The state head runs first, and the
+code, the codes the buffer stores, for the current version only.  Per
+head it costs 4 B per code up to the largest code seen plus one vector
+per input scored under that version.  The state head runs first, and the
 state-action head only on entries whose state-head bound leaves a
 candidate able to beat the threshold.
 
@@ -285,26 +287,38 @@ def pseudo_label(q, threshold: float):
 # ---------------------------------------------------------------------------
 
 class _HeadOutputs:
-    """One head's output vectors indexed by input code, each stamped with
-    the estimator version it was computed under.
+    """One head's output vectors under one estimator version, packed.
 
-    The arrays grow with the largest code seen; a row never computed
-    carries version -1, so it is never fresh.
+    ``row_of`` maps an input code to the row of ``values`` that holds its
+    vector, or to -1 while the code is unscored under ``version``; it is
+    int32 and as long as the largest code seen plus one, so it costs 4 B a
+    code.  ``values`` holds the vectors of ``version`` in scoring order, in
+    its first ``n`` rows.  A new version unmaps every code and refills
+    ``values`` from its first row, keeping its capacity.
     """
 
     def __init__(self):
-        self.versions = np.empty(0, dtype=np.int64)
+        self.version = None
+        self.row_of = np.empty(0, dtype=np.int32)
         self.values = None
+        self.n = 0
 
     def outputs(self, codes: np.ndarray, version: int, score) -> np.ndarray:
         """The vector of each entry of ``codes``.  ``score`` is called once,
         on the ascending distinct codes without a vector of ``version``, and
         returns one row per code it is given; nothing is called when there
         are none."""
+        if version != self.version:
+            self.version = version
+            self.row_of.fill(-1)
+            self.n = 0
         top = int(codes.max())
-        if top >= self.versions.size:
-            self._grow(top + 1)
-        stale = self.versions[codes] != version
+        if top >= self.row_of.size:
+            row_of = np.full(top + 1, -1, dtype=np.int32)
+            row_of[:self.row_of.size] = self.row_of
+            self.row_of = row_of
+        at = self.row_of[codes]
+        stale = at < 0
         if stale.any():
             # np.unique, without its per-call overhead
             distinct = np.sort(codes[stale])
@@ -313,25 +327,21 @@ class _HeadOutputs:
             np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
             distinct = distinct[first]
             scored = score(distinct)
-            if self.values is None:
-                self.values = np.empty((self.versions.size, scored.shape[1]))
-            self.values[distinct] = scored
-            self.versions[distinct] = version
-        return self.values[codes]
-
-    def _grow(self, n: int):
-        size = max(n, 2 * self.versions.size)
-        versions = np.full(size, -1, dtype=np.int64)
-        versions[:self.versions.size] = self.versions
-        self.versions = versions
-        if self.values is not None:
-            values = np.empty((size, self.values.shape[1]))
-            values[:len(self.values)] = self.values
-            self.values = values
+            start, end = self.n, self.n + distinct.size
+            if self.values is None or end > len(self.values):
+                values = np.empty((max(end, 2 * start), scored.shape[1]))
+                if start:
+                    values[:start] = self.values[:start]
+                self.values = values
+            self.values[start:end] = scored
+            self.row_of[distinct] = np.arange(start, end, dtype=np.int32)
+            self.n = end
+            at = self.row_of[codes]
+        return self.values[at]
 
 
 class ConfidenceCache:
-    """Head outputs of a buffer's distinct shaping inputs, kept per
+    """Head outputs of a buffer's distinct shaping inputs under the current
     estimator version.
 
     The state head's output is kept per next-state code, and the
@@ -340,12 +350,18 @@ class ConfidenceCache:
     parameters and its input; not on the slot, its stored reward, the mix,
     the threshold or the candidate set.  A code names one input for as long
     as the buffer's row source lives, so every slot holding an input shares
-    one vector, and a push needs no bookkeeping.  Each vector carries the
-    version it was computed under and is fresh while that is ``version``.
-    A vector is computed only when a pass asks for it, so a pair whose
-    entries the state-head bound prunes stays unscored until a later pass
-    needs it.  The owner calls :meth:`clear` after every parameter update.
-    One cache serves one buffer.
+    one vector, and a push needs no bookkeeping.  Only vectors computed
+    under ``version`` are kept: per head an int32 map from code to a row of
+    one packed ``(rows, n_z)`` array, 4 B per code up to the largest code
+    seen, plus the ``n_z`` floats of each input scored under ``version``.
+    The first lookup under a new version unmaps every code and refills the
+    array from its first row; the array keeps its room, at most twice the
+    most inputs one version has scored.  So memory follows the inputs the
+    versions score, not the code space.  A vector is computed only when a
+    pass asks for it, so a pair whose entries the state-head bound prunes
+    stays unscored until a later pass needs it.  The owner calls
+    :meth:`clear` after every parameter update.  One cache serves one
+    buffer.
     """
 
     def __init__(self):
@@ -354,7 +370,8 @@ class ConfidenceCache:
         self.v = _HeadOutputs()
 
     def clear(self):
-        """Start a new estimator version: every stored vector is stale."""
+        """Start a new estimator version: every stored vector is stale, and
+        each head forgets them at its next lookup."""
         self.version += 1
 
 

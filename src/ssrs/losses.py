@@ -18,10 +18,11 @@ and are checked against central finite differences in the test suite.
 Each loss takes a :class:`~ssrs.core.Batch` and a required ``mode``
 (``"hard"`` or ``"smooth"``; anything else raises a ValueError) and returns
 (value, gradient, gate count).  The gradient is a vector in ``params.flat``
-order; hard mode returns ``None`` instead and runs no backward pass.
+order; hard mode returns ``None`` instead and runs no backward pass, as
+does a term on an empty batch, which has no gradient to give.
 ``sgd_step`` subtracts it from ``params.flat`` in place.  ``total_loss``
-sums the three term gradients into the consistency term's own vector, so
-an estimator step holds each gradient once.  The confidence
+sums the term gradients there are into the consistency term's own vector,
+so an estimator step holds each gradient once.  The confidence
 mix, hard and soft selection and the confidence-gated pseudo-label come
 from :mod:`ssrs.estimator`, so shaping and training share one definition
 of each.
@@ -86,9 +87,8 @@ def _check_mode(mode):
         raise ValueError(f"mode must be 'hard' or 'smooth', got {mode!r}")
 
 
-def _empty(params: EstimatorParams, mode: str):
-    """A term's (value, gradient, gate count) on an empty batch."""
-    return 0.0, None if mode == "hard" else np.zeros(params.n_params), 0
+# A term's (value, gradient, gate count) on an empty batch, in either mode.
+_EMPTY = 0.0, None, 0
 
 
 def _assemble(params: EstimatorParams, q_pieces, v_pieces) -> np.ndarray:
@@ -121,14 +121,15 @@ def loss_r(params: EstimatorParams, batch: Batch, zset: RewardSet,
 
     mean over the batch of gate * (r - selected)^2, where the gate passes
     when the confidence peak reaches the threshold.  Returns (value,
-    gradient, gate count); the gradient is None in hard mode.
+    gradient, gate count); the gradient is None in hard mode or on an empty
+    batch.
     """
     _check_mode(mode)
     if np.any(batch.originals == 0.0):
         raise ValueError("supervised batch must contain only nonzero-reward transitions")
     n = len(batch)
     if n == 0:
-        return _empty(params, mode)
+        return _EMPTY
     [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
         params, [batch.states], batch.actions, batch.next_states, dropout_rng
     )
@@ -172,12 +173,12 @@ def loss_qv(params: EstimatorParams, batch: Batch, *, mode: str,
     the same in both modes; hard mode only skips the gradient.  Samples with
     every component at or below zero contribute no gradient.  Returns
     (value, gradient, count of samples with some positive component); the
-    gradient is None in hard mode.
+    gradient is None in hard mode or on an empty batch.
     """
     _check_mode(mode)
     n = len(batch)
     if n == 0:
-        return _empty(params, mode)
+        return _EMPTY
     # The ordering compares both heads on the *current* state.
     [(q_out, q_cache)], (v_out, v_cache) = forward_heads(
         params, [batch.states], batch.actions, batch.states, dropout_rng
@@ -218,7 +219,8 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
     ``consistency_views`` builds them; when both views are confident, the
     strong view is pulled toward the weak view's one-hot pseudo-label via
     cross-entropy.  Both views share one forward of the state head.  Returns
-    (value, gradient, gate count); the gradient is None in hard mode.
+    (value, gradient, gate count); the gradient is None in hard mode or on
+    an empty batch.
     """
     _check_mode(mode)
     if np.any(batch.originals != 0.0):
@@ -231,7 +233,7 @@ def loss_s(params: EstimatorParams, batch: Batch, views,
         )
     n = len(batch)
     if n == 0:
-        return _empty(params, mode)
+        return _EMPTY
     [(qh_w, cache_w), (qh_s, cache_s)], (vh, cache_v) = forward_heads(
         params, [weak_states, strong_states], batch.actions, batch.next_states,
         dropout_rng,
@@ -292,6 +294,7 @@ def total_loss(params: EstimatorParams, batch: Batch, weight: float,
     consistency term, with ``views`` from ``consistency_views``.  Returns
     (LossBreakdown, gradient); the gradient is None in hard mode (the
     indicator gates have no useful derivative), which runs no backward pass.
+    A term on an empty part of the batch computes no gradient.
     A smooth-mode term whose gradient is not finite raises a ValueError
     naming the term.  With ``ordering`` false the smooth gradient leaves out
     the head-ordering term, the very one it computed (dropout included);
@@ -320,19 +323,25 @@ def total_loss(params: EstimatorParams, batch: Batch, weight: float,
         return breakdown, None
     bad = [name for name, g in zip(("l_r", "l_qv", "l_s"),
                                    (grad_r, grad_qv, grad_s))
-           if not np.isfinite(g).all()]
+           if g is not None and not np.isfinite(g).all()]
     if bad:
         raise ValueError(f"non-finite gradient in {', '.join(bad)}")
     # grad_qv + weight * grad_s + (1 - weight) * grad_r, summed in that order
-    # into grad_s: the same bits, as IEEE addition and product commute.
-    grad = grad_s
+    # into grad_s: the same bits, as IEEE addition and product commute.  A
+    # term on an empty batch adds nothing: without a nonzero-reward row
+    # (most steps) the sum is weight * grad_s.  A zero vector added there
+    # could only turn -0.0 into +0.0, which an SGD step does not see:
+    # ``EstimatorParams.create`` holds no -0.0, and x - y is -0.0 only for
+    # x = -0.0.
+    grad = grad_s if grad_s is not None else np.zeros(params.n_params)
     grad *= weight
-    grad += grad_qv
-    grad_r *= 1.0 - weight
-    grad += grad_r
+    if grad_r is not None:
+        grad += grad_qv
+        grad_r *= 1.0 - weight
+        grad += grad_r
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient in the sum")
-    if not ordering:
+    if not ordering and grad_qv is not None:
         grad -= grad_qv
     return breakdown, grad
 

@@ -588,6 +588,17 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_repeated_seed_rejected(self, monkeypatch, capsys):
+        checked = []
+        monkeypatch.setattr(ssrs.cli, "gradcheck_report",
+                            lambda seed: checked.append(seed))
+        assert main(["gradcheck", "--seed", "0,1,0"]) == 1
+        assert checked == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: --seed holds a duplicate entry; got '0,1,0'\n"
+
 
 class TestRolloutAndAugmentCheck:
     def test_rollout_then_augment(self, tmp_path, capsys):
@@ -873,7 +884,7 @@ class TestDist:
                      "--out", str(tmp_path / "d")])
         assert code == 1
         assert capsys.readouterr().err == \
-            "error: duplicate epochs in --epochs list\n"
+            "error: --epochs holds a duplicate entry; got '6,12,6'\n"
         assert not (tmp_path / "d").exists()
 
     def test_missing_checkpoint(self, worker_run, tmp_path, capsys):
@@ -959,6 +970,25 @@ class TestCompare:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+        assert not (tmp_path / "compare.csv").exists()
+
+    @pytest.mark.parametrize("column, cell", [
+        ("mean_best", "nan"), ("std_best", "inf"), ("mean_best", "-inf")])
+    def test_non_finite_aggregate_named(self, tmp_path, capsys, column,
+                                        cell):
+        self._fake_aggregate(tmp_path / "good", [0.5])
+        self._fake_aggregate(tmp_path / "bad", [0.1, 0.5])
+        bad = tmp_path / "bad" / "aggregate.csv"
+        rows = bad.read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[1 if column == "mean_best" else 2] = cell
+        rows[2] = ",".join(cells)
+        bad.write_text("\n".join(rows) + "\n")
+        code = main(["compare", str(tmp_path / "good"), str(tmp_path / "bad"),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: non-finite {column} in data row 2\n"
         assert not (tmp_path / "compare.csv").exists()
 
     def test_missing_aggregate(self, tmp_path, capsys):

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from ssrs.core import RewardSet, format_cell, update_reward_set
+from ssrs.core import ReplayBuffer, RewardSet, format_cell, update_reward_set
+from ssrs.envs import KeyDoorGrid
 from ssrs.estimator import (
     ConfidenceCache,
     EstimatorParams,
@@ -699,6 +700,47 @@ class TestConfidenceCache:
         assert rows == [next_codes.size]  # the state head only
         batch = buf.batch_arrays(slots)
         assert batch.rewards.tobytes() == batch.originals.tobytes()
+
+    def test_memory_follows_the_scored_inputs_not_the_code_space(self):
+        # A 12x12 grid at 200 steps names 288 * 201 observations and four
+        # times as many pairs; a 300-entry window holds a few hundred.
+        # After passes under three estimator versions, each head holds
+        # 4 B per code up to the largest code it was asked for, plus room
+        # for at most twice the vectors the current version scored.
+        env = KeyDoorGrid(12, 12, key_pos=(5, 5), door_pos=(11, 11),
+                          max_steps=200)
+        buf = ReplayBuffer(300, env)
+        rng = np.random.default_rng(0)
+        code = env.reset()
+        while len(buf) < buf.capacity:
+            action = int(rng.integers(env.n_actions))
+            next_code, reward, done = env.step(action)
+            buf.push(code, action, reward, next_code, done)
+            code = env.reset() if done else next_code
+        params = EstimatorParams.create(env.obs_width, env.n_actions,
+                                        self.zset.size, rng, hidden=(8,),
+                                        dropout=0.0, input_scale=1 / 255)
+        cache = ConfidenceCache()
+        for version in range(3):
+            if version:
+                sgd_step(params, rng.normal(size=params.n_params), 0.1)
+                cache.clear()
+            # threshold 0 and mix 0.5 prune no entry, so the full pass
+            # scores every distinct input of the window
+            for fraction in (0.2, 1.0):
+                shape_buffer(params, buf, self.zset, 0.0, fraction, rng, 0.5,
+                             cache)
+        states, actions, next_states = buf.codes_at(buf.zero_reward_slots())
+        vector = 8 * self.zset.size
+        for head, codes in ((cache.v, next_states),
+                            (cache.q, states * env.n_actions + actions)):
+            top = int(codes.max())
+            bound = 4 * (top + 1) + 2 * vector * np.unique(codes).size
+            held = sum(a.nbytes for a in vars(head).values()
+                       if isinstance(a, np.ndarray))
+            assert held <= bound
+            # a vector for every code up to the largest would not fit
+            assert vector * (top + 1) > 4 * bound
 
     def test_all_fresh_pass_runs_no_forward(self, monkeypatch):
         params = self._params()

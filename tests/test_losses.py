@@ -433,6 +433,7 @@ class TestTotalLoss:
         assert ablated.tobytes() == (full - g_qv).tobytes()
 
     def test_empty_batch_gradient_is_none_in_hard_mode(self):
+        # and in smooth mode too: a term on an empty batch has no gradient
         params = _small_params(6)
         empty = _batch([], m1=4)
         views = consistency_views(empty, PAIRING, 0)
@@ -443,11 +444,7 @@ class TestTotalLoss:
                 loss_s(params, empty, views, ZSET, 0.5, 0.5, mode=mode),
             ):
                 assert (value, gates) == (0.0, 0)
-                if mode == "hard":
-                    assert grad is None
-                else:
-                    np.testing.assert_array_equal(grad,
-                                                  np.zeros(params.n_params))
+                assert grad is None
 
 
 class TestGradientSum:
@@ -472,13 +469,37 @@ class TestGradientSum:
                                  views=views, mode="smooth", ordering=ordering)
             assert grad.tobytes() == expected.tobytes()
 
-    def test_smooth_step_peaks_below_5_6_gradient_vectors(self):
-        # default heads on 24-wide states: 28,120 parameters.  Summing the
-        # terms through full-size temporaries peaked at 6.07 vectors.
+    @pytest.mark.parametrize("ordering", [True, False])
+    def test_batch_without_nonzero_rows_sums_the_consistency_term_alone(
+            self, ordering):
+        # most estimator steps draw no nonzero-reward row: the supervised
+        # and ordering terms then add no zero vector to the sum
+        params = _small_params(5)
+        batch = _batch([0.0] * 6, m1=4, seed=9)
+        views = consistency_views(batch, PAIRING, 3)
+        weight, lr = 0.3, 0.7
+        _, g_s, _ = loss_s(params, batch, views, ZSET, 0.34, 0.5, 2.0,
+                           mode="smooth")
+        _, grad = total_loss(params, batch, weight, ZSET, 0.34, 0.5, 2.0,
+                             views=views, mode="smooth", ordering=ordering)
+        assert grad.tobytes() == (weight * g_s).tobytes()
+        # the sum with the zero vectors differs at most in the sign of a
+        # zero, which leaves the SGD step's bits alone
+        zeros = np.zeros(params.n_params)
+        with_zeros = weight * g_s + zeros + (1.0 - weight) * zeros
+        np.testing.assert_array_equal(grad, with_zeros)
+        assert ((params.flat - lr * grad).tobytes()
+                == (params.flat - lr * with_zeros).tobytes())
+
+    @staticmethod
+    def _step_peak_vectors(nonzero_rows):
+        """Traced peak of one smooth step of default heads on 24-wide
+        states (28,120 parameters), in gradient vectors."""
         rng = np.random.default_rng(0)
         params = EstimatorParams.create(24, 2, 12, rng)
+        assert params.n_params == 28_120
         rewards = np.zeros(32)
-        rewards[[3, 11, 20]] = 1.0
+        rewards[nonzero_rows] = 1.0
         batch = Batch.from_arrays(rng.uniform(0.0, 1.0, (32, 24)),
                                   np.eye(2)[rng.integers(0, 2, 32)], rewards,
                                   rng.uniform(0.0, 1.0, (32, 24)))
@@ -498,8 +519,16 @@ class TestGradientSum:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert params.n_params == 28_120
-        assert peak < 5.6 * 8 * params.n_params
+        return peak / (8 * params.n_params)
+
+    def test_smooth_step_peaks_below_5_6_gradient_vectors(self):
+        # Summing the terms through full-size temporaries peaked at 6.07
+        # vectors.
+        assert self._step_peak_vectors([3, 11, 20]) < 5.6
+
+    def test_step_without_nonzero_rows_peaks_below_4_gradient_vectors(self):
+        # Zero gradients of the two empty terms peaked at 5.56 vectors.
+        assert self._step_peak_vectors([]) < 4.0
 
 
 class TestNonFiniteGradient:
