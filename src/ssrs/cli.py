@@ -239,10 +239,8 @@ def _cmd_eval(args) -> int:
                        f"environment ({env.n_states}, {env.n_actions})")
     if not np.isfinite(table).all():
         raise CliError(f"{table_path}: value table holds a non-finite value")
-    n = config.eval_episodes
-    mean_return, success = evaluate(env, BackboneQ(table), n)
-    print(f"episodes {n}")
-    print(f"mean_return {format_cell(mean_return)}")
+    ret, success = evaluate(env, BackboneQ(table))
+    print(f"mean_return {format_cell(ret)}")
     print(f"success_rate {format_cell(success)}")
     return 0
 

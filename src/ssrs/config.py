@@ -3,7 +3,8 @@
 Config files are plain ``key = value`` lines; ``#`` starts a comment and
 blank lines are ignored.  Dotted keys address the nested sections
 (``env.…``, ``augment.…``).  Unknown keys, malformed values, non-finite
-numbers and out-of-range values are rejected with the offending line number.
+numbers, out-of-range values and a key set twice are rejected with the
+offending line number.
 
 Each key is one dataclass field declared with :func:`_key`, which holds its
 default and the parser of its text together; the key table, and so the
@@ -256,6 +257,7 @@ def _assign(config: RunConfig, key: str, raw: str, line=None):
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig (unset keys keep their defaults)."""
     config = RunConfig()
+    set_on = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -264,7 +266,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"expected 'key = value', got {raw_line.strip()!r}",
                               line_no)
         key, _, raw = line.partition("=")
-        _assign(config, key.strip(), raw.strip(), line_no)
+        key = key.strip()
+        first = set_on.setdefault(key, line_no)
+        if first != line_no:
+            raise ConfigError(f"key {key!r} is already set on line {first}",
+                              line_no)
+        _assign(config, key, raw.strip(), line_no)
     _cross_check(config)
     return config
 

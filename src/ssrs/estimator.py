@@ -10,14 +10,10 @@ formula: the two-head forward (``forward_heads``), the confidence mix
 (``mix_heads``), hard selection (``select``), its soft surrogate
 (``soft_select``) and the confidence-gated pseudo-label (``pseudo_label``).
 Buffer shaping and the losses both build on them.
-Shaping scores each distinct input of the replay buffer at most once per
-estimator version: a ``ConfidenceCache`` keeps the state-action head's
-output per (state code, action index) and the state head's per next-state
-code, the codes the buffer stores, for the current version only.  Per
-head it costs 4 B per code up to the largest code seen plus one vector
-per input scored under that version.  The state head runs first, and the
-state-action head only on entries whose state-head bound leaves a
-candidate able to beat the threshold.
+Shaping scores each distinct input of the replay buffer at most once
+between parameter updates, through a :class:`ConfidenceCache`.  The state
+head runs first, and the state-action head only on entries whose
+state-head bound leaves a candidate able to beat the threshold.
 
 The networks are plain numpy with hand-written backward passes so gradients
 can be audited against finite differences.  All parameters live in one
@@ -287,31 +283,23 @@ def pseudo_label(q, threshold: float):
 # ---------------------------------------------------------------------------
 
 class _HeadOutputs:
-    """One head's output vectors under one estimator version, packed.
+    """One head's output vectors, packed.
 
     ``row_of`` maps an input code to the row of ``values`` that holds its
-    vector, or to -1 while the code is unscored under ``version``; it is
-    int32 and as long as the largest code seen plus one, so it costs 4 B a
-    code.  ``values`` holds the vectors of ``version`` in scoring order, in
-    its first ``n`` rows.  A new version unmaps every code and refills
-    ``values`` from its first row, keeping its capacity.
+    vector, or to -1 while the code is unscored; it is int32 and as long as
+    the largest code seen plus one.  ``values`` holds the vectors in
+    scoring order, in its first ``n`` rows.
     """
 
     def __init__(self):
-        self.version = None
         self.row_of = np.empty(0, dtype=np.int32)
         self.values = None
         self.n = 0
 
-    def outputs(self, codes: np.ndarray, version: int, score) -> np.ndarray:
+    def outputs(self, codes: np.ndarray, score) -> np.ndarray:
         """The vector of each entry of ``codes``.  ``score`` is called once,
-        on the ascending distinct codes without a vector of ``version``, and
-        returns one row per code it is given; nothing is called when there
-        are none."""
-        if version != self.version:
-            self.version = version
-            self.row_of.fill(-1)
-            self.n = 0
+        on the ascending distinct codes without a vector, and returns one
+        row per code it is given; nothing is called when there are none."""
         top = int(codes.max())
         if top >= self.row_of.size:
             row_of = np.full(top + 1, -1, dtype=np.int32)
@@ -341,8 +329,8 @@ class _HeadOutputs:
 
 
 class ConfidenceCache:
-    """Head outputs of a buffer's distinct shaping inputs under the current
-    estimator version.
+    """Head outputs of a buffer's distinct shaping inputs since the last
+    parameter update.
 
     The state head's output is kept per next-state code, and the
     state-action head's per ``state code * n_actions + action index``, as
@@ -350,29 +338,25 @@ class ConfidenceCache:
     parameters and its input; not on the slot, its stored reward, the mix,
     the threshold or the candidate set.  A code names one input for as long
     as the buffer's row source lives, so every slot holding an input shares
-    one vector, and a push needs no bookkeeping.  Only vectors computed
-    under ``version`` are kept: per head an int32 map from code to a row of
-    one packed ``(rows, n_z)`` array, 4 B per code up to the largest code
-    seen, plus the ``n_z`` floats of each input scored under ``version``.
-    The first lookup under a new version unmaps every code and refills the
-    array from its first row; the array keeps its room, at most twice the
-    most inputs one version has scored.  So memory follows the inputs the
-    versions score, not the code space.  A vector is computed only when a
-    pass asks for it, so a pair whose entries the state-head bound prunes
-    stays unscored until a later pass needs it.  The owner calls
-    :meth:`clear` after every parameter update.  One cache serves one
-    buffer.
+    one vector, and a push needs no bookkeeping.  Per head a code costs 4 B
+    up to the largest code seen, and each input scored since the last
+    :meth:`clear` one vector of ``n_z`` floats, in an array that keeps room
+    for at most twice the most inputs scored between two clears.  A vector
+    is computed only when a pass asks for it, so a pair whose entries the
+    state-head bound prunes stays unscored until a later pass needs it.
+    The owner calls :meth:`clear` after every parameter update.  One cache
+    serves one buffer.
     """
 
     def __init__(self):
-        self.version = 0
         self.q = _HeadOutputs()
         self.v = _HeadOutputs()
 
     def clear(self):
-        """Start a new estimator version: every stored vector is stale, and
-        each head forgets them at its next lookup."""
-        self.version += 1
+        """Forget every stored vector: both heads unmap every code."""
+        for head in (self.q, self.v):
+            head.row_of.fill(-1)
+            head.n = 0
 
 
 def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
@@ -394,7 +378,7 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     entry whose bound does not beat the threshold (or is NaN) selects 0
     whatever its state-action output, so only the other entries run the
     state-action head, and none does when none is left.  Each head scores
-    only the distinct inputs it is asked for that have no fresh vector in
+    only the distinct inputs it is asked for that have no vector in
     ``cache``, in one forward pass, and stores them there.  A forward's
     last bits depend on how many rows it is given, so the selections match
     scoring every drawn entry with both heads unless a confidence lies
@@ -414,14 +398,14 @@ def shape_buffer(params: EstimatorParams, buffer: ReplayBuffer, zset: RewardSet,
     states, actions, next_states = buffer.codes_at(chosen)
     rows = buffer.rows
     v_out = cache.v.outputs(
-        next_states, cache.version,
+        next_states,
         lambda codes: params.v_net.forward(rows.observations(codes))[0])
     live = mix_heads(1.0, v_out.max(axis=1), mix) > threshold
     values = np.zeros(k)
     if live.any():
         n_actions = rows.n_actions
         q_out = cache.q.outputs(
-            states[live] * n_actions + actions[live], cache.version,
+            states[live] * n_actions + actions[live],
             lambda pairs: params.q_net.forward(_state_action_input(
                 rows.observations(pairs // n_actions),
                 rows.action_vectors(pairs % n_actions)))[0])
@@ -466,9 +450,11 @@ def save_params(params: EstimatorParams, path):
 def load_params(path) -> EstimatorParams:
     """Read a checkpoint written by :func:`save_params`.
 
-    Truncated or malformed input, a non-finite value among them, raises
-    ValueError naming the file and the line where parsing stopped; a net's
-    bad scale or dropout is reported at that net's header line.
+    Truncated or malformed input raises ValueError naming the file and the
+    line where parsing stopped: a non-finite value, a blank line, a header
+    not of the form above, or a repeated net among them.  A net's bad scale
+    or dropout, or a candidate count unlike the other net's, is reported at
+    that net's header line.
     """
     try:
         with open(path) as fh:
@@ -493,11 +479,16 @@ def load_params(path) -> EstimatorParams:
         return row
 
     try:
-        while pos < len(lines) and lines[pos]:
+        while pos < len(lines):
             header = pos
-            tag, name, _, input_scale, _, dropout, _, n_layers = lines[pos].split()
-            if tag != "net" or int(n_layers) < 1:
+            fields = lines[pos].split()
+            if (len(fields) != 8
+                    or fields[0::2] != ["net", "scale", "dropout", "layers"]
+                    or int(fields[7]) < 1):
                 raise ValueError("expected a net header with at least one layer")
+            _, name, _, input_scale, _, dropout, _, n_layers = fields
+            if name in nets:
+                raise ValueError(f"net {name!r} appears twice")
             pos += 1
             weights, biases = [], []
             for _ in range(int(n_layers)):
@@ -515,9 +506,14 @@ def load_params(path) -> EstimatorParams:
                 pos += 1
                 biases.append(values(out_n))
             sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-            # The net checks the scale and dropout of its header line.
+            # A bad scale, dropout or candidate count is its header line's.
             pos, end = header, pos
             net = MlpNet(sizes, dropout=float(dropout), input_scale=float(input_scale))
+            for other, seen in nets.items():
+                if seen.layer_sizes[-1] != sizes[-1]:
+                    raise ValueError(
+                        f"net {name!r} emits {sizes[-1]} candidates, net "
+                        f"{other!r} {seen.layer_sizes[-1]}")
             pos = end
             for dst, src in zip(net.weights + net.biases, weights + biases):
                 dst[...] = src

@@ -88,6 +88,13 @@ class TestParsing:
             parse_config("just some words\n")
         assert "line 1" in str(err.value)
 
+    def test_repeated_key_names_it_and_both_lines(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("episodes = 3\nbeta = 0.3\n episodes=7 # again\n")
+        assert err.value.line == 3
+        assert str(err.value) == ("line 3: key 'episodes' is already set on "
+                                  "line 1")
+
     def test_bad_int(self):
         with pytest.raises(ConfigError):
             parse_config("episodes = many\n")

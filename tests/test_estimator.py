@@ -905,3 +905,55 @@ class TestParamsIo:
         path.write_text(path.read_text().replace(old, new, 1))
         with pytest.raises(ValueError, match="params.txt"):
             load_params(path)
+
+    @staticmethod
+    def _saved(tmp_path, params=None):
+        """A saved checkpoint's path and lines, with the line number of its
+        ``net v`` header."""
+        if params is None:
+            params = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                            hidden=(3,))
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text().splitlines()
+        v_header = next(i for i, t in enumerate(lines, start=1)
+                        if t.startswith("net v"))
+        return path, lines, v_header
+
+    def _rejects_at(self, path, lines, number, message):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: line {number}: "
+                                 f"{message}"):
+            load_params(path)
+
+    def test_repeated_net_named_at_its_second_header(self, tmp_path):
+        # q, q, v: the second q block would replace the first
+        path, lines, v_header = self._saved(tmp_path)
+        q_block = lines[1:v_header - 1]
+        bad = lines[:v_header - 1] + q_block + lines[v_header - 1:]
+        self._rejects_at(path, bad, v_header, "net 'q' appears twice")
+
+    def test_lines_after_a_blank_line_are_read(self, tmp_path):
+        # the blank line and what follows it are not ignored
+        path, lines, _ = self._saved(tmp_path)
+        bad = lines + ["", "net w scale 1 dropout 0 layers 1"]
+        self._rejects_at(path, bad, len(lines) + 1, "expected a net header")
+
+    @pytest.mark.parametrize("keyword", ["scale", "dropout", "layers"])
+    def test_header_keyword_must_match(self, tmp_path, keyword):
+        path, lines, v_header = self._saved(tmp_path)
+        bad = list(lines)
+        bad[v_header - 1] = bad[v_header - 1].replace(keyword,
+                                                      keyword.upper())
+        self._rejects_at(path, bad, v_header, "expected a net header")
+
+    def test_heads_must_emit_one_candidate_count(self, tmp_path):
+        four = EstimatorParams.create(2, 1, 4, np.random.default_rng(0),
+                                      hidden=(3,))
+        six = EstimatorParams.create(2, 1, 6, np.random.default_rng(1),
+                                     hidden=(3,))
+        path, lines, v_header = self._saved(
+            tmp_path, EstimatorParams(q_net=four.q_net, v_net=six.v_net))
+        self._rejects_at(path, lines, v_header,
+                         "net 'v' emits 6 candidates, net 'q' 4")

@@ -82,9 +82,9 @@ INERT = {
                          "otherwise every forward pass is deterministic",
     "checkpoint_interval": "it adds buffer_epN.bin and params_epN.txt "
                            "snapshots and changes none of the final outputs",
-    "eval_episodes": "greedy evaluation on these deterministic environments "
-                     "repeats one episode, so the count does not move the "
-                     "mean return or the success rate",
+    "eval_episodes": "evaluation plays one greedy episode, which is every "
+                     "greedy episode on these deterministic environments; "
+                     "the key is parsed and recorded but not read",
 }
 
 # Compared byte for byte; params_final.txt is compared by its parameter

@@ -391,9 +391,9 @@ class TestEvaluate:
     def test_success_and_failure(self):
         env = SparseChain(length=5, max_steps=12)
         good = _chain_backbone(env, bias_right=True)
-        assert evaluate(env, good, 3) == (1.0, 1.0)
+        assert evaluate(env, good) == (1.0, 1.0)
         bad = _chain_backbone(env, bias_right=False)
-        assert evaluate(env, bad, 3) == (0.0, 0.0)
+        assert evaluate(env, bad) == (0.0, 0.0)
 
     def test_builds_no_action_vectors(self, monkeypatch):
         # greedy evaluation stores nothing, so it encodes no action
@@ -401,16 +401,25 @@ class TestEvaluate:
         calls = []
         monkeypatch.setattr(env, "action_vectors",
                             lambda action: calls.append(action))
-        assert evaluate(env, _chain_backbone(env, bias_right=True), 3) == (
+        assert evaluate(env, _chain_backbone(env, bias_right=True)) == (
             1.0, 1.0)
         assert calls == []
 
-    @pytest.mark.parametrize("n_episodes", [0, -1, -5])
-    def test_needs_at_least_one_episode(self, n_episodes):
-        # a mean over no episode would be NaN
-        env = SparseChain(length=5, max_steps=12)
-        with pytest.raises(ValueError, match="n_episodes must be at least 1"):
-            evaluate(env, _chain_backbone(env), n_episodes)
+    def test_train_resets_once_per_episode_and_evaluation(self, monkeypatch):
+        # evaluating after every episode plays one greedy episode, whatever
+        # eval_episodes says
+        resets = []
+
+        def counting_env(config):
+            env = make_env(config)
+            reset = env.reset
+            env.reset = lambda: resets.append(None) or reset()
+            return env
+
+        monkeypatch.setattr(training, "make_env", counting_env)
+        train(_quick_config("episodes=6", "eval_interval=1",
+                            "eval_episodes=3"))
+        assert len(resets) == 6 + 6
 
 
 class TestTrain:
