@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _VAR_FLOOR = 1e-6
+# EM's iteration cap, and the log-likelihood gain below which it stops.
+_MAX_ITER = 200
+_TOL = 1e-8
 
 
 @dataclass
@@ -59,11 +62,6 @@ def _log_gaussian_rows(points, means, variances):
     return out
 
 
-def _logsumexp_rows(a):
-    peak = a.max(axis=1, keepdims=True)
-    return (peak + np.log(np.exp(a - peak).sum(axis=1, keepdims=True))).ravel()
-
-
 def _init_means(points, k, rng):
     """Distance-squared-proportional seeding (k-means++ style)."""
     n = points.shape[0]
@@ -81,15 +79,12 @@ def _init_means(points, k, rng):
     return np.stack(means)
 
 
-def gmm_fit(points, k: int, seed: int, max_iter: int = 200,
-            tol: float = 1e-8) -> GmmModel:
+def gmm_fit(points, k: int, seed: int) -> GmmModel:
     """Fit a diagonal-covariance mixture by EM.
 
     :param points: (n, d) feature rows, n >= k.
     :param k: number of components.
     :param seed: seeds the mean initialization.
-    :param max_iter: iteration cap.
-    :param tol: stop when the log-likelihood improves by less than this.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, d = points.shape
@@ -103,10 +98,12 @@ def gmm_fit(points, k: int, seed: int, max_iter: int = 200,
     weights = np.full(k, 1.0 / k)
 
     trace = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # E step
         log_joint = _log_gaussian_rows(points, means, variances) + np.log(weights)
-        log_norm = _logsumexp_rows(log_joint)
+        peak = log_joint.max(axis=1, keepdims=True)  # log-sum-exp per row
+        log_norm = (peak + np.log(np.exp(log_joint - peak).sum(
+            axis=1, keepdims=True))).ravel()
         trace.append(float(log_norm.sum()))
         resp = np.exp(log_joint - log_norm[:, None])
         # M step (variance floor keeps the constrained maximization stable)
@@ -120,7 +117,7 @@ def gmm_fit(points, k: int, seed: int, max_iter: int = 200,
                 (resp[:, j][:, None] * diff ** 2).sum(axis=0) / mass[j],
                 _VAR_FLOOR,
             )
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < _TOL:
             break
     return GmmModel(weights=weights, means=means, variances=variances,
                     loglik=np.array(trace))
@@ -201,10 +198,6 @@ def trajectory_consensus(batch, k: int, runs: int = 100, seed: int = 0):
 # reward distribution
 # ---------------------------------------------------------------------------
 
-def _signed_log(values):
-    return np.log1p(np.abs(values)) * np.sign(values)
-
-
 def reward_distribution(snapshots: dict, bins: int = 20):
     """Normalized histograms of stored rewards across buffer snapshots.
 
@@ -220,7 +213,8 @@ def reward_distribution(snapshots: dict, bins: int = 20):
     for epoch, batch in snapshots.items():
         if len(batch) == 0:
             raise ValueError(f"snapshot {epoch!r} holds no entries")
-        transformed[epoch] = _signed_log(batch.rewards)
+        r = batch.rewards
+        transformed[epoch] = np.log1p(np.abs(r)) * np.sign(r)
     merged = np.concatenate(list(transformed.values()))
     lo, hi = merged.min(), merged.max()
     if lo == hi:

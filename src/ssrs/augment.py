@@ -240,11 +240,9 @@ def _augment(spec: AugmentSpec, blocks: np.ndarray, rngs) -> np.ndarray:
         return np.take_along_axis(blocks, cols[:, None, :], axis=2)
     if kind == "flip":
         return blocks[:, :, ::-1].copy()
-    if kind == "double_entropy":
-        columns = _partition_columns(m1, p["n"])
-        return partition_entropies(blocks, p["n"])[:, None, columns] * blocks
-    # AugmentSpec already validates the kind.
-    raise ValueError(f"unknown augmentation kind: {kind!r}")  # pragma: no cover
+    # double_entropy, the one kind left: AugmentSpec validates the kind
+    columns = _partition_columns(m1, p["n"])
+    return partition_entropies(blocks, p["n"])[:, None, columns] * blocks
 
 
 def apply_augment(spec: AugmentSpec, traj: TrajectoryMatrix,

@@ -59,7 +59,7 @@ from .estimator import EstimatorParams
 from .losses import consistency_views, finite_diff_gradient, loss_qv, loss_r, loss_s
 from .training import BackboneQ, evaluate, train, write_run_outputs
 
-__all__ = ["main"]
+__all__ = ["main", "gradcheck_report", "CliError"]
 
 GRADCHECK_BOUND = 1e-4
 
@@ -133,17 +133,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a positive integer, "
                                          f"got {text!r}")
     return int(text)
-
-
-def _read_curve(path, columns) -> dict:
-    """The named columns of a numeric CSV table with at least one data row."""
-    header, data = read_csv(path)
-    missing = [name for name in columns if name not in header]
-    if missing:
-        raise CliError(f"{path}: no column {', '.join(missing)}")
-    if not len(data):
-        raise CliError(f"{path}: no data rows")
-    return {name: data[:, header.index(name)] for name in columns}
 
 
 def _run_config_of(run_dir: Path) -> RunConfig:
@@ -275,7 +264,7 @@ def _toy_batch(rng: np.random.Generator, m1: int, m2: int, n: int,
     return Batch.from_arrays(states, actions, rewards, next_states)
 
 
-def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
+def gradcheck_report(seed: int) -> dict:
     """Max relative backprop-vs-finite-difference error for each loss.
 
     Uses dropout-free toy estimators well under 200 parameters; the relative
@@ -301,7 +290,7 @@ def gradcheck_report(seed: int, step: float = 1e-5) -> dict:
     report = {}
     for name, loss in checks.items():
         g_bp = loss(params)[1]
-        g_fd = finite_diff_gradient(lambda p: loss(p)[0], params, step=step)
+        g_fd = finite_diff_gradient(lambda p: loss(p)[0], params)
         rel = np.abs(g_bp - g_fd) / (np.abs(g_fd) + 1e-8)
         report[name] = float(rel.max())
     return report
@@ -453,23 +442,34 @@ def _cmd_dist(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_compare(args) -> int:
+    columns = ("mean_best", "std_best")
     rows = []
+    named = {}
     for raw in args.dirs:
         d = Path(raw)
+        first = named.setdefault(d.name, d)
+        if first is not d:
+            raise CliError(f"{first} and {d} share the variant name {d.name!r}")
         agg = d / "aggregate.csv"
         if not agg.is_file():
             raise CliError(f"missing aggregate.csv in {d}")
-        curve = _read_curve(agg, ("mean_best", "std_best"))
-        for name, column in curve.items():
+        header, data = read_csv(agg)
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise CliError(f"{agg}: no column {', '.join(missing)}")
+        if not len(data):
+            raise CliError(f"{agg}: no data rows")
+        row = [d.name]
+        for name in columns:
+            column = data[:, header.index(name)]
             bad = np.flatnonzero(~np.isfinite(column))
             if bad.size:
-                raise CliError(f"{agg}: non-finite {name} in data row "
-                               f"{bad[0] + 1}")
-        rows.append((d.name, float(curve["mean_best"][-1]),
-                     float(curve["std_best"][-1])))
+                raise CliError(f"{agg}: non-finite {name} in data row {bad[0] + 1}")
+            row.append(float(column[-1]))
+        rows.append(row)
 
     (out_csv,) = _outputs(args, "compare.csv")
-    write_csv(out_csv, ("variant", "mean_best", "std_best"), rows)
+    write_csv(out_csv, ("variant", *columns), rows)
 
     name_w = max(len("variant"), *(len(r[0]) for r in rows))
     print(f"{'variant':<{name_w}}  {'mean_best':>12}  {'std_best':>12}")

@@ -49,16 +49,14 @@ class ConfigError(ValueError):
 # value parsers
 # ---------------------------------------------------------------------------
 
-def _parse_int(lo=None, hi=None):
+def _parse_int(lo):
     def parse(raw):
         try:
             value = int(raw)
         except ValueError:
             raise ValueError(f"expected an integer, got {raw!r}") from None
-        if lo is not None and value < lo:
+        if value < lo:
             raise ValueError(f"value {value} below minimum {lo}")
-        if hi is not None and value > hi:
-            raise ValueError(f"value {value} above maximum {hi}")
         return value
     return parse
 

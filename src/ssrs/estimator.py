@@ -452,9 +452,10 @@ def load_params(path) -> EstimatorParams:
 
     Truncated or malformed input raises ValueError naming the file and the
     line where parsing stopped: a non-finite value, a blank line, a header
-    not of the form above, or a repeated net among them.  A net's bad scale
-    or dropout, or a candidate count unlike the other net's, is reported at
-    that net's header line.
+    not of the form above, a net other than ``q`` or ``v``, or a repeated
+    net.  A net's bad scale or dropout, a candidate count unlike the other
+    net's, or a ``q`` input no wider than ``v``'s (it takes the state and
+    an action) is reported at that net's header line.
     """
     try:
         with open(path) as fh:
@@ -487,6 +488,8 @@ def load_params(path) -> EstimatorParams:
                     or int(fields[7]) < 1):
                 raise ValueError("expected a net header with at least one layer")
             _, name, _, input_scale, _, dropout, _, n_layers = fields
+            if name not in ("q", "v"):
+                raise ValueError(f"expected net 'q' or 'v', got {name!r}")
             if name in nets:
                 raise ValueError(f"net {name!r} appears twice")
             pos += 1
@@ -506,7 +509,7 @@ def load_params(path) -> EstimatorParams:
                 pos += 1
                 biases.append(values(out_n))
             sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-            # A bad scale, dropout or candidate count is its header line's.
+            # A bad scale, dropout, candidate count or width is its header's.
             pos, end = header, pos
             net = MlpNet(sizes, dropout=float(dropout), input_scale=float(input_scale))
             for other, seen in nets.items():
@@ -514,6 +517,10 @@ def load_params(path) -> EstimatorParams:
                     raise ValueError(
                         f"net {name!r} emits {sizes[-1]} candidates, net "
                         f"{other!r} {seen.layer_sizes[-1]}")
+                width = {name: sizes[0], other: seen.layer_sizes[0]}
+                if width["q"] <= width["v"]:
+                    raise ValueError(f"net 'q' takes {width['q']} inputs, net "
+                                     f"'v' {width['v']}; q must take more")
             pos = end
             for dst, src in zip(net.weights + net.biases, weights + biases):
                 dst[...] = src

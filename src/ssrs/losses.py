@@ -54,6 +54,8 @@ __all__ = [
     "finite_diff_gradient",
 ]
 
+_FD_STEP = 1e-5  # finite_diff_gradient's central-difference step
+
 
 @dataclass
 class LossBreakdown:
@@ -359,18 +361,17 @@ def sgd_step(params: EstimatorParams, grad: np.ndarray, lr: float) -> EstimatorP
     return params
 
 
-def finite_diff_gradient(loss_fn, params: EstimatorParams,
-                         step: float = 1e-5) -> np.ndarray:
+def finite_diff_gradient(loss_fn, params: EstimatorParams) -> np.ndarray:
     """Central-difference gradient of ``loss_fn(params)`` over every
     parameter; restores each parameter before moving to the next."""
     flat = params.flat
     grad = np.zeros(flat.size)
     for i in range(flat.size):
         base = flat[i]
-        flat[i] = base + step
+        flat[i] = base + _FD_STEP
         up = loss_fn(params)
-        flat[i] = base - step
+        flat[i] = base - _FD_STEP
         down = loss_fn(params)
         flat[i] = base
-        grad[i] = (up - down) / (2.0 * step)
+        grad[i] = (up - down) / (2.0 * _FD_STEP)
     return grad

@@ -8,6 +8,7 @@ consistency, consensus separation, monotone log-likelihood), so a regression
 anywhere in the pipeline surfaces as a named line here.
 """
 
+import shutil
 import time
 from collections import deque
 
@@ -50,7 +51,7 @@ def test_acceptance_01_gradient_correctness():
     tick = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        report = gradcheck_report(seed, step=1e-5)
+        report = gradcheck_report(seed)
         worst = max(worst, max(report.values()))
     elapsed = time.perf_counter() - tick
     _report(1, "gradient correctness", worst <= 1e-4 and elapsed < 30.0,
@@ -523,7 +524,11 @@ def _run_cycle(root, config_path):
                  "--out", str(root / "cons")]) == 0
     assert main(["dist", "--run", str(root / "run" / "seed_3"),
                  "--epochs", "6,12", "--out", str(root / "dist")]) == 0
-    assert main(["compare", str(root / "run"), str(root / "run"),
+    # compare takes a variant name once: the run against a copy of its
+    # aggregate under another name
+    (root / "copy").mkdir()
+    shutil.copy(root / "run" / "aggregate.csv", root / "copy")
+    assert main(["compare", str(root / "run"), str(root / "copy"),
                  "--out", str(root / "cmp")]) == 0
     return [
         root / "run" / "seed_3" / "curve.csv",

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+import shutil
 import struct
 import weakref
 from pathlib import Path
@@ -1010,6 +1011,20 @@ class TestCompare:
             f"error: {bad}: non-finite {column} in data row 2\n"
         assert not (tmp_path / "compare.csv").exists()
 
+    @pytest.mark.parametrize("other", ["other/run", "run"])
+    def test_repeated_variant_name_rejected(self, tmp_path, capsys, other):
+        # two directories named run, or the same directory twice: the table
+        # would hold two rows named run
+        first, second = tmp_path / "run", tmp_path / other
+        for d in {first, second}:
+            self._fake_aggregate(d, [0.5])
+        code = main(["compare", str(first), str(second),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {first} and {second} share the variant name 'run'\n"
+        assert not (tmp_path / "compare.csv").exists()
+
     def test_missing_aggregate(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -1020,9 +1035,13 @@ class TestCompare:
 
 class TestRealComparison(object):
     def test_trained_run_roundtrip(self, trained_root, tmp_path, capsys):
-        # compare the trained output against itself: identical stats
+        # compare the trained output against a copy of its aggregate under
+        # another name: identical stats
         out = trained_root / "out"
-        code = main(["compare", str(out), str(out),
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        shutil.copy(out / "aggregate.csv", copy)
+        code = main(["compare", str(out), str(copy),
                      "--out", str(tmp_path), "--force"])
         assert code == 0
         rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]

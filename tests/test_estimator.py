@@ -957,3 +957,41 @@ class TestParamsIo:
             tmp_path, EstimatorParams(q_net=four.q_net, v_net=six.v_net))
         self._rejects_at(path, lines, v_header,
                          "net 'v' emits 6 candidates, net 'q' 4")
+
+    @pytest.mark.parametrize("q_state_width, v_state_width", [(2, 5), (2, 3)])
+    def test_q_head_must_be_wider_than_v_head(self, tmp_path, q_state_width,
+                                              v_state_width):
+        # q takes its state width plus one action column
+        narrow = EstimatorParams.create(q_state_width, 1, 2,
+                                        np.random.default_rng(0), hidden=(3,))
+        wide = EstimatorParams.create(v_state_width, 1, 2,
+                                      np.random.default_rng(1), hidden=(3,))
+        path, lines, v_header = self._saved(
+            tmp_path, EstimatorParams(q_net=narrow.q_net, v_net=wide.v_net))
+        self._rejects_at(path, lines, v_header,
+                         f"net 'q' takes {q_state_width + 1} inputs, net 'v' "
+                         f"{v_state_width}; ")
+
+    def test_width_rule_holds_with_v_saved_first(self, tmp_path):
+        narrow = EstimatorParams.create(2, 1, 2, np.random.default_rng(0),
+                                        hidden=(3,))
+        wide = EstimatorParams.create(5, 1, 2, np.random.default_rng(1),
+                                      hidden=(3,))
+        path, lines, v_header = self._saved(
+            tmp_path, EstimatorParams(q_net=narrow.q_net, v_net=wide.v_net))
+        swapped = [lines[0], *lines[v_header - 1:], *lines[1:v_header - 1]]
+        self._rejects_at(path, swapped, len(lines) - v_header + 3,
+                         "net 'q' takes 3 inputs, net 'v' 5; ")
+
+    def test_other_net_name_named_at_its_header(self, tmp_path):
+        path, lines, v_header = self._saved(tmp_path)
+        renamed = [line.replace("net v ", "net w ") for line in lines]
+        self._rejects_at(path, renamed, v_header,
+                         "expected net 'q' or 'v', got 'w'")
+
+    def test_third_net_named_at_its_header(self, tmp_path):
+        path, lines, v_header = self._saved(tmp_path)
+        extra = [line.replace("net q ", "net z ")
+                 for line in lines[1:v_header - 1]]
+        self._rejects_at(path, lines + extra, len(lines) + 1,
+                         "expected net 'q' or 'v', got 'z'")
